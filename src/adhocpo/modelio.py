@@ -20,8 +20,6 @@ file byte for byte.
 from __future__ import annotations
 
 import hashlib
-import io
-from typing import Union
 
 import numpy as np
 from scipy import sparse
@@ -35,60 +33,74 @@ class ModelFormatError(ValueError):
     """Raised on malformed model files; message carries the line number."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _entries(table):
+    """Stored entries of one table in row-major order: (rows, cols, values).
 
-
-def _nonzero_triples(table) -> list:
+    CSR tables keep every stored entry, explicit zeros included; dense
+    tables keep their nonzeros.  The sort is stable, so duplicates keep
+    their stored order.
+    """
     if sparse.issparse(table):
         coo = table.tocoo()
-        triples = [(int(i), int(j), float(v)) for i, j, v in zip(coo.row, coo.col, coo.data)]
-    else:
-        rows, cols = np.nonzero(table)
-        triples = [(int(i), int(j), float(table[i, j])) for i, j in zip(rows, cols)]
-    triples.sort(key=lambda t: (t[0], t[1]))
-    return triples
+        order = np.lexsort((coo.col, coo.row))
+        return coo.row[order], coo.col[order], coo.data[order]
+    rows, cols = np.nonzero(table)
+    return rows, cols, np.asarray(table)[rows, cols]
+
+
+def _entry_count(table) -> int:
+    return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
+
+
+def _lines(prefix: str, rows, cols, values) -> str:
+    """One text line per entry: prefix, row, column (if any), then value.
+
+    Each distinct float64 is formatted once, keyed by its bit pattern so
+    that -0.0 and 0.0 keep their own repr; each distinct line tail
+    (column and value) is formatted once too.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, tail_id = np.unique(bits, return_inverse=True)
+    tails = [repr(v) + "\n" for v in distinct.view(np.float64).tolist()]
+    if cols is not None:
+        pairs = np.asarray(cols, dtype=np.int64) * len(distinct) + tail_id
+        pairs, tail_id = np.unique(pairs, return_inverse=True)
+        col_of, value_of = np.divmod(pairs, len(distinct))
+        tails = [f"{c} {tails[v]}" for c, v in zip(col_of.tolist(), value_of.tolist())]
+    heads = [f"{prefix}{x} " for x in range(int(rows.max()) + 1 if len(rows) else 0)]
+    text = np.array(heads, dtype=object)[rows] + np.array(tails, dtype=object)[tail_id]
+    return "".join(text.tolist())
+
+
+def _model_chunks(model: TabularPomdp):
+    """The canonical text of a model, in pieces of at most one table each."""
+    yield (
+        f"{FORMAT_TAG}\n"
+        f"label {model.label}\n"
+        f"states {model.num_states}\n"
+        f"actions {model.num_actions}\n"
+        f"observations {model.num_observations}\n"
+        f"discount {float(model.discount)!r}\n"
+    )
+    for key, tables in (("T", model.transition), ("O", model.observation)):
+        yield f"{key} {sum(_entry_count(t) for t in tables)}\n"
+        for a, table in enumerate(tables):
+            yield _lines(f"{a} ", *_entries(table))
+    yield f"R {_entry_count(model.reward)}\n"
+    yield _lines("", *_entries(model.reward))
+    b_idx = np.flatnonzero(model.initial_belief)
+    yield f"b0 {len(b_idx)}\n"
+    yield _lines("", b_idx, None, model.initial_belief[b_idx])
+    yield "end\n"
 
 
 def dumps_model(model: TabularPomdp) -> str:
-    out = io.StringIO()
-    out.write(FORMAT_TAG + "\n")
-    out.write(f"label {model.label}\n")
-    out.write(f"states {model.num_states}\n")
-    out.write(f"actions {model.num_actions}\n")
-    out.write(f"observations {model.num_observations}\n")
-    out.write(f"discount {_fmt(model.discount)}\n")
-
-    t_lines = []
-    for a in range(model.num_actions):
-        for x, x2, p in _nonzero_triples(model.transition[a]):
-            t_lines.append(f"{a} {x} {x2} {_fmt(p)}")
-    out.write(f"T {len(t_lines)}\n")
-    out.write("".join(line + "\n" for line in t_lines))
-
-    o_lines = []
-    for a in range(model.num_actions):
-        for x2, z, p in _nonzero_triples(model.observation[a]):
-            o_lines.append(f"{a} {x2} {z} {_fmt(p)}")
-    out.write(f"O {len(o_lines)}\n")
-    out.write("".join(line + "\n" for line in o_lines))
-
-    r_rows, r_cols = np.nonzero(model.reward)
-    out.write(f"R {len(r_rows)}\n")
-    for x, a in zip(r_rows, r_cols):
-        out.write(f"{int(x)} {int(a)} {_fmt(model.reward[x, a])}\n")
-
-    b_idx = np.flatnonzero(model.initial_belief)
-    out.write(f"b0 {len(b_idx)}\n")
-    for x in b_idx:
-        out.write(f"{int(x)} {_fmt(model.initial_belief[x])}\n")
-    out.write("end\n")
-    return out.getvalue()
+    return "".join(_model_chunks(model))
 
 
 def dump_model(model: TabularPomdp, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_model(model))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_model_chunks(model))
 
 
 class _Lines:
@@ -197,10 +209,17 @@ def loads_model(
 
 
 def load_model(path, sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD) -> TabularPomdp:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return loads_model(fh.read(), sparse_threshold=sparse_threshold)
 
 
 def model_digest(model: TabularPomdp) -> str:
-    """Content hash of the canonical serialization; keys the policy cache."""
-    return hashlib.sha256(dumps_model(model).encode()).hexdigest()
+    """Content hash of the canonical serialization; keys the policy cache.
+
+    Equal to the sha256 of the file dump_model writes; the text is hashed
+    piece by piece and never held whole.
+    """
+    digest = hashlib.sha256()
+    for chunk in _model_chunks(model):
+        digest.update(chunk.encode())
+    return digest.hexdigest()

@@ -15,6 +15,7 @@ import hashlib
 import io
 import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -426,31 +427,46 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
     if not lines or lines[0].strip() != POLICY_TAG:
         raise PolicyFormatError(f"expected {POLICY_TAG!r} header")
 
-    def field(i, key):
-        if not lines[i].startswith(key + " ") and lines[i] != key:
-            raise PolicyFormatError(f"line {i + 1}: expected {key!r}")
-        return lines[i][len(key) + 1:]
+    def line(i):
+        if i >= len(lines):
+            raise PolicyFormatError(f"line {i + 1}: unexpected end of file")
+        return lines[i]
 
+    def field(i, key):
+        text = line(i)
+        if not text.startswith(key + " ") and text != key:
+            raise PolicyFormatError(f"line {i + 1}: expected {key!r}")
+        return text[len(key) + 1:]
+
+    # Read every header line before converting any, so that a file cut
+    # short inside the header fails on the missing line, not on a number.
     label = field(1, "label")
     digest = field(2, "model")
-    discount = float(field(3, "discount"))
+    discount = field(3, "discount")
     key = field(4, "settings")
-    settings = None if key == "-" else SolverSettings.from_key_string(key)
-    belief_count = int(field(5, "beliefs"))
-    sv = field(6, "stagevalues").split()
-    imp = field(7, "improvements").split()
+    belief_count = field(5, "beliefs")
+    sv = field(6, "stagevalues")
+    imp = field(7, "improvements")
     head = field(8, "vectors").split()
+    discount = float(discount)
+    settings = None if key == "-" else SolverSettings.from_key_string(key)
+    belief_count = int(belief_count)
+    if len(head) != 2:
+        raise PolicyFormatError("line 9: expected 'vectors <count> <width>'")
     n, width = int(head[0]), int(head[1])
     vectors = np.empty((n, width))
     actions = np.empty(n, dtype=int)
     for i in range(n):
-        parts = lines[9 + i].split()
+        parts = line(9 + i).split()
         if len(parts) != width + 1:
             raise PolicyFormatError(f"line {10 + i}: expected {width + 1} fields")
-        actions[i] = int(parts[0])
-        vectors[i] = [float(p) for p in parts[1:]]
-    if lines[9 + n].strip() != "end":
-        raise PolicyFormatError("missing 'end'")
+        try:
+            actions[i] = int(parts[0])
+            vectors[i] = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise PolicyFormatError(f"line {10 + i}: bad number") from None
+    if line(9 + n).strip() != "end":
+        raise PolicyFormatError(f"line {10 + n}: missing 'end'")
     return AlphaVectorPolicy(
         vectors=vectors,
         actions=actions,
@@ -458,8 +474,8 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
         label=label,
         source_digest="" if digest == "-" else digest,
         settings=settings,
-        stage_values=[float(v) for v in sv],
-        stage_improvements=[float(v) for v in imp],
+        stage_values=[float(v) for v in sv.split()],
+        stage_improvements=[float(v) for v in imp.split()],
         belief_count=belief_count,
     )
 
@@ -496,20 +512,35 @@ class PolicyCache:
         raw = f"{digest}|{settings.key_string()}|rev{self.REVISION}"
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
+    def _path(self, digest: str, settings: SolverSettings) -> Path:
+        return self.root / (self._key(digest, settings) + ".policy")
+
     def path_for(self, model: TabularPomdp, settings: SolverSettings) -> Path:
-        return self.root / (self._key(model_digest(model), settings) + ".policy")
+        return self._path(model_digest(model), settings)
 
     def load(self, model: TabularPomdp, settings: SolverSettings):
-        path = self.path_for(model, settings)
-        if not path.exists():
+        digest = model_digest(model)
+        try:
+            policy = load_policy(self._path(digest, settings))
+        except FileNotFoundError:
             return None
-        policy = load_policy(path)
-        if policy.source_digest and policy.source_digest != model_digest(model):
+        except PolicyFormatError:
+            return None  # unreadable entry; the re-solve overwrites it
+        if policy.source_digest and policy.source_digest != digest:
             return None  # hash prefix collision; treat as a miss
         return policy
 
     def store(self, model: TabularPomdp, settings: SolverSettings, policy: AlphaVectorPolicy):
-        dump_policy(policy, self.path_for(model, settings))
+        """Write the entry whole or not at all: temp file, then rename."""
+        path = self._path(policy.source_digest or model_digest(model), settings)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(dumps_policy(policy))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def solve_with_cache(

@@ -1,7 +1,11 @@
 """Round-trip fidelity and error reporting for the text model format."""
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+from adhocpo.domains import build
 from adhocpo.modelio import (
     ModelFormatError,
     dump_model,
@@ -10,6 +14,7 @@ from adhocpo.modelio import (
     loads_model,
     model_digest,
 )
+from adhocpo.pomdp import TabularPomdp
 
 from conftest import random_pomdp
 
@@ -82,3 +87,61 @@ def test_errors_carry_line_numbers(rng):
     broken[t_at] = "T 99999"
     with pytest.raises(ModelFormatError):
         loads_model("\n".join(broken))
+
+
+def _hand_built_csr():
+    """CSR tables with unsorted column indices and explicit 0.0 and -0.0."""
+    def csr(data, cols, indptr, shape):
+        return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
+
+    transition = [
+        csr([0.5, 0.0, 0.5, -0.0, 1.0], [2, 0, 1, 1, 0], [0, 3, 4, 5], (3, 3)),
+        csr([1.0, 0.25, 0.75], [2, 1, 0], [0, 1, 2, 3], (3, 3)),
+    ]
+    obs = csr([-0.0, 1.0, 0.3, 0.7, 1.0], [1, 0, 1, 0, 1], [0, 2, 4, 5], (3, 2))
+    reward = np.array([[1.0, -0.0], [0.0, -2.5], [1e-300, 3.0]])
+    return TabularPomdp(
+        3, 2, 2, transition, [obs, obs], reward, 0.95, np.array([0.5, 0.0, 0.5]),
+        label="hand-built csr",
+    )
+
+
+# sha256 hex digests recorded from the repr-text serializer the cache was
+# first keyed on.  A change here invalidates every existing policy cache.
+PINNED_DIGESTS = [
+    (("gridworld", dict(size=3, tasks=2)), [
+        "cf71e58d8fcd9052a557f343501f0cbaa0a8b6b239012a51bd0882d41c39c523",
+        "485b700e340613052eb3fcf9c9c503f8ac3447fe20837f08c7c9df7fc54325cf",
+    ]),
+    (("power-plant", {}), [
+        "38e4e5f21ad96ab726148c7c6409b78f74bc8331bff0f9bfdc755c70818589ef",
+        "25a70029504303d839a0cad9bd63aa05ce5eb7bc2263d40f0f2b61a45d526193",
+    ]),
+    (("pursuit-both", dict(size=3)), [
+        "4147f9a89768cc4ae2f32a985031511e2ba2d51a17b63fa0514a956a224e9755",
+        "a2a46c4f38a95ad17040b48886778ecfbadfa558de4a4102d2738571f1a250a3",
+        "46a866c84ce0234259ac8f38f572a5e1264d46aa8fe690ec3925e4f4b6228bc3",
+        "e31715a73ded015100d0af4d7064d6f452b992f7649c6681bb74d27cf6e3be10",
+        "2f2b9344ece3b67d4b74196364f2b73efa27650c2a40c114a7678ae0116a4f30",
+        "d8ac155b972b1ea09b0e9fd4310891650f4c77dc243b3dea321e6c8e122986f7",
+        "3fb57d05e1c0f070d103852c319f720f4c1fa1311a73078c3cb3d73795cca0d4",
+        "d1535fec7ba4a8e4d42458d7f1144a1cadb0e43385802911fe72b3d04509b7bf",
+    ]),
+]
+
+
+def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
+    models = [
+        (model, expected)
+        for (name, overrides), digests in PINNED_DIGESTS
+        for model, expected in zip(build(name, **overrides).models, digests, strict=True)
+    ]
+    models.append(
+        (_hand_built_csr(), "a8a63a0af386ab5ac0b977ef9d972407cbf88075062670a0387a625e3af42a8c")
+    )
+    for model, expected in models:
+        assert model_digest(model) == expected, model.label
+        path = tmp_path / "model.model"
+        dump_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
+

@@ -8,11 +8,13 @@ against a scalar triple-sum reimplementation.
 import numpy as np
 import pytest
 
+from adhocpo import solvers
 from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp
 from adhocpo.solvers import (
     AlphaVectorPolicy,
     NonconvergenceBudget,
     PolicyCache,
+    PolicyFormatError,
     SolverSettings,
     collect_beliefs,
     dumps_policy,
@@ -340,6 +342,57 @@ def test_cache_round_trip_and_digest_guard(tmp_path, rng):
     # Different model content misses even at the same path name space.
     other = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     assert cache.load(other, s) is None
+
+
+def test_truncated_policy_names_the_missing_line(rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
+    lines = dumps_policy(policy).splitlines()
+    for keep in range(1, len(lines)):
+        with pytest.raises(PolicyFormatError, match=f"line {keep + 1}: unexpected end of file"):
+            loads_policy("\n".join(lines[:keep]))
+    # Cut inside a line: the last vector row loses half its text.
+    text = dumps_policy(policy)
+    cut = text.rindex("\nend") - 5
+    with pytest.raises(PolicyFormatError, match="line"):
+        loads_policy(text[:cut])
+
+
+def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    solved, _ = solve_with_cache(model, s, cache)
+    path = cache.path_for(model, s)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+    again, hit = solve_with_cache(model, s, cache)
+    assert not hit
+    assert np.array_equal(again.vectors, solved.vectors)
+    assert path.read_text() == text
+    _, hit = solve_with_cache(model, s, cache)
+    assert hit
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
+
+
+def test_solve_with_cache_digests_once_warm_twice_cold(tmp_path, rng, monkeypatch):
+    digest = solvers.model_digest
+    calls = []
+
+    def counting_digest(model):
+        calls.append(model.label)
+        return digest(model)
+
+    monkeypatch.setattr(solvers, "model_digest", counting_digest)
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    _, hit = solve_with_cache(model, s, cache)
+    assert not hit and len(calls) == 2
+    calls.clear()
+    _, hit = solve_with_cache(model, s, cache)
+    assert hit and len(calls) == 1
 
 
 def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
