@@ -6,7 +6,6 @@ harness with a command line front end.
 """
 from adhocpo.pomdp import (
     Belief,
-    History,
     TabularMmdp,
     TabularPomdp,
     ZeroLikelihood,
@@ -20,7 +19,6 @@ from adhocpo.pomdp import (
 
 __all__ = [
     "Belief",
-    "History",
     "TabularMmdp",
     "TabularPomdp",
     "ZeroLikelihood",

@@ -66,12 +66,11 @@ class RandomAgent(Agent):
         return int(rng.integers(self.library.num_actions))
 
 
-class OracleViAgent(Agent):
-    """Plays the optimal state policy of the true model."""
+class _StateFeedbackAgent(Agent):
+    """An agent that sees the state and plays value-iteration greedy actions,
+    solving each candidate's fully observable model on first use."""
 
-    name = "vi"
     needs_state = True
-    needs_true_model = True
 
     def __init__(self, library: ModelLibrary, tolerance: float = 1e-6):
         super().__init__(library)
@@ -83,6 +82,13 @@ class OracleViAgent(Agent):
             mdp = induced_mdp(self.library.models[k])
             self._solutions[k] = value_iteration(mdp, tolerance=self.tolerance)
         return self._solutions[k].greedy
+
+
+class OracleViAgent(_StateFeedbackAgent):
+    """Plays the optimal state policy of the true model."""
+
+    name = "vi"
+    needs_true_model = True
 
     def reset(self, rng, true_model=None, initial_state=None):
         super().reset(rng, true_model, initial_state)
@@ -182,14 +188,13 @@ class RandomPickerAgent(Agent):
         self.state = atpo.update(self.library, self.state, action, observation)
 
 
-class BopaAgent(Agent):
+class BopaAgent(_StateFeedbackAgent):
     """State-observing Bayesian mixture over per-model optimal actions."""
 
     name = "bopa"
-    needs_state = True
 
     def __init__(self, library: ModelLibrary, greedy: bool = False, tolerance: float = 1e-6):
-        super().__init__(library)
+        super().__init__(library, tolerance)
         sizes = {m.num_states for m in library.models}
         if len(sizes) != 1:
             raise CapabilityError(
@@ -197,14 +202,6 @@ class BopaAgent(Agent):
                 + ", ".join(str(s) for s in sorted(sizes))
             )
         self.greedy = greedy
-        self.tolerance = tolerance
-        self._solutions: dict = {}
-
-    def _greedy_for(self, k: int) -> np.ndarray:
-        if k not in self._solutions:
-            mdp = induced_mdp(self.library.models[k])
-            self._solutions[k] = value_iteration(mdp, tolerance=self.tolerance)
-        return self._solutions[k].greedy
 
     def reset(self, rng, true_model=None, initial_state=None):
         super().reset(rng, true_model, initial_state)

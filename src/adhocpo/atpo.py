@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from adhocpo.pomdp import TabularPomdp, ZeroLikelihood, belief_update
-from adhocpo.solvers import AlphaVectorPolicy, loss_all, policy_action
+from adhocpo.pomdp import ZeroLikelihood, belief_update
+from adhocpo.solvers import loss_all, policy_action
 
 
 class AllModelsPruned(RuntimeError):

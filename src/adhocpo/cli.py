@@ -29,7 +29,7 @@ from adhocpo.harness import (
     run_experiment,
     run_library_scaling,
 )
-from adhocpo.modelio import FORMAT_TAG, dump_model, load_model
+from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, model_digest
 from adhocpo.pomdp import validate as validate_model
 from adhocpo.solvers import PolicyCache, SolverSettings, resolve_cache_dir, solve_with_cache
 
@@ -127,7 +127,8 @@ def cmd_solve(args) -> int:
     for model in models:
         policy, cached = solve_with_cache(model, settings, cache=cache)
         origin = "cached" if cached else "solved"
-        print(f"  {model.label}: {origin}, {len(policy)} vectors -> {cache.path_for(model, settings).name}")
+        path = cache.path(policy.source_digest or model_digest(model), settings)
+        print(f"  {model.label}: {origin}, {len(policy)} vectors -> {path.name}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from adhocpo.domains.base import DomainBuild, GroundTruth, sample_ground_truth
+from adhocpo.domains.base import DomainBuild
 from adhocpo.domains.gridworld import build_gridworld
 from adhocpo.domains.mapnav import build_map_navigation
 from adhocpo.domains.overcooked import build_overcooked
@@ -162,23 +162,13 @@ def parse_domain_spec(text: str) -> tuple:
     return name, overrides
 
 
-def load_domain_spec(path) -> DomainBuild:
-    from pathlib import Path
-
-    name, overrides = parse_domain_spec(Path(path).read_text())
-    return build(name, **overrides)
-
-
 __all__ = [
     "DomainBuild",
     "DomainSpec",
-    "GroundTruth",
     "REGISTRY",
     "DOMAIN_NAMES",
     "build",
     "parse_domain_spec",
-    "load_domain_spec",
-    "sample_ground_truth",
     "build_gridworld",
     "build_map_navigation",
     "build_overcooked",

@@ -1,11 +1,8 @@
-"""Domain build results and ground-truth sampling."""
+"""Domain build results."""
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from adhocpo.pomdp import TabularPomdp, sample_initial_state
 from adhocpo.solvers import SolverSettings
 
 
@@ -29,22 +26,3 @@ class DomainBuild:
     def size(self) -> int:
         return len(self.models)
 
-
-@dataclasses.dataclass
-class GroundTruth:
-    """What a trial actually runs: which model, and from which state."""
-
-    model_index: int
-    model: TabularPomdp
-    initial_state: int
-
-
-def sample_ground_truth(build: DomainBuild, rng: np.random.Generator) -> GroundTruth:
-    """Uniform candidate, then a start state from its initial belief."""
-    k = int(rng.integers(build.size))
-    model = build.models[k]
-    return GroundTruth(
-        model_index=k,
-        model=model,
-        initial_state=sample_initial_state(model, rng),
-    )

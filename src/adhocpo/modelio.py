@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 from scipy import sparse
 
-from adhocpo.pomdp import DEFAULT_SPARSE_THRESHOLD, TabularPomdp
+from adhocpo.pomdp import TabularPomdp
 
 FORMAT_TAG = "adhocpo-model v1"
 
@@ -130,9 +130,7 @@ def _header_int(lines: _Lines, key: str) -> int:
         lines.fail(f"{key} is not an integer: {parts[1]!r}")
 
 
-def loads_model(
-    text: str, sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD
-) -> TabularPomdp:
+def loads_model(text: str) -> TabularPomdp:
     lines = _Lines(text)
     tag = lines.next()
     if tag.strip() != FORMAT_TAG:
@@ -204,13 +202,12 @@ def loads_model(
         discount,
         b0,
         label=label,
-        sparse_threshold=sparse_threshold,
     )
 
 
-def load_model(path, sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD) -> TabularPomdp:
+def load_model(path) -> TabularPomdp:
     with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read(), sparse_threshold=sparse_threshold)
+        return loads_model(fh.read())
 
 
 def model_digest(model: TabularPomdp) -> str:

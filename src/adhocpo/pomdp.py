@@ -1,14 +1,17 @@
 """Tabular partially observable models and exact belief filtering.
 
 Models are finite and explicit: per-action transition matrices, per-action
-observation matrices, and a state-action reward table.  Above a configurable
-state-count threshold the per-action tables are stored as scipy CSR matrices,
-which keeps the larger benchmark domains (thousands of states) affordable.
+observation matrices, and a state-action reward table.  Each per-action
+table picks its own storage from its structure: scipy CSR when it has more
+than 512 rows and fewer than half of its entries are nonzero, a dense array
+otherwise.  That keeps the sparse transitions of the larger benchmark
+domains (thousands of states) affordable, while small tables and dense
+sensor tables keep the faster dense arithmetic.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -16,14 +19,11 @@ from scipy import sparse
 # A belief is a 1-D probability vector over states.
 Belief = np.ndarray
 
-# A history is the alternating action/observation record of one episode,
-# stored as (action, observation) pairs in time order.
-History = list[tuple[int, int]]
-
 Table = Union[np.ndarray, sparse.csr_matrix, sparse.csr_array]
 
-# Per-action tables switch to CSR storage above this many states.
-DEFAULT_SPARSE_THRESHOLD = 512
+# A table is stored as CSR only when it has more than this many rows and
+# fewer than half of its entries are nonzero.
+_CSR_MIN_ROWS = 512
 
 _ATOL = 1e-9
 
@@ -47,22 +47,24 @@ def _as_dense(m: Table) -> np.ndarray:
     return np.asarray(m)
 
 
-def _table_list(arrays, num_actions: int, shape, sparsify: bool):
-    out = []
-    for a in range(num_actions):
-        m = arrays[a]
-        if sparse.issparse(m):
-            m = m.tocsr()
-            if not sparsify:
-                m = np.asarray(m.todense())
-        else:
-            m = np.asarray(m, dtype=float)
-            if m.shape != shape:
-                raise ValueError(f"table {a} has shape {m.shape}, expected {shape}")
-            if sparsify:
-                m = sparse.csr_array(m)
-        out.append(m)
-    return out
+def _stored(table, shape) -> Table:
+    """One per-action table in the storage form its structure calls for.
+
+    A dense input that stays dense is not copied, so an array shared across
+    actions stays shared.
+    """
+    if sparse.issparse(table):
+        table = table.tocsr()
+        nonzeros = table.count_nonzero()
+    else:
+        table = np.asarray(table, dtype=float)
+        nonzeros = np.count_nonzero(table)
+    if table.shape != shape:
+        raise ValueError(f"table has shape {table.shape}, expected {shape}")
+    rows, cols = shape
+    if rows > _CSR_MIN_ROWS and 2 * nonzeros < rows * cols:
+        return table if sparse.issparse(table) else sparse.csr_array(table)
+    return _as_dense(table)
 
 
 @dataclasses.dataclass
@@ -96,10 +98,6 @@ class TabularPomdp:
         if self.initial_belief.shape != (self.num_states,):
             raise ValueError("initial belief length mismatch")
 
-    @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.transition[0])
-
     @classmethod
     def from_tables(
         cls,
@@ -109,25 +107,21 @@ class TabularPomdp:
         discount: float,
         initial_belief,
         label: str = "",
-        sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
     ) -> "TabularPomdp":
         """Build a model from per-action tables (stacked arrays or lists).
 
-        Tables are stored sparse iff the state count exceeds sparse_threshold.
+        Each table is stored dense or CSR by its own structure.
         """
         transition = list(transition)
         observation = list(observation)
-        num_actions = len(transition)
-        first = transition[0]
-        num_states = first.shape[0]
+        num_states = transition[0].shape[0]
         num_observations = observation[0].shape[1]
-        sparsify = num_states > sparse_threshold
         return cls(
             num_states=num_states,
-            num_actions=num_actions,
+            num_actions=len(transition),
             num_observations=num_observations,
-            transition=_table_list(transition, num_actions, (num_states, num_states), sparsify),
-            observation=_table_list(observation, num_actions, (num_states, num_observations), sparsify),
+            transition=[_stored(t, (num_states, num_states)) for t in transition],
+            observation=[_stored(o, (num_states, num_observations)) for o in observation],
             reward=np.asarray(reward, dtype=float),
             discount=float(discount),
             initial_belief=np.asarray(initial_belief, dtype=float),

@@ -111,12 +111,6 @@ def value_iteration(
 
 
 @dataclasses.dataclass
-class AlphaVector:
-    coefficients: np.ndarray
-    action: int
-
-
-@dataclasses.dataclass
 class SolverSettings:
     belief_set_size: int = 5000
     horizon: int = 50
@@ -173,12 +167,6 @@ class AlphaVectorPolicy:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def alpha_vectors(self) -> list:
-        return [
-            AlphaVector(self.vectors[i].copy(), int(self.actions[i]))
-            for i in range(len(self.vectors))
-        ]
-
 
 def policy_value(policy: AlphaVectorPolicy, belief: Belief) -> float:
     """Lower-bound value at a belief: max over vectors of <alpha, b>."""
@@ -214,38 +202,31 @@ def _successor_scores(model: TabularPomdp, vectors: np.ndarray, belief: Belief, 
     return np.asarray(vectors @ w)
 
 
-def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
-    """One-step lookahead q(b, a) for every action under the policy's value.
+def _lookahead(model: TabularPomdp, vectors: np.ndarray, belief: Belief) -> tuple[np.ndarray, list]:
+    """One-step lookahead q(b, a) for every action, with each action's scores.
 
+    scores[a] is the (n, |Z|) successor score matrix of action a.
     Observations with zero likelihood contribute zero: their unnormalised
     successor is the zero vector, whose best alpha score is exactly 0.
     """
     q = np.empty(model.num_actions)
+    scores = []
     for a in range(model.num_actions):
-        scores = _successor_scores(model, policy.vectors, belief, a)
-        q[a] = float(belief @ model.reward[:, a]) + model.discount * float(
-            scores.max(axis=0).sum()
-        )
-    return q
+        s = _successor_scores(model, vectors, belief, a)
+        q[a] = float(belief @ model.reward[:, a]) + model.discount * float(s.max(axis=0).sum())
+        scores.append(s)
+    return q, scores
 
 
-def policy_q(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief, action: int) -> float:
-    return float(policy_q_all(model, policy, belief)[action])
-
-
-def lookahead_value(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> float:
-    """Value through the one-step lookahead, max_a q(b, a)."""
-    return float(policy_q_all(model, policy, belief).max())
+def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
+    """One-step lookahead q(b, a) for every action under the policy's value."""
+    return _lookahead(model, policy.vectors, belief)[0]
 
 
 def loss_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
     """Per-action regret against the lookahead value; >= 0, zero at the argmax."""
     q = policy_q_all(model, policy, belief)
     return q.max() - q
-
-
-def loss(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief, action: int) -> float:
-    return float(loss_all(model, policy, belief)[action])
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +278,21 @@ def point_backup(
 ) -> tuple[np.ndarray, int]:
     """Back up one belief against the current vector set.
 
-    Returns the new alpha vector and its action.  Scores are computed on
-    unnormalised successor beliefs, so zero-likelihood observations drop
-    out without special casing.
+    Returns the new alpha vector and its action, the first action of
+    maximal lookahead q.  Scores are computed on unnormalised successor
+    beliefs, so zero-likelihood observations drop out without special
+    casing.
     """
-    g = model.discount
-    best_q = -math.inf
-    best_a = 0
-    best_choice = None
-    for a in range(model.num_actions):
-        scores = _successor_scores(model, vectors, belief, a)
-        choice = scores.argmax(axis=0)
-        q = float(belief @ model.reward[:, a]) + g * float(scores.max(axis=0).sum())
-        if q > best_q:
-            best_q, best_a, best_choice = q, a, choice
-    o = model.observation[best_a]
-    picked = vectors[best_choice]  # (|Z|, |X|)
+    q, scores = _lookahead(model, vectors, belief)
+    a = int(q.argmax())
+    o = model.observation[a]
+    picked = vectors[scores[a].argmax(axis=0)]  # (|Z|, |X|)
     if sparse.issparse(o):
         back = np.asarray(o.multiply(picked.T).sum(axis=1)).ravel()
     else:
         back = (o * picked.T).sum(axis=1)
-    alpha = model.reward[:, best_a] + g * np.asarray(model.transition[best_a] @ back)
-    return alpha, best_a
+    alpha = model.reward[:, a] + model.discount * np.asarray(model.transition[a] @ back)
+    return alpha, a
 
 
 def perseus_solve(
@@ -438,6 +412,21 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
             raise PolicyFormatError(f"line {i + 1}: expected {key!r}")
         return text[len(key) + 1:]
 
+    def parsed(i, convert, text):
+        try:
+            return convert(text)
+        except (ValueError, KeyError):
+            raise PolicyFormatError(f"line {i + 1}: bad value {text!r}") from None
+
+    def floats(text):
+        return [float(v) for v in text.split()]
+
+    def shape(text):
+        n, width = (int(v) for v in text.split())
+        if n < 0 or width < 0:
+            raise ValueError(text)
+        return n, width
+
     # Read every header line before converting any, so that a file cut
     # short inside the header fails on the missing line, not on a number.
     label = field(1, "label")
@@ -447,13 +436,13 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
     belief_count = field(5, "beliefs")
     sv = field(6, "stagevalues")
     imp = field(7, "improvements")
-    head = field(8, "vectors").split()
-    discount = float(discount)
-    settings = None if key == "-" else SolverSettings.from_key_string(key)
-    belief_count = int(belief_count)
-    if len(head) != 2:
-        raise PolicyFormatError("line 9: expected 'vectors <count> <width>'")
-    n, width = int(head[0]), int(head[1])
+    head = field(8, "vectors")
+    discount = parsed(3, float, discount)
+    settings = None if key == "-" else parsed(4, SolverSettings.from_key_string, key)
+    belief_count = parsed(5, int, belief_count)
+    stage_values = parsed(6, floats, sv)
+    stage_improvements = parsed(7, floats, imp)
+    n, width = parsed(8, shape, head)
     vectors = np.empty((n, width))
     actions = np.empty(n, dtype=int)
     for i in range(n):
@@ -474,15 +463,10 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
         label=label,
         source_digest="" if digest == "-" else digest,
         settings=settings,
-        stage_values=[float(v) for v in sv.split()],
-        stage_improvements=[float(v) for v in imp.split()],
+        stage_values=stage_values,
+        stage_improvements=stage_improvements,
         belief_count=belief_count,
     )
-
-
-def dump_policy(policy: AlphaVectorPolicy, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_policy(policy))
 
 
 def load_policy(path) -> AlphaVectorPolicy:
@@ -512,16 +496,14 @@ class PolicyCache:
         raw = f"{digest}|{settings.key_string()}|rev{self.REVISION}"
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
-    def _path(self, digest: str, settings: SolverSettings) -> Path:
+    def path(self, digest: str, settings: SolverSettings) -> Path:
+        """Entry file for a model digest and solver settings."""
         return self.root / (self._key(digest, settings) + ".policy")
-
-    def path_for(self, model: TabularPomdp, settings: SolverSettings) -> Path:
-        return self._path(model_digest(model), settings)
 
     def load(self, model: TabularPomdp, settings: SolverSettings):
         digest = model_digest(model)
         try:
-            policy = load_policy(self._path(digest, settings))
+            policy = load_policy(self.path(digest, settings))
         except FileNotFoundError:
             return None
         except PolicyFormatError:
@@ -532,7 +514,7 @@ class PolicyCache:
 
     def store(self, model: TabularPomdp, settings: SolverSettings, policy: AlphaVectorPolicy):
         """Write the entry whole or not at all: temp file, then rename."""
-        path = self._path(policy.source_digest or model_digest(model), settings)
+        path = self.path(policy.source_digest or model_digest(model), settings)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.stem, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

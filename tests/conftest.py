@@ -26,7 +26,6 @@ def random_pomdp(
     discount=0.9,
     zeros=0.0,
     label="random",
-    sparse_threshold=512,
 ):
     transition = [
         random_stochastic(rng, num_states, num_states, zeros) for _ in range(num_actions)
@@ -39,8 +38,7 @@ def random_pomdp(
     b0 = rng.random(num_states)
     b0 /= b0.sum()
     return TabularPomdp.from_tables(
-        transition, observation, reward, discount, b0,
-        label=label, sparse_threshold=sparse_threshold,
+        transition, observation, reward, discount, b0, label=label
     )
 
 

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line interface (in-process)."""
 import json
+from collections import Counter
 
 import pytest
 
+from adhocpo import solvers
 from adhocpo.cli import main
 from adhocpo.domains import parse_domain_spec
 from adhocpo.modelio import load_model
@@ -65,6 +67,29 @@ def test_cli_solve_populates_cache(tmp_path, capsys, desk_spec):
 
     assert main(["solve", str(desk_spec), "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out.count("cached") == 2
+
+
+def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, monkeypatch):
+    digest = solvers.model_digest
+    calls = []
+
+    def counting_digest(model):
+        calls.append(model.label)
+        return digest(model)
+
+    monkeypatch.setattr(solvers, "model_digest", counting_digest)
+    argv = ["solve", str(desk_spec), "--beliefs", "50", "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("solved") == 2
+    assert sorted(Counter(calls).values()) == [2, 2]
+    calls.clear()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("cached") == 2
+    assert sorted(Counter(calls).values()) == [1, 1]
+    # The printed names are the entries on disk.
+    names = sorted(p.name for p in (tmp_path / "cache").glob("*.policy"))
+    assert sorted(line.rsplit(" ", 1)[1] for line in out.splitlines() if "->" in line) == names
 
 
 def test_cli_solve_cache_env_override(tmp_path, capsys, desk_spec, monkeypatch):

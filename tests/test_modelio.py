@@ -1,4 +1,5 @@
 """Round-trip fidelity and error reporting for the text model format."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -52,10 +53,16 @@ def test_file_round_trip(tmp_path, rng):
 def test_sparse_threshold_respected(rng):
     model = random_pomdp(rng, num_states=6)
     text = dumps_model(model)
-    assert loads_model(text, sparse_threshold=3).is_sparse
-    assert not loads_model(text, sparse_threshold=100).is_sparse
+    loaded = loads_model(text)
+    # Loaded tables follow the storage rule: 512 rows or fewer is dense.
+    assert not any(map(sparse.issparse, loaded.transition + loaded.observation))
     # Storage form does not leak into the serialization.
-    assert dumps_model(loads_model(text, sparse_threshold=3)) == text
+    csr_twin = dataclasses.replace(
+        loaded,
+        transition=[sparse.csr_array(t) for t in loaded.transition],
+        observation=[sparse.csr_array(o) for o in loaded.observation],
+    )
+    assert dumps_model(csr_twin) == text
 
 
 def test_digest_tracks_content(rng):

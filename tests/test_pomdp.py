@@ -1,6 +1,9 @@
 """Belief filtering against an exhaustive path-sum oracle, plus model checks."""
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adhocpo.pomdp import (
     TabularPomdp,
@@ -13,7 +16,7 @@ from adhocpo.pomdp import (
     validate,
 )
 
-from conftest import exhaustive_filter, random_pomdp
+from conftest import exhaustive_filter, random_pomdp, random_stochastic
 
 
 def _random_history(model, rng, length):
@@ -83,15 +86,13 @@ def test_likelihood_matches_marginal(rng):
 def test_dense_and_sparse_storage_agree(rng):
     for _ in range(5):
         dense = random_pomdp(rng, num_states=8, num_actions=2, num_observations=3, zeros=0.5)
-        sparse_model = TabularPomdp.from_tables(
-            [dense.transition[a] for a in range(2)],
-            [dense.observation[a] for a in range(2)],
-            dense.reward,
-            dense.discount,
-            dense.initial_belief,
-            sparse_threshold=0,
+        sparse_model = dataclasses.replace(
+            dense,
+            transition=[sparse.csr_array(t) for t in dense.transition],
+            observation=[sparse.csr_array(o) for o in dense.observation],
         )
-        assert sparse_model.is_sparse and not dense.is_sparse
+        assert all(map(sparse.issparse, sparse_model.transition + sparse_model.observation))
+        assert not any(map(sparse.issparse, dense.transition + dense.observation))
         history = _random_history(dense, rng, 4)
         bd, bs = dense.initial_belief, sparse_model.initial_belief
         for a, z in history:
@@ -102,6 +103,39 @@ def test_dense_and_sparse_storage_agree(rng):
         for x in range(8):
             assert np.allclose(dense.transition_row(x, 1), sparse_model.transition_row(x, 1))
             assert np.allclose(dense.observation_row(x, 0), sparse_model.observation_row(x, 0))
+
+
+def test_each_table_picks_its_own_storage(rng):
+    # 600 rows: a transition table with about 3 nonzeros per row is CSR; a
+    # fully nonzero observation table stays dense and shared across actions.
+    n = 600
+    transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
+    obs = random_stochastic(rng, n, 4)
+    model = TabularPomdp.from_tables(
+        transition, [obs, obs], np.zeros((n, 2)), 0.9, np.full(n, 1.0 / n)
+    )
+    assert all(map(sparse.issparse, model.transition))
+    assert model.observation[0] is obs and model.observation[1] is obs
+    for a in range(2):
+        assert np.array_equal(model.dense_transition(a), transition[a])
+
+    # At 512 rows or fewer every table is dense, however sparse; one row
+    # more and a mostly zero table is CSR.
+    for rows, stored_sparse in ((512, False), (513, True)):
+        eye = sparse.eye_array(rows, format="csr")
+        model = TabularPomdp.from_tables(
+            [eye, eye], [eye, eye], np.zeros((rows, 2)), 0.9, np.full(rows, 1.0 / rows)
+        )
+        tables = model.transition + model.observation
+        assert [sparse.issparse(t) for t in tables] == [stored_sparse] * 4
+
+    # Exactly half nonzero is not "fewer than half": dense.
+    half = np.zeros((n, 2))
+    half[:, 0] = 1.0
+    model = TabularPomdp.from_tables(
+        [sparse.eye_array(n, format="csr")], [half], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n)
+    )
+    assert model.observation[0] is half
 
 
 def test_simulate_step_frequencies():

@@ -5,8 +5,11 @@ inversion) and an explicit Bellman sweep; the point-based solver against
 fully observable reductions where the optimum is known; the lookahead q
 against a scalar triple-sum reimplementation.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adhocpo import solvers
 from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp
@@ -19,13 +22,10 @@ from adhocpo.solvers import (
     collect_beliefs,
     dumps_policy,
     loads_policy,
-    loss,
     loss_all,
-    lookahead_value,
     perseus_solve,
     point_backup,
     policy_action,
-    policy_q,
     policy_q_all,
     policy_value,
     resolve_cache_dir,
@@ -157,7 +157,7 @@ def test_policy_q_matches_triple_sum_oracle(rng):
                 bz = [wy / rho for wy in w]
                 val = max(sum(al[y] * bz[y] for y in range(4)) for al in vectors)
                 expected += model.discount * rho * val
-            assert policy_q(model, policy, b, a) == pytest.approx(expected, abs=1e-10)
+            assert policy_q_all(model, policy, b)[a] == pytest.approx(expected, abs=1e-10)
 
 
 def test_zero_likelihood_observation_contributes_zero():
@@ -170,7 +170,7 @@ def test_zero_likelihood_observation_contributes_zero():
     b = np.array([0.5, 0.5])
     # After action 0 the predictive is [0.45, 0.55]; z=0 certain.
     expected = 0.0 + 0.9 * (2.0 * 0.45 + 1.0 * 0.55)
-    assert policy_q(model, policy, b, 0) == pytest.approx(expected, abs=1e-12)
+    assert policy_q_all(model, policy, b)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_nonnegative_with_zero_minimum(rng):
@@ -186,9 +186,8 @@ def test_loss_nonnegative_with_zero_minimum(rng):
         assert (losses >= 0.0).all()
         assert losses.min() == 0.0
         q = policy_q_all(model, policy, b)
-        assert lookahead_value(model, policy, b) == q.max()
         a = int(rng.integers(4))
-        assert loss(model, policy, b, a) == pytest.approx(q.max() - q[a], abs=1e-12)
+        assert loss_all(model, policy, b)[a] == pytest.approx(q.max() - q[a], abs=1e-12)
 
 
 # -- point-based solving -----------------------------------------------------
@@ -267,13 +266,10 @@ def test_perseus_deterministic_for_seed(rng):
 
 def test_perseus_sparse_dense_storage_agree(rng):
     dense = random_pomdp(rng, num_states=6, num_actions=2, num_observations=3, zeros=0.4)
-    sparse_model = TabularPomdp.from_tables(
-        [dense.transition[a] for a in range(2)],
-        [dense.observation[a] for a in range(2)],
-        dense.reward,
-        dense.discount,
-        dense.initial_belief,
-        sparse_threshold=0,
+    sparse_model = dataclasses.replace(
+        dense,
+        transition=[sparse.csr_array(t) for t in dense.transition],
+        observation=[sparse.csr_array(o) for o in dense.observation],
     )
     s = SolverSettings(belief_set_size=50, horizon=10, tolerance=0.005, seed=2)
     pd = perseus_solve(dense, s)
@@ -308,7 +304,7 @@ def test_converged_policy_loss_zero_at_greedy_action(rng):
         b = rng.random(3)
         b /= b.sum()
         a = policy_action(policy, b)
-        assert loss(model, policy, b, a) <= 1e-6
+        assert loss_all(model, policy, b)[a] <= 1e-6
 
 
 # -- policy files and cache --------------------------------------------------
@@ -363,7 +359,7 @@ def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
     cache = PolicyCache(tmp_path)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     solved, _ = solve_with_cache(model, s, cache)
-    path = cache.path_for(model, s)
+    path = cache.path(solved.source_digest, s)
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
 
@@ -374,6 +370,52 @@ def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
     _, hit = solve_with_cache(model, s, cache)
     assert hit
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
+
+
+CORRUPT_HEADERS = [
+    # (line number, header line prefix, corrupt replacement)
+    (4, "discount ", "discount zero"),
+    (5, "settings ", "settings belief_set_size=30,horizon=x,tolerance=0.01,seed=0,stage_cap=500"),
+    (5, "settings ", "settings belief_set_size=30"),
+    (6, "beliefs ", "beliefs many"),
+    (7, "stagevalues ", "stagevalues nope"),
+    (8, "improvements ", "improvements 0.5 x"),
+    (9, "vectors ", "vectors 3"),
+    (9, "vectors ", "vectors -1 4"),
+]
+
+
+def _corrupt(text, prefix, replacement):
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = replacement + "\n"
+    return "".join(lines)
+
+
+def test_corrupt_policy_header_names_the_line(rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
+    text = dumps_policy(policy)
+    for lineno, prefix, replacement in CORRUPT_HEADERS:
+        with pytest.raises(PolicyFormatError, match=f"line {lineno}: bad value"):
+            loads_policy(_corrupt(text, prefix, replacement))
+
+
+def test_corrupt_cache_header_is_resolved_then_hits(tmp_path, rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    solved, _ = solve_with_cache(model, s, cache)
+    path = cache.path(solved.source_digest, s)
+    text = path.read_text()
+    for _, prefix, replacement in CORRUPT_HEADERS:
+        path.write_text(_corrupt(text, prefix, replacement))
+        again, hit = solve_with_cache(model, s, cache)
+        assert not hit
+        assert np.array_equal(again.vectors, solved.vectors)
+        assert path.read_text() == text
+        _, hit = solve_with_cache(model, s, cache)
+        assert hit
 
 
 def test_solve_with_cache_digests_once_warm_twice_cold(tmp_path, rng, monkeypatch):
