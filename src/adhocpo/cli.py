@@ -31,7 +31,7 @@ from adhocpo.harness import (
 )
 from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, model_digest
 from adhocpo.pomdp import validate as validate_model
-from adhocpo.solvers import PolicyCache, SolverSettings, resolve_cache_dir, solve_with_cache
+from adhocpo.solvers import PolicyCache, SolverSettings, resolve_cache_dir, solve_many
 
 DEFAULT_CACHE = Path.home() / ".cache" / "adhocpo"
 
@@ -124,11 +124,10 @@ def cmd_solve(args) -> int:
     models, settings, label = _resolve_models(args)
     cache = _cache(args)
     print(f"{label}: {len(models)} model(s), cache {cache.root}")
-    for model in models:
-        policy, cached = solve_with_cache(model, settings, cache=cache)
+    for model, (policy, cached) in zip(models, solve_many(models, settings, cache=cache, progress=print)):
         origin = "cached" if cached else "solved"
         path = cache.path(policy.source_digest or model_digest(model), settings)
-        print(f"  {model.label}: {origin}, {len(policy)} vectors -> {path.name}")
+        print(f"  {model.label}: {origin} -> {path.name}")
     return 0
 
 

@@ -27,7 +27,9 @@ from adhocpo.agents import Agent, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary
 from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import sample_initial_state, simulate_step
-from adhocpo.solvers import PolicyCache, solve_with_cache
+# solve_with_cache is not called here, but the benchmark's tracer wraps it
+# under this module's name.
+from adhocpo.solvers import PolicyCache, solve_many, solve_with_cache  # noqa: F401
 
 Progress = Optional[Callable[[str], None]]
 
@@ -37,15 +39,13 @@ def prepare_library(
     cache: Optional[PolicyCache] = None,
     progress: Progress = None,
 ) -> ModelLibrary:
-    """Solve (or fetch) every candidate's policy and bundle the library."""
-    policies = []
-    for model in build.models:
-        policy, cached = solve_with_cache(model, build.solver, cache=cache)
-        if progress:
-            origin = "cache" if cached else f"{len(policy)} vectors"
-            progress(f"policy for {model.label}: {origin}")
-        policies.append(policy)
-    return ModelLibrary(build.models, policies)
+    """Solve (or fetch) every candidate's policy and bundle the library.
+
+    Cache misses are solved in parallel where more than one CPU is
+    available; see solve_many.
+    """
+    solved = solve_many(build.models, build.solver, cache=cache, progress=progress)
+    return ModelLibrary(build.models, [policy for policy, _ in solved])
 
 
 @dataclasses.dataclass

@@ -50,8 +50,7 @@ def _as_dense(m: Table) -> np.ndarray:
 def _stored(table, shape) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    A dense input that stays dense is not copied, so an array shared across
-    actions stays shared.
+    A dense input that stays dense is not copied.
     """
     if sparse.issparse(table):
         table = table.tocsr()
@@ -65,6 +64,19 @@ def _stored(table, shape) -> Table:
     if rows > _CSR_MIN_ROWS and 2 * nonzeros < rows * cols:
         return table if sparse.issparse(table) else sparse.csr_array(table)
     return _as_dense(table)
+
+
+def _stored_each(tables, shape) -> list:
+    """Every per-action table in its storage form, each distinct input converted once.
+
+    An input object shared across actions yields one shared stored table,
+    whichever form it takes.
+    """
+    stored: dict = {}
+    for table in tables:
+        if id(table) not in stored:
+            stored[id(table)] = _stored(table, shape)
+    return [stored[id(table)] for table in tables]
 
 
 @dataclasses.dataclass
@@ -120,8 +132,8 @@ class TabularPomdp:
             num_states=num_states,
             num_actions=len(transition),
             num_observations=num_observations,
-            transition=[_stored(t, (num_states, num_states)) for t in transition],
-            observation=[_stored(o, (num_states, num_observations)) for o in observation],
+            transition=_stored_each(transition, (num_states, num_states)),
+            observation=_stored_each(observation, (num_states, num_observations)),
             reward=np.asarray(reward, dtype=float),
             discount=float(discount),
             initial_belief=np.asarray(initial_belief, dtype=float),

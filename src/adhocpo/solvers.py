@@ -6,18 +6,24 @@ randomised backup scheme: gather a reachable belief set by simulating
 uniform-random actions, then per stage back up beliefs in random order,
 skipping any belief already improved by a vector added earlier in the
 stage.  Keeping the best previous vector whenever a backup fails to improve
-a point makes the stage values monotone.
+a point makes the stage values monotone.  The cache misses of a library are
+solved in parallel, one forked worker per usable CPU (solve_many).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -299,7 +305,6 @@ def perseus_solve(
     model: TabularPomdp,
     settings: SolverSettings,
     beliefs: Optional[np.ndarray] = None,
-    progress: Optional[Callable[[int, float, int], None]] = None,
 ) -> AlphaVectorPolicy:
     """Point-based solve to the requested stage-improvement tolerance.
 
@@ -318,7 +323,7 @@ def perseus_solve(
 
     stage_values = [float(values[0])]
     stage_improvements = []
-    for stage in range(settings.stage_cap):
+    for _ in range(settings.stage_cap):
         prev_values = values
         new_vectors: list = []
         new_actions: list = []
@@ -347,8 +352,6 @@ def perseus_solve(
         improvement = float((values - prev_values).max())
         stage_values.append(float(values[0]))
         stage_improvements.append(improvement)
-        if progress is not None:
-            progress(stage + 1, improvement, len(vectors))
         if improvement <= settings.tolerance:
             break
     return AlphaVectorPolicy(
@@ -525,18 +528,105 @@ class PolicyCache:
             raise
 
 
+def _timed_solve(model: TabularPomdp, settings: SolverSettings) -> tuple[AlphaVectorPolicy, float]:
+    """perseus_solve with its wall time in seconds."""
+    started = time.perf_counter()
+    policy = perseus_solve(model, settings)
+    return policy, time.perf_counter() - started
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: limit every OpenBLAS loaded in this process to one thread.
+
+    The library is already loaded when a worker is forked, so the thread
+    variables in the environment have no effect; the setter is called
+    through ctypes instead.  A process without OpenBLAS is left as it is.
+    """
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            if hasattr(lib, symbol):
+                setter = getattr(lib, symbol)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def solve_many(
+    models: Sequence[TabularPomdp],
+    settings: SolverSettings,
+    cache: Optional[PolicyCache] = None,
+    progress: Optional[Callable[[str], None]] = None,
+) -> list[tuple[AlphaVectorPolicy, bool]]:
+    """Solve or fetch every model's policy; returns (policy, came_from_cache) per model.
+
+    This process does every cache load and store, in model order.  When two
+    or more models miss and this process may run on more than one CPU, the
+    misses are solved in forked worker processes with one BLAS thread each,
+    and every worker is joined before this returns.  Each solve seeds its
+    own generator, so the policies are the ones a solve in this process
+    gives.  `progress` gets one line per model: a cache hit, or the vector
+    count and solve seconds, noting an unusable entry that was replaced.
+    """
+    results: list = [None] * len(models)
+    misses = []
+    for k, model in enumerate(models):
+        hit = None if cache is None else cache.load(model, settings)
+        if hit is None:
+            misses.append(k)
+            continue
+        results[k] = (hit, True)
+        if progress:
+            progress(f"policy for {model.label}: cache")
+    # os.sched_getaffinity exists only on Linux; elsewhere every solve runs here.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(misses), cpus)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # fork, not spawn or forkserver: those leave a resource tracker
+            # or a fork server process running after the pool has shut
+            # down.  The pool forks all its workers before it starts any
+            # thread of its own.
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_one_blas_thread,
+            )
+            # Joins every worker; after an error or an interrupt, the solves
+            # not yet started are dropped rather than run.
+            stack.callback(pool.shutdown, wait=True, cancel_futures=True)
+            futures = [pool.submit(_timed_solve, models[k], settings) for k in misses]
+            solved = (future.result() for future in futures)
+        else:
+            solved = (_timed_solve(models[k], settings) for k in misses)
+        for k, (policy, seconds) in zip(misses, solved):
+            note = f"policy for {models[k].label}: {len(policy)} vectors in {seconds:.2f} s"
+            if cache is not None:
+                # The load above missed, so an entry now at this path could
+                # not be read, belongs to another model, or was stored since
+                # by another process.
+                if cache.path(policy.source_digest, settings).exists():
+                    note += ", replacing an unusable cache entry"
+                cache.store(models[k], settings, policy)
+            results[k] = (policy, False)
+            if progress:
+                progress(note)
+    return results
+
+
 def solve_with_cache(
     model: TabularPomdp,
     settings: SolverSettings,
     cache: Optional[PolicyCache] = None,
-    progress: Optional[Callable[[int, float, int], None]] = None,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[AlphaVectorPolicy, bool]:
-    """Solve or fetch; returns (policy, came_from_cache)."""
-    if cache is not None:
-        hit = cache.load(model, settings)
-        if hit is not None:
-            return hit, True
-    policy = perseus_solve(model, settings, progress=progress)
-    if cache is not None:
-        cache.store(model, settings, policy)
-    return policy, False
+    """Solve or fetch one model; returns (policy, came_from_cache)."""
+    return solve_many([model], settings, cache, progress)[0]

@@ -1,5 +1,6 @@
-"""Shared helpers: random model generators and exhaustive-filter oracles."""
+"""Shared helpers: random model generators, exhaustive-filter oracles and a child process guard."""
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -78,3 +79,20 @@ def small_library():
 
     domain = build("gridworld", size=3, tasks=2, belief_set_size=300, horizon=30)
     return domain, prepare_library(domain)
+
+
+def child_process_left() -> bool:
+    """True when this process has a child still running or never waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_suite():
+    """Fail the run if any process the tests started is still alive at the end."""
+    yield
+    if child_process_left():
+        pytest.fail("a child process of the test run is still alive or was never joined")

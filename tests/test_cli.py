@@ -70,23 +70,30 @@ def test_cli_solve_populates_cache(tmp_path, capsys, desk_spec):
 
 
 def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, monkeypatch):
+    # Cold misses may be solved in forked workers, so every process appends
+    # its digests to one file.
     digest = solvers.model_digest
-    calls = []
+    log = tmp_path / "digests.log"
 
     def counting_digest(model):
-        calls.append(model.label)
+        with open(log, "a") as fh:
+            fh.write(model.label + "\n")
         return digest(model)
+
+    def calls():
+        labels = log.read_text().splitlines()
+        log.unlink()
+        return labels
 
     monkeypatch.setattr(solvers, "model_digest", counting_digest)
     argv = ["solve", str(desk_spec), "--beliefs", "50", "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("solved") == 2
-    assert sorted(Counter(calls).values()) == [2, 2]
-    calls.clear()
+    assert sorted(Counter(calls()).values()) == [2, 2]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("cached") == 2
-    assert sorted(Counter(calls).values()) == [1, 1]
+    assert sorted(Counter(calls()).values()) == [1, 1]
     # The printed names are the entries on disk.
     names = sorted(p.name for p in (tmp_path / "cache").glob("*.policy"))
     assert sorted(line.rsplit(" ", 1)[1] for line in out.splitlines() if "->" in line) == names

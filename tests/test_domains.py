@@ -104,6 +104,14 @@ def test_pursuit_observation_patch():
     assert row.sum() == pytest.approx(1.0)
 
 
+def test_pursuit_observation_table_is_one_object_per_model():
+    # Full scale (626 states) stores the sensor table as CSR; the one table
+    # every action shares is converted once, not once per action.
+    for m in build("pursuit-task").models:
+        assert sparse.issparse(m.observation[0])
+        assert all(o is m.observation[0] for o in m.observation)
+
+
 def test_power_plant_counts_and_validity():
     b = build("power-plant")
     assert [m.num_states for m in b.models] == [97, 105]

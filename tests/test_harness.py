@@ -1,10 +1,15 @@
-"""Trial reproducibility, experiment summaries and report files."""
+"""Trial reproducibility, experiment summaries, report files and the library solve."""
+import ctypes
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from adhocpo import solvers
 from adhocpo.agents import make_agent
+from adhocpo.domains import build
 from adhocpo.harness import (
     TrialResult,
     emit_reports,
@@ -16,6 +21,8 @@ from adhocpo.harness import (
     run_trial,
 )
 from adhocpo.solvers import PolicyCache
+
+from conftest import child_process_left
 
 
 def test_trial_is_reproducible(small_library):
@@ -148,3 +155,66 @@ def test_prepare_library_cache_round_trip(tmp_path, small_library):
     assert all("cache" in n for n in notes)
     for p1, p2 in zip(first.policies, second.policies):
         assert np.array_equal(p1.vectors, p2.vectors)
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS loaded in this process; None without one."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
+@pytest.fixture
+def pool_library(monkeypatch):
+    """A 2-model 3x3 grid whose misses go to a pool of two workers on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return build("gridworld", size=3, tasks=2, belief_set_size=100, horizon=20)
+
+
+def test_prepare_library_pool_matches_sequential_solves(tmp_path, pool_library, monkeypatch):
+    domain = pool_library
+    solve = solvers.perseus_solve
+    log = tmp_path / "solves.log"
+
+    def logged(model, settings):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+        return solve(model, settings)
+
+    monkeypatch.setattr(solvers, "perseus_solve", logged)
+    threads = threading.active_count()
+    library = prepare_library(domain)
+    assert not child_process_left()
+    assert threading.active_count() == threads
+    solves = [line.split() for line in log.read_text().splitlines()]
+    assert len(solves) == 2
+    for pid, blas in solves:
+        assert int(pid) != os.getpid()  # solved in a worker
+        assert blas in ("1", "None")  # one BLAS thread, where OpenBLAS is loaded
+    for model, policy in zip(domain.models, library.policies):
+        expected = solve(model, domain.solver)  # this process, default BLAS threads
+        assert np.array_equal(policy.vectors, expected.vectors)
+        assert np.array_equal(policy.actions, expected.actions)
+        assert policy.stage_values == expected.stage_values
+
+
+def test_a_failing_worker_solve_propagates_and_leaves_no_process(pool_library, monkeypatch):
+    def failing(model, settings):
+        raise RuntimeError(f"cannot solve {model.label} in process {os.getpid()}")
+
+    monkeypatch.setattr(solvers, "perseus_solve", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="cannot solve") as raised:
+        prepare_library(pool_library)
+    assert f"process {os.getpid()}" not in str(raised.value)
+    assert not child_process_left()
+    assert threading.active_count() == threads

@@ -6,6 +6,8 @@ fully observable reductions where the optimum is known; the lookahead q
 against a scalar triple-sum reimplementation.
 """
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from adhocpo.solvers import (
     policy_q_all,
     policy_value,
     resolve_cache_dir,
+    solve_many,
     solve_with_cache,
     value_iteration,
 )
@@ -416,6 +419,81 @@ def test_corrupt_cache_header_is_resolved_then_hits(tmp_path, rng):
         assert path.read_text() == text
         _, hit = solve_with_cache(model, s, cache)
         assert hit
+
+
+def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    other = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    solved, _ = solve_with_cache(model, s, cache)
+    path = cache.path(solved.source_digest, s)
+    text = path.read_text()
+    # A whole entry of another model (wrong digest at the right path), then
+    # an entry cut short.
+    for bad in (dumps_policy(perseus_solve(other, s)), text[: len(text) // 2]):
+        path.write_text(bad)
+        notes = []
+        again, hit = solve_with_cache(model, s, cache, progress=notes.append)
+        assert not hit
+        assert np.array_equal(again.vectors, solved.vectors)
+        assert len(notes) == 1 and notes[0].endswith("replacing an unusable cache entry")
+        assert path.read_text() == text
+        notes.clear()
+        _, hit = solve_with_cache(model, s, cache, progress=notes.append)
+        assert hit and notes == [f"policy for {model.label}: cache"]
+
+
+def _store_repeatedly(root, model, settings, policy, times):
+    cache = PolicyCache(root)
+    for _ in range(times):
+        cache.store(model, settings, policy)
+
+
+def test_concurrent_stores_of_one_key_leave_one_whole_entry(tmp_path, rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    policy = perseus_solve(model, s)
+    cache = PolicyCache(tmp_path)
+    fork = multiprocessing.get_context("fork")
+    writers = [
+        fork.Process(target=_store_repeatedly, args=(tmp_path, model, s, policy, 200))
+        for _ in range(4)
+    ]
+    try:
+        for w in writers:
+            w.start()
+        # A reader never sees a partial entry while the writers race.
+        while any(w.is_alive() for w in writers):
+            seen = cache.load(model, s)
+            assert seen is None or np.array_equal(seen.vectors, policy.vectors)
+        for w in writers:
+            w.join(timeout=60)
+            assert not w.is_alive() and w.exitcode == 0
+    finally:
+        for w in writers:
+            if w.is_alive():
+                w.kill()
+                w.join()
+    loaded = cache.load(model, s)
+    assert np.array_equal(loaded.vectors, policy.vectors)
+    assert np.array_equal(loaded.actions, policy.actions)
+    assert loaded.stage_values == policy.stage_values
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_one_miss_or_a_warm_cache_creates_no_pool(tmp_path, rng, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", no_pool)
+    models = [random_pomdp(rng, num_states=4, num_actions=2, num_observations=3) for _ in range(2)]
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    solve_with_cache(models[0], s, cache)
+    assert [hit for _, hit in solve_many(models, s, cache)] == [True, False]
+    assert [hit for _, hit in solve_many(models, s, cache)] == [True, True]
 
 
 def test_solve_with_cache_digests_once_warm_twice_cold(tmp_path, rng, monkeypatch):
