@@ -180,9 +180,8 @@ class RandomPickerAgent(Agent):
         self.state = PosteriorState.initial(self.library)
 
     def act(self, rng):
-        active = np.flatnonzero(self.state.active)
-        pick = int(rng.choice(active))
-        return int(atpo.greedy_actions(self.library, self.state)[pick])
+        pick = int(rng.choice(np.flatnonzero(self.state.active)))
+        return int(self.state.greedy[pick])
 
     def observe(self, action, observation=None, state=None):
         self.state = atpo.update(self.library, self.state, action, observation)
@@ -213,9 +212,7 @@ class BopaAgent(_StateFeedbackAgent):
         mix = np.zeros(self.library.num_actions)
         for k in np.flatnonzero(self.posterior > 0.0):
             mix[self._greedy_for(k)[self._x]] += self.posterior[k]
-        if self.greedy:
-            return int(mix.argmax())
-        return int(rng.choice(self.library.num_actions, p=mix))
+        return atpo.draw(mix, rng, self.greedy)
 
     def observe(self, action, observation=None, state=None):
         if state is None:

@@ -4,8 +4,13 @@ The agent tracks one belief per candidate model plus a posterior over the
 models themselves.  Each step the posterior is reweighted by how well each
 model predicted the last observation; models that assign it probability
 zero are ruled out permanently (an optional likelihood floor keeps them
-alive instead).  Actions come from the posterior-weighted mixture of the
-per-model greedy policies.
+alive instead).
+
+Every posterior state carries each surviving model's greedy action at its
+current belief, computed once when the state is made.  The mixture policy
+the agent acts from (the posterior-weighted mixture of those actions), the
+loss row the bound is checked on, and the random-picker baseline all read
+that one array.
 """
 from __future__ import annotations
 
@@ -83,51 +88,59 @@ def posterior_entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _greedy_actions(library: ModelLibrary, beliefs: list, active: np.ndarray) -> np.ndarray:
+    """Each model's greedy action at its belief, -1 for a pruned model."""
+    out = np.full(library.size, -1, dtype=int)
+    for k in np.flatnonzero(active):
+        out[k] = policy_action(library.policies[k], beliefs[k])
+    return out
+
+
 @dataclasses.dataclass
 class PosteriorState:
-    """Posterior over models, per-model beliefs, and what is still alive."""
+    """Posterior over models, per-model beliefs, and what is still alive.
+
+    greedy[k] is model k's greedy action at beliefs[k] (-1 once k is
+    pruned); it is filled when the state is made and read by everything
+    that acts on the state.
+    """
 
     posterior: np.ndarray
     beliefs: list
     active: np.ndarray
+    greedy: np.ndarray
     step: int = 0
     last_evidence: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, library: ModelLibrary) -> "PosteriorState":
+        beliefs = [m.initial_belief.copy() for m in library.models]
+        active = library.prior > 0.0
         return cls(
             posterior=library.prior.copy(),
-            beliefs=[m.initial_belief.copy() for m in library.models],
-            active=library.prior > 0.0,
-            step=0,
-            last_evidence=None,
+            beliefs=beliefs,
+            active=active,
+            greedy=_greedy_actions(library, beliefs, active),
         )
 
     @property
     def entropy(self) -> float:
         return posterior_entropy(self.posterior)
 
-    @property
-    def map_model(self) -> int:
-        return int(self.posterior.argmax())
-
-
-def greedy_actions(library: ModelLibrary, state: PosteriorState) -> np.ndarray:
-    """Per-model greedy action at each tracked belief (-1 for pruned models)."""
-    out = np.full(library.size, -1, dtype=int)
-    for k in range(library.size):
-        if state.active[k]:
-            out[k] = policy_action(library.policies[k], state.beliefs[k])
-    return out
-
 
 def mixture_policy(library: ModelLibrary, state: PosteriorState) -> np.ndarray:
     """Posterior-weighted mixture of per-model greedy actions."""
-    mix = np.zeros(library.num_actions)
-    for k in range(library.size):
-        if state.active[k] and state.posterior[k] > 0.0:
-            mix[policy_action(library.policies[k], state.beliefs[k])] += state.posterior[k]
-    return mix
+    active = state.active
+    return np.bincount(
+        state.greedy[active], weights=state.posterior[active], minlength=library.num_actions
+    )
+
+
+def draw(mix: np.ndarray, rng: np.random.Generator, greedy: bool) -> int:
+    """An action from a mixture: a sample, or its argmax when greedy."""
+    if greedy:
+        return int(mix.argmax())
+    return int(rng.choice(len(mix), p=mix))
 
 
 def act(
@@ -142,9 +155,7 @@ def act(
     (lowest action id on ties).  Returns (action, mixture weights).
     """
     mix = mixture_policy(library, state)
-    if greedy:
-        return int(mix.argmax()), mix
-    return int(rng.choice(library.num_actions, p=mix)), mix
+    return draw(mix, rng, greedy), mix
 
 
 def update(
@@ -160,7 +171,8 @@ def update(
     observation likelihood multiplies into the posterior.  Zero likelihood
     prunes the model permanently unless likelihood_floor > 0, in which
     case the floor substitutes for the evidence and the belief is left
-    unchanged.  Raises AllModelsPruned when nothing survives.
+    unchanged.  The new state's greedy actions are computed here, once
+    per surviving model.  Raises AllModelsPruned when nothing survives.
     """
     evidence = np.zeros(library.size)
     beliefs = list(state.beliefs)
@@ -185,6 +197,7 @@ def update(
         posterior=weights / total,
         beliefs=beliefs,
         active=active,
+        greedy=_greedy_actions(library, beliefs, active),
         step=state.step + 1,
         last_evidence=evidence,
     )
@@ -192,17 +205,6 @@ def update(
 
 # ---------------------------------------------------------------------------
 # Per-step losses and the cumulative bound
-
-
-def step_loss(library: ModelLibrary, state: PosteriorState, action: int, true_model: int) -> float:
-    """Regret of the executed action under the true model's tracked belief."""
-    return float(
-        loss_all(
-            library.models[true_model],
-            library.policies[true_model],
-            state.beliefs[true_model],
-        )[action]
-    )
 
 
 def policy_loss_row(library: ModelLibrary, state: PosteriorState, true_model: int) -> np.ndarray:
@@ -217,18 +219,7 @@ def policy_loss_row(library: ModelLibrary, state: PosteriorState, true_model: in
         library.policies[true_model],
         state.beliefs[true_model],
     )
-    row = np.empty(library.size)
-    for k in range(library.size):
-        if state.active[k]:
-            row[k] = losses[policy_action(library.policies[k], state.beliefs[k])]
-        else:
-            row[k] = losses.max()
-    return row
-
-
-def mixture_loss(row: np.ndarray, weights: np.ndarray) -> float:
-    """Expected loss of playing a model drawn from `weights`."""
-    return float(np.dot(row, weights))
+    return np.where(state.active, losses[state.greedy], losses.max())
 
 
 @dataclasses.dataclass

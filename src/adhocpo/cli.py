@@ -89,14 +89,16 @@ def _is_model_file(path: Path) -> bool:
         return False
 
 
-def _resolve_build(args) -> DomainBuild:
-    """A registry name, or a spec file with flag overrides on top."""
+def _resolve_build(args, **fixed) -> DomainBuild:
+    """A registry name, or a spec file, with flag overrides and then `fixed` on top."""
     candidate = Path(args.domain)
     if candidate.is_file():
-        name, spec_overrides = domains.parse_domain_spec(candidate.read_text())
-        spec_overrides.update(_overrides(args))
-        return domains.build(name, **spec_overrides)
-    return domains.build(args.domain, **_overrides(args))
+        name, overrides = domains.parse_domain_spec(candidate.read_text())
+    else:
+        name, overrides = args.domain, {}
+    overrides.update(_overrides(args))
+    overrides.update(fixed)
+    return domains.build(name, **overrides)
 
 
 def _resolve_models(args):
@@ -177,19 +179,10 @@ def cmd_scale(args) -> int:
     if any(s < 1 for s in sizes):
         print("library sizes must be positive", file=sys.stderr)
         return 2
-    overrides = _overrides(args)
-    overrides["tasks"] = max(sizes)
-    candidate = Path(args.domain)
-    if candidate.is_file():
-        name, spec_overrides = domains.parse_domain_spec(candidate.read_text())
-        spec_overrides.update(overrides)
-        overrides = spec_overrides
-    else:
-        name = args.domain
     try:
-        build = domains.build(name, **overrides)
+        build = _resolve_build(args, tasks=max(sizes))
     except TypeError:
-        print(f"domain {name!r} has no task-library size to sweep", file=sys.stderr)
+        print(f"domain {args.domain!r} has no task-library size to sweep", file=sys.stderr)
         return 2
 
     cache = _cache(args)

@@ -24,7 +24,6 @@ class DomainSpec:
     name: str
     builder: object
     defaults: dict
-    summary: str
 
 
 REGISTRY = {
@@ -34,67 +33,56 @@ REGISTRY = {
             "gridworld",
             build_gridworld,
             {"size": 5, "tasks": 2, "epsilon": 0.2, "horizon": 50, "belief_set_size": 5000},
-            "open 5x5 grid, rendezvous on an unknown goal pair",
         ),
         DomainSpec(
             "pursuit-task",
             build_pursuit,
             {"size": 5, "variant": "task", "epsilon": 0.2, "horizon": 75, "belief_set_size": 5000},
-            "toroidal pursuit, unknown capture configuration",
         ),
         DomainSpec(
             "pursuit-teammate",
             build_pursuit,
             {"size": 5, "variant": "teammate", "epsilon": 0.15, "horizon": 85, "belief_set_size": 5000},
-            "toroidal pursuit, unknown teammate policy",
         ),
         DomainSpec(
             "pursuit-both",
             build_pursuit,
             {"size": 5, "variant": "both", "epsilon": 0.15, "horizon": 85, "belief_set_size": 5000},
-            "toroidal pursuit, unknown configuration and teammate",
         ),
         DomainSpec(
             "power-plant",
             build_power_plant,
             {"epsilon": 0.2, "horizon": 50, "belief_set_size": 2500},
-            "six-room plant, cleanup or survey task (distinct state spaces)",
         ),
         DomainSpec(
             "ntu",
             build_map_navigation,
             {"map_name": "ntu", "tasks": 4, "epsilon": 0.2, "horizon": 75, "belief_set_size": 5000},
-            "ntu office map, rendezvous on an unknown goal pair",
         ),
         DomainSpec(
             "overcooked",
             build_overcooked,
             {"horizon": 50, "belief_set_size": 1800},
-            "two-level kitchen, unknown cook policy",
         ),
         DomainSpec(
             "isr",
             build_map_navigation,
             {"map_name": "isr", "tasks": 3, "epsilon": 0.2, "horizon": 75, "belief_set_size": 5000},
-            "isr office map, rendezvous on an unknown goal pair",
         ),
         DomainSpec(
             "mit",
             build_map_navigation,
             {"map_name": "mit", "tasks": 3, "epsilon": 0.2, "horizon": 75, "belief_set_size": 5000},
-            "mit corridor map, rendezvous on an unknown goal pair",
         ),
         DomainSpec(
             "pentagon",
             build_map_navigation,
             {"map_name": "pentagon", "tasks": 3, "epsilon": 0.2, "horizon": 75, "belief_set_size": 5000},
-            "pentagon office map, rendezvous on an unknown goal pair",
         ),
         DomainSpec(
             "cit",
             build_map_navigation,
             {"map_name": "cit", "tasks": 3, "epsilon": 0.1, "horizon": 85, "belief_set_size": 8000},
-            "cit office map, rendezvous on an unknown goal pair",
         ),
     ]
 }

@@ -11,13 +11,12 @@ class DomainBuild:
     """A benchmark instance: candidate models plus evaluation settings.
 
     models[k] describes the environment when candidate k is the one in
-    play; descriptions[k] says what k means in domain terms.  solver holds
-    the reference settings used to produce the per-model policies.
+    play; solver holds the reference settings used to produce the
+    per-model policies.
     """
 
     name: str
     models: list
-    descriptions: list
     horizon: int
     epsilon: float
     solver: SolverSettings

@@ -153,7 +153,6 @@ def build_gridworld(
     return DomainBuild(
         name="gridworld",
         models=models,
-        descriptions=[f"goal pair {g}" for g in goal_pairs],
         horizon=horizon,
         epsilon=epsilon,
         solver=SolverSettings(

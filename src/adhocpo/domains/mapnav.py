@@ -212,10 +212,6 @@ def build_map_navigation(
     return DomainBuild(
         name=map_name,
         models=models,
-        descriptions=[
-            f"goal pair {grid.free_cells[g1]} / {grid.free_cells[g2]}"
-            for g1, g2 in goal_pairs
-        ],
         horizon=horizon,
         epsilon=epsilon,
         solver=SolverSettings(

@@ -209,7 +209,6 @@ def build_overcooked(
     return DomainBuild(
         name="overcooked",
         models=models,
-        descriptions=[f"{name} cook" for name in COOK_NAMES],
         horizon=horizon,
         epsilon=0.0,
         solver=SolverSettings(

@@ -203,10 +203,6 @@ def build_power_plant(
     return DomainBuild(
         name="power-plant",
         models=models,
-        descriptions=[
-            f"cleanup of rooms {CLEANUP_ROOMS[0]} and {CLEANUP_ROOMS[1]}",
-            f"survey of rooms {SURVEY_ROOMS[0]}, {SURVEY_ROOMS[1]} and {SURVEY_ROOMS[2]}",
-        ],
         horizon=horizon,
         epsilon=epsilon,
         solver=SolverSettings(

@@ -202,7 +202,6 @@ def build_pursuit(
     b0[: cells * cells] = 1.0 / (cells * cells)
 
     models = []
-    descriptions = []
     for config, kind in candidates:
         reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
         reward[absorbing] = 0.0
@@ -263,14 +262,10 @@ def build_pursuit(
                 label=f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index(config)]} {kind}",
             )
         )
-        descriptions.append(
-            f"capture {CONFIG_NAMES[CAPTURE_OFFSETS.index(config)]}, {kind} teammate"
-        )
 
     return DomainBuild(
         name=f"pursuit-{variant}",
         models=models,
-        descriptions=descriptions,
         horizon=horizon,
         epsilon=epsilon,
         solver=SolverSettings(

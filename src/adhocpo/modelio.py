@@ -125,9 +125,12 @@ def _header_int(lines: _Lines, key: str) -> int:
     if len(parts) != 2 or parts[0] != key:
         lines.fail(f"expected '{key} <value>', got {line!r}")
     try:
-        return int(parts[1])
+        value = int(parts[1])
     except ValueError:
         lines.fail(f"{key} is not an integer: {parts[1]!r}")
+    if value < 0:
+        lines.fail(f"{key} is negative: {value}")
+    return value
 
 
 def loads_model(text: str) -> TabularPomdp:
@@ -136,9 +139,9 @@ def loads_model(text: str) -> TabularPomdp:
     if tag.strip() != FORMAT_TAG:
         lines.fail(f"unknown format tag {tag!r}, expected {FORMAT_TAG!r}")
     label_line = lines.next()
-    if not label_line.startswith("label"):
+    if label_line != "label" and not label_line.startswith("label "):
         lines.fail(f"expected 'label ...', got {label_line!r}")
-    label = label_line[len("label "):] if len(label_line) > 5 else ""
+    label = label_line[len("label "):]
 
     n = _header_int(lines, "states")
     num_actions = _header_int(lines, "actions")
@@ -146,33 +149,39 @@ def loads_model(text: str) -> TabularPomdp:
     disc_line = lines.next().split()
     if len(disc_line) != 2 or disc_line[0] != "discount":
         lines.fail("expected 'discount <value>'")
-    discount = float(disc_line[1])
+    try:
+        discount = float(disc_line[1])
+    except ValueError:
+        lines.fail(f"discount is not a number: {disc_line[1]!r}")
 
-    def read_section(key: str, width: int):
+    def read_section(key: str, bounds: tuple):
+        """Entries of one section: integer indices below `bounds`, then a value."""
         count = _header_int(lines, key)
         rows = []
         for _ in range(count):
             parts = lines.next().split()
-            if len(parts) != width:
-                lines.fail(f"{key} entry needs {width} fields, got {len(parts)}")
+            if len(parts) != len(bounds) + 1:
+                lines.fail(f"{key} entry needs {len(bounds) + 1} fields, got {len(parts)}")
             try:
-                rows.append(tuple(int(p) for p in parts[:-1]) + (float(parts[-1]),))
+                index = tuple(int(p) for p in parts[:-1])
+                value = float(parts[-1])
             except ValueError:
                 lines.fail(f"bad {key} entry: {' '.join(parts)!r}")
+            if not all(0 <= i < b for i, b in zip(index, bounds)):
+                lines.fail(f"{key} index out of range in entry {' '.join(parts)!r}")
+            rows.append(index + (value,))
         return rows
 
-    t_rows = read_section("T", 4)
-    o_rows = read_section("O", 4)
-    r_rows = read_section("R", 3)
-    b_rows = read_section("b0", 2)
+    t_rows = read_section("T", (num_actions, n, n))
+    o_rows = read_section("O", (num_actions, n, num_obs))
+    r_rows = read_section("R", (n, num_actions))
+    b_rows = read_section("b0", (n,))
     if lines.next().strip() != "end":
         lines.fail("expected 'end'")
 
     def build_tables(rows, cols: int):
         per_action = [[] for _ in range(num_actions)]
         for a, i, j, p in rows:
-            if not (0 <= a < num_actions and 0 <= i < n and 0 <= j < cols):
-                raise ModelFormatError(f"index out of range in entry {(a, i, j)}")
             per_action[a].append((i, j, p))
         tables = []
         for entries in per_action:
@@ -186,13 +195,9 @@ def loads_model(text: str) -> TabularPomdp:
 
     reward = np.zeros((n, num_actions))
     for x, a, r in r_rows:
-        if not (0 <= x < n and 0 <= a < num_actions):
-            raise ModelFormatError(f"reward index out of range: {(x, a)}")
         reward[x, a] = r
     b0 = np.zeros(n)
     for x, p in b_rows:
-        if not 0 <= x < n:
-            raise ModelFormatError(f"belief index out of range: {x}")
         b0[x] = p
 
     return TabularPomdp.from_tables(

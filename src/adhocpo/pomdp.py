@@ -143,22 +143,13 @@ class TabularPomdp:
     # -- Row access helpers (work for dense and CSR storage alike) --
 
     def transition_row(self, x: int, a: int) -> np.ndarray:
-        t = self.transition[a]
-        if sparse.issparse(t):
-            return np.asarray(t[[x], :].todense())[0]
-        return t[x]
+        return _as_dense(self.transition[a][[x], :])[0]
 
     def observation_row(self, x: int, a: int) -> np.ndarray:
-        o = self.observation[a]
-        if sparse.issparse(o):
-            return np.asarray(o[[x], :].todense())[0]
-        return o[x]
+        return _as_dense(self.observation[a][[x], :])[0]
 
     def observation_column(self, a: int, z: int) -> np.ndarray:
-        o = self.observation[a]
-        if sparse.issparse(o):
-            return np.asarray(o[:, [z]].todense())[:, 0]
-        return o[:, z]
+        return _as_dense(self.observation[a][:, [z]])[:, 0]
 
     def propagate(self, belief: Belief, a: int) -> np.ndarray:
         """Predictive state distribution after action a: belief @ T[a]."""

@@ -13,12 +13,9 @@ from adhocpo.atpo import (
     TraceRecord,
     act,
     check_bound,
-    greedy_actions,
-    mixture_loss,
     mixture_policy,
     policy_loss_row,
     posterior_entropy,
-    step_loss,
     update,
     write_trace,
 )
@@ -100,9 +97,11 @@ def test_pruned_models_stay_pruned():
     s = update(lib, s, 0, 2)
     assert not s.active[0]
     assert s.posterior[0] == 0.0
+    assert s.greedy[0] == -1
     s2 = update(lib, s, 1, 0)
     assert not s2.active[0]
     assert s2.posterior[0] == 0.0
+    assert s2.greedy[0] == -1
 
 
 def test_all_models_pruned_raises():
@@ -183,7 +182,8 @@ def test_mixture_policy_weights():
     s = PosteriorState.initial(lib)
     mix = mixture_policy(lib, s)
     assert mix.sum() == pytest.approx(1.0, abs=1e-12)
-    acts = greedy_actions(lib, s)
+    acts = [policy_action(lib.policies[k], s.beliefs[k]) for k in range(3)]
+    assert s.greedy.tolist() == acts
     manual = np.zeros(lib.num_actions)
     for k in range(3):
         manual[acts[k]] += s.posterior[k]
@@ -220,19 +220,31 @@ def test_entropy_conventions():
     assert posterior_entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-12)
 
 
-def test_step_loss_and_loss_row_consistent():
+def test_loss_row_reads_each_models_greedy_action():
     rng = np.random.default_rng(12)
     lib = _random_library(rng, size=3, num_states=4)
     s = PosteriorState.initial(lib)
     k_true = 1
     losses = loss_all(lib.models[k_true], lib.policies[k_true], s.beliefs[k_true])
     row = policy_loss_row(lib, s, k_true)
-    acts = greedy_actions(lib, s)
     for k in range(3):
-        assert row[k] == pytest.approx(losses[acts[k]], abs=1e-12)
-        assert step_loss(lib, s, acts[k], k_true) == pytest.approx(row[k], abs=1e-12)
-    weights = np.array([0.2, 0.5, 0.3])
-    assert mixture_loss(row, weights) == pytest.approx(float(row @ weights), abs=1e-12)
+        assert row[k] == losses[policy_action(lib.policies[k], s.beliefs[k])]
+    # A pruned model gets the worst loss in the row, and no mixture weight.
+    for a in range(lib.num_actions):
+        o = lib.models[0].observation[a]
+        o[:, 2] = 0.0
+        o[o.sum(axis=1) == 0.0, 0] = 1.0
+        o /= o.sum(axis=1, keepdims=True)
+    s = update(lib, s, 0, 2)
+    assert not s.active[0]
+    losses = loss_all(lib.models[k_true], lib.policies[k_true], s.beliefs[k_true])
+    row = policy_loss_row(lib, s, k_true)
+    assert row[0] == losses.max()
+    assert row[2] == losses[policy_action(lib.policies[2], s.beliefs[2])]
+    manual = np.zeros(lib.num_actions)
+    for k in (1, 2):
+        manual[policy_action(lib.policies[k], s.beliefs[k])] += s.posterior[k]
+    assert np.array_equal(mixture_policy(lib, s), manual)
 
 
 def test_check_bound_hand_computed():

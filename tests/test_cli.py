@@ -152,3 +152,25 @@ def test_cli_scale_writes_table(tmp_path, capsys, desk_spec):
     assert len(lines) == 1 + 2 * 3
     assert (out_dir / "K1" / "summary.json").exists()
     assert (out_dir / "K2" / "summary.json").exists()
+
+    # The largest swept size overrides a spec file's own task count: the
+    # two cached models are the whole library, nothing is solved.
+    wide_spec = tmp_path / "wide.domain"
+    wide_spec.write_text(DESK_SPEC.replace("tasks 2", "tasks 5"))
+    capsys.readouterr()
+    assert main([
+        "scale", str(wide_spec),
+        "--sizes", "2",
+        "--trials", "1",
+        "--out", str(tmp_path / "wide"),
+        "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    policy_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("policy for")]
+    assert len(policy_lines) == 2
+    assert all(l.endswith(": cache") for l in policy_lines)
+
+    # A spec file for a domain without a task library is refused.
+    pursuit_spec = tmp_path / "pursuit.domain"
+    pursuit_spec.write_text("domain pursuit-task\nsize 3\n")
+    assert main(["scale", str(pursuit_spec), "--sizes", "1,2"]) == 2
+    assert "has no task-library size to sweep" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from adhocpo import solvers
+from adhocpo import agents, atpo, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -66,6 +66,54 @@ def test_trial_carries_atpo_diagnostics(small_library):
     plain = run_trial(lib, make_agent("random", lib), horizon=15, seed=3)
     assert plain.posterior_history is None
     assert plain.bound is None
+
+
+# (seed, true model, actions, observations, total return) per agent from the
+# fixed-seed run below; a change to the agents' arithmetic or rng use shows here.
+PINNED_TRAJECTORIES = {
+    "atpo": [
+        (40, 1, [3, 1, 1, 2, 2, 2, 2, 1], [2, 56, 47, 47, 0, 74, 6, 24], -8.0),
+        (41, 0, [2, 0, 0, 3, 1, 3, 1, 3], [15, 15, 60, 0, 0, 0, 0, 0], 97.0),
+        (42, 0, [2, 2, 3, 1, 3, 1, 3, 1], [20, 0, 0, 0, 0, 0, 0, 0], 99.0),
+    ],
+    "random-picker": [
+        (40, 1, [2, 1, 2, 1, 3, 0, 3, 0], [27, 54, 33, 51, 0, 0, 0, 0], 96.0),
+        (41, 0, [2, 0, 0, 3, 1, 3, 1, 0], [15, 15, 60, 0, 0, 0, 0, 0], 97.0),
+        (42, 0, [3, 1, 3, 1, 1, 1, 3, 1], [20, 0, 0, 0, 0, 0, 0, 0], 99.0),
+    ],
+    "bopa": [
+        (40, 1, [1, 2, 2, 0, 0, 0, 0, 0], [20, 72, 51, 0, 0, 0, 0, 0], 97.0),
+        (41, 0, [0, 0, 0, 0, 0, 0, 0, 0], [15, 15, 60, 0, 0, 0, 0, 0], 97.0),
+        (42, 0, [1, 0, 0, 0, 0, 0, 0, 0], [20, 0, 0, 0, 0, 0, 0, 0], 99.0),
+    ],
+}
+
+
+def test_seeded_trajectories_are_pinned(small_library):
+    _, lib = small_library
+    res = run_experiment(lib, tuple(PINNED_TRAJECTORIES), horizon=8, trials=3, base_seed=40)
+    for name, expected in PINNED_TRAJECTORIES.items():
+        got = [
+            (t.seed, t.model_index, t.actions, t.observations, t.total_return)
+            for t in res.agents[name].trials
+        ]
+        assert got == expected, name
+
+
+def test_atpo_trial_computes_each_greedy_action_once(small_library, monkeypatch):
+    _, lib = small_library
+    calls = []
+
+    def counting_policy_action(policy, belief):
+        calls.append(1)
+        return solvers.policy_action(policy, belief)
+
+    monkeypatch.setattr(atpo, "policy_action", counting_policy_action)
+    monkeypatch.setattr(agents, "policy_action", counting_policy_action)
+    horizon = 12
+    t = run_trial(lib, make_agent("atpo", lib), horizon=horizon, seed=5)
+    assert t.loss_rows.shape == (horizon, lib.size)
+    assert 0 < len(calls) <= lib.size * (horizon + 1)
 
 
 def test_experiment_normalization_endpoints(small_library):

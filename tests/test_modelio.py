@@ -95,6 +95,32 @@ def test_errors_carry_line_numbers(rng):
     with pytest.raises(ModelFormatError):
         loads_model("\n".join(broken))
 
+    def at(prefix):
+        return next(i for i, l in enumerate(lines) if l.startswith(prefix))
+
+    r_at, b_at = at("R "), at("b0 ")
+    cases = [
+        (1, "label", "labelfoo bar", "expected 'label"),
+        (5, "discount", "discount abc", "discount is not a number"),
+        (t_at, "T", "T -1", "T is negative"),
+        (t_at + 1, "", "0 0 999 0.5", "T index out of range"),
+        (t_at + 1, "", "7 0 0 0.5", "T index out of range"),
+        (at("O ") + 1, "", "0 0 3 0.5", "O index out of range"),
+        (r_at + 1, "", "0 9 1.0", "R index out of range"),
+        (b_at + 1, "", "-1 0.5", "b0 index out of range"),
+    ]
+    for i, prefix, line, message in cases:
+        assert lines[i].startswith(prefix)
+        broken = list(lines)
+        broken[i] = line
+        with pytest.raises(ModelFormatError, match=f"^line {i + 1}: {message}"):
+            loads_model("\n".join(broken))
+
+    # An empty label is written as "label " and also read back from a bare "label".
+    bare = list(lines)
+    bare[1] = "label"
+    assert loads_model("\n".join(bare)).label == ""
+
 
 def _hand_built_csr():
     """CSR tables with unsorted column indices and explicit 0.0 and -0.0."""
