@@ -31,36 +31,9 @@ from adhocpo.harness import (
 )
 from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, model_digest
 from adhocpo.pomdp import validate as validate_model
-from adhocpo.solvers import PolicyCache, SolverSettings, resolve_cache_dir, solve_many
+from adhocpo.solvers import PolicyCache, resolve_cache_dir, solve_many
 
 DEFAULT_CACHE = Path.home() / ".cache" / "adhocpo"
-
-_OVERRIDE_FLAGS = (
-    ("--size", int, "grid side length (square domains)"),
-    ("--tasks", int, "library size for task-library domains"),
-    ("--variant", str, "domain variant selector"),
-    ("--map", str, "floor plan name (map domains)"),
-    ("--epsilon", float, "action/sensor noise rate"),
-    ("--horizon", int, "episode and solver horizon"),
-    ("--discount", float, "discount factor"),
-    ("--beliefs", int, "solver belief set size"),
-    ("--tolerance", float, "solver stop tolerance"),
-    ("--solver-seed", int, "solver RNG seed"),
-)
-
-_FLAG_TO_KWARG = {
-    "size": "size",
-    "tasks": "tasks",
-    "variant": "variant",
-    "map": "map_name",
-    "epsilon": "epsilon",
-    "horizon": "horizon",
-    "discount": "discount",
-    "beliefs": "belief_set_size",
-    "tolerance": "tolerance",
-    "solver_seed": "solver_seed",
-}
-
 
 def _add_domain_arguments(parser: argparse.ArgumentParser, model_file_ok: bool = False):
     what = "domain name or domain spec file"
@@ -68,17 +41,15 @@ def _add_domain_arguments(parser: argparse.ArgumentParser, model_file_ok: bool =
         what += " or model file"
     parser.add_argument("domain", help=f"{what} (domains: {', '.join(DOMAIN_NAMES)})")
     group = parser.add_argument_group("domain overrides")
-    for flag, kind, help_text in _OVERRIDE_FLAGS:
-        group.add_argument(flag, type=kind, default=None, help=help_text)
+    for _, flag, keyword, kind, help_text in domains.SETTINGS:
+        metavar = flag[2:].upper().replace("-", "_")
+        group.add_argument(flag, dest=keyword, metavar=metavar, type=kind, default=None, help=help_text)
 
 
 def _overrides(args) -> dict:
-    out = {}
-    for flag, kwarg in _FLAG_TO_KWARG.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[kwarg] = value
-    return out
+    """The override flags given, keyed by build() keyword."""
+    values = {keyword: getattr(args, keyword) for _, _, keyword, _, _ in domains.SETTINGS}
+    return {keyword: value for keyword, value in values.items() if value is not None}
 
 
 def _is_model_file(path: Path) -> bool:
@@ -89,15 +60,18 @@ def _is_model_file(path: Path) -> bool:
         return False
 
 
-def _resolve_build(args, **fixed) -> DomainBuild:
-    """A registry name, or a spec file, with flag overrides and then `fixed` on top."""
+def _requested(args) -> tuple:
+    """(registry name, overrides): a name or a spec file, with flag overrides on top."""
     candidate = Path(args.domain)
     if candidate.is_file():
         name, overrides = domains.parse_domain_spec(candidate.read_text())
     else:
         name, overrides = args.domain, {}
-    overrides.update(_overrides(args))
-    overrides.update(fixed)
+    return name, {**overrides, **_overrides(args)}
+
+
+def _resolve_build(args) -> DomainBuild:
+    name, overrides = _requested(args)
     return domains.build(name, **overrides)
 
 
@@ -106,12 +80,10 @@ def _resolve_models(args):
     candidate = Path(args.domain)
     if candidate.is_file() and _is_model_file(candidate):
         model = load_model(candidate)
-        settings = SolverSettings(
-            belief_set_size=args.beliefs or 500,
-            horizon=args.horizon or 50,
-            tolerance=args.tolerance or 0.01,
-            seed=args.solver_seed or 0,
-        )
+        overrides = {"belief_set_size": 500, "horizon": 50, **_overrides(args)}
+        settings = domains.pop_solver_settings(overrides)
+        if overrides:
+            raise ValueError(f"a model file does not take {', '.join(map(repr, overrides))}")
         return [model], settings, model.label or candidate.stem
     build = _resolve_build(args)
     return build.models, build.solver, build.name
@@ -156,11 +128,10 @@ def cmd_run(args) -> int:
                 print(f"cannot run {name}: {err}", file=sys.stderr)
                 return 2
 
-    horizon = args.horizon or build.horizon
     result = run_experiment(
         library,
         names,
-        horizon=horizon,
+        horizon=build.horizon,
         trials=args.trials,
         base_seed=args.seed,
         label=build.name,
@@ -179,11 +150,11 @@ def cmd_scale(args) -> int:
     if any(s < 1 for s in sizes):
         print("library sizes must be positive", file=sys.stderr)
         return 2
-    try:
-        build = _resolve_build(args, tasks=max(sizes))
-    except TypeError:
+    name, overrides = _requested(args)
+    if not domains.takes(name, "tasks"):
         print(f"domain {args.domain!r} has no task-library size to sweep", file=sys.stderr)
         return 2
+    build = domains.build(name, **{**overrides, "tasks": max(sizes)})
 
     cache = _cache(args)
     library = prepare_library(build, cache=cache, progress=print)
@@ -191,10 +162,9 @@ def cmd_scale(args) -> int:
     libraries = {
         k: type(library)(library.models[:k], library.policies[:k]) for k in sizes
     }
-    horizon = args.horizon or build.horizon
     results = run_library_scaling(
         libraries,
-        horizon=horizon,
+        horizon=build.horizon,
         trials=args.trials,
         base_seed=args.seed,
         label=build.name,

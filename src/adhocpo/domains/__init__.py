@@ -1,22 +1,48 @@
 """Benchmark domain registry.
 
-Every domain builds a library of candidate models that share the action
-and observation interfaces, together with the evaluation horizon, noise
-rate and reference solver settings.  `build(name, **overrides)` calls
-the domain's builder with its registered defaults; overrides must match
-the builder's keyword arguments (for example `size` or `tasks` to get a
-scaled-down instance for quick experiments).
+Each domain's builder makes the library of candidate models, which share
+the action and observation interfaces; it takes only the keywords that
+shape the models.  `build(name, **overrides)` is the one place that turns
+a registry entry into a `DomainBuild`: it lays the overrides over the
+entry's defaults, gives the solver keywords (`horizon`,
+`belief_set_size`, `tolerance`, `solver_seed`) to `SolverSettings` and
+the rest to the builder.  A keyword that neither takes is an error, so
+`build("gridworld", size=3, tasks=2)` gives a scaled-down instance and
+`build("overcooked", epsilon=0.1)` raises `ValueError`.
 """
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
-from adhocpo.domains.base import DomainBuild
 from adhocpo.domains.gridworld import build_gridworld
 from adhocpo.domains.mapnav import build_map_navigation
 from adhocpo.domains.overcooked import build_overcooked
 from adhocpo.domains.powerplant import build_power_plant
 from adhocpo.domains.pursuit import build_pursuit
+from adhocpo.solvers import SolverSettings
+
+
+@dataclasses.dataclass
+class DomainBuild:
+    """A benchmark instance: candidate models plus the solver settings.
+
+    models[k] describes the environment when candidate k is the one in
+    play; solver holds the reference settings used to produce the
+    per-model policies, and its horizon is the evaluation horizon too.
+    """
+
+    name: str
+    models: list
+    solver: SolverSettings
+
+    @property
+    def horizon(self) -> int:
+        return self.solver.horizon
+
+    @property
+    def size(self) -> int:
+        return len(self.models)
 
 
 @dataclasses.dataclass
@@ -89,39 +115,80 @@ REGISTRY = {
 
 DOMAIN_NAMES = tuple(REGISTRY)
 
+# Every discount is this unless overridden.
+DISCOUNT = 0.95
 
-def build(name: str, **overrides) -> DomainBuild:
-    """Build a registered domain with its defaults plus any overrides."""
+# Every setting a domain spec file or a CLI flag can override, as
+# (spec key, CLI flag, build() keyword, type, help).  The trial seed owns
+# --seed, so the solver's seed is --solver-seed.
+SETTINGS = (
+    ("size", "--size", "size", int, "grid side length (square domains)"),
+    ("tasks", "--tasks", "tasks", int, "library size for task-library domains"),
+    ("variant", "--variant", "variant", str, "domain variant selector"),
+    ("map", "--map", "map_name", str, "floor plan name (map domains)"),
+    ("epsilon", "--epsilon", "epsilon", float, "action/sensor noise rate"),
+    ("horizon", "--horizon", "horizon", int, "episode and solver horizon"),
+    ("discount", "--discount", "discount", float, "discount factor"),
+    ("beliefs", "--beliefs", "belief_set_size", int, "solver belief set size"),
+    ("tolerance", "--tolerance", "tolerance", float, "solver stop tolerance"),
+    ("seed", "--solver-seed", "solver_seed", int, "solver RNG seed"),
+)
+
+# The build() keywords that set up the solver, with their SolverSettings
+# fields; every other keyword goes to the domain's builder.
+_SOLVER_KEYWORDS = {
+    "belief_set_size": "belief_set_size",
+    "horizon": "horizon",
+    "tolerance": "tolerance",
+    "solver_seed": "seed",
+}
+
+
+def pop_solver_settings(kwargs: dict) -> SolverSettings:
+    """SolverSettings from the solver keywords in `kwargs`, removing them there.
+
+    A field that `kwargs` does not set keeps its SolverSettings default.
+    """
+    return SolverSettings(**{
+        field: kwargs.pop(keyword)
+        for keyword, field in _SOLVER_KEYWORDS.items()
+        if keyword in kwargs
+    })
+
+
+def _spec(name: str) -> DomainSpec:
     if name not in REGISTRY:
         known = ", ".join(DOMAIN_NAMES)
         raise ValueError(f"unknown domain {name!r}; known domains: {known}")
-    spec = REGISTRY[name]
-    kwargs = dict(spec.defaults)
-    kwargs.update(overrides)
-    return spec.builder(**kwargs)
+    return REGISTRY[name]
 
 
-# Keys a domain spec file may set, mapped to builder keyword arguments.
-_SPEC_KEYS = {
-    "size": ("size", int),
-    "tasks": ("tasks", int),
-    "variant": ("variant", str),
-    "map": ("map_name", str),
-    "epsilon": ("epsilon", float),
-    "horizon": ("horizon", int),
-    "discount": ("discount", float),
-    "beliefs": ("belief_set_size", int),
-    "tolerance": ("tolerance", float),
-    "seed": ("solver_seed", int),
-}
+def takes(name: str, keyword: str) -> bool:
+    """Whether `build(name, ...)` accepts `keyword`."""
+    return keyword in _SOLVER_KEYWORDS or keyword in inspect.signature(_spec(name).builder).parameters
+
+
+def build(name: str, **overrides) -> DomainBuild:
+    """Build a registered domain with its defaults plus any overrides."""
+    spec = _spec(name)
+    for keyword in overrides:
+        if not takes(name, keyword):
+            raise ValueError(f"domain {name!r} does not take {keyword!r}")
+    kwargs = {"discount": DISCOUNT, **spec.defaults, **overrides}
+    solver = pop_solver_settings(kwargs)
+    built = spec.builder(**kwargs)
+    label, models = built if isinstance(built, tuple) else (name, built)
+    return DomainBuild(label, models, solver)
 
 
 def parse_domain_spec(text: str) -> tuple:
     """Parse a domain spec: `key value` lines, '#' comments allowed.
 
     The `domain` key is required and names a registry entry; the other
-    keys override that entry's defaults.  Returns (name, overrides).
+    keys (the spec keys of SETTINGS) override that entry's defaults.
+    Returns (name, overrides), keyed by build() keyword.
     """
+    keys = {key: (keyword, kind) for key, _, keyword, kind, _ in SETTINGS}
     name = None
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,16 +201,16 @@ def parse_domain_spec(text: str) -> tuple:
         key, value = parts
         if key == "domain":
             name = value.strip()
-        elif key in _SPEC_KEYS:
-            target, cast = _SPEC_KEYS[key]
+        elif key in keys:
+            keyword, kind = keys[key]
             try:
-                overrides[target] = cast(value.strip())
+                overrides[keyword] = kind(value.strip())
             except ValueError:
                 raise ValueError(
                     f"domain spec line {lineno}: bad value {value.strip()!r} for {key}"
                 ) from None
         else:
-            known = ", ".join(["domain", *sorted(_SPEC_KEYS)])
+            known = ", ".join(["domain", *sorted(keys)])
             raise ValueError(f"domain spec line {lineno}: unknown key {key!r} (known: {known})")
     if name is None:
         raise ValueError("domain spec never sets 'domain'")
@@ -151,12 +218,16 @@ def parse_domain_spec(text: str) -> tuple:
 
 
 __all__ = [
+    "DISCOUNT",
     "DomainBuild",
     "DomainSpec",
     "REGISTRY",
     "DOMAIN_NAMES",
+    "SETTINGS",
     "build",
     "parse_domain_spec",
+    "pop_solver_settings",
+    "takes",
     "build_gridworld",
     "build_map_navigation",
     "build_overcooked",

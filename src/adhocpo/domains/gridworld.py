@@ -21,9 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from adhocpo.domains import gridcommon as gc
-from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import TabularPomdp
-from adhocpo.solvers import SolverSettings
 
 STEP_REWARD = -1.0
 COMPLETION_REWARD = 100.0
@@ -77,16 +75,7 @@ def _completed(pa: int, pt: int, goals: tuple) -> bool:
     return (pa == g1 and pt == g2) or (pa == g2 and pt == g1)
 
 
-def build_gridworld(
-    size: int = 5,
-    tasks: int = 2,
-    epsilon: float = 0.2,
-    horizon: int = 50,
-    discount: float = 0.95,
-    belief_set_size: int = 5000,
-    tolerance: float = 0.01,
-    solver_seed: int = 0,
-) -> DomainBuild:
+def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> list:
     """One model per goal pair from the canonical task enumeration."""
     cells = size * size
     num_states = cells * cells + 1
@@ -150,15 +139,4 @@ def build_gridworld(
             )
         )
 
-    return DomainBuild(
-        name="gridworld",
-        models=models,
-        horizon=horizon,
-        epsilon=epsilon,
-        solver=SolverSettings(
-            belief_set_size=belief_set_size,
-            horizon=horizon,
-            tolerance=tolerance,
-            seed=solver_seed,
-        ),
-    )
+    return models

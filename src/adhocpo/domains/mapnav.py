@@ -20,9 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from adhocpo.domains import gridcommon as gc
-from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import TabularPomdp
-from adhocpo.solvers import SolverSettings
 
 STEP_REWARD = -1.0
 COMPLETION_REWARD = 100.0
@@ -117,16 +115,8 @@ def _teammate_step(grid: GridMap, cell_id: int, goals: tuple, dist_maps: dict) -
     return cell_id  # disconnected from the goal: hold position
 
 
-def build_map_navigation(
-    map_name: str,
-    tasks: int = 3,
-    epsilon: float = 0.2,
-    horizon: int = 75,
-    discount: float = 0.95,
-    belief_set_size: int = 5000,
-    tolerance: float = 0.01,
-    solver_seed: int = 0,
-) -> DomainBuild:
+def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: float) -> tuple:
+    """One model per goal pair of the canonical task enumeration; returns (map_name, models)."""
     grid = load_map(map_name)
     f = grid.num_free
     num_states = f * (f - 1) + 1
@@ -209,15 +199,4 @@ def build_map_navigation(
             )
         )
 
-    return DomainBuild(
-        name=map_name,
-        models=models,
-        horizon=horizon,
-        epsilon=epsilon,
-        solver=SolverSettings(
-            belief_set_size=belief_set_size,
-            horizon=horizon,
-            tolerance=tolerance,
-            seed=solver_seed,
-        ),
-    )
+    return map_name, models

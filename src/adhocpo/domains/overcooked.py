@@ -36,9 +36,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import TabularPomdp
-from adhocpo.solvers import SolverSettings
 
 TOP, BOTTOM = 0, 1
 UP, DOWN, NOOP, ACT = range(4)
@@ -197,24 +195,6 @@ def _build_cook_model(name: str, discount: float) -> TabularPomdp:
     )
 
 
-def build_overcooked(
-    horizon: int = 50,
-    discount: float = 0.95,
-    belief_set_size: int = 1800,
-    tolerance: float = 0.01,
-    solver_seed: int = 0,
-) -> DomainBuild:
+def build_overcooked(discount: float) -> list:
     """One candidate model per cook style; the kitchen itself is shared."""
-    models = [_build_cook_model(name, discount) for name in COOK_NAMES]
-    return DomainBuild(
-        name="overcooked",
-        models=models,
-        horizon=horizon,
-        epsilon=0.0,
-        solver=SolverSettings(
-            belief_set_size=belief_set_size,
-            horizon=horizon,
-            tolerance=tolerance,
-            seed=solver_seed,
-        ),
-    )
+    return [_build_cook_model(name, discount) for name in COOK_NAMES]

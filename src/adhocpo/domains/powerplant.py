@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import TabularPomdp
-from adhocpo.solvers import SolverSettings
 
 NUM_ROOMS = 6
 ADJACENCY = {0: (2, 3, 4), 1: (2, 3), 2: (0, 1, 5), 3: (0, 1), 4: (0,), 5: (2,)}
@@ -187,28 +185,9 @@ def _build_task(
     )
 
 
-def build_power_plant(
-    epsilon: float = 0.2,
-    horizon: int = 50,
-    discount: float = 0.95,
-    belief_set_size: int = 2500,
-    tolerance: float = 0.01,
-    solver_seed: int = 0,
-) -> DomainBuild:
+def build_power_plant(epsilon: float, discount: float) -> list:
     """Two candidate tasks over the same rooms, queries and noise rate."""
-    models = [
+    return [
         _build_task("cleanup", CLEANUP_ROOMS, False, epsilon, discount),
         _build_task("survey", SURVEY_ROOMS, True, epsilon, discount),
     ]
-    return DomainBuild(
-        name="power-plant",
-        models=models,
-        horizon=horizon,
-        epsilon=epsilon,
-        solver=SolverSettings(
-            belief_set_size=belief_set_size,
-            horizon=horizon,
-            tolerance=tolerance,
-            seed=solver_seed,
-        ),
-    )

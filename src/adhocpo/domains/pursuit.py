@@ -22,9 +22,7 @@ from collections import deque
 import numpy as np
 from scipy import sparse
 
-from adhocpo.domains.base import DomainBuild
 from adhocpo.pomdp import TabularPomdp
-from adhocpo.solvers import SolverSettings
 
 STEP_REWARD = -1.0
 CAPTURE_REWARD = 100.0
@@ -160,19 +158,11 @@ def _observation_row(dt, dp, size, epsilon) -> np.ndarray:
     return np.kron(element(dt), element(dp))
 
 
-def build_pursuit(
-    size: int = 5,
-    variant: str = "task",
-    epsilon: float = 0.2,
-    horizon: int = 75,
-    discount: float = 0.95,
-    belief_set_size: int = 5000,
-    tolerance: float = 0.01,
-    solver_seed: int = 0,
-) -> DomainBuild:
+def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> tuple:
     """Candidate set by variant: 'task' varies the capture configuration
     under a greedy teammate, 'teammate' varies the teammate type under the
-    first configuration, 'both' crosses all of them."""
+    first configuration, 'both' crosses all of them.  Returns
+    ('pursuit-<variant>', models)."""
     if variant == "task":
         candidates = [(c, GREEDY) for c in CAPTURE_OFFSETS]
     elif variant == "teammate":
@@ -263,15 +253,4 @@ def build_pursuit(
             )
         )
 
-    return DomainBuild(
-        name=f"pursuit-{variant}",
-        models=models,
-        horizon=horizon,
-        epsilon=epsilon,
-        solver=SolverSettings(
-            belief_set_size=belief_set_size,
-            horizon=horizon,
-            tolerance=tolerance,
-            seed=solver_seed,
-        ),
-    )
+    return f"pursuit-{variant}", models

@@ -25,7 +25,7 @@ import numpy as np
 from adhocpo import atpo
 from adhocpo.agents import Agent, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary
-from adhocpo.domains.base import DomainBuild
+from adhocpo.domains import DomainBuild
 from adhocpo.pomdp import sample_initial_state, simulate_step
 # solve_with_cache is not called here, but the benchmark's tracer wraps it
 # under this module's name.

@@ -11,7 +11,7 @@ sensor tables keep the faster dense arithmetic.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy import sparse
@@ -186,38 +186,36 @@ def observation_likelihoods(model: TabularPomdp, belief: Belief, action: int) ->
     return np.asarray(predicted @ model.observation[action])
 
 
+def _row_sums(table) -> np.ndarray:
+    """Per-row sums as a 1-D array, whatever the table's storage."""
+    return np.asarray(table.sum(axis=1)).ravel()
+
+
 def validate(model: TabularPomdp, atol: float = _ATOL) -> list[str]:
     """Check stochasticity and shape constraints.
 
     Returns a list of human-readable violations, empty when the model is
-    well formed.  Each entry names the offending table and row.
+    well formed.  Each entry names the offending table and row.  Tables
+    are checked in their own storage, so a CSR table is never densified.
     """
     problems: list[str] = []
+
+    def stochastic(name: str, table, shape) -> bool:
+        if table.shape != shape:
+            problems.append(f"{name}: shape {table.shape}")
+            return False
+        negative = np.flatnonzero(_row_sums(table < -atol))
+        if negative.size:
+            problems.append(f"{name} row {int(negative[0])}: negative entry")
+        sums = _row_sums(table)
+        for x in np.flatnonzero(np.abs(sums - 1.0) > atol)[:5]:
+            problems.append(f"{name} row {int(x)}: sums to {sums[x]:.12g}")
+        return True
+
+    n = model.num_states
     for a in range(model.num_actions):
-        t = model.dense_transition(a)
-        if t.shape != (model.num_states, model.num_states):
-            problems.append(f"transition[{a}]: shape {t.shape}")
-            continue
-        if (t < -atol).any():
-            x = int(np.argwhere(t < -atol)[0][0])
-            problems.append(f"transition[{a}] row {x}: negative entry")
-        bad = np.flatnonzero(np.abs(t.sum(axis=1) - 1.0) > atol)
-        for x in bad[:5]:
-            problems.append(
-                f"transition[{a}] row {int(x)}: sums to {t[int(x)].sum():.12g}"
-            )
-        o = model.dense_observation(a)
-        if o.shape != (model.num_states, model.num_observations):
-            problems.append(f"observation[{a}]: shape {o.shape}")
-            continue
-        if (o < -atol).any():
-            x = int(np.argwhere(o < -atol)[0][0])
-            problems.append(f"observation[{a}] row {x}: negative entry")
-        bad = np.flatnonzero(np.abs(o.sum(axis=1) - 1.0) > atol)
-        for x in bad[:5]:
-            problems.append(
-                f"observation[{a}] row {int(x)}: sums to {o[int(x)].sum():.12g}"
-            )
+        if stochastic(f"transition[{a}]", model.transition[a], (n, n)):
+            stochastic(f"observation[{a}]", model.observation[a], (n, model.num_observations))
     b = model.initial_belief
     if (b < -atol).any() or abs(b.sum() - 1.0) > atol:
         problems.append(f"initial belief: sums to {b.sum():.12g} or has negatives")
@@ -273,12 +271,6 @@ class TabularMmdp:
     @property
     def num_joint_actions(self) -> int:
         return int(np.prod(self.agent_action_counts))
-
-    def joint_action_id(self, actions: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(actions), self.agent_action_counts))
-
-    def joint_action(self, ja: int) -> tuple:
-        return tuple(int(v) for v in np.unravel_index(ja, self.agent_action_counts))
 
     def dense_transition(self, ja: int) -> np.ndarray:
         return _as_dense(self.transition[ja])

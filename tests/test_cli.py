@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from adhocpo import solvers
-from adhocpo.cli import main
-from adhocpo.domains import parse_domain_spec
-from adhocpo.modelio import load_model
+from adhocpo.cli import _resolve_models, build_parser, main
+from adhocpo.domains import build, parse_domain_spec
+from adhocpo.modelio import dump_model, load_model
+from adhocpo.solvers import SolverSettings
 
 DESK_SPEC = """\
 # desk-scale instance for quick runs
@@ -134,6 +135,34 @@ def test_cli_run_rejects_unknown_agent(capsys, desk_spec):
 def test_cli_unknown_domain_is_an_error(capsys):
     assert main(["validate", "narnia"]) == 2
     assert "unknown domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["export", "overcooked", "--epsilon", "0.1"], "'epsilon'"),
+    (["validate", "power-plant", "--variant", "x"], "'variant'"),
+])
+def test_cli_override_the_domain_does_not_take_is_an_error(capsys, argv, key):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_resolve_models_reads_model_file_overrides(tmp_path):
+    path = tmp_path / "one.model"
+    dump_model(build("gridworld", size=3, tasks=1).models[0], path)
+    parser = build_parser()
+
+    def settings(*flags):
+        return _resolve_models(parser.parse_args(["solve", str(path), *flags]))[1]
+
+    assert settings() == SolverSettings(belief_set_size=500, horizon=50)
+    zeros = ["--beliefs", "0", "--horizon", "0", "--tolerance", "0", "--solver-seed", "0"]
+    assert settings(*zeros) == SolverSettings(belief_set_size=0, horizon=0, tolerance=0.0, seed=0)
+    assert settings("--tolerance", "0.5", "--solver-seed", "7") == SolverSettings(
+        belief_set_size=500, horizon=50, tolerance=0.5, seed=7
+    )
+    with pytest.raises(ValueError, match="a model file does not take 'epsilon'"):
+        settings("--epsilon", "0.1")
 
 
 def test_cli_scale_writes_table(tmp_path, capsys, desk_spec):

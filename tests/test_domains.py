@@ -17,6 +17,7 @@ from adhocpo.domains import overcooked as oc
 from adhocpo.domains import powerplant as pp
 from adhocpo.domains import pursuit as pu
 from adhocpo.pomdp import validate
+from adhocpo.solvers import SolverSettings
 
 
 def test_registry_lists_eleven_domains():
@@ -24,6 +25,17 @@ def test_registry_lists_eleven_domains():
     assert set(REGISTRY) == set(DOMAIN_NAMES)
     with pytest.raises(ValueError, match="unknown domain"):
         build("no-such-domain")
+    with pytest.raises(ValueError, match="domain 'gridworld' does not take 'flavour'"):
+        build("gridworld", size=3, flavour="salty")
+
+
+def test_build_names_and_solver_settings():
+    assert build("isr", map_name="test3x3", tasks=2).name == "test3x3"
+    assert build("pursuit-task", size=3, variant="both").name == "pursuit-both"
+    assert build("cit").solver == SolverSettings(belief_set_size=8000, horizon=85)
+    b = build("power-plant", horizon=20, belief_set_size=40, tolerance=0.0, solver_seed=3)
+    assert b.solver == SolverSettings(belief_set_size=40, horizon=20, tolerance=0.0, seed=3)
+    assert b.horizon == 20
 
 
 def test_gridworld_desk_build():
@@ -170,7 +182,6 @@ def test_overcooked_counts_and_validity():
         assert (m.num_states, m.num_actions, m.num_observations) == (1730, 4, 1730)
         assert all(map(sparse.issparse, m.transition + m.observation))
         assert validate(m) == []
-    assert b.epsilon == 0.0
 
 
 def test_overcooked_act_rules():
@@ -223,7 +234,7 @@ def test_map_loading_and_free_counts():
 
 
 def test_map_navigation_desk_build():
-    b = mapnav.build_map_navigation("test3x3", tasks=2, belief_set_size=100)
+    b = build("isr", map_name="test3x3", tasks=2, belief_set_size=100)
     grid = mapnav.load_map("test3x3")
     assert mapnav.canonical_tasks(grid)[0] == (0, 8)
     for m in b.models:
@@ -234,7 +245,7 @@ def test_map_navigation_desk_build():
 def test_map_navigation_swap_blocks():
     # Agent on cell 0, teammate on cell 1 walking toward goal 0: any
     # attempt to cross leaves the pair exactly where it was.
-    b = mapnav.build_map_navigation("test3x3", tasks=2, belief_set_size=100)
+    b = build("isr", map_name="test3x3", tasks=2, belief_set_size=100)
     m = b.models[0]  # goals (0, 8)
     x = 0 * 8 + (1 - 1)  # state_id(pa=0, pt=1)
     right = 3

