@@ -169,12 +169,21 @@ def takes(name: str, keyword: str) -> bool:
 
 
 def build(name: str, **overrides) -> DomainBuild:
-    """Build a registered domain with its defaults plus any overrides."""
+    """Build a registered domain with its defaults plus any overrides.
+
+    An `epsilon` outside [0, 1] or a `discount` outside [0, 1) is a
+    `ValueError`.
+    """
     spec = _spec(name)
     for keyword in overrides:
         if not takes(name, keyword):
             raise ValueError(f"domain {name!r} does not take {keyword!r}")
     kwargs = {"discount": DISCOUNT, **spec.defaults, **overrides}
+    epsilon, discount = kwargs.get("epsilon", 0.0), kwargs["discount"]
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    if not 0.0 <= discount < 1.0:
+        raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     solver = pop_solver_settings(kwargs)
     built = spec.builder(**kwargs)
     label, models = built if isinstance(built, tuple) else (name, built)

@@ -20,13 +20,6 @@ NUM_OBSERVATIONS = 3 ** 4
 BLANK_OBSERVATION = 0
 
 
-def observation_id(symbols) -> int:
-    z = 0
-    for s in symbols:
-        z = z * 3 + s
-    return z
-
-
 def sensor_symbols(cell, teammate_cell, passable) -> tuple:
     """True reading per direction.  `passable(r, c)` is False off-map or in
     a wall; the teammate is reported only in passable cells."""

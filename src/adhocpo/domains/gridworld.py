@@ -126,7 +126,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
                 sparse.coo_array(
                     (np.array(vals), (np.array(rows), np.array(cols))),
                     shape=(num_states, num_states),
-                ).tocsr()
+                )
             )
         models.append(
             TabularPomdp.from_tables(

@@ -181,12 +181,10 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
                             pa2, te2 = pa, pt
                         rows.append(x), cols.append(state_id(pa2, te2)), vals.append(p_move)
             rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
-            mat = sparse.coo_array(
+            per_action.append(sparse.coo_array(
                 (np.array(vals), (np.array(rows), np.array(cols))),
                 shape=(num_states, num_states),
-            ).tocsr()
-            mat.sum_duplicates()
-            per_action.append(mat)
+            ))
         g_cells = tuple(grid.free_cells[g] for g in goals)
         models.append(
             TabularPomdp.from_tables(

@@ -172,14 +172,13 @@ def _build_cook_model(name: str, discount: float) -> TabularPomdp:
         cols[a] += [ABSORBING, ABSORBING]
         vals[a] += [1.0, 1.0]
 
-    transition = []
-    for a in range(NUM_ACTIONS):
-        coo = sparse.coo_array(
+    transition = [
+        sparse.coo_array(
             (np.array(vals[a]), (np.array(rows[a]), np.array(cols[a]))),
             shape=(NUM_STATES, NUM_STATES),
         )
-        coo.sum_duplicates()
-        transition.append(coo.tocsr())
+        for a in range(NUM_ACTIONS)
+    ]
 
     identity = sparse.eye_array(NUM_STATES, format="csr")
     b0 = np.zeros(NUM_STATES)

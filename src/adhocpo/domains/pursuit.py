@@ -236,12 +236,10 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
                             )
                             rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
             rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
-            mat = sparse.coo_array(
+            per_action.append(sparse.coo_array(
                 (np.array(vals), (np.array(rows), np.array(cols))),
                 shape=(num_states, num_states),
-            ).tocsr()
-            mat.sum_duplicates()
-            per_action.append(mat)
+            ))
         models.append(
             TabularPomdp.from_tables(
                 per_action,

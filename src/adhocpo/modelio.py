@@ -24,32 +24,13 @@ import hashlib
 import numpy as np
 from scipy import sparse
 
-from adhocpo.pomdp import TabularPomdp
+from adhocpo.pomdp import TabularPomdp, entries, entry_count
 
 FORMAT_TAG = "adhocpo-model v1"
 
 
 class ModelFormatError(ValueError):
     """Raised on malformed model files; message carries the line number."""
-
-
-def _entries(table):
-    """Stored entries of one table in row-major order: (rows, cols, values).
-
-    CSR tables keep every stored entry, explicit zeros included; dense
-    tables keep their nonzeros.  The sort is stable, so duplicates keep
-    their stored order.
-    """
-    if sparse.issparse(table):
-        coo = table.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
-    rows, cols = np.nonzero(table)
-    return rows, cols, np.asarray(table)[rows, cols]
-
-
-def _entry_count(table) -> int:
-    return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
 
 
 def _lines(prefix: str, rows, cols, values) -> str:
@@ -83,11 +64,11 @@ def _model_chunks(model: TabularPomdp):
         f"discount {float(model.discount)!r}\n"
     )
     for key, tables in (("T", model.transition), ("O", model.observation)):
-        yield f"{key} {sum(_entry_count(t) for t in tables)}\n"
+        yield f"{key} {sum(entry_count(t) for t in tables)}\n"
         for a, table in enumerate(tables):
-            yield _lines(f"{a} ", *_entries(table))
-    yield f"R {_entry_count(model.reward)}\n"
-    yield _lines("", *_entries(model.reward))
+            yield _lines(f"{a} ", *entries(table))
+    yield f"R {entry_count(model.reward)}\n"
+    yield _lines("", *entries(model.reward))
     b_idx = np.flatnonzero(model.initial_belief)
     yield f"b0 {len(b_idx)}\n"
     yield _lines("", b_idx, None, model.initial_belief[b_idx])
@@ -184,13 +165,9 @@ def loads_model(text: str) -> TabularPomdp:
         for a, i, j, p in rows:
             per_action[a].append((i, j, p))
         tables = []
-        for entries in per_action:
-            if entries:
-                ii, jj, vv = zip(*entries)
-            else:
-                ii, jj, vv = (), (), ()
-            m = sparse.coo_array((vv, (ii, jj)), shape=(n, cols)).tocsr()
-            tables.append(m)
+        for triples in per_action:
+            ii, jj, vv = zip(*triples) if triples else ((), (), ())
+            tables.append(sparse.coo_array((vv, (ii, jj)), shape=(n, cols)))
         return tables
 
     reward = np.zeros((n, num_actions))

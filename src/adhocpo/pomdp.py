@@ -1,17 +1,18 @@
 """Tabular partially observable models and exact belief filtering.
 
 Models are finite and explicit: per-action transition matrices, per-action
-observation matrices, and a state-action reward table.  Each per-action
-table picks its own storage from its structure: scipy CSR when it has more
-than 512 rows and fewer than half of its entries are nonzero, a dense array
-otherwise.  That keeps the sparse transitions of the larger benchmark
+observation matrices, and a state-action reward table.  Builders and model
+files hand tables in any form (dense arrays, scipy COO or CSR), and this
+module alone decides how each is stored: a scipy `csr_array` when it has
+more than 512 rows and fewer than half of its entries are nonzero, a dense
+array otherwise.  That keeps the sparse transitions of the larger benchmark
 domains (thousands of states) affordable, while small tables and dense
-sensor tables keep the faster dense arithmetic.
+sensor tables keep the faster dense arithmetic.  Both forms take the same
+`@`, `*` and `.sum(axis=...)`, so the solvers need no storage branch.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
 
 import numpy as np
 from scipy import sparse
@@ -19,7 +20,7 @@ from scipy import sparse
 # A belief is a 1-D probability vector over states.
 Belief = np.ndarray
 
-Table = Union[np.ndarray, sparse.csr_matrix, sparse.csr_array]
+Table = np.ndarray | sparse.csr_array
 
 # A table is stored as CSR only when it has more than this many rows and
 # fewer than half of its entries are nonzero.
@@ -50,10 +51,12 @@ def _as_dense(m: Table) -> np.ndarray:
 def _stored(table, shape) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    A dense input that stays dense is not copied.
+    Every sparse input becomes a `csr_array`, its duplicate entries summed;
+    a `csr_matrix` never survives, since its `*` is a matrix product.  A
+    dense input that stays dense is not copied.
     """
     if sparse.issparse(table):
-        table = table.tocsr()
+        table = sparse.csr_array(table)
         nonzeros = table.count_nonzero()
     else:
         table = np.asarray(table, dtype=float)
@@ -64,6 +67,26 @@ def _stored(table, shape) -> Table:
     if rows > _CSR_MIN_ROWS and 2 * nonzeros < rows * cols:
         return table if sparse.issparse(table) else sparse.csr_array(table)
     return _as_dense(table)
+
+
+def entries(table: Table):
+    """Stored entries of one table in row-major order: (rows, cols, values).
+
+    CSR tables keep every stored entry, explicit zeros included; dense
+    tables keep their nonzeros.  The sort is stable, so duplicates keep
+    their stored order.
+    """
+    if sparse.issparse(table):
+        coo = table.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        return coo.row[order], coo.col[order], coo.data[order]
+    rows, cols = np.nonzero(table)
+    return rows, cols, np.asarray(table)[rows, cols]
+
+
+def entry_count(table: Table) -> int:
+    """Number of entries that `entries` yields, without listing them."""
+    return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
 
 
 def _stored_each(tables, shape) -> list:
@@ -120,9 +143,10 @@ class TabularPomdp:
         initial_belief,
         label: str = "",
     ) -> "TabularPomdp":
-        """Build a model from per-action tables (stacked arrays or lists).
+        """Build a model from per-action tables in any form.
 
-        Each table is stored dense or CSR by its own structure.
+        A table may be dense or any scipy sparse form; COO duplicates are
+        summed.  Each table is stored dense or CSR by its own structure.
         """
         transition = list(transition)
         observation = list(observation)

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from adhocpo.modelio import model_digest
 from adhocpo.pomdp import (
@@ -201,11 +200,7 @@ def _successor_scores(model: TabularPomdp, vectors: np.ndarray, belief: Belief, 
         o = o[idx]
         u = u[idx]
         vectors = vectors[:, idx]
-    if sparse.issparse(o):
-        w = o.multiply(u[:, None]).tocsr()
-    else:
-        w = u[:, None] * o
-    return np.asarray(vectors @ w)
+    return np.asarray(vectors @ (u[:, None] * o))
 
 
 def _lookahead(model: TabularPomdp, vectors: np.ndarray, belief: Belief) -> tuple[np.ndarray, list]:
@@ -254,6 +249,8 @@ def collect_beliefs(
     at `size` beliefs or after stagnation_limit episodes in a row add
     nothing (small or deterministic models saturate early).
     """
+    if size < 1:
+        raise ValueError(f"belief set size must be at least 1, got {size}")
     out = np.empty((size, model.num_states))
     out[0] = model.initial_belief
     count = 1
@@ -291,12 +288,8 @@ def point_backup(
     """
     q, scores = _lookahead(model, vectors, belief)
     a = int(q.argmax())
-    o = model.observation[a]
     picked = vectors[scores[a].argmax(axis=0)]  # (|Z|, |X|)
-    if sparse.issparse(o):
-        back = np.asarray(o.multiply(picked.T).sum(axis=1)).ravel()
-    else:
-        back = (o * picked.T).sum(axis=1)
+    back = np.asarray((model.observation[a] * picked.T).sum(axis=1)).ravel()
     alpha = model.reward[:, a] + model.discount * np.asarray(model.transition[a] @ back)
     return alpha, a
 

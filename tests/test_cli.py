@@ -6,7 +6,7 @@ import pytest
 
 from adhocpo import solvers
 from adhocpo.cli import _resolve_models, build_parser, main
-from adhocpo.domains import build, parse_domain_spec
+from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
 from adhocpo.solvers import SolverSettings
 
@@ -145,6 +145,19 @@ def test_cli_override_the_domain_does_not_take_is_an_error(capsys, argv, key):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("name", [name for name in DOMAIN_NAMES if takes(name, "epsilon")])
+def test_cli_noise_rate_outside_the_unit_interval_is_an_error(capsys, name):
+    for value in (1.5, -0.1):
+        assert main(["validate", name, "--epsilon", str(value)]) == 2
+        assert capsys.readouterr().err == f"error: epsilon must lie in [0, 1], got {value}\n"
+
+
+def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
+    argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--beliefs", "0"]
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
 
 
 def test_resolve_models_reads_model_file_overrides(tmp_path):

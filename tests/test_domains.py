@@ -38,6 +38,16 @@ def test_build_names_and_solver_settings():
     assert b.horizon == 20
 
 
+def test_build_bounds_noise_rate_and_discount():
+    for value in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {value}"):
+            build("overcooked", discount=value)
+    # The closed ends of both ranges build valid models.
+    for epsilon, discount in ((0.0, 0.0), (1.0, 0.99)):
+        b = build("gridworld", size=3, tasks=1, epsilon=epsilon, discount=discount)
+        assert validate(b.models[0]) == []
+
+
 def test_gridworld_desk_build():
     b = build("gridworld", size=4, tasks=4, belief_set_size=100)
     assert b.size == 4

@@ -105,6 +105,32 @@ def test_dense_and_sparse_storage_agree(rng):
             assert np.allclose(dense.observation_row(x, 0), sparse_model.observation_row(x, 0))
 
 
+def test_from_tables_stores_only_dense_arrays_and_csr_arrays(rng):
+    # Whatever form a table is handed in, it is stored as an ndarray or a
+    # csr_array; a csr_matrix would make `*` a matrix product.
+    n = 600
+    big = random_stochastic(rng, n, n, zeros=0.995)
+    small = random_stochastic(rng, n, 4)
+    # A COO table with every entry split in two: duplicates are summed.
+    rows, cols = np.nonzero(big)
+    halves = sparse.coo_array(
+        (np.tile(big[rows, cols] / 2, 2), (np.tile(rows, 2), np.tile(cols, 2))), shape=(n, n)
+    )
+    forms = [big, sparse.csr_matrix(big), sparse.coo_matrix(big), sparse.coo_array(big), halves]
+    model = TabularPomdp.from_tables(
+        forms,
+        [small, sparse.csr_matrix(small), sparse.coo_array(small), small, small],
+        np.zeros((n, 5)),
+        0.9,
+        np.full(n, 1.0 / n),
+    )
+    assert [type(t) for t in model.transition] == [sparse.csr_array] * 5
+    assert [type(o) for o in model.observation] == [np.ndarray] * 5
+    for a in range(5):
+        assert np.array_equal(model.dense_transition(a), big)
+        assert np.array_equal(model.dense_observation(a), small)
+
+
 def test_each_table_picks_its_own_storage(rng):
     # 600 rows: a transition table with about 3 nonzeros per row is CSR; a
     # fully nonzero observation table stays dense and shared across actions.

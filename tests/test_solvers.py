@@ -285,6 +285,30 @@ def test_perseus_sparse_dense_storage_agree(rng):
     )
 
 
+def test_csr_matrix_tables_solve_like_csr_arrays(rng):
+    # 600 states, so both tables of each action are stored as CSR.
+    n = 600
+    transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
+    observation = [random_stochastic(rng, n, 5, zeros=0.8) for _ in range(2)]
+    reward = rng.uniform(-1.0, 1.0, size=(n, 2))
+
+    def model(form):
+        return TabularPomdp.from_tables(
+            [form(t) for t in transition],
+            [form(o) for o in observation],
+            reward,
+            0.9,
+            np.full(n, 1.0 / n),
+        )
+
+    from_matrix, from_array = model(sparse.csr_matrix), model(sparse.csr_array)
+    assert all(type(t) is sparse.csr_array for t in from_matrix.transition + from_matrix.observation)
+    s = SolverSettings(belief_set_size=30, horizon=5, tolerance=0.1, seed=4)
+    pm, pa = perseus_solve(from_matrix, s), perseus_solve(from_array, s)
+    assert np.array_equal(pm.vectors, pa.vectors)
+    assert np.array_equal(pm.actions, pa.actions)
+
+
 def test_point_backup_improves_value(rng):
     model = random_pomdp(rng, num_states=4, num_actions=3, num_observations=3, discount=0.9)
     floor = model.reward.min() / (1 - model.discount)
