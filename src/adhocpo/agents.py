@@ -135,6 +135,8 @@ class AtpoAgent(Agent):
     name = "atpo"
 
     def __init__(self, library: ModelLibrary, greedy: bool = False, likelihood_floor: float = 0.0):
+        if not (np.isfinite(likelihood_floor) and likelihood_floor >= 0.0):
+            raise ValueError(f"likelihood floor must be finite and non-negative, got {likelihood_floor}")
         super().__init__(library)
         self.greedy = greedy
         self.likelihood_floor = likelihood_floor

@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     names = []
     for name in requested:
         try:
-            make_agent(name, library)
+            make_agent(name, library, greedy=args.greedy, likelihood_floor=args.likelihood_floor)
             names.append(name)
         except CapabilityError as err:
             if args.agent == "all":

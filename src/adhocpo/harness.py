@@ -198,6 +198,8 @@ def run_experiment(
     progress: Progress = None,
 ) -> ExperimentResult:
     """Same seed block for every agent, sequential trials."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial per agent, got {trials}")
     agents = {}
     for name in agent_names:
         agent = make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)

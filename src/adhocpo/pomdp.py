@@ -9,6 +9,11 @@ array otherwise.  That keeps the sparse transitions of the larger benchmark
 domains (thousands of states) affordable, while small tables and dense
 sensor tables keep the faster dense arithmetic.  Both forms take the same
 `@`, `*` and `.sum(axis=...)`, so the solvers need no storage branch.
+
+Each CSR table also keeps its transpose, built once when the model is
+made, so that belief propagation and column reads run as plain CSR
+products and row slices instead of building a scipy object per call.
+Stored tables are therefore read-only after construction.
 """
 from __future__ import annotations
 
@@ -46,6 +51,18 @@ def _as_dense(m: Table) -> np.ndarray:
     if sparse.issparse(m):
         return np.asarray(m.todense())
     return np.asarray(m)
+
+
+def _row(table: Table, x: int) -> np.ndarray:
+    """Row x of a table as a new dense array.
+
+    A CSR row is summed into zeros in stored order, as `toarray` does, so
+    its floats equal those of scipy's own row read.
+    """
+    if not sparse.issparse(table):
+        return table[x].copy()
+    lo, hi = table.indptr[x], table.indptr[x + 1]
+    return np.bincount(table.indices[lo:hi], weights=table.data[lo:hi], minlength=table.shape[1])
 
 
 def _stored(table, shape) -> Table:
@@ -89,17 +106,21 @@ def entry_count(table: Table) -> int:
     return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
 
 
-def _stored_each(tables, shape) -> list:
-    """Every per-action table in its storage form, each distinct input converted once.
+def _once_each(convert, tables) -> list:
+    """convert(table) for every per-action table, each distinct object converted once.
 
-    An input object shared across actions yields one shared stored table,
-    whichever form it takes.
+    An input object shared across actions yields one shared result.
     """
-    stored: dict = {}
+    done: dict = {}
     for table in tables:
-        if id(table) not in stored:
-            stored[id(table)] = _stored(table, shape)
-    return [stored[id(table)] for table in tables]
+        if id(table) not in done:
+            done[id(table)] = convert(table)
+    return [done[id(table)] for table in tables]
+
+
+def _transpose(table: Table):
+    """A CSR table's transpose as a csr_array; None for a dense table."""
+    return sparse.csr_array(table.T) if sparse.issparse(table) else None
 
 
 @dataclasses.dataclass
@@ -109,6 +130,11 @@ class TabularPomdp:
     transition[a] is |X| x |X| (row-stochastic), observation[a] is |X| x |Z|
     where entry (x', z) is the probability of observing z when landing in x'
     after action a, and reward is |X| x |A|.
+
+    Stored tables are read-only after construction: each CSR table keeps
+    a transpose built in `__post_init__` (one per distinct table object),
+    which a table changed in place would leave stale.  To change a table,
+    make a new model, e.g. with `dataclasses.replace`.
     """
 
     num_states: int
@@ -120,6 +146,9 @@ class TabularPomdp:
     discount: float
     initial_belief: np.ndarray
     label: str = ""
+    # Per action, _transpose of the table: derived, so not part of the value.
+    _transition_t: list = dataclasses.field(init=False, repr=False, compare=False)
+    _observation_t: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.reward = np.asarray(self.reward, dtype=float)
@@ -132,6 +161,8 @@ class TabularPomdp:
             raise ValueError(f"reward table has shape {self.reward.shape}")
         if self.initial_belief.shape != (self.num_states,):
             raise ValueError("initial belief length mismatch")
+        self._transition_t = _once_each(_transpose, self.transition)
+        self._observation_t = _once_each(_transpose, self.observation)
 
     @classmethod
     def from_tables(
@@ -156,8 +187,8 @@ class TabularPomdp:
             num_states=num_states,
             num_actions=len(transition),
             num_observations=num_observations,
-            transition=_stored_each(transition, (num_states, num_states)),
-            observation=_stored_each(observation, (num_states, num_observations)),
+            transition=_once_each(lambda t: _stored(t, (num_states, num_states)), transition),
+            observation=_once_each(lambda o: _stored(o, (num_states, num_observations)), observation),
             reward=np.asarray(reward, dtype=float),
             discount=float(discount),
             initial_belief=np.asarray(initial_belief, dtype=float),
@@ -167,17 +198,26 @@ class TabularPomdp:
     # -- Row access helpers (work for dense and CSR storage alike) --
 
     def transition_row(self, x: int, a: int) -> np.ndarray:
-        return _as_dense(self.transition[a][[x], :])[0]
+        return _row(self.transition[a], x)
 
     def observation_row(self, x: int, a: int) -> np.ndarray:
-        return _as_dense(self.observation[a][[x], :])[0]
+        return _row(self.observation[a], x)
 
     def observation_column(self, a: int, z: int) -> np.ndarray:
-        return _as_dense(self.observation[a][:, [z]])[:, 0]
+        if self._observation_t[a] is None:
+            return self.observation[a][:, z].copy()
+        return _row(self._observation_t[a], z)
 
     def propagate(self, belief: Belief, a: int) -> np.ndarray:
-        """Predictive state distribution after action a: belief @ T[a]."""
-        return np.asarray(belief @ self.transition[a])
+        """Predictive state distribution after action a: belief @ T[a].
+
+        On a CSR table this is T[a]^T @ belief, which adds the same
+        products in the same ascending-state order as scipy's
+        `belief @ T[a]`, so the result is bit-identical.
+        """
+        if self._transition_t[a] is None:
+            return np.asarray(belief @ self.transition[a])
+        return self._transition_t[a] @ belief
 
     def dense_transition(self, a: int) -> np.ndarray:
         return _as_dense(self.transition[a])

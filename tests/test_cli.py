@@ -160,6 +160,27 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
     assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
 
 
+def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
+    tmp_path, capsys, desk_spec
+):
+    # Each case fails after the library is solved, so one cache serves all.
+    common = [str(desk_spec), "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]
+    trials = "error: need at least one trial per agent, got {}\n"
+    floor = "error: likelihood floor must be finite and non-negative, got {}\n"
+    cases = [
+        (["run", "--trials", "0"], trials.format(0)),
+        (["run", "--trials", "-2"], trials.format(-2)),
+        (["scale", "--sizes", "1", "--trials", "0"], trials.format(0)),
+        (["run", "--agent", "atpo", "--likelihood-floor", "-1"], floor.format(-1.0)),
+        (["run", "--agent", "atpo", "--likelihood-floor", "nan"], floor.format(float("nan"))),
+        (["run", "--agent", "atpo", "--likelihood-floor", "inf"], floor.format(float("inf"))),
+    ]
+    for (command, *flags), message in cases:
+        assert main([command, *common, *flags]) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_resolve_models_reads_model_file_overrides(tmp_path):
     path = tmp_path / "one.model"
     dump_model(build("gridworld", size=3, tasks=1).models[0], path)

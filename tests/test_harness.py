@@ -1,11 +1,14 @@
 """Trial reproducibility, experiment summaries, report files and the library solve."""
 import ctypes
+import dataclasses
+import hashlib
 import json
 import os
 import threading
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adhocpo import agents, atpo, solvers
 from adhocpo.agents import make_agent
@@ -98,6 +101,22 @@ def test_seeded_trajectories_are_pinned(small_library):
             for t in res.agents[name].trials
         ]
         assert got == expected, name
+
+
+def test_seeded_trial_on_csr_tables_is_pinned():
+    # At size 5 the grid has 626 states and CSR transitions, so the trial
+    # runs the CSR kernels: propagate, row and column reads.  Recorded
+    # before those kernels kept transposes; any rounding drift shows here.
+    domain = build("gridworld", size=5, tasks=2)
+    assert all(map(sparse.issparse, domain.models[0].transition))
+    settings = dataclasses.replace(domain.solver, belief_set_size=50, stage_cap=5)
+    lib = atpo.ModelLibrary(domain.models, [solvers.perseus_solve(m, settings) for m in domain.models])
+    t = run_trial(lib, make_agent("atpo", lib), horizon=30, seed=0)
+    digest = hashlib.sha256()
+    digest.update(np.asarray(t.actions, dtype=np.int64).tobytes())
+    digest.update(np.asarray(t.observations, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(t.posterior_history, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == "91665b417cfd39d29917e685278cf4750e936cdc9428cc3b39e3371419365611"
 
 
 def test_atpo_trial_computes_each_greedy_action_once(small_library, monkeypatch):

@@ -164,6 +164,41 @@ def test_each_table_picks_its_own_storage(rng):
     assert model.observation[0] is half
 
 
+def test_csr_kernels_match_scipy_bit_for_bit(rng):
+    # On CSR tables propagate and the row and column reads go through each
+    # table's stored transpose; their floats must equal scipy's own
+    # products and slices exactly.
+    n, nz = 600, 5
+    shared, other = (random_stochastic(rng, n, n, zeros=0.99) for _ in range(2))
+    obs = random_stochastic(rng, n, nz, zeros=0.8)
+    model = TabularPomdp.from_tables(
+        [shared, shared, other], [obs] * 3, np.zeros((n, 3)), 0.9, np.full(n, 1.0 / n)
+    )
+    assert all(map(sparse.issparse, model.transition + model.observation))
+    # One transpose per distinct table object.
+    assert model._transition_t[0] is model._transition_t[1]
+    assert model._transition_t[2] is not model._transition_t[0]
+    assert all(t is model._observation_t[0] for t in model._observation_t)
+
+    beliefs = rng.random((20, n)) * (rng.random((20, n)) < 0.3)
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    for a in range(3):
+        T, O = model.transition[a], model.observation[a]
+        for b in beliefs:
+            assert np.array_equal(model.propagate(b, a), b @ T)
+        for x in range(0, n, 7):
+            assert np.array_equal(model.transition_row(x, a), T[[x], :].toarray()[0])
+            assert np.array_equal(model.observation_row(x, a), O[[x], :].toarray()[0])
+        for z in range(nz):
+            assert np.array_equal(model.observation_column(a, z), O[:, [z]].toarray()[:, 0])
+
+    # Replacing the tables rebuilds the transposes, so none goes stale.
+    swapped = dataclasses.replace(model, transition=model.transition[::-1])
+    for a in range(3):
+        for b in beliefs:
+            assert np.array_equal(swapped.propagate(b, a), b @ model.transition[2 - a])
+
+
 def test_simulate_step_frequencies():
     rng = np.random.default_rng(99)
     model = random_pomdp(rng, num_states=3, num_actions=2, num_observations=3)
