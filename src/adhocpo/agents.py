@@ -123,6 +123,12 @@ class InformedPerseusAgent(Agent):
         self._belief, _ = belief_update(self._model, self._belief, action, observation)
 
 
+def check_likelihood_floor(likelihood_floor: float) -> None:
+    """Raise ValueError unless the floor is finite and non-negative."""
+    if not (np.isfinite(likelihood_floor) and likelihood_floor >= 0.0):
+        raise ValueError(f"likelihood floor must be finite and non-negative, got {likelihood_floor}")
+
+
 class AtpoAgent(Agent):
     """Posterior mixture over the library's per-model greedy actions.
 
@@ -135,8 +141,7 @@ class AtpoAgent(Agent):
     name = "atpo"
 
     def __init__(self, library: ModelLibrary, greedy: bool = False, likelihood_floor: float = 0.0):
-        if not (np.isfinite(likelihood_floor) and likelihood_floor >= 0.0):
-            raise ValueError(f"likelihood floor must be finite and non-negative, got {likelihood_floor}")
+        check_likelihood_floor(likelihood_floor)
         super().__init__(library)
         self.greedy = greedy
         self.likelihood_floor = likelihood_floor

@@ -21,9 +21,10 @@ import sys
 from pathlib import Path
 
 from adhocpo import domains
-from adhocpo.agents import AGENT_NAMES, CapabilityError, make_agent
+from adhocpo.agents import AGENT_NAMES, CapabilityError, check_likelihood_floor, make_agent
 from adhocpo.domains import DOMAIN_NAMES, DomainBuild
 from adhocpo.harness import (
+    check_trials,
     emit_reports,
     prepare_library,
     run_experiment,
@@ -112,6 +113,10 @@ def cmd_run(args) -> int:
         if name not in AGENT_NAMES:
             print(f"unknown agent {name!r}; choices: {', '.join(AGENT_NAMES)}", file=sys.stderr)
             return 2
+    # Refuse bad values before the library is solved, not after.
+    check_trials(args.trials)
+    if "atpo" in requested:
+        check_likelihood_floor(args.likelihood_floor)
 
     cache = _cache(args)
     library = prepare_library(build, cache=cache, progress=print)
@@ -154,6 +159,7 @@ def cmd_scale(args) -> int:
     if not domains.takes(name, "tasks"):
         print(f"domain {args.domain!r} has no task-library size to sweep", file=sys.stderr)
         return 2
+    check_trials(args.trials)
     build = domains.build(name, **{**overrides, "tasks": max(sizes)})
 
     cache = _cache(args)

@@ -186,6 +186,12 @@ def library_manifest(library: ModelLibrary) -> dict:
     return {"models": models, "solver_settings": sorted(settings)}
 
 
+def check_trials(trials: int) -> None:
+    """Raise ValueError unless there is at least one trial per agent."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial per agent, got {trials}")
+
+
 def run_experiment(
     library: ModelLibrary,
     agent_names,
@@ -198,8 +204,7 @@ def run_experiment(
     progress: Progress = None,
 ) -> ExperimentResult:
     """Same seed block for every agent, sequential trials."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial per agent, got {trials}")
+    check_trials(trials)
     agents = {}
     for name in agent_names:
         agent = make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)

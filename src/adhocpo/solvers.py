@@ -8,9 +8,18 @@ skipping any belief already improved by a vector added earlier in the
 stage.  Keeping the best previous vector whenever a backup fails to improve
 a point makes the stage values monotone.  The cache misses of a library are
 solved in parallel, one forked worker per usable CPU (solve_many).
+
+The belief set is fixed for the whole solve, and so is everything a backup
+derives from a belief alone: per action, the reward term <b, R[:, a]>, the
+support of the propagated belief b T[a] and its values there.  A solve
+computes these once per belief, when it starts, and every stage reuses
+them.  They are the very arrays a backup would compute for itself, so
+the policy is the same, float for float, as one whose backups recompute
+them on every call.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import ctypes
 import dataclasses
@@ -185,43 +194,75 @@ def policy_action(policy: AlphaVectorPolicy, belief: Belief) -> int:
     return int(policy.actions[scores == best].min())
 
 
-def _successor_scores(model: TabularPomdp, vectors: np.ndarray, belief: Belief, a: int) -> np.ndarray:
+def _successors(model: TabularPomdp, belief: Belief) -> list:
+    """Per action a, what a backup of the belief needs apart from the alpha vectors.
+
+    Entry a is (<b, R[:, a]>, support, weights): support holds the states
+    where the propagated belief u = b T[a] is nonzero, or is None when that
+    is every state, and weights is u on the support.  Nothing here depends
+    on the alpha vectors, so a solve builds it once per belief and reuses
+    it at every stage.  It holds about 16 bytes per support state and
+    action (the desk grid's 1500 beliefs add about 5 MB to a solve); the
+    support rows of the observation table are gathered per backup
+    instead, which keeps it small.
+    """
+    successors = []
+    for a in range(model.num_actions):
+        u = model.propagate(belief, a)
+        idx = np.flatnonzero(u)
+        reward = float(belief @ model.reward[:, a])
+        if len(idx) < model.num_states:
+            successors.append((reward, idx, u[idx]))
+        else:
+            successors.append((reward, None, u))
+    return successors
+
+
+def _successor_scores(
+    model: TabularPomdp, vectors: np.ndarray, support: Optional[np.ndarray], weights: np.ndarray, a: int
+) -> np.ndarray:
     """Alpha scores of every unnormalised successor belief, shape (n, |Z|).
 
     Entry (i, z) is <alpha_i, u * O[a][:, z]> with u the propagated belief.
     States outside the support of u contribute exactly zero, so the
     contraction runs on the support only; that keeps the cost proportional
-    to how spread out the belief actually is.
+    to how spread out the belief actually is.  The support (None for every
+    state) and the weights u on it come from _successors: the arrays a
+    fresh propagation would give, so the scores are the same floats.
     """
-    u = model.propagate(belief, a)
     o = model.observation[a]
-    idx = np.flatnonzero(u)
-    if len(idx) < model.num_states:
-        o = o[idx]
-        u = u[idx]
-        vectors = vectors[:, idx]
-    return np.asarray(vectors @ (u[:, None] * o))
+    if support is not None:
+        o = o[support]
+        vectors = vectors[:, support]
+    return np.asarray(vectors @ (weights[:, None] * o))
 
 
-def _lookahead(model: TabularPomdp, vectors: np.ndarray, belief: Belief) -> tuple[np.ndarray, list]:
-    """One-step lookahead q(b, a) for every action, with each action's scores.
+def _lookahead(
+    model: TabularPomdp, vectors: np.ndarray, successors: list
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """One-step lookahead q(b, a) for every action, with the best action's scores.
 
-    scores[a] is the (n, |Z|) successor score matrix of action a.
+    successors is _successors(model, b).  Returns q, the first action of
+    maximal q, and that action's (n, |Z|) successor score matrix.
     Observations with zero likelihood contribute zero: their unnormalised
     successor is the zero vector, whose best alpha score is exactly 0.
+    Only the best action's scores are kept: holding every action's at once
+    made the allocator return and re-fault the heap at each backup of a
+    large vector set (millions of page faults per desk solve).
     """
     q = np.empty(model.num_actions)
-    scores = []
-    for a in range(model.num_actions):
-        s = _successor_scores(model, vectors, belief, a)
-        q[a] = float(belief @ model.reward[:, a]) + model.discount * float(s.max(axis=0).sum())
-        scores.append(s)
-    return q, scores
+    best = 0
+    for a, (reward, support, weights) in enumerate(successors):
+        s = _successor_scores(model, vectors, support, weights, a)
+        q[a] = reward + model.discount * float(s.max(axis=0).sum())
+        if a == 0 or q[a] > q[best]:
+            best, best_scores = a, s
+    return q, best, best_scores
 
 
 def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
     """One-step lookahead q(b, a) for every action under the policy's value."""
-    return _lookahead(model, policy.vectors, belief)[0]
+    return _lookahead(model, policy.vectors, _successors(model, belief))[0]
 
 
 def loss_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
@@ -248,12 +289,25 @@ def collect_beliefs(
     distance to every collected belief exceeds dedup_atol.  Collection stops
     at `size` beliefs or after stagnation_limit episodes in a row add
     nothing (small or deterministic models saturate early).
+
+    The distance test is indexed.  Collected beliefs are kept sorted by the
+    key k(b) = b . w, with w a fixed vector in [0, 1)^X drawn from a
+    generator of its own, so `rng` draws exactly what a plain scan would.
+    Since |k(b) - k(c)| <= L1(b, c), a belief within dedup_atol of b has a
+    key within dedup_atol of b's.  The window widens that by 1e-12 and by
+    the rounding of two keys (each within X machine epsilons of exact), and
+    only the beliefs inside it get the exact L1 test.  The result is the set a test against every
+    collected belief gives.
     """
     if size < 1:
         raise ValueError(f"belief set size must be at least 1, got {size}")
     out = np.empty((size, model.num_states))
     out[0] = model.initial_belief
     count = 1
+    weights = np.random.default_rng(0).random(model.num_states)
+    keys = [float(out[0] @ weights)]  # ascending
+    rows = [0]  # row of `out` holding each key's belief
+    window = dedup_atol + _EPS + 2 * model.num_states * np.finfo(float).eps
     stagnant = 0
     while count < size and stagnant < stagnation_limit:
         added = 0
@@ -266,7 +320,12 @@ def collect_beliefs(
                 b, _ = belief_update(model, b, a, z)
             except ZeroLikelihood:  # pragma: no cover - simulating the same model
                 break
-            if np.abs(out[:count] - b).sum(axis=1).min() > dedup_atol:
+            key = float(b @ weights)
+            near = rows[bisect.bisect_left(keys, key - window):bisect.bisect_right(keys, key + window)]
+            if not near or np.abs(out[near] - b).sum(axis=1).min() > dedup_atol:
+                at = bisect.bisect_right(keys, key)
+                keys.insert(at, key)
+                rows.insert(at, count)
                 out[count] = b
                 count += 1
                 added += 1
@@ -277,18 +336,25 @@ def collect_beliefs(
 
 
 def point_backup(
-    model: TabularPomdp, belief: Belief, vectors: np.ndarray
+    model: TabularPomdp,
+    belief: Belief,
+    vectors: np.ndarray,
+    successors: Optional[list] = None,
 ) -> tuple[np.ndarray, int]:
     """Back up one belief against the current vector set.
 
     Returns the new alpha vector and its action, the first action of
     maximal lookahead q.  Scores are computed on unnormalised successor
     beliefs, so zero-likelihood observations drop out without special
-    casing.
+    casing.  successors is _successors(model, belief), built here when not
+    given; a solve passes the one it built for the belief when it started,
+    so no backup propagates the belief again.  Those are the arrays this
+    call would build, so the result is the same either way.
     """
-    q, scores = _lookahead(model, vectors, belief)
-    a = int(q.argmax())
-    picked = vectors[scores[a].argmax(axis=0)]  # (|Z|, |X|)
+    if successors is None:
+        successors = _successors(model, belief)
+    _, a, scores = _lookahead(model, vectors, successors)
+    picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
     back = np.asarray((model.observation[a] * picked.T).sum(axis=1)).ravel()
     alpha = model.reward[:, a] + model.discount * np.asarray(model.transition[a] @ back)
     return alpha, a
@@ -309,6 +375,9 @@ def perseus_solve(
     if beliefs is None:
         beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, rng)
     m = len(beliefs)
+    # The belief set is fixed for the whole solve, so each belief's
+    # successor inputs are built once here, not at every backup.
+    successors = [_successors(model, b) for b in beliefs]
     floor = float(model.reward.min()) / (1.0 - model.discount)
     vectors = np.full((1, model.num_states), floor)
     actions = np.zeros(1, dtype=int)
@@ -325,7 +394,7 @@ def perseus_solve(
         for i in rng.permutation(m):
             if values[i] >= prev_values[i] - _EPS:
                 continue
-            alpha, act = point_backup(model, beliefs[i], vectors)
+            alpha, act = point_backup(model, beliefs[i], vectors, successors[i])
             if float(alpha @ beliefs[i]) >= prev_values[i] - _EPS:
                 new_vectors.append(alpha)
                 new_actions.append(act)

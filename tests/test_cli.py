@@ -163,7 +163,8 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
 def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
     tmp_path, capsys, desk_spec
 ):
-    # Each case fails after the library is solved, so one cache serves all.
+    # Each case fails before the library is solved: no policy is solved,
+    # fetched or stored.
     common = [str(desk_spec), "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]
     trials = "error: need at least one trial per agent, got {}\n"
     floor = "error: likelihood floor must be finite and non-negative, got {}\n"
@@ -177,8 +178,11 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
     ]
     for (command, *flags), message in cases:
         assert main([command, *common, *flags]) == 2
-        assert capsys.readouterr().err == message
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert "policy for" not in captured.out
     assert not (tmp_path / "out").exists()
+    assert not list((tmp_path / "cache").glob("*.policy"))
 
 
 def test_resolve_models_reads_model_file_overrides(tmp_path):

@@ -14,7 +14,15 @@ import pytest
 from scipy import sparse
 
 from adhocpo import solvers
-from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp
+from adhocpo.domains import build
+from adhocpo.pomdp import (
+    TabularMmdp,
+    TabularPomdp,
+    belief_update,
+    induced_mdp,
+    sample_initial_state,
+    simulate_step,
+)
 from adhocpo.solvers import (
     AlphaVectorPolicy,
     NonconvergenceBudget,
@@ -318,6 +326,123 @@ def test_point_backup_improves_value(rng):
     alpha, act = point_backup(model, b, vectors)
     assert 0 <= act < 3
     assert float(alpha @ b) >= floor - 1e-12
+
+
+def test_point_backup_takes_the_first_of_tied_actions(rng):
+    # Actions 1 and 2 share every table, so their q values tie exactly.
+    base = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    model = TabularPomdp.from_tables(
+        base.transition + base.transition[1:],
+        base.observation + base.observation[1:],
+        base.reward[:, [0, 1, 1]],
+        base.discount,
+        base.initial_belief,
+    )
+    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=10, seed=1))
+    for b in collect_beliefs(model, 30, 10, np.random.default_rng(3)):
+        q = policy_q_all(model, policy, b)
+        assert q[1] == q[2]
+        assert point_backup(model, b, policy.vectors)[1] == int(q.argmax()) != 2
+
+
+def _csr_transition_model(rng, n=600):
+    """A model whose transition and observation tables are all stored as CSR."""
+    transition = [sparse.csr_array(random_stochastic(rng, n, n, zeros=0.995)) for _ in range(2)]
+    observation = [sparse.csr_array(random_stochastic(rng, n, 5, zeros=0.8)) for _ in range(2)]
+    reward = rng.uniform(-1.0, 1.0, size=(n, 2))
+    model = TabularPomdp.from_tables(transition, observation, reward, 0.9, np.full(n, 1.0 / n))
+    assert all(type(t) is sparse.csr_array for t in model.transition + model.observation)
+    return model
+
+
+def test_solve_with_stored_successors_equals_rebuilding_them_per_backup(rng, monkeypatch):
+    # Oracle: backups that drop the solve's stored successor table and
+    # propagate the belief again at every call.
+    backup = solvers.point_backup
+
+    def rebuilding(model, belief, vectors, successors=None):
+        return backup(model, belief, vectors)
+
+    cases = [
+        (build("gridworld", size=3, tasks=1).models[0], SolverSettings(belief_set_size=150, horizon=20, seed=1)),
+        (_csr_transition_model(rng), SolverSettings(belief_set_size=30, horizon=5, tolerance=0.1, seed=4)),
+    ]
+    for model, settings in cases:
+        stored = perseus_solve(model, settings)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "point_backup", rebuilding)
+            rebuilt = perseus_solve(model, settings)
+        assert len(stored.stage_values) > 2
+        assert np.array_equal(stored.vectors, rebuilt.vectors)
+        assert np.array_equal(stored.actions, rebuilt.actions)
+        assert np.array_equal(stored.stage_values, rebuilt.stage_values)
+        assert np.array_equal(stored.stage_improvements, rebuilt.stage_improvements)
+        for b in collect_beliefs(model, 10, 10, np.random.default_rng(2)):
+            given = point_backup(model, b, stored.vectors, solvers._successors(model, b))
+            built = point_backup(model, b, stored.vectors)
+            assert np.array_equal(given[0], built[0]) and given[1] == built[1]
+
+
+def test_solve_propagates_each_belief_once_per_action(rng, monkeypatch):
+    model = random_pomdp(rng, num_states=5, num_actions=3, num_observations=3, discount=0.9)
+    settings = SolverSettings(belief_set_size=40, horizon=10, tolerance=1e-4, seed=3)
+    beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, np.random.default_rng(0))
+    propagate, backup = model.propagate, solvers.point_backup
+    calls = {"propagate": 0, "backup": 0}
+
+    def counting_propagate(belief, a):
+        calls["propagate"] += 1
+        return propagate(belief, a)
+
+    def counting_backup(*args):
+        calls["backup"] += 1
+        return backup(*args)
+
+    monkeypatch.setattr(model, "propagate", counting_propagate)
+    monkeypatch.setattr(solvers, "point_backup", counting_backup)
+    policy = perseus_solve(model, settings, beliefs)
+    # Enough backups that propagating at each of them would break the bound.
+    assert calls["backup"] > len(beliefs)
+    assert len(policy.stage_values) > 3
+    assert calls["propagate"] <= len(beliefs) * model.num_actions
+
+
+def _scanned_beliefs(model, size, horizon, rng, dedup_atol=1e-9, stagnation_limit=50):
+    """collect_beliefs with the plain scan: each belief against every kept one."""
+    out = np.empty((size, model.num_states))
+    out[0] = model.initial_belief
+    count, stagnant = 1, 0
+    while count < size and stagnant < stagnation_limit:
+        added = 0
+        x = sample_initial_state(model, rng)
+        b = model.initial_belief
+        for _ in range(horizon):
+            a = int(rng.integers(model.num_actions))
+            x, z, _ = simulate_step(model, x, a, rng)
+            b, _ = belief_update(model, b, a, z)
+            if np.abs(out[:count] - b).sum(axis=1).min() > dedup_atol:
+                out[count] = b
+                count += 1
+                added += 1
+                if count == size:
+                    break
+        stagnant = 0 if added else stagnant + 1
+    return out[:count]
+
+
+def test_indexed_belief_dedup_equals_the_plain_scan():
+    desk = build("gridworld", size=4, tasks=8, belief_set_size=1500)
+    csr = build("pursuit-task", belief_set_size=1000)
+    assert type(csr.models[0].transition[0]) is sparse.csr_array
+    for domain in (desk, csr):
+        model, s = domain.models[0], domain.solver
+        indexed_rng, scanned_rng = np.random.default_rng(s.seed), np.random.default_rng(s.seed)
+        indexed = collect_beliefs(model, s.belief_set_size, s.horizon, indexed_rng)
+        scanned = _scanned_beliefs(model, s.belief_set_size, s.horizon, scanned_rng)
+        assert len(indexed) == s.belief_set_size
+        assert np.array_equal(indexed, scanned)
+        # The solver's generator is left where the plain scan leaves it.
+        assert indexed_rng.bit_generator.state == scanned_rng.bit_generator.state
 
 
 def test_converged_policy_loss_zero_at_greedy_action(rng):
