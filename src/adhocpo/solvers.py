@@ -16,6 +16,25 @@ computes these once per belief, when it starts, and every stage reuses
 them.  They are the very arrays a backup would compute for itself, so
 the policy is the same, float for float, as one whose backups recompute
 them on every call.
+
+A backup skips every action whose upper bound cannot reach the best q
+found so far.  With u = b T[a], top(x) = max_i alpha_i(x) and
+s_a(x) = sum_z O[a](x, z), the fully observable relaxation of the next
+step (Hauskrecht, JAIR 2000) gives
+
+    q(b, a) <= U(b, a) = <b, R[:, a]> + discount * sum_x u(x) s_a(x) top(x),
+
+since each successor's best score sum_x alpha_i(x) u(x) O[a](x, z) is at
+most sum_x top(x) u(x) O[a](x, z) when u and O are nonnegative.  A solve
+stores the rows u * s_a once, one CSR row per belief and action, and gets
+every bound of a stage from one product with `top`.  The backup visits the
+actions in descending bound order and scores an action only when its bound
+plus a margin of 1e-9 (1 + max|R| + max|alpha|), far above the rounding of
+either side, reaches the best q so far.  A skipped action's q is below
+that best, so the backup returns the first maximal action and the same
+alpha vector as a scan of every action, float for float.  A solve whose
+model has a negative transition or observation entry (validate accepts
+them down to -1e-9), or whose belief set has one, runs the full scan.
 """
 from __future__ import annotations
 
@@ -32,9 +51,10 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from adhocpo.modelio import model_digest
 from adhocpo.pomdp import (
@@ -157,7 +177,9 @@ class AlphaVectorPolicy:
 
     stage_values records the lower-bound value at the initial belief after
     every solver stage; it is non-decreasing by construction and is kept as
-    convergence evidence.
+    convergence evidence.  lookahead_counts is (evaluated, skipped): the
+    lookahead actions the solve that made the policy scored and skipped.
+    It is kept in memory only, so a policy read from a file has None.
     """
 
     vectors: np.ndarray  # (n, |X|)
@@ -169,6 +191,7 @@ class AlphaVectorPolicy:
     stage_values: list = dataclasses.field(default_factory=list)
     stage_improvements: list = dataclasses.field(default_factory=list)
     belief_count: int = 0
+    lookahead_counts: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
@@ -237,10 +260,17 @@ def _successor_scores(
     return np.asarray(vectors @ (weights[:, None] * o))
 
 
+class _Bounds(NamedTuple):
+    """What a solve hands one backup so that it can skip actions."""
+
+    upper: np.ndarray  # per action, U(b, a) plus the stage's rounding margin
+    skipped: list  # one running count of skipped actions for the whole solve
+
+
 def _lookahead(
-    model: TabularPomdp, vectors: np.ndarray, successors: list
+    model: TabularPomdp, vectors: np.ndarray, successors: list, bounds: Optional[_Bounds] = None
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """One-step lookahead q(b, a) for every action, with the best action's scores.
+    """One-step lookahead q(b, a), with the first maximal action and its scores.
 
     successors is _successors(model, b).  Returns q, the first action of
     maximal q, and that action's (n, |Z|) successor score matrix.
@@ -249,19 +279,35 @@ def _lookahead(
     Only the best action's scores are kept: holding every action's at once
     made the allocator return and re-fault the heap at each backup of a
     large vector set (millions of page faults per desk solve).
+
+    Without bounds every action is scored in order.  With them the actions
+    are visited by descending bound, and the scan stops at the first one
+    whose bound (margin included) is below the best q so far; every action
+    after it is bounded lower still.  Those actions keep q = nan and are
+    added to bounds.skipped.  Every maximal action has a bound at or above
+    its q, so each is scored, and ties go to the lowest action as in the
+    full scan.
     """
-    q = np.empty(model.num_actions)
-    best = 0
-    for a, (reward, support, weights) in enumerate(successors):
+    q = np.full(model.num_actions, np.nan)
+    order = range(model.num_actions) if bounds is None else np.argsort(-bounds.upper, kind="stable")
+    best = -1
+    for k, a in enumerate(order):
+        if bounds is not None and k and bounds.upper[a] < q[best]:
+            bounds.skipped[0] += model.num_actions - k
+            break
+        reward, support, weights = successors[a]
         s = _successor_scores(model, vectors, support, weights, a)
         q[a] = reward + model.discount * float(s.max(axis=0).sum())
-        if a == 0 or q[a] > q[best]:
+        if best < 0 or q[a] > q[best] or (q[a] == q[best] and a < best):
             best, best_scores = a, s
-    return q, best, best_scores
+    return q, int(best), best_scores
 
 
 def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
-    """One-step lookahead q(b, a) for every action under the policy's value."""
+    """One-step lookahead q(b, a) for every action under the policy's value.
+
+    It passes no bounds, so every action is scored.
+    """
     return _lookahead(model, policy.vectors, _successors(model, belief))[0]
 
 
@@ -340,6 +386,7 @@ def point_backup(
     belief: Belief,
     vectors: np.ndarray,
     successors: Optional[list] = None,
+    bounds: Optional[_Bounds] = None,
 ) -> tuple[np.ndarray, int]:
     """Back up one belief against the current vector set.
 
@@ -349,15 +396,58 @@ def point_backup(
     casing.  successors is _successors(model, belief), built here when not
     given; a solve passes the one it built for the belief when it started,
     so no backup propagates the belief again.  Those are the arrays this
-    call would build, so the result is the same either way.
+    call would build, so the result is the same either way.  bounds, which
+    only a solve passes, lets the lookahead skip every action whose upper
+    bound cannot reach the best q; the action and the vector are still the
+    ones a scan of every action gives (see _lookahead).
     """
     if successors is None:
         successors = _successors(model, belief)
-    _, a, scores = _lookahead(model, vectors, successors)
+    _, a, scores = _lookahead(model, vectors, successors, bounds)
     picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
     back = np.asarray((model.observation[a] * picked.T).sum(axis=1)).ravel()
     alpha = model.reward[:, a] + model.discount * np.asarray(model.transition[a] @ back)
     return alpha, a
+
+
+def _bound_inputs(model: TabularPomdp, beliefs: np.ndarray, successors: list):
+    """What the upper bounds U(b, a) of a solve's beliefs need apart from the vectors.
+
+    Returns (rows, rewards), or None when the bound does not hold.  Row
+    i * |A| + a of the CSR matrix `rows` is u(x) s_a(x) on the support of
+    u = b_i T[a], with s_a the row sums of O[a], so its product with top(x)
+    is the bound's lookahead term; rewards[i, a] is <b_i, R[:, a]>.  The
+    bound needs u >= 0 and O >= 0, so a model with a negative transition or
+    observation entry, or a belief set with a negative entry, gets None.
+    """
+    tables = model.transition + model.observation
+    if beliefs.min() < 0 or any(table.min() < 0 for table in tables):
+        return None
+    sums = [np.asarray(o.sum(axis=1)).ravel() for o in model.observation]
+    every = np.arange(model.num_states)
+    indices, data = [], []
+    for table in successors:
+        for a, (_, support, weights) in enumerate(table):
+            support = every if support is None else support
+            indices.append(support)
+            data.append(weights * sums[a][support])
+    indptr = np.concatenate(([0], np.cumsum([len(i) for i in indices])))
+    shape = (len(successors) * model.num_actions, model.num_states)
+    rows = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
+    rewards = np.array([[reward for reward, _, _ in table] for table in successors])
+    return rows, rewards
+
+
+def _stage_bounds(model: TabularPomdp, inputs: tuple, vectors: np.ndarray) -> np.ndarray:
+    """U(b, a) plus the rounding margin for every belief and action, shape (m, |A|).
+
+    inputs is _bound_inputs(...).  The margin, 1e-9 (1 + max|R| +
+    max|alpha|), is far above the rounding of either the bound or a q.
+    """
+    rows, rewards = inputs
+    margin = 1e-9 * (1.0 + float(np.abs(model.reward).max()) + float(np.abs(vectors).max()))
+    lookahead = (rows @ vectors.max(axis=0)).reshape(rewards.shape)
+    return rewards + model.discount * lookahead + margin
 
 
 def perseus_solve(
@@ -369,15 +459,25 @@ def perseus_solve(
 
     Stops when the largest value improvement across the belief set falls to
     settings.tolerance, or at settings.stage_cap stages.  Stage values at
-    the initial belief are recorded and are non-decreasing.
+    the initial belief are recorded and are non-decreasing.  A given belief
+    set must start with the model's initial belief, whose value the stage
+    values record; ValueError otherwise.
     """
     rng = np.random.default_rng(settings.seed)
     if beliefs is None:
         beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, rng)
+    beliefs = np.asarray(beliefs, dtype=float)
+    if beliefs.ndim != 2 or beliefs.shape[1] != model.num_states:
+        raise ValueError(f"belief set has shape {beliefs.shape}, expected rows of {model.num_states} states")
+    if not len(beliefs) or not np.array_equal(beliefs[0], model.initial_belief):
+        raise ValueError("the first belief of the set must be the model's initial belief")
     m = len(beliefs)
     # The belief set is fixed for the whole solve, so each belief's
-    # successor inputs are built once here, not at every backup.
+    # successor and bound inputs are built once here, not at every backup.
     successors = [_successors(model, b) for b in beliefs]
+    inputs = _bound_inputs(model, beliefs, successors)
+    skipped = [0]
+    backups = 0
     floor = float(model.reward.min()) / (1.0 - model.discount)
     vectors = np.full((1, model.num_states), floor)
     actions = np.zeros(1, dtype=int)
@@ -386,6 +486,8 @@ def perseus_solve(
     stage_values = [float(values[0])]
     stage_improvements = []
     for _ in range(settings.stage_cap):
+        if inputs is not None:
+            upper = _stage_bounds(model, inputs, vectors)
         prev_values = values
         new_vectors: list = []
         new_actions: list = []
@@ -394,7 +496,9 @@ def perseus_solve(
         for i in rng.permutation(m):
             if values[i] >= prev_values[i] - _EPS:
                 continue
-            alpha, act = point_backup(model, beliefs[i], vectors, successors[i])
+            bounds = None if inputs is None else _Bounds(upper[i], skipped)
+            alpha, act = point_backup(model, beliefs[i], vectors, successors[i], bounds)
+            backups += 1
             if float(alpha @ beliefs[i]) >= prev_values[i] - _EPS:
                 new_vectors.append(alpha)
                 new_actions.append(act)
@@ -426,6 +530,7 @@ def perseus_solve(
         stage_values=stage_values,
         stage_improvements=stage_improvements,
         belief_count=m,
+        lookahead_counts=(backups * model.num_actions - skipped[0], skipped[0]),
     )
 
 
@@ -671,6 +776,10 @@ def solve_many(
             solved = (_timed_solve(models[k], settings) for k in misses)
         for k, (policy, seconds) in zip(misses, solved):
             note = f"policy for {models[k].label}: {len(policy)} vectors in {seconds:.2f} s"
+            if policy.lookahead_counts:
+                evaluated, skipped = policy.lookahead_counts
+                share = skipped / max(evaluated + skipped, 1)
+                note += f", {share:.0%} of lookahead actions skipped"
             if cache is not None:
                 # The load above missed, so an entry now at this path could
                 # not be read, belongs to another model, or was stored since

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -216,10 +217,17 @@ def test_prepare_library_cache_round_trip(tmp_path, small_library):
     cache = PolicyCache(tmp_path)
     notes = []
     first = prepare_library(domain, cache=cache, progress=notes.append)
-    assert all("vectors" in n for n in notes)
+    solved = r"policy for (.+): (\d+) vectors in \d+\.\d\d s, (\d+)% of lookahead actions skipped"
+    for note, model, policy in zip(notes, domain.models, first.policies, strict=True):
+        label, vectors, share = re.fullmatch(solved, note).groups()
+        evaluated, skipped = policy.lookahead_counts
+        assert label == model.label and int(vectors) == len(policy)
+        assert skipped > 0 and f"{skipped / (evaluated + skipped):.0%}" == share + "%"
     notes.clear()
     second = prepare_library(domain, cache=cache, progress=notes.append)
-    assert all("cache" in n for n in notes)
+    # A cached policy has no solve to report.
+    assert notes == [f"policy for {model.label}: cache" for model in domain.models]
+    assert all(policy.lookahead_counts is None for policy in second.policies)
     for p1, p2 in zip(first.policies, second.policies):
         assert np.array_equal(p1.vectors, p2.vectors)
 

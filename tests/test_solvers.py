@@ -22,6 +22,7 @@ from adhocpo.pomdp import (
     induced_mdp,
     sample_initial_state,
     simulate_step,
+    validate,
 )
 from adhocpo.solvers import (
     AlphaVectorPolicy,
@@ -342,7 +343,12 @@ def test_point_backup_takes_the_first_of_tied_actions(rng):
     for b in collect_beliefs(model, 30, 10, np.random.default_rng(3)):
         q = policy_q_all(model, policy, b)
         assert q[1] == q[2]
-        assert point_backup(model, b, policy.vectors)[1] == int(q.argmax()) != 2
+        alpha, act = point_backup(model, b, policy.vectors)
+        assert act == int(q.argmax()) != 2
+        # Valid bounds that visit action 2 before action 1 change nothing.
+        bounds = solvers._Bounds(q + [1.0, 1.0, 2.0], [0])
+        bounded = point_backup(model, b, policy.vectors, None, bounds)
+        assert np.array_equal(bounded[0], alpha) and bounded[1] == act
 
 
 def _csr_transition_model(rng, n=600):
@@ -356,11 +362,12 @@ def _csr_transition_model(rng, n=600):
 
 
 def test_solve_with_stored_successors_equals_rebuilding_them_per_backup(rng, monkeypatch):
-    # Oracle: backups that drop the solve's stored successor table and
-    # propagate the belief again at every call.
+    # Oracle: backups that drop every input the solve precomputed, the
+    # successor table and the action bounds, so they propagate the belief
+    # again and score every action at every call.
     backup = solvers.point_backup
 
-    def rebuilding(model, belief, vectors, successors=None):
+    def rebuilding(model, belief, vectors, *_):
         return backup(model, belief, vectors)
 
     cases = [
@@ -405,6 +412,114 @@ def test_solve_propagates_each_belief_once_per_action(rng, monkeypatch):
     assert calls["backup"] > len(beliefs)
     assert len(policy.stage_values) > 3
     assert calls["propagate"] <= len(beliefs) * model.num_actions
+
+
+def _tied_model(rng):
+    """A model whose actions 1 and 2 share every table, so their q values tie exactly.
+
+    Their reward is raised so that they are often the best.
+    """
+    base = random_pomdp(rng, num_states=5, num_actions=2, num_observations=3)
+    return TabularPomdp.from_tables(
+        base.transition + base.transition[1:],
+        base.observation + base.observation[1:],
+        base.reward[:, [0, 1, 1]] + [0.0, 0.5, 0.5],
+        base.discount,
+        base.initial_belief,
+    )
+
+
+def test_bounded_backups_equal_scanning_every_action(rng, monkeypatch):
+    # Every backup of these solves runs twice, with the solve's bounds and
+    # without them, and the two must give the same vector and action.
+    backup, scores = solvers.point_backup, solvers._successor_scores
+    count = {"backups": 0, "scored": 0}
+
+    def counting_scores(*args):
+        count["scored"] += 1
+        return scores(*args)
+
+    def checked(model, belief, vectors, successors=None, bounds=None):
+        assert bounds is not None
+        scored = count["scored"]
+        pruned = backup(model, belief, vectors, successors, bounds)
+        count["backups"] += 1
+        evaluated.append(count["scored"] - scored)
+        full = backup(model, belief, vectors)
+        assert np.array_equal(pruned[0], full[0]) and pruned[1] == full[1]
+        chosen.add(pruned[1])
+        return pruned
+
+    monkeypatch.setattr(solvers, "_successor_scores", counting_scores)
+    monkeypatch.setattr(solvers, "point_backup", checked)
+    models = [random_pomdp(rng, num_states=6, num_actions=4, num_observations=3, zeros=z) for z in (0.0, 0.5)]
+    tied = _tied_model(rng)
+    models += [tied, build("gridworld", size=3, tasks=1).models[0]]
+    for model in models:
+        count.update(backups=0, scored=0)
+        evaluated, chosen = [], set()
+        policy = perseus_solve(model, SolverSettings(belief_set_size=60, horizon=15, tolerance=1e-3, seed=2))
+        if model is tied:
+            # The tied actions were chosen, always as the lower one.
+            assert 1 in chosen and 2 not in chosen
+        total = count["backups"] * model.num_actions
+        # Pruning skipped something, and the policy reports what it skipped.
+        assert 0 < sum(evaluated) < total
+        assert policy.lookahead_counts == (sum(evaluated), total - sum(evaluated))
+
+
+def test_action_bounds_hold_above_every_lookahead_q(rng):
+    for trial in range(6):
+        model = random_pomdp(rng, num_states=6, num_actions=3, num_observations=4, zeros=0.3 * (trial % 2))
+        beliefs = collect_beliefs(model, 40, 10, rng)
+        successors = [solvers._successors(model, b) for b in beliefs]
+        inputs = solvers._bound_inputs(model, beliefs, successors)
+        for size in (1, 3, 20):
+            vectors = rng.uniform(-5.0, 5.0, size=(size, model.num_states))
+            upper = solvers._stage_bounds(model, inputs, vectors)
+            policy = AlphaVectorPolicy(vectors, np.zeros(size, dtype=int), model.discount)
+            q = np.array([policy_q_all(model, policy, b) for b in beliefs])
+            assert (upper >= q).all()
+            # Not vacuous: each bound is within the relaxation gap of its q.
+            assert (upper - q).max() < 10.0 * model.discount
+
+
+def test_a_negative_table_entry_turns_the_bounds_off_and_solves_like_the_oracle(rng, monkeypatch):
+    base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=3, zeros=0.4)
+    observation = [base.dense_observation(a).copy() for a in range(3)]
+    x, z = np.argwhere(observation[1] == 0.0)[0]
+    observation[1][x, z] = -1e-12
+    model = TabularPomdp.from_tables(
+        [base.dense_transition(a) for a in range(3)], observation, base.reward, base.discount, base.initial_belief
+    )
+    assert validate(model) == []
+    settings = SolverSettings(tolerance=1e-3, seed=2)
+    # Sampling cannot draw from the negative row, so the beliefs come from
+    # the model before the change.
+    beliefs = collect_beliefs(base, 60, 15, np.random.default_rng(2))
+    assert solvers._bound_inputs(model, beliefs, [solvers._successors(model, b) for b in beliefs]) is None
+    guarded = perseus_solve(model, settings, beliefs)
+    backup = solvers.point_backup
+    monkeypatch.setattr(solvers, "point_backup", lambda model, belief, vectors, *_: backup(model, belief, vectors))
+    oracle = perseus_solve(model, settings, beliefs)
+    assert guarded.lookahead_counts[1] == 0
+    assert np.array_equal(guarded.vectors, oracle.vectors)
+    assert np.array_equal(guarded.actions, oracle.actions)
+    assert np.array_equal(guarded.stage_values, oracle.stage_values)
+
+
+def test_a_given_belief_set_must_start_at_the_initial_belief(rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    settings = SolverSettings(belief_set_size=10, horizon=5, seed=0)
+    corners = np.eye(4)
+    with pytest.raises(ValueError, match="initial belief"):
+        perseus_solve(model, settings, corners)
+    with pytest.raises(ValueError, match="initial belief"):
+        perseus_solve(model, settings, np.empty((0, 4)))
+    with pytest.raises(ValueError, match="4 states"):
+        perseus_solve(model, settings, np.vstack([model.initial_belief, corners])[:, :3])
+    policy = perseus_solve(model, settings, np.vstack([model.initial_belief, corners]))
+    assert policy.stage_values[-1] == policy_value(policy, model.initial_belief)
 
 
 def _scanned_beliefs(model, size, horizon, rng, dedup_atol=1e-9, stagnation_limit=50):
