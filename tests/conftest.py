@@ -53,12 +53,14 @@ def exhaustive_filter(model, history):
     """
     n = model.num_states
     t = len(history)
+    transition = [model.dense_transition(a) for a in range(model.num_actions)]
+    observation = [model.dense_observation(a) for a in range(model.num_actions)]
     mass = [0.0] * n
     for seq in itertools.product(range(n), repeat=t + 1):
         p = float(model.initial_belief[seq[0]])
         for i, (a, z) in enumerate(history):
-            p *= float(model.dense_transition(a)[seq[i], seq[i + 1]])
-            p *= float(model.dense_observation(a)[seq[i + 1], z])
+            p *= float(transition[a][seq[i], seq[i + 1]])
+            p *= float(observation[a][seq[i + 1], z])
         mass[seq[-1]] += p
     total = sum(mass)
     if total == 0.0:

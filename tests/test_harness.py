@@ -120,6 +120,35 @@ def test_seeded_trial_on_csr_tables_is_pinned():
     assert digest.hexdigest() == "91665b417cfd39d29917e685278cf4750e936cdc9428cc3b39e3371419365611"
 
 
+def test_csr_and_dense_desk_grids_solve_and_play_alike():
+    # Storage oracle: the 4x4 desk grid keeps its transitions in CSR; a
+    # twin with the same tables dense must give the same policies, up to
+    # float rounding (CSR sums without FMA), and the same ATPO trials.
+    domain = build("gridworld", size=4, tasks=2)
+    settings = dataclasses.replace(domain.solver, belief_set_size=100, stage_cap=30)
+    csr_models = domain.models
+    dense_models = [
+        dataclasses.replace(m, transition=[m.dense_transition(a) for a in range(m.num_actions)])
+        for m in csr_models
+    ]
+    assert all(map(sparse.issparse, csr_models[0].transition))
+    assert not any(map(sparse.issparse, dense_models[0].transition))
+    csr_lib, dense_lib = (
+        atpo.ModelLibrary(models, [solvers.perseus_solve(m, settings) for m in models])
+        for models in (csr_models, dense_models)
+    )
+    for c, d in zip(csr_lib.policies, dense_lib.policies):
+        assert c.vectors.shape == d.vectors.shape
+        assert np.array_equal(c.actions, d.actions)
+        assert len(c.stage_values) == len(d.stage_values)
+        assert np.abs(c.vectors - d.vectors).max() <= 1e-12
+        assert np.abs(np.subtract(c.stage_values, d.stage_values)).max() <= 1e-12
+    for seed in range(4):
+        c = run_trial(csr_lib, make_agent("atpo", csr_lib), horizon=30, seed=seed)
+        d = run_trial(dense_lib, make_agent("atpo", dense_lib), horizon=30, seed=seed)
+        assert (c.actions, c.observations) == (d.actions, d.observations)
+
+
 def test_atpo_trial_computes_each_greedy_action_once(small_library, monkeypatch):
     _, lib = small_library
     calls = []

@@ -54,7 +54,8 @@ def test_sparse_threshold_respected(rng):
     model = random_pomdp(rng, num_states=6)
     text = dumps_model(model)
     loaded = loads_model(text)
-    # Loaded tables follow the storage rule: 512 rows or fewer is dense.
+    # Loaded tables follow the storage rule: a 6-state model has fewer
+    # than 2**15 zeros in any table, so every table is dense.
     assert not any(map(sparse.issparse, loaded.transition + loaded.observation))
     # Storage form does not leak into the serialization.
     csr_twin = dataclasses.replace(

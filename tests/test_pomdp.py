@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularPomdp,
     ZeroLikelihood,
@@ -145,23 +146,57 @@ def test_each_table_picks_its_own_storage(rng):
     for a in range(2):
         assert np.array_equal(model.dense_transition(a), transition[a])
 
-    # At 512 rows or fewer every table is dense, however sparse; one row
-    # more and a mostly zero table is CSR.
-    for rows, stored_sparse in ((512, False), (513, True)):
-        eye = sparse.eye_array(rows, format="csr")
+    # CSR needs at least 2**15 zeros as well as fewer than half nonzero.
+    # 128 x 257 observation tables with one nonzero per row have exactly
+    # 2**15 zeros: CSR.  One more nonzero leaves 2**15 - 1 zeros: dense.
+    rows, cols = 128, 257
+    one_per_row = np.zeros((rows, cols))
+    one_per_row[np.arange(rows), np.arange(rows)] = 1.0
+    one_more = one_per_row.copy()
+    one_more[0, :2] = 0.5
+    for obs, stored_sparse in ((one_per_row, True), (one_more, False)):
         model = TabularPomdp.from_tables(
-            [eye, eye], [eye, eye], np.zeros((rows, 2)), 0.9, np.full(rows, 1.0 / rows)
+            [np.eye(rows)], [obs], np.zeros((rows, 1)), 0.9, np.full(rows, 1.0 / rows)
         )
-        tables = model.transition + model.observation
-        assert [sparse.issparse(t) for t in tables] == [stored_sparse] * 4
+        assert rows * cols - np.count_nonzero(obs) == 2**15 - (not stored_sparse)
+        assert sparse.issparse(model.observation[0]) == stored_sparse
+        # 128 x 128 has fewer than 2**15 entries: dense, however sparse.
+        assert not sparse.issparse(model.transition[0])
 
-    # Exactly half nonzero is not "fewer than half": dense.
-    half = np.zeros((n, 2))
-    half[:, 0] = 1.0
+    # Exactly half nonzero is not "fewer than half": dense, whatever the
+    # number of zeros.
+    half = np.zeros((n, n))
+    half[:, : n // 2] = 2.0 / n
     model = TabularPomdp.from_tables(
-        [sparse.eye_array(n, format="csr")], [half], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n)
+        [half], [np.ones((n, 1))], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n)
     )
-    assert model.observation[0] is half
+    assert model.transition[0] is half
+
+    # On the desk configurations only the 4x4 grid's transitions (257
+    # states, under 1% nonzero) are CSR; the observations and the 3x3
+    # grid and pursuit tables are dense.
+    grid4 = build("gridworld", size=4, tasks=2).models
+    assert all(sparse.issparse(t) for m in grid4 for t in m.transition)
+    assert not any(sparse.issparse(o) for m in grid4 for o in m.observation)
+    for name in ("gridworld", "pursuit-task"):
+        for m in build(name, size=3).models:
+            assert not any(map(sparse.issparse, m.transition + m.observation)), name
+
+
+def test_desk_grid_library_tables_fit_in_two_megabytes():
+    # The K=8 4x4 library took about 21 MB while its 257 x 257 transitions
+    # (1.74 entries per row) were stored dense.  Every distinct stored
+    # table and transpose counts once.
+    tables = {}
+    for m in build("gridworld", size=4, tasks=8).models:
+        for t in m.transition + m.observation + m._transition_t + m._observation_t:
+            if t is not None:
+                tables[id(t)] = t
+    stored = sum(
+        t.data.nbytes + t.indices.nbytes + t.indptr.nbytes if sparse.issparse(t) else t.nbytes
+        for t in tables.values()
+    )
+    assert stored < 2 * 2**20
 
 
 def test_csr_kernels_match_scipy_bit_for_bit(rng):
@@ -171,9 +206,12 @@ def test_csr_kernels_match_scipy_bit_for_bit(rng):
     n, nz = 600, 5
     shared, other = (random_stochastic(rng, n, n, zeros=0.99) for _ in range(2))
     obs = random_stochastic(rng, n, nz, zeros=0.8)
-    model = TabularPomdp.from_tables(
+    base = TabularPomdp.from_tables(
         [shared, shared, other], [obs] * 3, np.zeros((n, 3)), 0.9, np.full(n, 1.0 / n)
     )
+    # The twin is CSR whatever the storage rule picks for these tables.
+    shared, other, obs = (sparse.csr_array(t) for t in (shared, other, obs))
+    model = dataclasses.replace(base, transition=[shared, shared, other], observation=[obs] * 3)
     assert all(map(sparse.issparse, model.transition + model.observation))
     # One transpose per distinct table object.
     assert model._transition_t[0] is model._transition_t[1]
@@ -224,6 +262,37 @@ def test_observation_sampled_from_landing_state():
     for _ in range(20):
         nxt, z, _ = simulate_step(model, 0, 0, rng)
         assert (nxt, z) == (1, 1)
+
+
+def test_sampling_treats_negative_dust_as_zero(rng):
+    # -1e-12 is within validate's tolerance, so simulation must accept it:
+    # the entry is never drawn, and nothing fails inside numpy.
+    model = random_pomdp(rng, num_states=3, num_actions=1, num_observations=3)
+    obs = model.dense_observation(0)
+    obs[:, 1] += obs[:, 0] + 1e-12
+    obs[:, 0] = -1e-12
+    dusty = dataclasses.replace(model, observation=[obs])
+    assert validate(dusty) == []
+    x = sample_initial_state(dusty, rng)
+    for _ in range(200):
+        x, z, _ = simulate_step(dusty, x, 0, rng)
+        assert z != 0
+
+
+def test_dense_tables_are_fresh_copies(rng):
+    # Editing a dense_* result must leave the model as it was, whatever
+    # the table's storage.
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    csr_twin = dataclasses.replace(
+        model, transition=[sparse.csr_array(t) for t in model.transition]
+    )
+    for m in (model, csr_twin):
+        mdp = induced_mdp(m)
+        for read in (m.dense_transition, m.dense_observation, mdp.dense_transition):
+            table = read(1)
+            kept = table.copy()
+            table[:] = 0.0
+            assert np.array_equal(read(1), kept)
 
 
 def test_sample_initial_state_frequencies():

@@ -295,10 +295,11 @@ def test_perseus_sparse_dense_storage_agree(rng):
 
 
 def test_csr_matrix_tables_solve_like_csr_arrays(rng):
-    # 600 states, so both tables of each action are stored as CSR.
+    # 600 states and 64 observations, both about 90% zeros or more: every
+    # table has over 2**15 zeros, so both tables of each action are CSR.
     n = 600
     transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
-    observation = [random_stochastic(rng, n, 5, zeros=0.8) for _ in range(2)]
+    observation = [random_stochastic(rng, n, 64, zeros=0.9) for _ in range(2)]
     reward = rng.uniform(-1.0, 1.0, size=(n, 2))
 
     def model(form):
@@ -353,10 +354,16 @@ def test_point_backup_takes_the_first_of_tied_actions(rng):
 
 def _csr_transition_model(rng, n=600):
     """A model whose transition and observation tables are all stored as CSR."""
-    transition = [sparse.csr_array(random_stochastic(rng, n, n, zeros=0.995)) for _ in range(2)]
-    observation = [sparse.csr_array(random_stochastic(rng, n, 5, zeros=0.8)) for _ in range(2)]
+    transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
+    observation = [random_stochastic(rng, n, 5, zeros=0.8) for _ in range(2)]
     reward = rng.uniform(-1.0, 1.0, size=(n, 2))
     model = TabularPomdp.from_tables(transition, observation, reward, 0.9, np.full(n, 1.0 / n))
+    # CSR whatever the storage rule picks for these tables.
+    model = dataclasses.replace(
+        model,
+        transition=[sparse.csr_array(t) for t in transition],
+        observation=[sparse.csr_array(o) for o in observation],
+    )
     assert all(type(t) is sparse.csr_array for t in model.transition + model.observation)
     return model
 
