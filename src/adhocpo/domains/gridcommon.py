@@ -7,6 +7,8 @@ over all three symbols).  Observation ids pack the four elements base 3.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Action ids shared by the grid domains: the four moves, then stay.
@@ -37,17 +39,20 @@ def sensor_symbols(cell, teammate_cell, passable) -> tuple:
     return tuple(out)
 
 
-def noisy_observation_row(symbols, epsilon: float) -> np.ndarray:
-    """Distribution over the 81 ids for one true reading.
+@functools.cache
+def noisy_observation_row(symbols: tuple, epsilon: float) -> np.ndarray:
+    """Distribution over the 81 ids for one true reading; read-only.
 
     Elements corrupt independently: with probability epsilon the element is
-    uniform over the three symbols (the true one included).
+    uniform over the three symbols (the true one included).  There are only
+    81 readings, so each (reading, epsilon) row is computed once and shared.
     """
     row = np.ones(1)
     for s in symbols:
         e = np.full(3, epsilon / 3.0)
         e[s] += 1.0 - epsilon
         row = np.kron(row, e)
+    row.flags.writeable = False
     return row
 
 

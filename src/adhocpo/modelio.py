@@ -3,7 +3,10 @@
 The format is line oriented: a fixed header, then sparse triple sections for
 the transition, observation, and reward tables, then the initial belief.
 Floats are written with repr(), so a load/dump round trip reproduces the
-file byte for byte.
+file byte for byte.  Writing formats each distinct table object once: a
+table shared by several actions (the grid sensor table serves all five) is
+formatted without its action column, which is then put in front of every
+line for each action that uses it.
 
     adhocpo-model v1
     label <free text>
@@ -33,8 +36,8 @@ class ModelFormatError(ValueError):
     """Raised on malformed model files; message carries the line number."""
 
 
-def _lines(prefix: str, rows, cols, values) -> str:
-    """One text line per entry: prefix, row, column (if any), then value.
+def _lines(rows, cols, values) -> str:
+    """One text line per entry: row, column (if any), then value.
 
     Each distinct float64 is formatted once, keyed by its bit pattern so
     that -0.0 and 0.0 keep their own repr; each distinct line tail
@@ -48,13 +51,34 @@ def _lines(prefix: str, rows, cols, values) -> str:
         pairs, tail_id = np.unique(pairs, return_inverse=True)
         col_of, value_of = np.divmod(pairs, len(distinct))
         tails = [f"{c} {tails[v]}" for c, v in zip(col_of.tolist(), value_of.tolist())]
-    heads = [f"{prefix}{x} " for x in range(int(rows.max()) + 1 if len(rows) else 0)]
+    heads = [f"{x} " for x in range(int(rows.max()) + 1 if len(rows) else 0)]
     text = np.array(heads, dtype=object)[rows] + np.array(tails, dtype=object)[tail_id]
     return "".join(text.tolist())
 
 
+def _action_lines(tables):
+    """Each action's section text, as bytes; a table shared by several actions
+    is formatted once and only its action prefix is repeated.
+
+    A table's text is held only until the last action that uses it.
+    """
+    last_use = {id(table): a for a, table in enumerate(tables)}
+    held: dict = {}
+    for a, table in enumerate(tables):
+        body = held.pop(id(table), None)
+        if body is None:
+            body = _lines(*entries(table)).encode()
+        if last_use[id(table)] > a:
+            held[id(table)] = body
+        if body:
+            prefix = f"{a} ".encode()
+            yield prefix
+            yield body[:-1].replace(b"\n", b"\n" + prefix)
+            yield b"\n"
+
+
 def _model_chunks(model: TabularPomdp):
-    """The canonical text of a model, in pieces of at most one table each."""
+    """The canonical text of a model as bytes, in pieces of at most one table each."""
     yield (
         f"{FORMAT_TAG}\n"
         f"label {model.label}\n"
@@ -62,25 +86,24 @@ def _model_chunks(model: TabularPomdp):
         f"actions {model.num_actions}\n"
         f"observations {model.num_observations}\n"
         f"discount {float(model.discount)!r}\n"
-    )
+    ).encode()
     for key, tables in (("T", model.transition), ("O", model.observation)):
-        yield f"{key} {sum(entry_count(t) for t in tables)}\n"
-        for a, table in enumerate(tables):
-            yield _lines(f"{a} ", *entries(table))
-    yield f"R {entry_count(model.reward)}\n"
-    yield _lines("", *entries(model.reward))
+        yield f"{key} {sum(entry_count(t) for t in tables)}\n".encode()
+        yield from _action_lines(tables)
+    yield f"R {entry_count(model.reward)}\n".encode()
+    yield _lines(*entries(model.reward)).encode()
     b_idx = np.flatnonzero(model.initial_belief)
-    yield f"b0 {len(b_idx)}\n"
-    yield _lines("", b_idx, None, model.initial_belief[b_idx])
-    yield "end\n"
+    yield f"b0 {len(b_idx)}\n".encode()
+    yield _lines(b_idx, None, model.initial_belief[b_idx]).encode()
+    yield b"end\n"
 
 
 def dumps_model(model: TabularPomdp) -> str:
-    return "".join(_model_chunks(model))
+    return b"".join(_model_chunks(model)).decode()
 
 
 def dump_model(model: TabularPomdp, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_model_chunks(model))
 
 
@@ -200,5 +223,5 @@ def model_digest(model: TabularPomdp) -> str:
     """
     digest = hashlib.sha256()
     for chunk in _model_chunks(model):
-        digest.update(chunk.encode())
+        digest.update(chunk)
     return digest.hexdigest()

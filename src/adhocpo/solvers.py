@@ -95,7 +95,7 @@ class StateValueFunction:
     """Optimal state values with the greedy joint action per state."""
 
     values: np.ndarray
-    greedy: np.ndarray  # flat joint-action id per state, lowest id on ties
+    greedy: np.ndarray  # flat joint-action id per state, lowest id on ties within rounding
     residual: float
     iterations: int
 
@@ -131,10 +131,14 @@ def value_iteration(
     else:
         raise NonconvergenceBudget(max_iterations, delta, tolerance)
     q = bellman_q(mdp, v)
-    residual = float(np.abs(q.max(axis=1) - v).max())
+    top = q.max(axis=1, keepdims=True)
+    residual = float(np.abs(top[:, 0] - v).max())
+    # Actions tied in exact arithmetic can differ in the last bit of T @ v,
+    # which depends on the table storage; take the lowest within rounding.
+    near_top = q >= top - 1e-12 * (1.0 + np.abs(q).max(axis=1, keepdims=True))
     return StateValueFunction(
         values=v,
-        greedy=q.argmax(axis=1),
+        greedy=near_top.argmax(axis=1),
         residual=residual,
         iterations=iterations,
     )
@@ -613,6 +617,8 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
     stage_values = parsed(6, floats, sv)
     stage_improvements = parsed(7, floats, imp)
     n, width = parsed(8, shape, head)
+    if n == 0:
+        raise PolicyFormatError("line 9: a policy needs at least one alpha vector")
     vectors = np.empty((n, width))
     actions = np.empty(n, dtype=int)
     for i in range(n):
@@ -680,6 +686,10 @@ class PolicyCache:
             return None  # unreadable entry; the re-solve overwrites it
         if policy.source_digest and policy.source_digest != digest:
             return None  # hash prefix collision; treat as a miss
+        if policy.vectors.shape[1] != model.num_states or not (
+            0 <= policy.actions.min() and policy.actions.max() < model.num_actions
+        ):
+            return None  # readable, but not a policy for this model
         return policy
 
     def store(self, model: TabularPomdp, settings: SolverSettings, policy: AlphaVectorPolicy):

@@ -11,6 +11,7 @@ from scipy import sparse
 import adhocpo
 from adhocpo import domains
 from adhocpo.domains import DOMAIN_NAMES, REGISTRY, build
+from adhocpo.domains import gridcommon as gc
 from adhocpo.domains import gridworld as gw
 from adhocpo.domains import mapnav
 from adhocpo.domains import overcooked as oc
@@ -86,6 +87,55 @@ def test_gridworld_completion_and_noise_rows():
     assert row[1 * 16 + 14] == pytest.approx(0.8)
     assert row[5 * 16 + 14] == pytest.approx(0.2)
 
+
+
+def _fresh_sensor_row(symbols, epsilon):
+    """The sensor row by the kron formula, computed anew on every call."""
+    row = np.ones(1)
+    for s in symbols:
+        e = np.full(3, epsilon / 3.0)
+        e[s] += 1.0 - epsilon
+        row = np.kron(row, e)
+    return row
+
+
+def test_sensor_tables_equal_rows_computed_fresh():
+    # The builders share one row per (reading, epsilon); the tables must be
+    # the rows the formula gives state by state.  Two noise rates in one
+    # process check that rows are not shared across rates.
+    size, epsilon = 4, 0.2
+    grid = build("gridworld", size=size, tasks=1, epsilon=epsilon).models[0]
+    cells = size * size
+    expected = np.zeros((grid.num_states, gc.NUM_OBSERVATIONS))
+    for pa in range(cells):
+        for pt in range(cells):
+            symbols = gc.sensor_symbols(
+                divmod(pa, size), divmod(pt, size), lambda r, c: 0 <= r < size and 0 <= c < size
+            )
+            expected[pa * cells + pt] = _fresh_sensor_row(symbols, epsilon)
+    expected[-1, gc.BLANK_OBSERVATION] = 1.0
+    assert np.array_equal(grid.dense_observation(0), expected)
+
+    epsilon = 0.1
+    house = build("isr", map_name="test3x3", tasks=1, epsilon=epsilon).models[0]
+    plan = mapnav.load_map("test3x3")
+    f = plan.num_free
+    expected = np.zeros((house.num_states, gc.NUM_OBSERVATIONS))
+    for pa in range(f):
+        for pt in range(f):
+            if pa != pt:
+                symbols = gc.sensor_symbols(plan.free_cells[pa], plan.free_cells[pt], plan.passable)
+                expected[pa * (f - 1) + (pt if pt < pa else pt - 1)] = _fresh_sensor_row(symbols, epsilon)
+    expected[-1, gc.BLANK_OBSERVATION] = 1.0
+    assert np.array_equal(house.dense_observation(0), expected)
+
+
+def test_shared_sensor_rows_are_read_only():
+    row = gc.noisy_observation_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2)
+    assert gc.noisy_observation_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2) is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+    assert np.array_equal(row, _fresh_sensor_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2))
 
 def test_pursuit_desk_counts_by_variant():
     sizes = {"task": 4, "teammate": 2, "both": 8}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from adhocpo import modelio
 from adhocpo.domains import build
 from adhocpo.modelio import (
     ModelFormatError,
@@ -189,3 +190,62 @@ def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
         dump_model(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
 
+
+# -- each distinct table is formatted once per digest ------------------------
+
+
+def test_digest_formats_each_distinct_table_once(monkeypatch):
+    calls = []
+    original = modelio._lines
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(modelio, "_lines", counting)
+    # The grid: five transition tables, one sensor table shared by all five
+    # actions.  The random model: actions 0 and 2 share a transition table
+    # with action 1's in between, and one observation table serves all.
+    grid = build("gridworld", size=3, tasks=1).models[0]
+    base = random_pomdp(np.random.default_rng(4), num_states=4, num_actions=3)
+    t0, t1 = base.transition[:2]
+    interleaved = dataclasses.replace(
+        base, transition=[t0, t1, t0], observation=[base.observation[1]] * 3
+    )
+    for model, tables in ((grid, 5 + 1), (interleaved, 2 + 1)):
+        distinct = len({id(t) for t in model.transition}) + len({id(t) for t in model.observation})
+        assert distinct == tables
+        calls.clear()
+        model_digest(model)
+        assert len(calls) == distinct + 2  # and one each for R and b0
+
+
+def test_shared_tables_serialize_like_equal_copies(rng):
+    base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4, zeros=0.3)
+    csr_t = sparse.csr_array(base.transition[0])
+    for t, o in ((base.transition[0], base.observation[2]), (csr_t, base.observation[2])):
+        shared = dataclasses.replace(base, transition=[t] * 3, observation=[o] * 3)
+        copies = dataclasses.replace(
+            base, transition=[t.copy() for _ in range(3)], observation=[o.copy() for _ in range(3)]
+        )
+        text = dumps_model(shared)
+        assert text == dumps_model(copies)
+        assert model_digest(shared) == model_digest(copies)
+        assert model_digest(shared) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_shared_empty_and_negative_zero_tables_hash_their_text():
+    def csr(data, cols, indptr, shape):
+        return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
+
+    base = _hand_built_csr()
+    empty = csr([], [], [0, 0, 0, 0], (3, 2))
+    signed = csr([-0.0, 1.0], [1, 0], [0, 1, 1, 2], (3, 2))
+    for o, section in (
+        (empty, "O 0\nR "),
+        (signed, "O 4\n0 0 1 -0.0\n0 2 0 1.0\n1 0 1 -0.0\n1 2 0 1.0\nR "),
+    ):
+        model = dataclasses.replace(base, observation=[o, o])
+        text = dumps_model(model)
+        assert section in text
+        assert model_digest(model) == hashlib.sha256(text.encode()).hexdigest()

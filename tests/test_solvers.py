@@ -128,6 +128,35 @@ def test_value_iteration_greedy_tie_lowest():
     assert (svf.greedy == 0).all()
 
 
+
+def test_value_iteration_breaks_near_ties_toward_the_lowest_action():
+    # In state 0 action 1 earns 1e-11 more, far below the 1e-12 relative
+    # rounding margin of q near 170, though a plain argmax would see it; in
+    # state 1 it earns 1.0 more, a real difference.
+    t = np.array([[0.5, 0.5], [0.5, 0.5]])
+    reward = np.array([[85.64243255601275, 85.64243255601275 + 1e-11], [84.0, 85.0]])
+    mdp = TabularMmdp(
+        num_states=2, agent_action_counts=(2,), transition=[t, t.copy()], reward=reward, discount=0.5
+    )
+    svf = value_iteration(mdp, tolerance=1e-9)
+    q = solvers.bellman_q(mdp, svf.values)
+    assert q[0, 1] > q[0, 0]
+    assert svf.greedy.tolist() == [0, 1]
+
+
+def test_dense_and_csr_twins_pick_the_same_vi_actions():
+    # Storage oracle: the 4x4 grid stores its transitions in CSR, which sums
+    # without FMA; a dense twin's BLAS product differs in the last bit, and
+    # its many exactly tied moves must still resolve to the same actions.
+    for model in build("gridworld", size=4, tasks=8).models:
+        assert sparse.issparse(model.transition[0])
+        dense = dataclasses.replace(
+            model, transition=[model.dense_transition(a) for a in range(model.num_actions)]
+        )
+        csr_vi, dense_vi = (value_iteration(induced_mdp(m)) for m in (model, dense))
+        assert np.abs(csr_vi.values - dense_vi.values).max() <= 1e-12
+        assert np.array_equal(csr_vi.greedy, dense_vi.greedy), model.label
+
 # -- alpha-vector policy ops -------------------------------------------------
 
 
@@ -692,6 +721,36 @@ def test_corrupt_cache_header_is_resolved_then_hits(tmp_path, rng):
         assert hit
 
 
+def _unusable_entries(text, num_actions):
+    """Readable variants of a policy file that no model can use: no vectors,
+    vectors one state too narrow, an action tag past the last action, and a
+    negative action tag."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("vectors "))
+    n, width = (int(v) for v in lines[i].split()[1:])
+    rows = lines[i + 1:i + 1 + n]
+    coefs = rows[0].split(" ", 1)[1]
+    variants = [
+        lines[:i] + [f"vectors 0 {width}", "end"],
+        lines[:i] + [f"vectors {n} {width - 1}"] + [r.rsplit(" ", 1)[0] for r in rows] + ["end"],
+        lines[:i + 1] + [f"{num_actions} {coefs}"] + rows[1:] + ["end"],
+        lines[:i + 1] + [f"-1 {coefs}"] + rows[1:] + ["end"],
+    ]
+    return ["\n".join(v) + "\n" for v in variants]
+
+
+def test_empty_vector_section_names_the_vectors_line(rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    text = dumps_policy(perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, seed=0)))
+    empty, narrow, past, negative = _unusable_entries(text, model.num_actions)
+    with pytest.raises(PolicyFormatError, match="line 9: a policy needs at least one alpha vector"):
+        loads_policy(empty)
+    # The others parse; only the cache knows they do not fit the model.
+    assert loads_policy(narrow).vectors.shape[1] == model.num_states - 1
+    assert loads_policy(past).actions[0] == model.num_actions
+    assert loads_policy(negative).actions[0] == -1
+
+
 def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     other = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
@@ -700,10 +759,15 @@ def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
     solved, _ = solve_with_cache(model, s, cache)
     path = cache.path(solved.source_digest, s)
     text = path.read_text()
-    # A whole entry of another model (wrong digest at the right path), then
-    # an entry cut short.
-    for bad in (dumps_policy(perseus_solve(other, s)), text[: len(text) // 2]):
+    # A whole entry of another model (wrong digest at the right path), an
+    # entry cut short, then readable entries that do not fit this model.
+    for bad in (
+        dumps_policy(perseus_solve(other, s)),
+        text[: len(text) // 2],
+        *_unusable_entries(text, model.num_actions),
+    ):
         path.write_text(bad)
+        assert cache.load(model, s) is None
         notes = []
         again, hit = solve_with_cache(model, s, cache, progress=notes.append)
         assert not hit
