@@ -132,10 +132,10 @@ def check_likelihood_floor(likelihood_floor: float) -> None:
 class AtpoAgent(Agent):
     """Posterior mixture over the library's per-model greedy actions.
 
-    When the trial discloses the true model index (purely for
-    diagnostics), the agent also records per-step loss rows and the
-    acting-time posteriors so the cumulative loss bound can be checked
-    afterwards; the choices themselves never use that information.
+    The agent is never told the true model.  Per trial it keeps three
+    lists of arrays: the posterior and each model's greedy action (-1
+    once pruned) at every step, and each model's evidence for every
+    observation; the harness derives the diagnostics after the trial.
     """
 
     name = "atpo"
@@ -149,15 +149,11 @@ class AtpoAgent(Agent):
     def reset(self, rng, true_model=None, initial_state=None):
         super().reset(rng, true_model, initial_state)
         self.state = PosteriorState.initial(self.library)
-        self._true_model = true_model
-        self.trace: list = []
-        self.loss_rows: list = []
-        self.posterior_history: list = []
+        self.posteriors = [self.state.posterior]
+        self.greedy_actions = [self.state.greedy]
+        self.evidence = []
 
     def act(self, rng):
-        if self._true_model is not None:
-            self.posterior_history.append(self.state.posterior.copy())
-            self.loss_rows.append(atpo.policy_loss_row(self.library, self.state, self._true_model))
         action, _ = atpo.act(self.library, self.state, rng, greedy=self.greedy)
         return action
 
@@ -165,16 +161,10 @@ class AtpoAgent(Agent):
         self.state = atpo.update(
             self.library, self.state, action, observation, self.likelihood_floor
         )
-        self.trace.append(
-            atpo.TraceRecord(
-                step=self.state.step,
-                action=action,
-                observation=observation,
-                posterior=self.state.posterior.copy(),
-                evidence=self.state.last_evidence.copy(),
-                entropy=self.state.entropy,
-            )
-        )
+        # Each state holds fresh arrays, so no copies are needed.
+        self.posteriors.append(self.state.posterior)
+        self.greedy_actions.append(self.state.greedy)
+        self.evidence.append(self.state.last_evidence)
 
 
 class RandomPickerAgent(Agent):

@@ -8,9 +8,12 @@ alive instead).
 
 Every posterior state carries each surviving model's greedy action at its
 current belief, computed once when the state is made.  The mixture policy
-the agent acts from (the posterior-weighted mixture of those actions), the
-loss row the bound is checked on, and the random-picker baseline all read
-that one array.
+the agent acts from (the posterior-weighted mixture of those actions) and
+the random-picker baseline read that one array.
+
+The agent is never told which model is in play.  The loss rows the
+cumulative bound is checked on are computed after the trial, from the
+greedy actions it recorded and the true model's belief re-filtered.
 """
 from __future__ import annotations
 
@@ -123,10 +126,6 @@ class PosteriorState:
             greedy=_greedy_actions(library, beliefs, active),
         )
 
-    @property
-    def entropy(self) -> float:
-        return posterior_entropy(self.posterior)
-
 
 def mixture_policy(library: ModelLibrary, state: PosteriorState) -> np.ndarray:
     """Posterior-weighted mixture of per-model greedy actions."""
@@ -207,19 +206,18 @@ def update(
 # Per-step losses and the cumulative bound
 
 
-def policy_loss_row(library: ModelLibrary, state: PosteriorState, true_model: int) -> np.ndarray:
-    """Loss, under the true model, of each model's greedy recommendation.
+def policy_loss_row(
+    library: ModelLibrary, true_model: int, belief: np.ndarray, greedy: np.ndarray
+) -> np.ndarray:
+    """Loss, under the true model at `belief`, of each model's greedy action.
 
-    Entry k is the true-model regret of playing what model k would play
-    now; pruned models get the worst in-row loss so weighting them is
-    never an advantage (their posterior weight is zero anyway).
+    Entry k is the true-model regret of playing greedy[k], what model k
+    would play now; a pruned model (greedy -1) gets the worst in-row loss
+    so weighting it is never an advantage (its posterior weight is zero
+    anyway).
     """
-    losses = loss_all(
-        library.models[true_model],
-        library.policies[true_model],
-        state.beliefs[true_model],
-    )
-    return np.where(state.active, losses[state.greedy], losses.max())
+    losses = loss_all(library.models[true_model], library.policies[true_model], belief)
+    return np.where(greedy >= 0, losses[greedy], losses.max())
 
 
 @dataclasses.dataclass
@@ -301,26 +299,13 @@ def check_bound(
 
 
 # ---------------------------------------------------------------------------
-# Trace records
+# Trace files
 
 
-@dataclasses.dataclass
-class TraceRecord:
-    """One executed step: what was played, seen, and believed afterwards."""
-
-    step: int
-    action: int
-    observation: int
-    posterior: tuple
-    evidence: tuple
-    entropy: float
-
-
-def write_trace(records, path) -> None:
-    """Delimiter-separated trace, one row per step, posterior columns widened
-    to the library size."""
-    records = list(records)
-    size = len(records[0].posterior) if records else 0
+def write_trace(trial, path) -> None:
+    """Delimiter-separated trace of a trial, one row per step: the action,
+    the observation, then the posterior, evidence and entropy after it."""
+    size = trial.posteriors.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -329,10 +314,11 @@ def write_trace(records, path) -> None:
             + [f"evidence_{k}" for k in range(size)]
             + ["entropy"]
         )
-        for rec in records:
+        for t, (action, observation) in enumerate(zip(trial.actions, trial.observations)):
+            posterior = trial.posteriors[t + 1]
             writer.writerow(
-                [rec.step, rec.action, rec.observation]
-                + [repr(float(p)) for p in rec.posterior]
-                + [repr(float(e)) for e in rec.evidence]
-                + [repr(float(rec.entropy))]
+                [t + 1, action, observation]
+                + [repr(float(p)) for p in posterior]
+                + [repr(float(e)) for e in trial.evidence[t]]
+                + [repr(posterior_entropy(posterior))]
             )

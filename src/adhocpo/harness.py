@@ -16,17 +16,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from adhocpo import atpo
+from adhocpo import atpo, pomdp
 from adhocpo.agents import Agent, make_agent
-from adhocpo.atpo import BoundReport, ModelLibrary
+from adhocpo.atpo import BoundReport, ModelLibrary, posterior_entropy
 from adhocpo.domains import DomainBuild
-from adhocpo.pomdp import sample_initial_state, simulate_step
+from adhocpo.pomdp import ZeroLikelihood, sample_initial_state, simulate_step
 # solve_with_cache is not called here, but the benchmark's tracer wraps it
 # under this module's name.
 from adhocpo.solvers import PolicyCache, solve_many, solve_with_cache  # noqa: F401
@@ -58,10 +59,10 @@ class TrialResult:
     observations: list
     rewards: list
     states: list
-    posterior_history: Optional[np.ndarray] = None
-    loss_rows: Optional[np.ndarray] = None
+    posteriors: Optional[np.ndarray] = None  # (T + 1, K): the prior, then after each step
+    evidence: Optional[np.ndarray] = None  # (T, K)
+    loss_rows: Optional[np.ndarray] = None  # (T, K)
     bound: Optional[BoundReport] = None
-    trace: Optional[list] = None
     wall_time: float = 0.0
 
     @property
@@ -111,26 +112,41 @@ def run_trial(
         result.rewards.append(r)
         result.states.append(x)
 
-    history = getattr(agent, "posterior_history", None)
-    if history:
-        result.posterior_history = np.array(history)
-    rows = getattr(agent, "loss_rows", None)
-    if rows:
-        result.loss_rows = np.array(rows)
+    posteriors = getattr(agent, "posteriors", None)
+    if posteriors is not None and horizon >= 1:
+        result.posteriors = np.array(posteriors)
+        result.evidence = np.array(agent.evidence)
+        result.loss_rows = _loss_rows(library, k_star, result, agent.greedy_actions)
         comparator = np.zeros(library.size)
         comparator[k_star] = 1.0
         result.bound = atpo.check_bound(
             result.loss_rows,
-            result.posterior_history,
+            result.posteriors[:-1],
             comparator,
             r_max=library.max_abs_reward,
             discount=model.discount,
         )
-    trace = getattr(agent, "trace", None)
-    if trace:
-        result.trace = list(trace)
     result.wall_time = time.perf_counter() - started
     return result
+
+
+def _loss_rows(library: ModelLibrary, true_model: int, trial: TrialResult, greedy_actions) -> np.ndarray:
+    """Each acting step's policy_loss_row at the true model's belief, which
+    is re-filtered from the trial and, as in the agent, advances only while
+    the model is alive (greedy action not -1) and holds on zero likelihood."""
+    model = library.models[true_model]
+    belief = model.initial_belief.copy()
+    rows = []
+    for t, (action, observation) in enumerate(zip(trial.actions, trial.observations)):
+        rows.append(atpo.policy_loss_row(library, true_model, belief, greedy_actions[t]))
+        # No row reads the belief after the last action.
+        if t + 1 < len(trial.actions) and greedy_actions[t][true_model] >= 0:
+            try:
+                # Read off the module so a tracer wrapping it sees this filter.
+                belief, _ = pomdp.belief_update(model, belief, action, observation)
+            except ZeroLikelihood:
+                pass
+    return np.array(rows)
 
 
 @dataclasses.dataclass
@@ -247,42 +263,40 @@ def identification_summary(trials, step: int) -> IdentificationSummary:
     """Posterior quality at an acting step, across trials that tracked it."""
     probs = []
     hits = 0
-    n = 0
     for t in trials:
-        if t.posterior_history is None:
+        if t.posteriors is None:
             continue
-        idx = min(step, len(t.posterior_history) - 1)
-        row = t.posterior_history[idx]
+        acting = t.posteriors[:-1]
+        row = acting[min(step, len(acting) - 1)]
         probs.append(row[t.model_index])
         hits += int(int(row.argmax()) == t.model_index)
-        n += 1
-    if n == 0:
+    if not probs:
         raise ValueError("no trials carried a posterior history")
     return IdentificationSummary(
-        step=step, probabilities=np.array(probs), accuracy=hits / n
+        step=step, probabilities=np.array(probs), accuracy=hits / len(probs)
     )
 
 
 def first_correct_step(trial: TrialResult) -> Optional[int]:
     """First acting step whose posterior argmax is the real model."""
-    if trial.posterior_history is None:
+    if trial.posteriors is None:
         return None
-    for t, row in enumerate(trial.posterior_history):
+    for t, row in enumerate(trial.posteriors[:-1]):
         if int(row.argmax()) == trial.model_index:
             return t
     return None
 
 
 def entropy_by_step(trials) -> list:
-    """Mean posterior entropy per step over trials with traces."""
+    """Mean posterior entropy after each step, over trials that tracked it."""
     columns: list = []
     for t in trials:
-        if not t.trace:
+        if t.posteriors is None:
             continue
-        for i, record in enumerate(t.trace):
+        for i, posterior in enumerate(t.posteriors[1:]):
             if i == len(columns):
                 columns.append([])
-            columns[i].append(record.entropy)
+            columns[i].append(posterior_entropy(posterior))
     return [float(np.mean(c)) for c in columns]
 
 
@@ -348,7 +362,7 @@ def emit_reports(
         }
         if summary.normalized is not None:
             entry["normalized_score"] = summary.normalized
-        tracked = [t for t in summary.trials if t.posterior_history is not None]
+        tracked = [t for t in summary.trials if t.posteriors is not None]
         if tracked:
             per_step = {}
             for step in identification_steps:
@@ -363,9 +377,12 @@ def emit_reports(
                 "median_first_correct_step": float(np.median(firsts)) if firsts else None,
             }
             entry["bound_violations"] = summary.bound_violations
-            means = entropy_by_step(tracked)
-            if means:
-                entry["mean_entropy_by_step"] = means
+            # Per trial, in trial order; a term that is not finite is written as null.
+            entry["bound_terms"] = {
+                term: [v if math.isfinite(v := getattr(t.bound, term)) else None for t in tracked]
+                for term in ("mixture_total", "comparator_total", "kl_total", "slack", "margin")
+            }
+            entry["mean_entropy_by_step"] = entropy_by_step(tracked)
         report["agents"][name] = entry
     with open(out / "summary.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -376,6 +393,6 @@ def emit_reports(
         trace_dir.mkdir(exist_ok=True)
         for name, summary in result.agents.items():
             for i, t in enumerate(summary.trials):
-                if t.trace:
-                    atpo.write_trace(t.trace, trace_dir / f"{name}-{i:03d}.csv")
+                if t.posteriors is not None:
+                    atpo.write_trace(t, trace_dir / f"{name}-{i:03d}.csv")
     return report

@@ -752,7 +752,13 @@ def solve_many(
     own generator, so the policies are the ones a solve in this process
     gives.  `progress` gets one line per model: a cache hit, or the vector
     count and solve seconds, noting an unusable entry that was replaced.
+    A horizon below 1 or a negative or NaN tolerance (which would never stop
+    a solve) is a ValueError, raised before any cache access.
     """
+    if settings.horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
+    if not settings.tolerance >= 0.0:
+        raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
     results: list = [None] * len(models)
     misses = []
     for k, model in enumerate(models):

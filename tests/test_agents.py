@@ -197,12 +197,26 @@ def test_atpo_diagnostics_shapes(rng):
     for _ in range(4):
         a = agent.act(rng)
         agent.observe(a, observation=0)
-    assert np.array(agent.posterior_history).shape == (4, 2)
-    assert np.array(agent.loss_rows).shape == (4, 2)
-    assert len(agent.trace) == 4
-    assert agent.trace[-1].step == 4
-    # Undisclosed trials skip the diagnostics entirely.
-    agent.reset(rng)
-    agent.act(rng)
-    assert agent.posterior_history == []
-    assert agent.loss_rows == []
+    assert np.array(agent.posteriors).shape == (5, 2)
+    assert np.array(agent.greedy_actions).shape == (5, 2)
+    assert np.array(agent.evidence).shape == (4, 2)
+    assert agent.state.step == 4
+
+
+def test_atpo_ignores_the_true_model():
+    rng = np.random.default_rng(3)
+    lib = tiny_library([random_pomdp(rng, label="a"), random_pomdp(rng, label="b")])
+    runs = []
+    for disclosed in (0, 1, None):
+        agent = AtpoAgent(lib)
+        agent_rng = np.random.default_rng(99)
+        agent.reset(agent_rng, true_model=disclosed, initial_state=0)
+        actions = []
+        for z in (0, 2, 1, 0, 1, 2):
+            actions.append(agent.act(agent_rng))
+            agent.observe(actions[-1], observation=z)
+        runs.append((actions, np.array(agent.posteriors), np.array(agent.evidence)))
+    for actions, posteriors, evidence in runs[1:]:
+        assert actions == runs[0][0]
+        assert np.array_equal(posteriors, runs[0][1])
+        assert np.array_equal(evidence, runs[0][2])

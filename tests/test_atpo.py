@@ -1,6 +1,7 @@
 """Model identification against a joint enumeration oracle, plus the
 mixture policy, losses, and the cumulative bound report."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from adhocpo.atpo import (
     BoundReport,
     ModelLibrary,
     PosteriorState,
-    TraceRecord,
     act,
     check_bound,
     mixture_policy,
@@ -226,7 +226,7 @@ def test_loss_row_reads_each_models_greedy_action():
     s = PosteriorState.initial(lib)
     k_true = 1
     losses = loss_all(lib.models[k_true], lib.policies[k_true], s.beliefs[k_true])
-    row = policy_loss_row(lib, s, k_true)
+    row = policy_loss_row(lib, k_true, s.beliefs[k_true], s.greedy)
     for k in range(3):
         assert row[k] == losses[policy_action(lib.policies[k], s.beliefs[k])]
     # A pruned model gets the worst loss in the row, and no mixture weight.
@@ -238,7 +238,7 @@ def test_loss_row_reads_each_models_greedy_action():
     s = update(lib, s, 0, 2)
     assert not s.active[0]
     losses = loss_all(lib.models[k_true], lib.policies[k_true], s.beliefs[k_true])
-    row = policy_loss_row(lib, s, k_true)
+    row = policy_loss_row(lib, k_true, s.beliefs[k_true], s.greedy)
     assert row[0] == losses.max()
     assert row[2] == losses[policy_action(lib.policies[2], s.beliefs[2])]
     manual = np.zeros(lib.num_actions)
@@ -281,19 +281,22 @@ def test_check_bound_flags_violation():
 
 
 def test_write_trace(tmp_path):
-    records = [
-        TraceRecord(step=0, action=1, observation=2, posterior=(0.5, 0.5), evidence=(0.1, 0.1), entropy=0.69),
-        TraceRecord(step=1, action=0, observation=0, posterior=(0.9, 0.1), evidence=(0.3, 0.03), entropy=0.33),
-    ]
+    trial = types.SimpleNamespace(
+        actions=[1, 0],
+        observations=[2, 0],
+        posteriors=np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]]),
+        evidence=np.array([[0.1, 0.1], [0.3, 0.03]]),
+    )
     path = tmp_path / "trace.csv"
-    write_trace(records, path)
+    write_trace(trial, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == [
         "step", "action", "observation",
         "posterior_0", "posterior_1", "evidence_0", "evidence_1", "entropy",
     ]
     assert len(lines) == 3
-    assert lines[1].startswith("0,1,2,0.5,0.5,")
+    assert lines[1] == f"1,1,2,0.5,0.5,0.1,0.1,{math.log(2)!r}"
+    assert lines[2].startswith("2,0,0,0.9,0.1,0.3,0.03,")
 
 
 def test_library_rejects_mismatched_action_spaces(rng):

@@ -158,6 +158,21 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
     argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--beliefs", "0"]
     assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
+    # A horizon below 1 and a negative or NaN tolerance fail before any
+    # policy is solved, fetched or stored.
+    argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--cache-dir", str(tmp_path)]
+    cases = [
+        (["--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
+        (["--horizon", "-3"], "error: horizon must be at least 1, got -3\n"),
+        (["--tolerance", "-1"], "error: solver tolerance must be non-negative, got -1.0\n"),
+        (["--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
+    ]
+    for flags, message in cases:
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert "policy for" not in captured.out
+    assert not list(tmp_path.glob("*.policy"))
 
 
 def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
@@ -175,6 +190,11 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["run", "--agent", "atpo", "--likelihood-floor", "-1"], floor.format(-1.0)),
         (["run", "--agent", "atpo", "--likelihood-floor", "nan"], floor.format(float("nan"))),
         (["run", "--agent", "atpo", "--likelihood-floor", "inf"], floor.format(float("inf"))),
+        (["run", "--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
+        (["run", "--horizon", "-3"], "error: horizon must be at least 1, got -3\n"),
+        (["run", "--tolerance", "-1"], "error: solver tolerance must be non-negative, got -1.0\n"),
+        (["scale", "--sizes", "1", "--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
+        (["scale", "--sizes", "1", "--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
     ]
     for (command, *flags), message in cases:
         assert main([command, *common, *flags]) == 2

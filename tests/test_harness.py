@@ -2,16 +2,19 @@
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import json
+import math
 import os
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import agents, atpo, solvers
+from adhocpo import agents, atpo, harness, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -24,9 +27,10 @@ from adhocpo.harness import (
     run_library_scaling,
     run_trial,
 )
+from adhocpo.pomdp import TabularPomdp
 from adhocpo.solvers import PolicyCache
 
-from conftest import child_process_left
+from conftest import child_process_left, random_pomdp
 
 
 def test_trial_is_reproducible(small_library):
@@ -62,13 +66,13 @@ def test_trial_override_of_ground_truth(small_library):
 def test_trial_carries_atpo_diagnostics(small_library):
     _, lib = small_library
     t = run_trial(lib, make_agent("atpo", lib), horizon=15, seed=3)
-    assert t.posterior_history.shape == (15, 2)
+    assert t.posteriors.shape == (16, 2)
+    assert t.evidence.shape == (15, 2)
     assert t.loss_rows.shape == (15, 2)
     assert t.bound is not None
     assert t.bound.horizon == 15
-    assert len(t.trace) == 15
     plain = run_trial(lib, make_agent("random", lib), horizon=15, seed=3)
-    assert plain.posterior_history is None
+    assert plain.posteriors is None
     assert plain.bound is None
 
 
@@ -116,8 +120,92 @@ def test_seeded_trial_on_csr_tables_is_pinned():
     digest = hashlib.sha256()
     digest.update(np.asarray(t.actions, dtype=np.int64).tobytes())
     digest.update(np.asarray(t.observations, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(t.posterior_history, dtype=np.float64).tobytes())
+    digest.update(np.ascontiguousarray(t.posteriors[:-1], dtype=np.float64).tobytes())
     assert digest.hexdigest() == "91665b417cfd39d29917e685278cf4750e936cdc9428cc3b39e3371419365611"
+
+
+def per_step_loss_rows(lib, trial, likelihood_floor=0.0):
+    """(loss rows, acting posteriors) as an agent told the true model would
+    record them while acting: on its own belief of that model, each step."""
+    k = trial.model_index
+    state = atpo.PosteriorState.initial(lib)
+    rows, posteriors = [], []
+    for a, z in zip(trial.actions, trial.observations):
+        losses = solvers.loss_all(lib.models[k], lib.policies[k], state.beliefs[k])
+        rows.append(np.where(state.active, losses[state.greedy], losses.max()))
+        posteriors.append(state.posterior)
+        state = atpo.update(lib, state, a, z, likelihood_floor)
+    return np.array(rows), np.array(posteriors)
+
+
+def assert_deferred_rows_match(lib, trial, likelihood_floor=0.0):
+    rows, posteriors = per_step_loss_rows(lib, trial, likelihood_floor)
+    assert np.array_equal(trial.loss_rows, rows)
+    assert np.array_equal(trial.posteriors[:-1], posteriors)
+
+
+def test_deferred_loss_rows_equal_per_step_rows(small_library):
+    _, lib = small_library
+    for seed in range(5):
+        assert_deferred_rows_match(lib, run_trial(lib, make_agent("atpo", lib), horizon=20, seed=seed))
+
+    domain = build("gridworld", size=5, tasks=2)
+    settings = dataclasses.replace(domain.solver, belief_set_size=50, stage_cap=5)
+    csr = atpo.ModelLibrary(domain.models, [solvers.perseus_solve(m, settings) for m in domain.models])
+    for seed in range(2):
+        assert_deferred_rows_match(csr, run_trial(csr, make_agent("atpo", csr), horizon=30, seed=seed))
+
+
+def test_deferred_loss_rows_cover_pruned_and_floored_models():
+    # Model 0 never emits observation 2, so it is ruled out the first time
+    # model 1, the true one, does; with a likelihood floor it stays alive
+    # with its belief held.
+    rng = np.random.default_rng(8)
+    models = [random_pomdp(rng, label=f"m{k}") for k in range(2)]
+    observation = []
+    for a in range(models[0].num_actions):
+        o = models[0].dense_observation(a).copy()
+        o[:, 0] += o[:, 2]
+        o[:, 2] = 0.0
+        observation.append(o)
+    m = models[0]
+    transition = [m.dense_transition(a) for a in range(m.num_actions)]
+    models[0] = TabularPomdp.from_tables(transition, observation, m.reward, m.discount, m.initial_belief, label="m0")
+    settings = solvers.SolverSettings(belief_set_size=30, horizon=8, stage_cap=20)
+    lib = atpo.ModelLibrary(models, [solvers.perseus_solve(m, settings) for m in models])
+    for seed in range(3):
+        t = run_trial(lib, make_agent("atpo", lib), horizon=20, seed=seed, true_model=1)
+        assert t.posteriors[-1, 0] == 0.0
+        assert_deferred_rows_match(lib, t)
+        floor = 1e-3
+        t = run_trial(lib, make_agent("atpo", lib, likelihood_floor=floor), horizon=20, seed=seed, true_model=1)
+        assert (t.evidence[:, 0] == floor).any()
+        assert_deferred_rows_match(lib, t, floor)
+    # A true model the prior rules out keeps its initial belief, as it
+    # does in the agent's posterior state.
+    ruled_out = atpo.ModelLibrary(models, lib.policies, prior=[0.0, 1.0])
+    t = run_trial(ruled_out, make_agent("atpo", ruled_out), horizon=10, seed=0, true_model=0)
+    assert_deferred_rows_match(ruled_out, t)
+
+
+def test_traced_benchmark_wraps_names_that_exist(monkeypatch, small_library):
+    # The benchmark's tracer wraps package functions by name; a rename in
+    # the package must fail here, not only in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    originals = [
+        (owner, attr, getattr(owner, attr)) for _, owners, attr in spans.FUNCTIONS for owner in owners
+    ]
+    _, lib = small_library
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.run_trial(lib, harness.make_agent("atpo", lib), horizon=3, seed=0)
+    calls = tracer.summary()["calls"]
+    for name in ("harness.run_trial", "agents.make_agent", "atpo.act", "atpo.update", "atpo.check_bound"):
+        assert calls[name] >= 1, name
+    assert calls["atpo.policy_loss_row"] == 3
+    for owner, attr, original in originals:
+        assert getattr(owner, attr) is original, attr
 
 
 def test_csr_and_dense_desk_grids_solve_and_play_alike():
@@ -176,22 +264,23 @@ def test_experiment_normalization_endpoints(small_library):
 
 
 def test_identification_summary_math():
+    # The last row follows the last action; no step acts on it.
     histories = [
-        np.array([[0.5, 0.5], [0.9, 0.1]]),
-        np.array([[0.5, 0.5], [0.2, 0.8]]),
-        np.array([[0.5, 0.5], [0.6, 0.4]]),
+        np.array([[0.5, 0.5], [0.9, 0.1], [0.1, 0.9]]),
+        np.array([[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]]),
+        np.array([[0.5, 0.5], [0.6, 0.4], [0.1, 0.9]]),
     ]
     trials = [
         TrialResult("atpo", seed=i, model_index=0, initial_state=0,
                     actions=[0, 0], observations=[0, 0], rewards=[0, 0],
-                    states=[0, 0], posterior_history=h)
+                    states=[0, 0], posteriors=h)
         for i, h in enumerate(histories)
     ]
     ident = identification_summary(trials, step=1)
     assert ident.probabilities == pytest.approx([0.9, 0.2, 0.6])
     assert ident.median_probability == pytest.approx(0.6)
     assert ident.accuracy == pytest.approx(2 / 3)
-    # Steps beyond the recorded horizon clamp to the last entry.
+    # Steps beyond the recorded horizon clamp to the last acting entry.
     assert identification_summary(trials, step=99).median_probability == pytest.approx(0.6)
     # First correct step: ties in the uniform prior go to index 0.
     assert first_correct_step(trials[0]) == 0
@@ -221,6 +310,23 @@ def test_emit_reports_files(tmp_path, small_library):
     assert set(atpo_entry["identification"]["at_step"]) == {"5"}
     assert "median_first_correct_step" in atpo_entry["identification"]
     assert "bound_violations" in atpo_entry
+    bounds = [t.bound for t in res.agents["atpo"].trials]
+    terms = atpo_entry["bound_terms"]
+    assert set(terms) == {"mixture_total", "comparator_total", "kl_total", "slack", "margin"}
+    for term, values in terms.items():
+        expected = [getattr(b, term) for b in bounds]
+        assert values == [v if math.isfinite(v) else None for v in expected], term
+    # A true model the prior rules out has an infinite KL term and margin,
+    # written as null.
+    ruled_out = type(lib)(lib.models, lib.policies, prior=[0.0, 1.0])
+    res = run_experiment(ruled_out, ["atpo"], horizon=5, trials=4, base_seed=0)
+    terms = emit_reports(res, tmp_path / "ruled-out")["agents"]["atpo"]["bound_terms"]
+    hidden = [t.model_index == 0 for t in res.agents["atpo"].trials]
+    assert any(hidden) and not all(hidden)
+    assert [v is None for v in terms["kl_total"]] == hidden
+    assert [v is None for v in terms["margin"]] == hidden
+    assert None not in terms["mixture_total"] + terms["comparator_total"] + terms["slack"]
+    assert "Infinity" not in (tmp_path / "ruled-out" / "summary.json").read_text()
     assert len(atpo_entry["mean_entropy_by_step"]) == 10
     assert "normalized_score" in on_disk["agents"]["vi"]
     assert len(on_disk["manifest"]["models"]) == 2
