@@ -171,8 +171,8 @@ def takes(name: str, keyword: str) -> bool:
 def build(name: str, **overrides) -> DomainBuild:
     """Build a registered domain with its defaults plus any overrides.
 
-    An `epsilon` outside [0, 1] or a `discount` outside [0, 1) is a
-    `ValueError`.
+    An `epsilon` outside [0, 1], a `discount` outside [0, 1) or a `tasks`
+    count below 1 is a `ValueError`.
     """
     spec = _spec(name)
     for keyword in overrides:
@@ -184,6 +184,8 @@ def build(name: str, **overrides) -> DomainBuild:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
+    if kwargs.get("tasks", 1) < 1:
+        raise ValueError(f"tasks must be at least 1, got {kwargs['tasks']!r}")
     solver = pop_solver_settings(kwargs)
     built = spec.builder(**kwargs)
     label, models = built if isinstance(built, tuple) else (name, built)

@@ -157,6 +157,8 @@ def loads_model(text: str) -> TabularPomdp:
         discount = float(disc_line[1])
     except ValueError:
         lines.fail(f"discount is not a number: {disc_line[1]!r}")
+    if not 0.0 <= discount < 1.0:
+        lines.fail(f"discount must lie in [0, 1), got {discount!r}")
 
     def read_section(key: str, bounds: tuple):
         """Entries of one section: integer indices below `bounds`, then a value."""

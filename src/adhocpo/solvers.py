@@ -12,10 +12,11 @@ solved in parallel, one forked worker per usable CPU (solve_many).
 The belief set is fixed for the whole solve, and so is everything a backup
 derives from a belief alone: per action, the reward term <b, R[:, a]>, the
 support of the propagated belief b T[a] and its values there.  A solve
-computes these once per belief, when it starts, and every stage reuses
-them.  They are the very arrays a backup would compute for itself, so
-the policy is the same, float for float, as one whose backups recompute
-them on every call.
+computes these once, when it starts, into one flat successor store that
+every stage reuses; the online lookahead builds the store of its one
+belief.  Its rows are the very arrays a backup would compute for itself,
+so the policy is the same, float for float, as one whose backups
+recompute them on every call.
 
 A backup skips every action whose upper bound cannot reach the best q
 found so far.  With u = b T[a], top(x) = max_i alpha_i(x) and
@@ -26,15 +27,16 @@ step (Hauskrecht, JAIR 2000) gives
 
 since each successor's best score sum_x alpha_i(x) u(x) O[a](x, z) is at
 most sum_x top(x) u(x) O[a](x, z) when u and O are nonnegative.  A solve
-stores the rows u * s_a once, one CSR row per belief and action, and gets
-every bound of a stage from one product with `top`.  The backup visits the
-actions in descending bound order and scores an action only when its bound
-plus a margin of 1e-9 (1 + max|R| + max|alpha|), far above the rounding of
-either side, reaches the best q so far.  A skipped action's q is below
-that best, so the backup returns the first maximal action and the same
-alpha vector as a scan of every action, float for float.  A solve whose
-model has a negative transition or observation entry (validate accepts
-them down to -1e-9), or whose belief set has one, runs the full scan.
+stores the rows u * s_a once, as CSR on the successor store's supports,
+and gets every bound of a stage from one product with `top`.  The backup
+visits the actions in descending bound order and scores an action only
+when its bound plus a margin of 1e-9 (1 + max|R| + max|alpha|), far above
+the rounding of either side, reaches the best q so far.  A skipped
+action's q is below that best, so the backup returns the first maximal
+action and the same alpha vector as a scan of every action, float for
+float.  A solve whose model has a negative transition or observation
+entry (validate accepts them down to -1e-9), or whose belief set has one,
+runs the full scan.
 """
 from __future__ import annotations
 
@@ -221,44 +223,56 @@ def policy_action(policy: AlphaVectorPolicy, belief: Belief) -> int:
     return int(policy.actions[scores == best].min())
 
 
-def _successors(model: TabularPomdp, belief: Belief) -> list:
-    """Per action a, what a backup of the belief needs apart from the alpha vectors.
+class _Successors(NamedTuple):
+    """Per belief b_i and action a, what a backup needs apart from the alpha vectors.
 
-    Entry a is (<b, R[:, a]>, support, weights): support holds the states
-    where the propagated belief u = b T[a] is nonzero, or is None when that
-    is every state, and weights is u on the support.  Nothing here depends
-    on the alpha vectors, so a solve builds it once per belief and reuses
-    it at every stage.  It holds about 16 bytes per support state and
-    action (the desk grid's 1500 beliefs add about 5 MB to a solve); the
-    support rows of the observation table are gathered per backup
-    instead, which keeps it small.
+    rewards[i, a] is <b_i, R[:, a]>.  Row r = i * |A| + a is u = b_i T[a]
+    on its support: the states indices[lo:hi] and the values weights[lo:hi],
+    with lo, hi = offsets[r], offsets[r + 1]; a row of |X| states is the
+    full support.  At 16 bytes per support state and action the desk grid's
+    1500 beliefs take about 4 MB; observation rows are gathered per backup.
     """
-    successors = []
-    for a in range(model.num_actions):
-        u = model.propagate(belief, a)
-        idx = np.flatnonzero(u)
-        reward = float(belief @ model.reward[:, a])
-        if len(idx) < model.num_states:
-            successors.append((reward, idx, u[idx]))
-        else:
-            successors.append((reward, None, u))
-    return successors
+
+    rewards: np.ndarray  # (m, |A|)
+    offsets: list  # m * |A| + 1 plain ints
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def belief(self, i: int) -> "_Successors":
+        """The store of belief i alone, sharing this store's arrays."""
+        n = self.rewards.shape[1]
+        return _Successors(self.rewards[i:i + 1], self.offsets[i * n:(i + 1) * n + 1], self.indices, self.weights)
+
+
+def _successors(model: TabularPomdp, beliefs: np.ndarray) -> _Successors:
+    """The successor store of the rows of `beliefs`, an (m, |X|) array."""
+    rewards = np.empty((len(beliefs), model.num_actions))
+    offsets, indices, weights = [0], [], []
+    for i, belief in enumerate(beliefs):
+        for a in range(model.num_actions):
+            u = model.propagate(belief, a)
+            idx = u.nonzero()[0]  # u is 1-D; np.flatnonzero adds a ravel that doubles the cost
+            rewards[i, a] = belief @ model.reward[:, a]
+            offsets.append(offsets[-1] + len(idx))
+            indices.append(idx)
+            weights.append(u[idx])
+    return _Successors(rewards, offsets, np.concatenate(indices), np.concatenate(weights))
 
 
 def _successor_scores(
-    model: TabularPomdp, vectors: np.ndarray, support: Optional[np.ndarray], weights: np.ndarray, a: int
+    model: TabularPomdp, vectors: np.ndarray, support: np.ndarray, weights: np.ndarray, a: int
 ) -> np.ndarray:
     """Alpha scores of every unnormalised successor belief, shape (n, |Z|).
 
     Entry (i, z) is <alpha_i, u * O[a][:, z]> with u the propagated belief.
     States outside the support of u contribute exactly zero, so the
     contraction runs on the support only; that keeps the cost proportional
-    to how spread out the belief actually is.  The support (None for every
-    state) and the weights u on it come from _successors: the arrays a
-    fresh propagation would give, so the scores are the same floats.
+    to how spread out the belief actually is.  The support and the weights
+    u on it are a row of the successor store: the arrays a fresh
+    propagation would give, so the scores are the same floats.
     """
     o = model.observation[a]
-    if support is not None:
+    if len(support) < model.num_states:
         o = o[support]
         vectors = vectors[:, support]
     return np.asarray(vectors @ (weights[:, None] * o))
@@ -272,11 +286,11 @@ class _Bounds(NamedTuple):
 
 
 def _lookahead(
-    model: TabularPomdp, vectors: np.ndarray, successors: list, bounds: Optional[_Bounds] = None
+    model: TabularPomdp, vectors: np.ndarray, successors: _Successors, bounds: Optional[_Bounds] = None
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One-step lookahead q(b, a), with the first maximal action and its scores.
 
-    successors is _successors(model, b).  Returns q, the first action of
+    successors is the store of b alone.  Returns q, the first action of
     maximal q, and that action's (n, |Z|) successor score matrix.
     Observations with zero likelihood contribute zero: their unnormalised
     successor is the zero vector, whose best alpha score is exactly 0.
@@ -294,14 +308,15 @@ def _lookahead(
     """
     q = np.full(model.num_actions, np.nan)
     order = range(model.num_actions) if bounds is None else np.argsort(-bounds.upper, kind="stable")
+    rewards, offsets = successors.rewards[0].tolist(), successors.offsets
     best = -1
     for k, a in enumerate(order):
         if bounds is not None and k and bounds.upper[a] < q[best]:
             bounds.skipped[0] += model.num_actions - k
             break
-        reward, support, weights = successors[a]
-        s = _successor_scores(model, vectors, support, weights, a)
-        q[a] = reward + model.discount * float(s.max(axis=0).sum())
+        lo, hi = offsets[a], offsets[a + 1]
+        s = _successor_scores(model, vectors, successors.indices[lo:hi], successors.weights[lo:hi], a)
+        q[a] = rewards[a] + model.discount * float(s.max(axis=0).sum())
         if best < 0 or q[a] > q[best] or (q[a] == q[best] and a < best):
             best, best_scores = a, s
     return q, int(best), best_scores
@@ -312,7 +327,7 @@ def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief)
 
     It passes no bounds, so every action is scored.
     """
-    return _lookahead(model, policy.vectors, _successors(model, belief))[0]
+    return _lookahead(model, policy.vectors, _successors(model, belief[None]))[0]
 
 
 def loss_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
@@ -389,7 +404,7 @@ def point_backup(
     model: TabularPomdp,
     belief: Belief,
     vectors: np.ndarray,
-    successors: Optional[list] = None,
+    successors: Optional[_Successors] = None,
     bounds: Optional[_Bounds] = None,
 ) -> tuple[np.ndarray, int]:
     """Back up one belief against the current vector set.
@@ -397,16 +412,16 @@ def point_backup(
     Returns the new alpha vector and its action, the first action of
     maximal lookahead q.  Scores are computed on unnormalised successor
     beliefs, so zero-likelihood observations drop out without special
-    casing.  successors is _successors(model, belief), built here when not
-    given; a solve passes the one it built for the belief when it started,
-    so no backup propagates the belief again.  Those are the arrays this
-    call would build, so the result is the same either way.  bounds, which
-    only a solve passes, lets the lookahead skip every action whose upper
-    bound cannot reach the best q; the action and the vector are still the
-    ones a scan of every action gives (see _lookahead).
+    casing.  successors is the store of this belief alone, built here when
+    not given; a solve passes belief i's rows of the store it built when it
+    started, so no backup propagates the belief again.  They hold the arrays
+    this call would build, so the result is the same either way.  bounds,
+    which only a solve passes, lets the lookahead skip every action whose
+    upper bound cannot reach the best q; the action and the vector are still
+    the ones a scan of every action gives (see _lookahead).
     """
     if successors is None:
-        successors = _successors(model, belief)
+        successors = _successors(model, belief[None])
     _, a, scores = _lookahead(model, vectors, successors, bounds)
     picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
     back = np.asarray((model.observation[a] * picked.T).sum(axis=1)).ravel()
@@ -414,32 +429,26 @@ def point_backup(
     return alpha, a
 
 
-def _bound_inputs(model: TabularPomdp, beliefs: np.ndarray, successors: list):
+def _bound_inputs(model: TabularPomdp, beliefs: np.ndarray, successors: _Successors):
     """What the upper bounds U(b, a) of a solve's beliefs need apart from the vectors.
 
     Returns (rows, rewards), or None when the bound does not hold.  Row
     i * |A| + a of the CSR matrix `rows` is u(x) s_a(x) on the support of
     u = b_i T[a], with s_a the row sums of O[a], so its product with top(x)
-    is the bound's lookahead term; rewards[i, a] is <b_i, R[:, a]>.  The
-    bound needs u >= 0 and O >= 0, so a model with a negative transition or
-    observation entry, or a belief set with a negative entry, gets None.
+    is the bound's lookahead term; it shares the indices and offsets of the
+    store `successors`, and rewards is the store's.  The bound needs u >= 0
+    and O >= 0, so a model with a negative transition or observation entry,
+    or a belief set with a negative entry, gets None.
     """
     tables = model.transition + model.observation
     if beliefs.min() < 0 or any(table.min() < 0 for table in tables):
         return None
-    sums = [np.asarray(o.sum(axis=1)).ravel() for o in model.observation]
-    every = np.arange(model.num_states)
-    indices, data = [], []
-    for table in successors:
-        for a, (_, support, weights) in enumerate(table):
-            support = every if support is None else support
-            indices.append(support)
-            data.append(weights * sums[a][support])
-    indptr = np.concatenate(([0], np.cumsum([len(i) for i in indices])))
-    shape = (len(successors) * model.num_actions, model.num_states)
-    rows = sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
-    rewards = np.array([[reward for reward, _, _ in table] for table in successors])
-    return rows, rewards
+    sums = np.array([np.asarray(o.sum(axis=1)).ravel() for o in model.observation])
+    actions = np.repeat(np.tile(np.arange(model.num_actions), len(beliefs)), np.diff(successors.offsets))
+    data = successors.weights * sums[actions, successors.indices]
+    shape = (len(beliefs) * model.num_actions, model.num_states)
+    rows = sparse.csr_array((data, successors.indices, successors.offsets), shape=shape)
+    return rows, successors.rewards
 
 
 def _stage_bounds(model: TabularPomdp, inputs: tuple, vectors: np.ndarray) -> np.ndarray:
@@ -476,9 +485,7 @@ def perseus_solve(
     if not len(beliefs) or not np.array_equal(beliefs[0], model.initial_belief):
         raise ValueError("the first belief of the set must be the model's initial belief")
     m = len(beliefs)
-    # The belief set is fixed for the whole solve, so each belief's
-    # successor and bound inputs are built once here, not at every backup.
-    successors = [_successors(model, b) for b in beliefs]
+    successors = _successors(model, beliefs)
     inputs = _bound_inputs(model, beliefs, successors)
     skipped = [0]
     backups = 0
@@ -501,7 +508,7 @@ def perseus_solve(
             if values[i] >= prev_values[i] - _EPS:
                 continue
             bounds = None if inputs is None else _Bounds(upper[i], skipped)
-            alpha, act = point_backup(model, beliefs[i], vectors, successors[i], bounds)
+            alpha, act = point_backup(model, beliefs[i], vectors, successors.belief(i), bounds)
             backups += 1
             if float(alpha @ beliefs[i]) >= prev_values[i] - _EPS:
                 new_vectors.append(alpha)
@@ -752,9 +759,12 @@ def solve_many(
     own generator, so the policies are the ones a solve in this process
     gives.  `progress` gets one line per model: a cache hit, or the vector
     count and solve seconds, noting an unusable entry that was replaced.
-    A horizon below 1 or a negative or NaN tolerance (which would never stop
-    a solve) is a ValueError, raised before any cache access.
+    A belief set size or horizon below 1, or a negative or NaN tolerance
+    (which would never stop a solve), is a ValueError, raised before any
+    cache access.
     """
+    if settings.belief_set_size < 1:
+        raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
     if settings.horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
     if not settings.tolerance >= 0.0:

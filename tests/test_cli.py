@@ -154,12 +154,16 @@ def test_cli_noise_rate_outside_the_unit_interval_is_an_error(capsys, name):
         assert capsys.readouterr().err == f"error: epsilon must lie in [0, 1], got {value}\n"
 
 
-def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
-    argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--beliefs", "0"]
-    assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
-    # A horizon below 1 and a negative or NaN tolerance fail before any
-    # policy is solved, fetched or stored.
+def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys, monkeypatch):
+    loads = []
+    load = solvers.PolicyCache.load
+    monkeypatch.setattr(solvers.PolicyCache, "load", lambda self, *args: loads.append(args) or load(self, *args))
+    for tasks in ("1", "2"):
+        argv = ["solve", "gridworld", "--size", "3", "--tasks", tasks, "--beliefs", "0"]
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
+    # An empty belief set, a horizon below 1 and a negative or NaN
+    # tolerance fail before any policy is solved, fetched or stored.
     argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--cache-dir", str(tmp_path)]
     cases = [
         (["--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
@@ -173,6 +177,7 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys):
         assert captured.err == message
         assert "policy for" not in captured.out
     assert not list(tmp_path.glob("*.policy"))
+    assert loads == []
 
 
 def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(

@@ -43,6 +43,9 @@ def test_build_bounds_noise_rate_and_discount():
     for value in (-0.1, 1.0, float("nan")):
         with pytest.raises(ValueError, match=rf"discount must lie in \[0, 1\), got {value}"):
             build("overcooked", discount=value)
+    for name, tasks in (("gridworld", 0), ("gridworld", -1), ("isr", 0), ("ntu", -2)):
+        with pytest.raises(ValueError, match=f"tasks must be at least 1, got {tasks}"):
+            build(name, tasks=tasks)
     # The closed ends of both ranges build valid models.
     for epsilon, discount in ((0.0, 0.0), (1.0, 0.99)):
         b = build("gridworld", size=3, tasks=1, epsilon=epsilon, discount=discount)

@@ -104,6 +104,10 @@ def test_errors_carry_line_numbers(rng):
     cases = [
         (1, "label", "labelfoo bar", "expected 'label"),
         (5, "discount", "discount abc", "discount is not a number"),
+        (5, "discount", "discount 1.5", r"discount must lie in \[0, 1\), got 1.5"),
+        (5, "discount", "discount 1", r"discount must lie in \[0, 1\), got 1.0"),
+        (5, "discount", "discount -0.1", r"discount must lie in \[0, 1\), got -0.1"),
+        (5, "discount", "discount nan", r"discount must lie in \[0, 1\), got nan"),
         (t_at, "T", "T -1", "T is negative"),
         (t_at + 1, "", "0 0 999 0.5", "T index out of range"),
         (t_at + 1, "", "7 0 0 0.5", "T index out of range"),

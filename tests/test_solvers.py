@@ -397,9 +397,44 @@ def _csr_transition_model(rng, n=600):
     return model
 
 
+def test_successor_store_rows_are_fresh_propagations(rng):
+    # Row i * |A| + a of the store is b_i T[a] on its support, next to
+    # <b_i, R[:, a]>; the bound rows reuse its indices and offsets.
+    dense = random_pomdp(rng, num_states=6, num_actions=3, num_observations=3, zeros=0.6)
+    full = random_pomdp(rng, num_states=5, num_actions=2, num_observations=3)
+    csr = _csr_transition_model(rng)
+    for model in (dense, full, csr):
+        beliefs = collect_beliefs(model, 12, 5, np.random.default_rng(1))
+        store = solvers._successors(model, beliefs)
+        n = model.num_actions
+        assert store.offsets[0] == 0 and store.offsets[-1] == len(store.indices) == len(store.weights)
+        rows, rewards = solvers._bound_inputs(model, beliefs, store)
+        assert rewards is store.rewards
+        assert np.shares_memory(rows.indices, store.indices)
+        for i, b in enumerate(beliefs):
+            one = store.belief(i)
+            for a in range(n):
+                u = model.propagate(b, a)
+                idx = np.flatnonzero(u)
+                r = slice(store.offsets[i * n + a], store.offsets[i * n + a + 1])
+                assert np.array_equal(store.indices[r], idx)
+                assert np.array_equal(store.weights[r], u[idx])
+                assert store.rewards[i, a] == b @ model.reward[:, a]
+                own = slice(one.offsets[a], one.offsets[a + 1])
+                assert np.array_equal(one.indices[own], idx) and one.rewards[0, a] == store.rewards[i, a]
+                sums = np.asarray(model.observation[a].sum(axis=1)).ravel()
+                assert np.array_equal(rows[[i * n + a]].toarray()[0], np.where(u != 0, u * sums, 0.0))
+        widths = np.diff(store.offsets)
+        if model is full:
+            # Every row is the full support.
+            assert (widths == model.num_states).all()
+        else:
+            assert (widths < model.num_states).any()
+
+
 def test_solve_with_stored_successors_equals_rebuilding_them_per_backup(rng, monkeypatch):
     # Oracle: backups that drop every input the solve precomputed, the
-    # successor table and the action bounds, so they propagate the belief
+    # successor store and the action bounds, so they propagate the belief
     # again and score every action at every call.
     backup = solvers.point_backup
 
@@ -420,8 +455,10 @@ def test_solve_with_stored_successors_equals_rebuilding_them_per_backup(rng, mon
         assert np.array_equal(stored.actions, rebuilt.actions)
         assert np.array_equal(stored.stage_values, rebuilt.stage_values)
         assert np.array_equal(stored.stage_improvements, rebuilt.stage_improvements)
-        for b in collect_beliefs(model, 10, 10, np.random.default_rng(2)):
-            given = point_backup(model, b, stored.vectors, solvers._successors(model, b))
+        beliefs = collect_beliefs(model, 10, 10, np.random.default_rng(2))
+        store = solvers._successors(model, beliefs)
+        for i, b in enumerate(beliefs):
+            given = point_backup(model, b, stored.vectors, store.belief(i))
             built = point_backup(model, b, stored.vectors)
             assert np.array_equal(given[0], built[0]) and given[1] == built[1]
 
@@ -508,8 +545,7 @@ def test_action_bounds_hold_above_every_lookahead_q(rng):
     for trial in range(6):
         model = random_pomdp(rng, num_states=6, num_actions=3, num_observations=4, zeros=0.3 * (trial % 2))
         beliefs = collect_beliefs(model, 40, 10, rng)
-        successors = [solvers._successors(model, b) for b in beliefs]
-        inputs = solvers._bound_inputs(model, beliefs, successors)
+        inputs = solvers._bound_inputs(model, beliefs, solvers._successors(model, beliefs))
         for size in (1, 3, 20):
             vectors = rng.uniform(-5.0, 5.0, size=(size, model.num_states))
             upper = solvers._stage_bounds(model, inputs, vectors)
@@ -533,7 +569,7 @@ def test_a_negative_table_entry_turns_the_bounds_off_and_solves_like_the_oracle(
     # Sampling cannot draw from the negative row, so the beliefs come from
     # the model before the change.
     beliefs = collect_beliefs(base, 60, 15, np.random.default_rng(2))
-    assert solvers._bound_inputs(model, beliefs, [solvers._successors(model, b) for b in beliefs]) is None
+    assert solvers._bound_inputs(model, beliefs, solvers._successors(model, beliefs)) is None
     guarded = perseus_solve(model, settings, beliefs)
     backup = solvers.point_backup
     monkeypatch.setattr(solvers, "point_backup", lambda model, belief, vectors, *_: backup(model, belief, vectors))
