@@ -171,8 +171,8 @@ def takes(name: str, keyword: str) -> bool:
 def build(name: str, **overrides) -> DomainBuild:
     """Build a registered domain with its defaults plus any overrides.
 
-    An `epsilon` outside [0, 1], a `discount` outside [0, 1) or a `tasks`
-    count below 1 is a `ValueError`.
+    An `epsilon` outside [0, 1], a `discount` outside [0, 1), or a `tasks`
+    count or `size` below 1 is a `ValueError`.
     """
     spec = _spec(name)
     for keyword in overrides:
@@ -186,6 +186,8 @@ def build(name: str, **overrides) -> DomainBuild:
         raise ValueError(f"discount must lie in [0, 1), got {discount!r}")
     if kwargs.get("tasks", 1) < 1:
         raise ValueError(f"tasks must be at least 1, got {kwargs['tasks']!r}")
+    if kwargs.get("size", 1) < 1:
+        raise ValueError(f"size must be at least 1, got {kwargs['size']!r}")
     solver = pop_solver_settings(kwargs)
     built = spec.builder(**kwargs)
     label, models = built if isinstance(built, tuple) else (name, built)

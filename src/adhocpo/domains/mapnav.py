@@ -7,11 +7,17 @@ but distances and the teammate's walk follow shortest paths on the free
 graph.  Moves resolve jointly: two agents heading for the same cell, or
 trying to swap, both stay put.
 
+A map's shortest-path distances are searched once (`GridMap.distances`)
+and serve both the task enumeration and the teammate's walk.  Each task's
+transition entries and completion rewards are laid out with array
+operations over all (agent, teammate) states at once.
+
 Maps are plain text, '#' for wall and '.' for free, shipped next to this
 module.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from pathlib import Path
@@ -66,6 +72,11 @@ class GridMap:
             if self.passable(*nxt):
                 yield nxt
 
+    @functools.cached_property
+    def distances(self) -> list:
+        """Path distances from each free cell, by cell id: {cell: steps}."""
+        return [self.distances_from(cell) for cell in self.free_cells]
+
     def distances_from(self, target) -> dict:
         dist = {target: 0}
         queue = deque([target])
@@ -88,10 +99,9 @@ def load_map(name: str) -> GridMap:
 
 def canonical_tasks(grid: GridMap) -> list:
     """Goal pairs ordered by descending path distance, then cell ids."""
-    dist_maps = {i: grid.distances_from(cell) for i, cell in enumerate(grid.free_cells)}
     pairs = []
     for i, j in itertools.combinations(range(grid.num_free), 2):
-        d = dist_maps[i].get(grid.free_cells[j])
+        d = grid.distances[i].get(grid.free_cells[j])
         if d is None:
             continue  # disconnected; never a task
         pairs.append((-d, i, j))
@@ -99,13 +109,13 @@ def canonical_tasks(grid: GridMap) -> list:
     return [(i, j) for _, i, j in pairs]
 
 
-def _teammate_step(grid: GridMap, cell_id: int, goals: tuple, dist_maps: dict) -> int:
+def _teammate_step(grid: GridMap, cell_id: int, goals: tuple) -> int:
     """Deterministic path step toward the closer goal (lower id on ties)."""
     cell = grid.free_cells[cell_id]
-    target = min(goals, key=lambda g: (dist_maps[g].get(cell, 10 ** 9), g))
+    target = min(goals, key=lambda g: (grid.distances[g].get(cell, 10 ** 9), g))
     if cell_id == target:
         return cell_id
-    dist = dist_maps[target]
+    dist = grid.distances[target]
     base = dist.get(cell, 10 ** 9)
     for d in gc.MOVE_ORDER:
         dr, dc = gc.MOVES[d]
@@ -125,64 +135,56 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
     if len(goal_pairs) < tasks:
         raise ValueError(f"map {map_name!r} supports {len(goal_pairs)} tasks")
 
-    def state_id(pa: int, pt: int) -> int:
-        return pa * (f - 1) + (pt if pt < pa else pt - 1)
+    # Every non-absorbing state as its (agent, teammate) cells, in state order;
+    # state pa * (f - 1) + pt - (pt > pa) skips the pairs with pa == pt.
+    pa = np.repeat(np.arange(f), f - 1)
+    pt = np.tile(np.arange(f - 1), f)
+    pt += pt >= pa
 
     obs = np.zeros((num_states, gc.NUM_OBSERVATIONS))
-    for pa in range(f):
-        for pt in range(f):
-            if pa == pt:
-                continue
-            symbols = gc.sensor_symbols(
-                grid.free_cells[pa], grid.free_cells[pt], grid.passable
-            )
-            obs[state_id(pa, pt)] = gc.noisy_observation_row(symbols, epsilon)
+    for x, (a_cell, t_cell) in enumerate(zip(pa.tolist(), pt.tolist())):
+        symbols = gc.sensor_symbols(
+            grid.free_cells[a_cell], grid.free_cells[t_cell], grid.passable
+        )
+        obs[x] = gc.noisy_observation_row(symbols, epsilon)
     obs[absorbing, gc.BLANK_OBSERVATION] = 1.0
 
     b0 = np.zeros(num_states)
-    b0[: f * (f - 1)] = 1.0 / (f * (f - 1))
+    b0[:absorbing] = 1.0 / absorbing
 
-    dist_maps = {i: grid.distances_from(grid.free_cells[i]) for i in range(f)}
     agent_moves = np.empty((f, NUM_ACTIONS), dtype=int)
-    for pa in range(f):
-        cell = grid.free_cells[pa]
+    for i, cell in enumerate(grid.free_cells):
         for a in range(NUM_ACTIONS):
             dr, dc = gc.MOVES[a]
             nxt = (cell[0] + dr, cell[1] + dc)
-            agent_moves[pa, a] = grid.index[nxt] if grid.passable(*nxt) else pa
+            agent_moves[i, a] = grid.index[nxt] if grid.passable(*nxt) else i
 
+    branches = [(p, move) for p, move in ((1.0 - epsilon, True), (epsilon, False)) if p > 0.0]
     models = []
     for goals in goal_pairs:
+        done = ((pa == goals[0]) & (pt == goals[1])) | ((pa == goals[1]) & (pt == goals[0]))
+        finished, live = np.flatnonzero(done), np.flatnonzero(~done)
+        la, lt = pa[live], pt[live]
+        teammate = np.array([_teammate_step(grid, i, goals) for i in range(f)])[lt]
         reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
         reward[absorbing] = 0.0
-        te_step = {
-            pt: _teammate_step(grid, pt, goals, dist_maps) for pt in range(f)
-        }
+        reward[finished] = COMPLETION_REWARD
+        # A finished task moves to the absorbing state, which stays put.
+        fixed_rows = np.append(finished, absorbing)
         per_action = []
         for a in range(NUM_ACTIONS):
-            rows, cols, vals = [], [], []
-            for pa in range(f):
-                for pt in range(f):
-                    if pa == pt:
-                        continue
-                    x = state_id(pa, pt)
-                    if (pa, pt) in ((goals[0], goals[1]), (goals[1], goals[0])):
-                        reward[x] = COMPLETION_REWARD
-                        rows.append(x), cols.append(absorbing), vals.append(1.0)
-                        continue
-                    intended_te = te_step[pt]
-                    moved = agent_moves[pa, a]
-                    for p_move, agent_cell in ((1.0 - epsilon, moved), (epsilon, pa)):
-                        if p_move <= 0.0:
-                            continue
-                        # Same target or a swap leaves both agents in place.
-                        pa2, te2 = agent_cell, intended_te
-                        if pa2 == te2 or (pa2 == pt and te2 == pa):
-                            pa2, te2 = pa, pt
-                        rows.append(x), cols.append(state_id(pa2, te2)), vals.append(p_move)
-            rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
+            rows, cols = [fixed_rows], [np.full(len(fixed_rows), absorbing)]
+            vals = [np.ones(len(fixed_rows))]
+            for p, move in branches:
+                agent = agent_moves[la, a] if move else la
+                # Same target or a swap leaves both agents in place.
+                stay = (agent == teammate) | ((agent == lt) & (teammate == la))
+                rows.append(live)
+                moved = agent * (f - 1) + teammate - (teammate > agent)
+                cols.append(np.where(stay, live, moved))
+                vals.append(np.full(len(live), p))
             per_action.append(sparse.coo_array(
-                (np.array(vals), (np.array(rows), np.array(cols))),
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(num_states, num_states),
             ))
         g_cells = tuple(grid.free_cells[g] for g in goals)

@@ -4,9 +4,12 @@ The format is line oriented: a fixed header, then sparse triple sections for
 the transition, observation, and reward tables, then the initial belief.
 Floats are written with repr(), so a load/dump round trip reproduces the
 file byte for byte.  Writing formats each distinct table object once: a
-table shared by several actions (the grid sensor table serves all five) is
-formatted without its action column, which is then put in front of every
-line for each action that uses it.
+table shared by several actions is formatted without its action column,
+which is then put in front of every line for each action that uses it.
+`model_digests` hashes a whole library this way, so a table shared across
+models too (the grid and map sensor table serves every action of every
+model) is formatted once per batch, and each action's prefixed copy of it
+is built once.
 
     adhocpo-model v1
     label <free text>
@@ -22,6 +25,8 @@ line for each action that uses it.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 
 import numpy as np
@@ -56,55 +61,80 @@ def _lines(rows, cols, values) -> str:
     return "".join(text.tolist())
 
 
-def _action_lines(tables):
-    """Each action's section text, as bytes; a table shared by several actions
-    is formatted once and only its action prefix is repeated.
+def _pieces(model: TabularPomdp):
+    """A model's canonical text as (slot, prefix, table) pieces, in order.
 
-    A table's text is held only until the last action that uses it.
+    A piece without a table is its prefix alone; otherwise it is the lines
+    of the table, each led by the prefix.  The slot, (section, action),
+    orders the pieces of every model alike.
     """
-    last_use = {id(table): a for a, table in enumerate(tables)}
-    held: dict = {}
-    for a, table in enumerate(tables):
-        body = held.pop(id(table), None)
-        if body is None:
-            body = _lines(*entries(table)).encode()
-        if last_use[id(table)] > a:
-            held[id(table)] = body
-        if body:
-            prefix = f"{a} ".encode()
-            yield prefix
-            yield body[:-1].replace(b"\n", b"\n" + prefix)
-            yield b"\n"
-
-
-def _model_chunks(model: TabularPomdp):
-    """The canonical text of a model as bytes, in pieces of at most one table each."""
-    yield (
+    yield (0, 0), (
         f"{FORMAT_TAG}\n"
         f"label {model.label}\n"
         f"states {model.num_states}\n"
         f"actions {model.num_actions}\n"
         f"observations {model.num_observations}\n"
         f"discount {float(model.discount)!r}\n"
-    ).encode()
-    for key, tables in (("T", model.transition), ("O", model.observation)):
-        yield f"{key} {sum(entry_count(t) for t in tables)}\n".encode()
-        yield from _action_lines(tables)
-    yield f"R {entry_count(model.reward)}\n".encode()
-    yield _lines(*entries(model.reward)).encode()
-    b_idx = np.flatnonzero(model.initial_belief)
-    yield f"b0 {len(b_idx)}\n".encode()
-    yield _lines(b_idx, None, model.initial_belief[b_idx]).encode()
-    yield b"end\n"
+    ).encode(), None
+    for s, (key, tables) in enumerate((("T", model.transition), ("O", model.observation)), start=1):
+        yield (s, -1), f"{key} {sum(entry_count(t) for t in tables)}\n".encode(), None
+        for a, table in enumerate(tables):
+            yield (s, a), f"{a} ".encode(), table
+    for s, (key, table) in enumerate((("R", model.reward), ("b0", model.initial_belief)), start=3):
+        yield (s, -1), f"{key} {entry_count(table)}\n".encode(), None
+        yield (s, 0), b"", table
+    yield (5, 0), b"end\n", None
+
+
+def _body(table) -> bytes:
+    """The lines of one table, or of the initial belief, without a prefix."""
+    if table.ndim == 1:
+        idx = np.flatnonzero(table)
+        return _lines(idx, None, table[idx]).encode()
+    return _lines(*entries(table)).encode()
+
+
+def _texts(models):
+    """The canonical texts of several models, walked together.
+
+    Yields (chunk, ks): the next piece of the text of every models[k] with
+    k in ks.  A table object is formatted once however many actions and
+    models use it, and its text is held only until its last use; each
+    action's prefixed copy of it is built once.  So the transient text is
+    one table's lines plus one prefixed copy.
+    """
+    slots: dict = {}
+    for k, model in enumerate(models):
+        for slot, prefix, table in _pieces(model):
+            slots.setdefault(slot, {}).setdefault((prefix, id(table)), (table, []))[1].append(k)
+    order = sorted(slots)
+    last_use = {id(table): i for i, slot in enumerate(order) for table, _ in slots[slot].values()}
+    held: dict = {}
+    for i, slot in enumerate(order):
+        for (prefix, key), (table, ks) in slots[slot].items():
+            if table is None:
+                yield prefix, ks
+                continue
+            body = held.pop(key, None)
+            if body is None:
+                body = _body(table)
+            if last_use[key] > i:
+                held[key] = body
+            if not prefix:
+                yield body, ks
+            elif body:
+                yield prefix, ks
+                yield memoryview(body.replace(b"\n", b"\n" + prefix))[: -len(prefix)], ks
+            del body  # so it is not alive while the next table is formatted
 
 
 def dumps_model(model: TabularPomdp) -> str:
-    return b"".join(_model_chunks(model)).decode()
+    return b"".join(chunk for chunk, _ in _texts([model])).decode()
 
 
 def dump_model(model: TabularPomdp, path) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(_model_chunks(model))
+        fh.writelines(chunk for chunk, _ in _texts([model]))
 
 
 class _Lines:
@@ -217,13 +247,43 @@ def load_model(path) -> TabularPomdp:
         return loads_model(fh.read())
 
 
+def model_digests(models) -> list:
+    """Content hash of each model's canonical serialization, in order.
+
+    Equal to the sha256 of the file dump_model writes; each text is hashed
+    piece by piece and never held whole.  The models are hashed together,
+    so a table they share is formatted once for all of them.
+    """
+    hashers = [hashlib.sha256() for _ in models]
+    for chunk, ks in _texts(models):
+        for k in ks:
+            hashers[k].update(chunk)
+    return [h.hexdigest() for h in hashers]
+
+
+# {id(model): (model, digest)} for the models of the innermost digests_held block.
+_held: contextvars.ContextVar = contextvars.ContextVar("held model digests", default={})
+
+
+@contextlib.contextmanager
+def digests_held(models):
+    """Digest `models` together; inside the block, model_digest of one of
+    these very objects returns its digest from here.
+
+    The models must not change inside the block.
+    """
+    token = _held.set({id(m): (m, d) for m, d in zip(models, model_digests(models))})
+    try:
+        yield
+    finally:
+        _held.reset(token)
+
+
 def model_digest(model: TabularPomdp) -> str:
     """Content hash of the canonical serialization; keys the policy cache.
 
-    Equal to the sha256 of the file dump_model writes; the text is hashed
-    piece by piece and never held whole.
+    `model_digests` of this model alone, or the digest that the innermost
+    `digests_held` block made for this very object.
     """
-    digest = hashlib.sha256()
-    for chunk in _model_chunks(model):
-        digest.update(chunk)
-    return digest.hexdigest()
+    held, digest = _held.get().get(id(model), (None, None))
+    return digest if held is model else model_digests([model])[0]

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from adhocpo.modelio import model_digest
+from adhocpo.modelio import digests_held, model_digest
 from adhocpo.pomdp import (
     Belief,
     TabularMmdp,
@@ -629,13 +629,18 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
     vectors = np.empty((n, width))
     actions = np.empty(n, dtype=int)
     for i in range(n):
-        parts = line(9 + i).split()
-        if len(parts) != width + 1:
-            raise PolicyFormatError(f"line {10 + i}: expected {width + 1} fields")
+        text = line(9 + i)
+        act, _, rest = text.strip().partition(" ")
         try:
-            actions[i] = int(parts[0])
-            vectors[i] = [float(p) for p in parts[1:]]
+            actions[i] = int(act)
+            row = np.fromstring(rest, sep=" ")  # ValueError on a bad token
+            if len(row) != width:
+                raise ValueError(rest)
+            vectors[i] = row
         except ValueError:
+            # Name the fault as a field count first, then as a bad number.
+            if len(text.split()) != width + 1:
+                raise PolicyFormatError(f"line {10 + i}: expected {width + 1} fields") from None
             raise PolicyFormatError(f"line {10 + i}: bad number") from None
     if line(9 + n).strip() != "end":
         raise PolicyFormatError(f"line {10 + n}: missing 'end'")
@@ -752,8 +757,9 @@ def solve_many(
 ) -> list[tuple[AlphaVectorPolicy, bool]]:
     """Solve or fetch every model's policy; returns (policy, came_from_cache) per model.
 
-    This process does every cache load and store, in model order.  When two
-    or more models miss and this process may run on more than one CPU, the
+    This process does every cache load and store, in model order, and
+    digests the models together once (`digests_held`) for them.  When two or
+    more models miss and this process may run on more than one CPU, the
     misses are solved in forked worker processes with one BLAS thread each,
     and every worker is joined before this returns.  Each solve seeds its
     own generator, so the policies are the ones a solve in this process
@@ -771,18 +777,19 @@ def solve_many(
         raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
     results: list = [None] * len(models)
     misses = []
-    for k, model in enumerate(models):
-        hit = None if cache is None else cache.load(model, settings)
-        if hit is None:
-            misses.append(k)
-            continue
-        results[k] = (hit, True)
-        if progress:
-            progress(f"policy for {model.label}: cache")
-    # os.sched_getaffinity exists only on Linux; elsewhere every solve runs here.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(misses), cpus)
     with contextlib.ExitStack() as stack:
+        stack.enter_context(digests_held(models))
+        for k, model in enumerate(models):
+            hit = None if cache is None else cache.load(model, settings)
+            if hit is None:
+                misses.append(k)
+                continue
+            results[k] = (hit, True)
+            if progress:
+                progress(f"policy for {model.label}: cache")
+        # os.sched_getaffinity exists only on Linux; elsewhere every solve runs here.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(len(misses), cpus)
         if workers > 1:
             # fork, not spawn or forkserver: those leave a resource tracker
             # or a fork server process running after the pool has shut

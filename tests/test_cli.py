@@ -154,6 +154,17 @@ def test_cli_noise_rate_outside_the_unit_interval_is_an_error(capsys, name):
         assert capsys.readouterr().err == f"error: epsilon must lie in [0, 1], got {value}\n"
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["validate", "gridworld", "--size", "-2", "--tasks", "1"], -2),
+    (["validate", "pursuit-task", "--size", "0"], 0),
+])
+def test_cli_size_below_one_is_an_error(capsys, argv, size):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: size must be at least 1, got {size}\n"
+    assert "valid" not in captured.out
+
+
 def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys, monkeypatch):
     loads = []
     load = solvers.PolicyCache.load

@@ -46,6 +46,9 @@ def test_build_bounds_noise_rate_and_discount():
     for name, tasks in (("gridworld", 0), ("gridworld", -1), ("isr", 0), ("ntu", -2)):
         with pytest.raises(ValueError, match=f"tasks must be at least 1, got {tasks}"):
             build(name, tasks=tasks)
+    for name, size in (("gridworld", 0), ("gridworld", -2), ("pursuit-task", 0), ("pursuit-both", -1)):
+        with pytest.raises(ValueError, match=f"size must be at least 1, got {size}"):
+            build(name, size=size)
     # The closed ends of both ranges build valid models.
     for epsilon, discount in ((0.0, 0.0), (1.0, 0.99)):
         b = build("gridworld", size=3, tasks=1, epsilon=epsilon, discount=discount)
@@ -313,6 +316,54 @@ def test_map_navigation_swap_blocks():
     x = 0 * 8 + (1 - 1)  # state_id(pa=0, pt=1)
     right = 3
     assert m.dense_transition(right)[x, x] == 1.0
+
+
+def _reference_map_tables(grid, goals, epsilon):
+    """Dense transitions and reward of one map task, state by state."""
+    f = grid.num_free
+    n = f * (f - 1) + 1
+    absorbing = n - 1
+
+    def state_id(pa, pt):
+        return pa * (f - 1) + (pt if pt < pa else pt - 1)
+
+    def step(cell, a):
+        dr, dc = gc.MOVES[a]
+        nxt = (grid.free_cells[cell][0] + dr, grid.free_cells[cell][1] + dc)
+        return grid.index[nxt] if grid.passable(*nxt) else cell
+
+    teammate = [mapnav._teammate_step(grid, pt, goals) for pt in range(f)]
+    transition = np.zeros((mapnav.NUM_ACTIONS, n, n))
+    reward = np.full((n, mapnav.NUM_ACTIONS), mapnav.STEP_REWARD)
+    reward[absorbing] = 0.0
+    transition[:, absorbing, absorbing] = 1.0
+    for a in range(mapnav.NUM_ACTIONS):
+        for pa in range(f):
+            for pt in range(f):
+                if pa == pt:
+                    continue
+                x = state_id(pa, pt)
+                if {pa, pt} == set(goals):
+                    reward[x] = mapnav.COMPLETION_REWARD
+                    transition[a, x, absorbing] = 1.0
+                    continue
+                for p, agent in ((1.0 - epsilon, step(pa, a)), (epsilon, pa)):
+                    te = teammate[pt]
+                    if agent == te or (agent == pt and te == pa):
+                        agent, te = pa, pt
+                    transition[a, x, state_id(agent, te)] += p
+    return transition, reward
+
+
+def test_map_tables_match_the_state_by_state_reference():
+    for name, tasks, epsilon in (("test3x3", 2, 0.2), ("test3x3", 1, 0.0), ("ntu", 2, 0.1)):
+        grid = mapnav.load_map(name)
+        _, models = mapnav.build_map_navigation(name, tasks, epsilon, 0.95)
+        for model, goals in zip(models, mapnav.canonical_tasks(grid), strict=False):
+            transition, reward = _reference_map_tables(grid, goals, epsilon)
+            assert np.array_equal(model.reward, reward)
+            for a in range(model.num_actions):
+                assert np.array_equal(model.dense_transition(a), transition[a])
 
 
 def test_exported_names_resolve():

@@ -15,6 +15,7 @@ from adhocpo.modelio import (
     load_model,
     loads_model,
     model_digest,
+    model_digests,
 )
 from adhocpo.pomdp import TabularPomdp
 
@@ -176,23 +177,33 @@ PINNED_DIGESTS = [
         "e44776bde188cd5a7f189788c9268e57ca6689d31b808d1a0bda7f1d72e0328b",
         "b2bd7ce3d69a577e428042ae29b961bdf0b235842939053c8bf7369c020dce67",
     ]),
+    # The full-scale maps; the benchmark's warm policy caches are keyed on isr's.
+    (("isr", {}), [
+        "fc64609ec1ce1e1fc6f9b220ce42f6d40b1bb7c3308688c26b9c007acf56c5ee",
+        "88ab7dc990bb7c83915454ffe50bcd6be97ac90e01c812fa823dd4f9360746cd",
+        "ee4523a9a7c34f3c648338ffe9f58e433c3fb31d40906c5a01ff46a9d58fbc10",
+    ]),
+    (("ntu", {}), [
+        "6bbd6e95eb8d670b8cc63872b2e48e4e440d75d4b01d63485ffa8e880b489b90",
+        "ea0c1aed5d90543a1f5e7e38e9adc0a49d70ca1917b7e23f6fd9e0d0faa48546",
+        "8121a2c04e9bec358b7a1e6bbb314adf32b91759ae43e02cbb9e7586340cf85a",
+        "3ccb6a5f647302ba2a24b2f274391faca08adf1fc07e7056ce6cfd73622ae043",
+    ]),
 ]
 
 
 def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
-    models = [
-        (model, expected)
-        for (name, overrides), digests in PINNED_DIGESTS
-        for model, expected in zip(build(name, **overrides).models, digests, strict=True)
-    ]
-    models.append(
-        (_hand_built_csr(), "a8a63a0af386ab5ac0b977ef9d972407cbf88075062670a0387a625e3af42a8c")
+    libraries = [(build(name, **overrides).models, digests) for (name, overrides), digests in PINNED_DIGESTS]
+    libraries.append(
+        ([_hand_built_csr()], ["a8a63a0af386ab5ac0b977ef9d972407cbf88075062670a0387a625e3af42a8c"])
     )
-    for model, expected in models:
-        assert model_digest(model) == expected, model.label
-        path = tmp_path / "model.model"
-        dump_model(model, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
+    for models, digests in libraries:
+        assert model_digests(models) == digests, models[0].label
+        for model, expected in zip(models, digests, strict=True):
+            assert model_digest(model) == expected, model.label
+            path = tmp_path / "model.model"
+            dump_model(model, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
 
 
 # -- each distinct table is formatted once per digest ------------------------
@@ -222,6 +233,16 @@ def test_digest_formats_each_distinct_table_once(monkeypatch):
         calls.clear()
         model_digest(model)
         assert len(calls) == distinct + 2  # and one each for R and b0
+    # A batch formats each distinct table object of the whole library once:
+    # the grid library's sensor table serves every action of both models.
+    library = [*build("gridworld", size=3, tasks=2).models, interleaved, grid, interleaved]
+    assert library[0].observation[0] is library[1].observation[4]
+    distinct = {
+        id(t) for m in library for t in (*m.transition, *m.observation, m.reward, m.initial_belief)
+    }
+    calls.clear()
+    model_digests(library)
+    assert len(calls) == len(distinct)
 
 
 def test_shared_tables_serialize_like_equal_copies(rng):
@@ -238,13 +259,18 @@ def test_shared_tables_serialize_like_equal_copies(rng):
         assert model_digest(shared) == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_shared_empty_and_negative_zero_tables_hash_their_text():
-    def csr(data, cols, indptr, shape):
-        return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
+def _csr(data, cols, indptr, shape):
+    return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
 
+
+def _empty_and_signed_tables():
+    """An observation table with no entries and one with an explicit -0.0."""
+    return _csr([], [], [0, 0, 0, 0], (3, 2)), _csr([-0.0, 1.0], [1, 0], [0, 1, 1, 2], (3, 2))
+
+
+def test_shared_empty_and_negative_zero_tables_hash_their_text():
     base = _hand_built_csr()
-    empty = csr([], [], [0, 0, 0, 0], (3, 2))
-    signed = csr([-0.0, 1.0], [1, 0], [0, 1, 1, 2], (3, 2))
+    empty, signed = _empty_and_signed_tables()
     for o, section in (
         (empty, "O 0\nR "),
         (signed, "O 4\n0 0 1 -0.0\n0 2 0 1.0\n1 0 1 -0.0\n1 2 0 1.0\nR "),
@@ -253,3 +279,56 @@ def test_shared_empty_and_negative_zero_tables_hash_their_text():
         text = dumps_model(model)
         assert section in text
         assert model_digest(model) == hashlib.sha256(text.encode()).hexdigest()
+
+
+# -- a library is digested together ------------------------------------------
+
+
+def test_batch_digests_equal_one_model_digests(rng):
+    grid = build("gridworld", size=3, tasks=2).models
+    base = _hand_built_csr()
+    empty, signed = _empty_and_signed_tables()
+    # Shared across models and actions: the empty and -0.0 tables.
+    odd = [
+        dataclasses.replace(base, observation=[empty, empty], label="empty"),
+        dataclasses.replace(base, observation=[signed, signed], label="signed"),
+        dataclasses.replace(base, observation=[empty, signed], label="both"),
+    ]
+    # Action counts differ, and one observation table serves both models.
+    three = random_pomdp(rng, num_states=4, num_actions=3, num_observations=3)
+    two = dataclasses.replace(
+        three,
+        num_actions=2,
+        transition=three.transition[1:],
+        observation=[three.observation[0]] * 2,
+        reward=three.reward[:, :2],
+        label="two actions",
+    )
+    for models in (grid, grid[:1], [grid[1], grid[0], grid[1]], odd, [three, two], [two, three, grid[0]]):
+        assert model_digests(models) == [model_digest(m) for m in models]
+        for model, digest in zip(models, model_digests(models)):
+            assert digest == hashlib.sha256(dumps_model(model).encode()).hexdigest()
+    assert model_digests([]) == []
+
+
+def test_digests_held_serves_only_those_model_objects(rng, monkeypatch):
+    models = [random_pomdp(rng, label=f"model {k}") for k in range(2)]
+    digests = [model_digest(m) for m in models]
+    walks = []
+    texts = modelio._texts
+
+    def counting(batch):
+        walks.append(len(batch))
+        return texts(batch)
+
+    monkeypatch.setattr(modelio, "_texts", counting)
+    with modelio.digests_held(models):
+        assert walks == [2]
+        assert [model_digest(m) for m in models] == digests
+        assert walks == [2]
+        # An equal model that is another object is digested afresh.
+        assert model_digest(dataclasses.replace(models[0])) == digests[0]
+        assert walks == [2, 1]
+    # Outside the block every call digests the model as it is now.
+    models[0].reward[0, 0] += 1.0
+    assert model_digest(models[0]) != digests[0]

@@ -693,6 +693,33 @@ def test_truncated_policy_names_the_missing_line(rng):
         loads_policy(text[:cut])
 
 
+def test_vector_rows_parse_bit_for_bit_and_name_a_bad_row():
+    vectors = np.array([[1.0 / 3.0, -0.0, 5e-324, -2.5e300], [0.0, -1.0, 1e-300, 7.0]])
+    text = dumps_policy(AlphaVectorPolicy(vectors=vectors, actions=np.array([1, 0]), discount=0.9))
+    lines = text.splitlines()
+    # Reference: one float() per token.
+    reference = np.array([[float(v) for v in line.split()[1:]] for line in lines[9:11]])
+    parsed = loads_policy(text)
+    assert np.array_equal(parsed.vectors.view(np.uint64), vectors.view(np.uint64))
+    assert np.array_equal(parsed.vectors.view(np.uint64), reference.view(np.uint64))
+    assert parsed.actions.tolist() == [1, 0]
+    row = lines[9]
+    act, coefs = row.split(" ", 1)
+    cases = [
+        (row.rsplit(" ", 1)[0], "expected 5 fields"),
+        (row + " 0.5", "expected 5 fields"),
+        (act, "expected 5 fields"),
+        (f"{act} 0.5", "expected 5 fields"),
+        ("x " + coefs, "bad number"),
+        (f"{act} {coefs.rsplit(' ', 1)[0]} 1.0x", "bad number"),
+        (f"{act} {coefs.rsplit(' ', 1)[0]} nope", "bad number"),
+        ("x 1.0", "expected 5 fields"),  # both faults: the field count is named
+    ]
+    for bad, message in cases:
+        with pytest.raises(PolicyFormatError, match=f"^line 10: {message}$"):
+            loads_policy("\n".join([*lines[:9], bad, *lines[10:]]) + "\n")
+
+
 def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     cache = PolicyCache(tmp_path)
