@@ -8,8 +8,14 @@ table shared by several actions is formatted without its action column,
 which is then put in front of every line for each action that uses it.
 `model_digests` hashes a whole library this way, so a table shared across
 models too (the grid and map sensor table serves every action of every
-model) is formatted once per batch, and each action's prefixed copy of it
-is built once.
+model) is formatted once per batch.
+
+A table's text is made in bytes blocks of about `_BLOCK` lines, each cut
+at a row boundary.  A table used once is formatted, written or hashed and
+dropped block by block; a shared table's blocks are held until its last
+use, and an action's prefix goes into one block at a time.  So the text
+alive at once is that of the shared tables still to come plus one block
+and its prefixed copy, never a model's whole text.
 
     adhocpo-model v1
     label <free text>
@@ -32,17 +38,21 @@ import hashlib
 import numpy as np
 from scipy import sparse
 
-from adhocpo.pomdp import TabularPomdp, entries, entry_count
+from adhocpo.pomdp import TabularPomdp, entry_count
 
 FORMAT_TAG = "adhocpo-model v1"
+# Entries per block of table text.  Blocks are cut by entry count, not by
+# rows: a few rows of a sparse table make a block too small to pay for its
+# numpy calls.
+_BLOCK = 2**13
 
 
 class ModelFormatError(ValueError):
     """Raised on malformed model files; message carries the line number."""
 
 
-def _lines(rows, cols, values) -> str:
-    """One text line per entry: row, column (if any), then value.
+def _lines(rows, cols, values) -> bytes:
+    """One text line per entry of a block: row, column (if any), then value.
 
     Each distinct float64 is formatted once, keyed by its bit pattern so
     that -0.0 and 0.0 keep their own repr; each distinct line tail
@@ -56,9 +66,10 @@ def _lines(rows, cols, values) -> str:
         pairs, tail_id = np.unique(pairs, return_inverse=True)
         col_of, value_of = np.divmod(pairs, len(distinct))
         tails = [f"{c} {tails[v]}" for c, v in zip(col_of.tolist(), value_of.tolist())]
-    heads = [f"{x} " for x in range(int(rows.max()) + 1 if len(rows) else 0)]
-    text = np.array(heads, dtype=object)[rows] + np.array(tails, dtype=object)[tail_id]
-    return "".join(text.tolist())
+    first = int(rows[0])
+    heads = [f"{x} " for x in range(first, int(rows[-1]) + 1)]
+    text = np.array(heads, dtype=object)[rows - first] + np.array(tails, dtype=object)[tail_id]
+    return "".join(text.tolist()).encode()
 
 
 def _pieces(model: TabularPomdp):
@@ -86,12 +97,39 @@ def _pieces(model: TabularPomdp):
     yield (5, 0), b"end\n", None
 
 
-def _body(table) -> bytes:
-    """The lines of one table, or of the initial belief, without a prefix."""
+def _body(table):
+    """The lines of one table, or of the initial belief, without a prefix:
+    bytes blocks in row-major order, each formatted when it is asked for.
+
+    Each block holds whole rows and about _BLOCK entries (a longer row is
+    a block of its own), cut by entry count so that sparse and dense
+    tables alike make few, full blocks.  CSR tables keep every stored
+    entry, explicit zeros included; dense tables keep their nonzeros.  The
+    sort within a row is stable, so duplicates keep their stored order.
+    The initial belief is cut by index.
+    """
     if table.ndim == 1:
         idx = np.flatnonzero(table)
-        return _lines(idx, None, table[idx]).encode()
-    return _lines(*entries(table)).encode()
+        for start in range(0, len(idx), _BLOCK):
+            part = idx[start : start + _BLOCK]
+            yield _lines(part, None, table[part])
+        return
+    csr = sparse.issparse(table)
+    # ends[x]: the number of entries before row x.
+    ends = table.indptr if csr else np.concatenate(([0], np.cumsum(np.count_nonzero(table, axis=1))))
+    # Each block starts at the row that holds entry 0, _BLOCK, 2 _BLOCK, ...
+    starts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK), side="right") - 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(ends) - 1]):
+        if csr:
+            span = slice(ends[lo], ends[hi])
+            rows = np.repeat(np.arange(lo, hi), np.diff(ends[lo : hi + 1]))
+            cols, values = table.indices[span], table.data[span]
+            order = np.lexsort((cols, rows))
+            yield _lines(rows[order], cols[order], values[order])
+        else:
+            part = table[lo:hi]
+            rows, cols = np.nonzero(part)
+            yield _lines(rows + lo, cols, part[rows, cols])
 
 
 def _texts(models):
@@ -99,9 +137,10 @@ def _texts(models):
 
     Yields (chunk, ks): the next piece of the text of every models[k] with
     k in ks.  A table object is formatted once however many actions and
-    models use it, and its text is held only until its last use; each
-    action's prefixed copy of it is built once.  So the transient text is
-    one table's lines plus one prefixed copy.
+    models use it, and its blocks are held only until its last use; each
+    action's prefixed copy of a block is built once, just before it is
+    yielded.  So the transient text is the held tables' blocks plus one
+    block and one prefixed copy of it.
     """
     slots: dict = {}
     for k, model in enumerate(models):
@@ -119,12 +158,13 @@ def _texts(models):
             if body is None:
                 body = _body(table)
             if last_use[key] > i:
-                held[key] = body
-            if not prefix:
-                yield body, ks
-            elif body:
-                yield prefix, ks
-                yield memoryview(body.replace(b"\n", b"\n" + prefix))[: -len(prefix)], ks
+                held[key] = body = list(body)
+            for block in body:
+                if prefix:
+                    yield prefix, ks
+                    yield memoryview(block.replace(b"\n", b"\n" + prefix))[: -len(prefix)], ks
+                else:
+                    yield block, ks
             del body  # so it is not alive while the next table is formatted
 
 

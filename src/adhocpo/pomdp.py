@@ -100,23 +100,9 @@ def _stored(table, shape) -> Table:
     return table.toarray() if sparse.issparse(table) else table
 
 
-def entries(table: Table):
-    """Stored entries of one table in row-major order: (rows, cols, values).
-
-    CSR tables keep every stored entry, explicit zeros included; dense
-    tables keep their nonzeros.  The sort is stable, so duplicates keep
-    their stored order.
-    """
-    if sparse.issparse(table):
-        coo = table.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
-    rows, cols = np.nonzero(table)
-    return rows, cols, np.asarray(table)[rows, cols]
-
-
 def entry_count(table: Table) -> int:
-    """Number of entries that `entries` yields, without listing them."""
+    """Number of stored entries of one table: a CSR table's, explicit zeros
+    included, or a dense table's nonzeros."""
     return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
 
 

@@ -724,8 +724,29 @@ def _timed_solve(model: TabularPomdp, settings: SolverSettings) -> tuple[AlphaVe
     return policy, time.perf_counter() - started
 
 
+# The models of the solve_many call whose pool forked this process.
+_forked_models: Sequence[TabularPomdp] = ()
+
+
+def _pool_worker(models: Sequence[TabularPomdp]) -> None:
+    """Pool initializer: keep the library the fork handed over, and use one BLAS thread.
+
+    Fork inherits the initializer's arguments rather than pickling them, so
+    these are the caller's very model objects, and a worker's solve reads
+    their digests from the caller's `digests_held` block.
+    """
+    global _forked_models
+    _forked_models = models
+    _one_blas_thread()
+
+
+def _timed_forked_solve(k: int, settings: SolverSettings) -> tuple[AlphaVectorPolicy, float]:
+    """_timed_solve of model k of the library this worker was forked with."""
+    return _timed_solve(_forked_models[k], settings)
+
+
 def _one_blas_thread() -> None:
-    """Pool initializer: limit every OpenBLAS loaded in this process to one thread.
+    """Limit every OpenBLAS loaded in this process to one thread.
 
     The library is already loaded when a worker is forked, so the thread
     variables in the environment have no effect; the setter is called
@@ -761,13 +782,14 @@ def solve_many(
     digests the models together once (`digests_held`) for them.  When two or
     more models miss and this process may run on more than one CPU, the
     misses are solved in forked worker processes with one BLAS thread each,
-    and every worker is joined before this returns.  Each solve seeds its
-    own generator, so the policies are the ones a solve in this process
-    gives.  `progress` gets one line per model: a cache hit, or the vector
-    count and solve seconds, noting an unusable entry that was replaced.
-    A belief set size or horizon below 1, or a negative or NaN tolerance
-    (which would never stop a solve), is a ValueError, raised before any
-    cache access.
+    and every worker is joined before this returns.  The workers get the
+    models through the fork, not pickled, so none of them digests a model
+    again.  Each solve seeds its own generator, so the policies are the
+    ones a solve in this process gives.  `progress` gets one line per
+    model: a cache hit, or the vector count and solve seconds, noting an
+    unusable entry that was replaced.  A belief set size or horizon below
+    1, or a negative or NaN tolerance (which would never stop a solve), is
+    a ValueError, raised before any cache access.
     """
     if settings.belief_set_size < 1:
         raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
@@ -798,12 +820,13 @@ def solve_many(
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_one_blas_thread,
+                initializer=_pool_worker,
+                initargs=(models,),
             )
             # Joins every worker; after an error or an interrupt, the solves
             # not yet started are dropped rather than run.
             stack.callback(pool.shutdown, wait=True, cancel_futures=True)
-            futures = [pool.submit(_timed_solve, models[k], settings) for k in misses]
+            futures = [pool.submit(_timed_forked_solve, k, settings) for k in misses]
             solved = (future.result() for future in futures)
         else:
             solved = (_timed_solve(models[k], settings) for k in misses)

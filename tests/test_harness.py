@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import agents, atpo, harness, solvers
+from adhocpo import agents, atpo, harness, modelio, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -415,6 +415,29 @@ def test_prepare_library_pool_matches_sequential_solves(tmp_path, pool_library, 
         assert np.array_equal(policy.vectors, expected.vectors)
         assert np.array_equal(policy.actions, expected.actions)
         assert policy.stage_values == expected.stage_values
+
+
+def test_a_cold_pool_solve_digests_the_library_once_in_this_process(tmp_path, pool_library, monkeypatch):
+    domain = pool_library
+    digests = modelio.model_digests
+    log = tmp_path / "walks.log"
+
+    def logged(models):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(models)}\n")
+        return digests(models)
+
+    monkeypatch.setattr(modelio, "model_digests", logged)
+    results = solvers.solve_many(domain.models, domain.solver, PolicyCache(tmp_path / "cache"))
+    assert not child_process_left()
+    # One walk over both models, here; the workers read its digests.
+    assert log.read_text().split() == [str(os.getpid()), "2"]
+    for model, (policy, cached) in zip(domain.models, results):
+        assert not cached
+        expected = solvers.perseus_solve(model, domain.solver)
+        assert np.array_equal(policy.vectors, expected.vectors)
+        assert np.array_equal(policy.actions, expected.actions)
+        assert policy.source_digest == expected.source_digest
 
 
 def test_a_failing_worker_solve_propagates_and_leaves_no_process(pool_library, monkeypatch):

@@ -1,6 +1,7 @@
 """Round-trip fidelity and error reporting for the text model format."""
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import sparse
 from adhocpo import modelio
 from adhocpo.domains import build
 from adhocpo.modelio import (
+    FORMAT_TAG,
     ModelFormatError,
     dump_model,
     dumps_model,
@@ -211,13 +213,13 @@ def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
 
 def test_digest_formats_each_distinct_table_once(monkeypatch):
     calls = []
-    original = modelio._lines
+    original = modelio._body
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(modelio, "_lines", counting)
+    monkeypatch.setattr(modelio, "_body", counting)
     # The grid: five transition tables, one sensor table shared by all five
     # actions.  The random model: actions 0 and 2 share a transition table
     # with action 1's in between, and one observation table serves all.
@@ -332,3 +334,124 @@ def test_digests_held_serves_only_those_model_objects(rng, monkeypatch):
     # Outside the block every call digests the model as it is now.
     models[0].reward[0, 0] += 1.0
     assert model_digest(models[0]) != digests[0]
+
+
+# -- the text is made in blocks ----------------------------------------------
+
+
+def _plain_text(model):
+    """The canonical text written entry by entry, straight from the format."""
+    def table_entries(table):
+        # CSR: every stored entry, row by row, stably sorted by column.
+        # Dense: the nonzeros in row-major order.
+        if sparse.issparse(table):
+            for x in range(table.shape[0]):
+                span = range(table.indptr[x], table.indptr[x + 1])
+                for j in sorted(span, key=lambda j: table.indices[j]):
+                    yield x, int(table.indices[j]), float(table.data[j])
+        else:
+            for x, row in enumerate(table.tolist()):
+                yield from ((x, y, v) for y, v in enumerate(row) if v != 0)
+
+    out = [
+        FORMAT_TAG,
+        f"label {model.label}",
+        f"states {model.num_states}",
+        f"actions {model.num_actions}",
+        f"observations {model.num_observations}",
+        f"discount {model.discount!r}",
+    ]
+    for key, tables in (("T", model.transition), ("O", model.observation)):
+        lines = [f"{a} {x} {y} {v!r}" for a, t in enumerate(tables) for x, y, v in table_entries(t)]
+        out += [f"{key} {len(lines)}", *lines]
+    lines = [f"{x} {a} {v!r}" for x, a, v in table_entries(model.reward)]
+    out += [f"R {len(lines)}", *lines]
+    lines = [f"{x} {v!r}" for x, v in enumerate(model.initial_belief.tolist()) if v != 0]
+    out += [f"b0 {len(lines)}", *lines, "end"]
+    return "\n".join(out) + "\n"
+
+
+def _many_block_model():
+    """A model each of whose tables spans several text blocks."""
+    rng = np.random.default_rng(18)
+    n = modelio._BLOCK + 8
+
+    def dense(cols):
+        # Many distinct values, with zeros, -0.0 and a row of zeros.
+        table = rng.random((n, cols))
+        table[rng.random((n, cols)) < 0.2] = 0.0
+        table[rng.random((n, cols)) < 0.05] = -0.0
+        table[7] = 0.0
+        return table
+
+    def csr():
+        # Three stored entries a row in unsorted column order, explicit 0.0
+        # and -0.0 among them, duplicate columns, an empty row and a row of
+        # explicit zeros.
+        cols = rng.integers(0, n, size=(n, 3))
+        cols[::11, 1] = cols[::11, 0]
+        data = rng.random((n, 3))
+        data[::5, 2] = 0.0
+        data[::7, 0] = -0.0
+        data[3] = 0.0
+        counts = np.full(n, 3)
+        counts[9] = 0
+        keep = np.arange(3) < counts[:, None]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return _csr(data[keep], cols[keep], indptr, (n, n))
+
+    t0, t1, o0, o1 = csr(), csr(), dense(3), dense(3)
+    b0 = rng.random(n)
+    b0[[0, 100, n - 1]] = 0.0
+    return TabularPomdp(
+        n, 4, 3, [t0, t1, t0, t1], [o0, o1, o0, o1], dense(4), 0.95, b0 / b0.sum(),
+        label="many blocks",
+    )
+
+
+def _first_difference(got: str, expected: str):
+    """None for equal texts, else (line number, got line, expected line),
+    which keeps a failure's report short."""
+    if got == expected:
+        return None
+    got_lines, expected_lines = got.splitlines(), expected.splitlines()
+    pairs = zip(got_lines, expected_lines)
+    i = next((i for i, (g, e) in enumerate(pairs) if g != e), min(len(got_lines), len(expected_lines)))
+    return i + 1, got_lines[i : i + 1], expected_lines[i : i + 1]
+
+
+def test_text_matches_a_per_entry_formatter_across_blocks(tmp_path):
+    model = _many_block_model()
+    for table in (*model.transition, *model.observation, model.reward, model.initial_belief):
+        assert len(list(modelio._body(table))) > 1
+    assert model.transition[0] is model.transition[2]
+    text = _plain_text(model)
+    assert " -0.0\n" in text and " 0.0\n" in text
+    assert _first_difference(dumps_model(model), text) is None
+    path = tmp_path / "blocks.model"
+    dump_model(model, path)
+    assert _first_difference(path.read_text(), text) is None
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert model_digests([model, model]) == [digest, digest]
+    assert model_digest(model) == digest
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_digest_and_dump_hold_no_more_than_about_one_table_text(tmp_path):
+    # The full-scale isr library as the benchmark builds it; its 1807x81
+    # sensor table, shared by every action of every model, has the largest
+    # text (about 4.3 MB).
+    models = build("isr", belief_set_size=100).models
+    tables = {id(t): t for m in models for t in (*m.transition, *m.observation, m.reward)}
+    largest = max(sum(map(len, modelio._body(t))) for t in tables.values())
+    assert largest > 4_000_000
+    assert _traced_peak(lambda: model_digests(models)) < 2 * largest
+    assert _traced_peak(lambda: dump_model(models[0], tmp_path / "isr.model")) < 2 * largest
