@@ -102,11 +102,10 @@ def _body(table):
     bytes blocks in row-major order, each formatted when it is asked for.
 
     Each block holds whole rows and about _BLOCK entries (a longer row is
-    a block of its own), cut by entry count so that sparse and dense
-    tables alike make few, full blocks.  CSR tables keep every stored
-    entry, explicit zeros included; dense tables keep their nonzeros.  The
-    sort within a row is stable, so duplicates keep their stored order.
-    The initial belief is cut by index.
+    a block of its own); the initial belief is cut by index.  CSR tables
+    keep every stored entry, explicit zeros included; dense tables keep
+    their nonzeros.  The sort within a row is stable, so duplicates keep
+    their stored order.
     """
     if table.ndim == 1:
         idx = np.flatnonzero(table)
@@ -165,7 +164,6 @@ def _texts(models):
                     yield memoryview(block.replace(b"\n", b"\n" + prefix))[: -len(prefix)], ks
                 else:
                     yield block, ks
-            del body  # so it is not alive while the next table is formatted
 
 
 def dumps_model(model: TabularPomdp) -> str:
