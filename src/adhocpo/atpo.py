@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from adhocpo.pomdp import ZeroLikelihood, belief_update
+from adhocpo.pomdp import ZeroLikelihood, belief_update, weighted_draw
 from adhocpo.solvers import loss_all, policy_action
 
 
@@ -33,10 +33,17 @@ class AllModelsPruned(RuntimeError):
 
     def __init__(self, step: int, action: int, observation: int):
         self.step = step
+        self.action = action
+        self.observation = observation
         super().__init__(
             f"all models pruned at step {step} after action {action}, "
             f"observation {observation}"
         )
+
+    def __reduce__(self):
+        # Pickle by the fields (args holds only the message), so the error
+        # comes back as itself from a pool worker.
+        return type(self), (self.step, self.action, self.observation)
 
 
 @dataclasses.dataclass
@@ -139,7 +146,7 @@ def draw(mix: np.ndarray, rng: np.random.Generator, greedy: bool) -> int:
     """An action from a mixture: a sample, or its argmax when greedy."""
     if greedy:
         return int(mix.argmax())
-    return int(rng.choice(len(mix), p=mix))
+    return weighted_draw(mix, rng)
 
 
 def act(

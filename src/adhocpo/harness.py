@@ -6,6 +6,10 @@ streams, the environment stream picks the real model and start state,
 and the loop runs act / step / observe for the full horizon (absorbing
 states simply idle).  Running several agents with the same seed range
 therefore gives every agent the same sequence of (model, start) pairs.
+Trials share no state, so an experiment runs them in forked worker
+processes, one job per (agent, seed), through the fork pool the library
+solve uses (`forkpool.forked_map`); the results are those of the same
+trials run in this process.
 
 Scores follow the accumulated (undiscounted) reward over the horizon.
 Normalised scores put the random agent at 0 and the state-observing
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -27,6 +32,7 @@ from adhocpo import atpo, pomdp
 from adhocpo.agents import Agent, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary, posterior_entropy
 from adhocpo.domains import DomainBuild
+from adhocpo.forkpool import forked_map
 from adhocpo.pomdp import ZeroLikelihood, sample_initial_state, simulate_step
 # solve_with_cache is not called here, but the benchmark's tracer wraps it
 # under this module's name.
@@ -64,6 +70,9 @@ class TrialResult:
     loss_rows: Optional[np.ndarray] = None  # (T, K)
     bound: Optional[BoundReport] = None
     wall_time: float = 0.0
+    # Seconds per phase: agent.act, simulate_step, agent.observe and the
+    # post-trial diagnostics (PHASES).
+    phase_s: dict = dataclasses.field(default_factory=dict)
 
     @property
     def total_return(self) -> float:
@@ -72,6 +81,9 @@ class TrialResult:
     @property
     def horizon(self) -> int:
         return len(self.actions)
+
+
+PHASES = ("act", "step", "observe", "diagnostics")
 
 
 def run_trial(
@@ -91,8 +103,10 @@ def run_trial(
     model = library.models[k_star]
     x = sample_initial_state(model, env_rng) if initial_state is None else initial_state
 
-    started = time.perf_counter()
+    clock = time.perf_counter
+    started = clock()
     agent.reset(agent_rng, true_model=k_star, initial_state=x)
+    acting = stepping = observing = 0.0
     result = TrialResult(
         agent_name=agent.name,
         seed=seed,
@@ -104,14 +118,21 @@ def run_trial(
         states=[],
     )
     for _ in range(horizon):
+        t0 = clock()
         a = agent.act(agent_rng)
+        t1 = clock()
         x, z, r = simulate_step(model, x, a, env_rng)
+        t2 = clock()
         agent.observe(a, observation=z, state=x)
+        acting += t1 - t0
+        stepping += t2 - t1
+        observing += clock() - t2
         result.actions.append(a)
         result.observations.append(z)
         result.rewards.append(r)
         result.states.append(x)
 
+    diagnosing = clock()
     posteriors = getattr(agent, "posteriors", None)
     if posteriors is not None and horizon >= 1:
         result.posteriors = np.array(posteriors)
@@ -126,7 +147,9 @@ def run_trial(
             r_max=library.max_abs_reward,
             discount=model.discount,
         )
-    result.wall_time = time.perf_counter() - started
+    finished = clock()
+    result.wall_time = finished - started
+    result.phase_s = dict(zip(PHASES, (acting, stepping, observing, finished - diagnosing)))
     return result
 
 
@@ -219,18 +242,29 @@ def run_experiment(
     likelihood_floor: float = 0.0,
     progress: Progress = None,
 ) -> ExperimentResult:
-    """Same seed block for every agent, sequential trials."""
+    """Same seed block for every agent, trials in forked workers.
+
+    Every agent is made here first, so a CapabilityError comes before any
+    trial runs.  The trials, one job per (agent, seed), go through
+    `forkpool.forked_map`: the workers get the library and the agents
+    through the fork and call run_trial, and every worker is joined before
+    this returns, also after a failing trial or an interrupt.  A trial
+    depends only on its seed, so the results are the ones a run in this
+    process gives.  `progress` gets one line per agent, in agent order.
+    """
     check_trials(trials)
+    names = tuple(agent_names)
+    made = [
+        make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)
+        for name in names
+    ]
+    jobs = [(i, base_seed + t) for i in range(len(made)) for t in range(trials)]
     agents = {}
-    for name in agent_names:
-        agent = make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)
-        runs = []
-        for i in range(trials):
-            runs.append(run_trial(library, agent, horizon, seed=base_seed + i))
-        agents[name] = AgentSummary(name=name, trials=runs)
-        if progress:
-            s = agents[name]
-            progress(f"{label}: {name} mean {s.mean:.2f} (std {s.std:.2f})")
+    with forked_map(lambda i, seed: run_trial(library, made[i], horizon, seed=seed), jobs) as runs:
+        for name in names:
+            s = agents[name] = AgentSummary(name=name, trials=list(itertools.islice(runs, trials)))
+            if progress:
+                progress(f"{label}: {name} mean {s.mean:.2f} (std {s.std:.2f})")
     if "vi" in agents and "random" in agents:
         lo = agents["random"].mean
         hi = agents["vi"].mean
@@ -383,6 +417,9 @@ def emit_reports(
                 for term in ("mixture_total", "comparator_total", "kl_total", "slack", "margin")
             }
             entry["mean_entropy_by_step"] = entropy_by_step(tracked)
+        entry["phase_s"] = {
+            phase: sum(t.phase_s.get(phase, 0.0) for t in summary.trials) for phase in PHASES
+        }
         report["agents"][name] = entry
     with open(out / "summary.json", "w") as fh:
         json.dump(report, fh, indent=2)

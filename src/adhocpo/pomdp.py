@@ -61,6 +61,11 @@ class ZeroLikelihood(Exception):
             f"likelihood under model {label!r}"
         )
 
+    def __reduce__(self):
+        # Pickle by the fields (args holds only the message), so the error
+        # comes back as itself from a pool worker.
+        return type(self), (self.label, self.action, self.observation)
+
 
 def _dense_copy(m: Table) -> np.ndarray:
     """A table as a new dense array, never the stored object itself."""
@@ -290,11 +295,27 @@ def validate(model: TabularPomdp, atol: float = _ATOL) -> list[str]:
     return problems
 
 
+def weighted_draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to the entries of p.
+
+    This is the draw `rng.choice(len(p), p=p)` makes, one `rng.random()`
+    against the normalised cumulative sum, without its per-call checks.
+    p must be non-negative; a p without positive mass is a ValueError.
+    """
+    cdf = p.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValueError(f"cannot draw from weights without positive mass (sum {cdf[-1]})")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _sample_row(row: np.ndarray, rng: np.random.Generator) -> int:
     # Rows can carry float dust: clip the negative entries that `validate`
     # tolerates to zero, then renormalise.  A valid row keeps its floats.
     row = np.maximum(row, 0.0)
-    return int(rng.choice(len(row), p=row / row.sum()))
+    total = row.sum()
+    # Dividing first keeps the cumulative sum that rng.choice(p=row / total) built.
+    return weighted_draw(row / total if total > 0.0 else row, rng)
 
 
 def simulate_step(

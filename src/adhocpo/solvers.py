@@ -7,7 +7,8 @@ uniform-random actions, then per stage back up beliefs in random order,
 skipping any belief already improved by a vector added earlier in the
 stage.  Keeping the best previous vector whenever a backup fails to improve
 a point makes the stage values monotone.  The cache misses of a library are
-solved in parallel, one forked worker per usable CPU (solve_many).
+solved in parallel, one forked worker per usable CPU (solve_many, through
+the fork pool of `forkpool.forked_map` that an experiment's trials share).
 
 The belief set is fixed for the whole solve, and so is everything a backup
 derives from a belief alone: per action, the reward term <b, R[:, a]>, the
@@ -42,22 +43,20 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import ctypes
 import dataclasses
 import hashlib
 import io
 import math
-import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
+from adhocpo.forkpool import forked_map
 from adhocpo.modelio import digests_held, model_digest
 from adhocpo.pomdp import (
     Belief,
@@ -86,6 +85,11 @@ class NonconvergenceBudget(RuntimeError):
             f"no convergence after {iterations} iterations: "
             f"residual {residual:.3g} > tolerance {tolerance:.3g}"
         )
+
+    def __reduce__(self):
+        # Pickle by the fields (args holds only the message), so the error
+        # comes back as itself from a pool worker.
+        return type(self), (self.iterations, self.residual, self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -724,52 +728,6 @@ def _timed_solve(model: TabularPomdp, settings: SolverSettings) -> tuple[AlphaVe
     return policy, time.perf_counter() - started
 
 
-# The models of the solve_many call whose pool forked this process.
-_forked_models: Sequence[TabularPomdp] = ()
-
-
-def _pool_worker(models: Sequence[TabularPomdp]) -> None:
-    """Pool initializer: keep the library the fork handed over, and use one BLAS thread.
-
-    Fork inherits the initializer's arguments rather than pickling them, so
-    these are the caller's very model objects, and a worker's solve reads
-    their digests from the caller's `digests_held` block.
-    """
-    global _forked_models
-    _forked_models = models
-    _one_blas_thread()
-
-
-def _timed_forked_solve(k: int, settings: SolverSettings) -> tuple[AlphaVectorPolicy, float]:
-    """_timed_solve of model k of the library this worker was forked with."""
-    return _timed_solve(_forked_models[k], settings)
-
-
-def _one_blas_thread() -> None:
-    """Limit every OpenBLAS loaded in this process to one thread.
-
-    The library is already loaded when a worker is forked, so the thread
-    variables in the environment have no effect; the setter is called
-    through ctypes instead.  A process without OpenBLAS is left as it is.
-    """
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in (
-            "scipy_openblas_set_num_threads64_",
-            "scipy_openblas_set_num_threads",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
-            if hasattr(lib, symbol):
-                setter = getattr(lib, symbol)
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
 def solve_many(
     models: Sequence[TabularPomdp],
     settings: SolverSettings,
@@ -781,13 +739,13 @@ def solve_many(
     This process does every cache load and store, in model order, and
     digests the models together once (`digests_held`) for them.  When two or
     more models miss and this process may run on more than one CPU, the
-    misses are solved in forked worker processes with one BLAS thread each,
-    and every worker is joined before this returns.  The workers get the
-    models through the fork, not pickled, so none of them digests a model
-    again.  Each solve seeds its own generator, so the policies are the
-    ones a solve in this process gives.  `progress` gets one line per
-    model: a cache hit, or the vector count and solve seconds, noting an
-    unusable entry that was replaced.  A belief set size or horizon below
+    misses are solved in forked worker processes with one BLAS thread each
+    (`forkpool.forked_map`), and every worker is joined before this
+    returns.  The workers get the models through the fork, not pickled, so
+    none of them digests a model again.  Each solve seeds its own
+    generator, so the policies are the ones a solve in this process gives.
+    `progress` gets one line per model: a cache hit, or the vector count
+    and solve seconds, noting an unusable entry that was replaced.  A belief set size or horizon below
     1, or a negative or NaN tolerance (which would never stop a solve), is
     a ValueError, raised before any cache access.
     """
@@ -809,27 +767,11 @@ def solve_many(
             results[k] = (hit, True)
             if progress:
                 progress(f"policy for {model.label}: cache")
-        # os.sched_getaffinity exists only on Linux; elsewhere every solve runs here.
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        workers = min(len(misses), cpus)
-        if workers > 1:
-            # fork, not spawn or forkserver: those leave a resource tracker
-            # or a fork server process running after the pool has shut
-            # down.  The pool forks all its workers before it starts any
-            # thread of its own.
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_pool_worker,
-                initargs=(models,),
-            )
-            # Joins every worker; after an error or an interrupt, the solves
-            # not yet started are dropped rather than run.
-            stack.callback(pool.shutdown, wait=True, cancel_futures=True)
-            futures = [pool.submit(_timed_forked_solve, k, settings) for k in misses]
-            solved = (future.result() for future in futures)
-        else:
-            solved = (_timed_solve(models[k], settings) for k in misses)
+        # The workers solve the caller's very model objects, handed over
+        # through the fork, and read their digests from the held batch.
+        solved = stack.enter_context(
+            forked_map(lambda k: _timed_solve(models[k], settings), [(k,) for k in misses])
+        )
         for k, (policy, seconds) in zip(misses, solved):
             note = f"policy for {models[k].label}: {len(policy)} vectors in {seconds:.2f} s"
             if policy.lookahead_counts:

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import re
 import threading
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import agents, atpo, harness, modelio, solvers
+from adhocpo import agents, atpo, forkpool, harness, modelio, pomdp, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -451,3 +452,131 @@ def test_a_failing_worker_solve_propagates_and_leaves_no_process(pool_library, m
     assert f"process {os.getpid()}" not in str(raised.value)
     assert not child_process_left()
     assert threading.active_count() == threads
+
+
+def test_errors_survive_a_pickle_round_trip():
+    # A pool worker's exception reaches the caller pickled; each must come
+    # back as itself, with its fields and its message.
+    for error in (
+        atpo.AllModelsPruned(3, 1, 2),
+        pomdp.ZeroLikelihood("grid", 1, 2),
+        solvers.NonconvergenceBudget(10, 0.5, 1e-6),
+    ):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error) and vars(back) == vars(error)
+
+
+def assert_same_trials(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.agent_name, a.seed, a.model_index, a.initial_state) == (
+            b.agent_name, b.seed, b.model_index, b.initial_state)
+        assert (a.actions, a.observations, a.rewards, a.states) == (
+            b.actions, b.observations, b.rewards, b.states)
+        for field in ("posteriors", "evidence", "loss_rows"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or np.array_equal(x, y), field
+        assert a.bound == b.bound
+        assert set(a.phase_s) == set(b.phase_s) == set(harness.PHASES)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs this process may use, as the pools read it."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return use
+
+
+@pytest.mark.parametrize("greedy, floor", [(False, 0.0), (True, 1e-3)])
+def test_pool_trials_equal_trials_in_this_process(small_library, cpus, tmp_path, monkeypatch, greedy, floor):
+    _, lib = small_library
+    kwargs = dict(horizon=12, trials=3, base_seed=7, greedy=greedy, likelihood_floor=floor)
+    cpus(1)
+    here = run_experiment(lib, agents.AGENT_NAMES, **kwargs)
+
+    trial = harness.run_trial
+    log = tmp_path / "trials.log"
+
+    def logged(*args, **kw):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return trial(*args, **kw)
+
+    monkeypatch.setattr(harness, "run_trial", logged)
+    cpus(2)
+    threads = threading.active_count()
+    notes = []
+    pooled = run_experiment(lib, agents.AGENT_NAMES, progress=notes.append, **kwargs)
+    assert not child_process_left()
+    assert threading.active_count() == threads
+    pids = log.read_text().split()
+    assert len(pids) == len(agents.AGENT_NAMES) * 3 and str(os.getpid()) not in pids
+    assert [note.split(": ")[1].split()[0] for note in notes] == list(agents.AGENT_NAMES)
+    assert list(pooled.agents) == list(here.agents) == list(agents.AGENT_NAMES)
+    for name in agents.AGENT_NAMES:
+        assert_same_trials(pooled.agents[name].trials, here.agents[name].trials)
+        assert pooled.agents[name].normalized == here.agents[name].normalized
+
+
+def test_one_cpu_or_one_job_creates_no_pool(small_library, cpus, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    _, lib = small_library
+    monkeypatch.setattr(forkpool, "ProcessPoolExecutor", no_pool)
+    cpus(1)
+    assert len(run_experiment(lib, ["atpo", "random"], horizon=5, trials=3).agents) == 2
+    cpus(2)
+    result = run_experiment(lib, ["atpo"], horizon=5, trials=1)
+    assert len(result.agents["atpo"].trials) == 1
+
+
+def test_a_failing_pool_trial_raises_its_own_error_and_leaves_no_process(cpus, monkeypatch):
+    # The agent's models never emit observation 2 and the environment's
+    # does, so every model is pruned the first time observation 2 comes.
+    rng = np.random.default_rng(8)
+    emitting = random_pomdp(rng, label="emits")
+    m = random_pomdp(rng, label="silent")
+    observation = []
+    for a in range(m.num_actions):
+        o = m.dense_observation(a).copy()
+        o[:, 0] += o[:, 2]
+        o[:, 2] = 0.0
+        observation.append(o)
+    transition = [m.dense_transition(a) for a in range(m.num_actions)]
+    silent = TabularPomdp.from_tables(transition, observation, m.reward, m.discount, m.initial_belief)
+    settings = solvers.SolverSettings(belief_set_size=30, horizon=8, stage_cap=20)
+    env = atpo.ModelLibrary([emitting], [solvers.perseus_solve(emitting, settings)])
+    agent_lib = atpo.ModelLibrary([silent], [solvers.perseus_solve(silent, settings)])
+    monkeypatch.setattr(harness, "make_agent", lambda name, library, **kw: agents.AtpoAgent(agent_lib))
+
+    cpus(1)
+    with pytest.raises(atpo.AllModelsPruned) as here:
+        run_experiment(env, ["atpo"], horizon=20, trials=6)
+    cpus(2)
+    threads = threading.active_count()
+    with pytest.raises(atpo.AllModelsPruned) as pooled:
+        run_experiment(env, ["atpo"], horizon=20, trials=6)
+    assert not child_process_left()
+    assert threading.active_count() == threads
+    assert type(pooled.value) is atpo.AllModelsPruned
+    assert str(pooled.value) == str(here.value) and pooled.value.step == here.value.step
+
+
+def test_trials_and_summary_carry_phase_times(small_library, tmp_path):
+    _, lib = small_library
+    result = run_experiment(lib, ["atpo", "random"], horizon=10, trials=3)
+    for summary in result.agents.values():
+        for t in summary.trials:
+            assert tuple(t.phase_s) == harness.PHASES
+            assert all(seconds >= 0.0 for seconds in t.phase_s.values())
+            assert sum(t.phase_s.values()) <= t.wall_time
+    assert result.agents["atpo"].trials[0].phase_s["diagnostics"] > 0.0
+    report = emit_reports(result, tmp_path)
+    for name, summary in result.agents.items():
+        totals = report["agents"][name]["phase_s"]
+        assert list(totals) == list(harness.PHASES)
+        for phase, seconds in totals.items():
+            assert seconds == pytest.approx(sum(t.phase_s[phase] for t in summary.trials))

@@ -12,9 +12,11 @@ from adhocpo.pomdp import (
     belief_update,
     induced_mdp,
     observation_likelihoods,
+    _sample_row,
     sample_initial_state,
     simulate_step,
     validate,
+    weighted_draw,
 )
 
 from conftest import exhaustive_filter, random_pomdp, random_stochastic
@@ -277,6 +279,36 @@ def test_sampling_treats_negative_dust_as_zero(rng):
     for _ in range(200):
         x, z, _ = simulate_step(dusty, x, 0, rng)
         assert z != 0
+
+
+def test_weighted_draw_matches_generator_choice(rng):
+    # Same draws, and the same generator state after them, as
+    # Generator.choice with p: dense rows, sparse rows with -1e-12 dust
+    # (sampled as model rows are), one-hot rows and unnormalised mixtures.
+    for i in range(12000):
+        n = int(rng.integers(1, 40))
+        row = rng.random(n) * (rng.random(n) < 0.6)
+        row[rng.integers(n)] += 0.5
+        if i % 4 == 1:
+            row = np.eye(n)[rng.integers(n)]
+        if i % 4 == 2 and (row == 0.0).any():
+            row[np.flatnonzero(row == 0.0)[0]] = -1e-12
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        clipped = np.maximum(row, 0.0)
+        assert _sample_row(row, ours) == theirs.choice(n, p=clipped / clipped.sum())
+        # A posterior mixture sums to one only up to rounding.
+        mix = np.bincount(rng.integers(n, size=5), weights=rng.dirichlet(np.ones(5)), minlength=n)
+        assert weighted_draw(mix, ours) == theirs.choice(n, p=mix)
+        assert ours.random() == theirs.random()
+
+
+def test_weighted_draw_refuses_a_row_without_mass(rng):
+    for row in (np.zeros(4), np.array([0.0, -1e-12, 0.0]), np.array([np.nan, 1.0])):
+        with pytest.raises(ValueError, match="without positive mass"):
+            _sample_row(row, rng)
+    with pytest.raises(ValueError, match="without positive mass"):
+        weighted_draw(np.zeros(3), rng)
 
 
 def test_dense_tables_are_fresh_copies(rng):
