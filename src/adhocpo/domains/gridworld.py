@@ -12,6 +12,12 @@ live state costs 1 per step.
 The controlled agent's moves fail (no-op) with the domain noise rate; the
 teammate's never do.  Observations come from the shared four-way proximity
 sensor; the absorbing state reads all-Nothing deterministically.
+
+The teammate's step is worked out once per cell and task
+(`teammate_step`); each task's transition entries and completion rewards
+are then laid out with array operations over all (agent, teammate)
+states at once, each row's entries in the order a state-by-state loop
+would list them.
 """
 from __future__ import annotations
 
@@ -70,9 +76,10 @@ def teammate_step(cell: int, goals: tuple, size: int) -> int:
     return cell  # pragma: no cover - a reducing move always exists
 
 
-def _completed(pa: int, pt: int, goals: tuple) -> bool:
+def _completed(pa, pt, goals: tuple):
+    """Whether the agents stand on the two goals; cells may be ints or arrays."""
     g1, g2 = goals
-    return (pa == g1 and pt == g2) or (pa == g2 and pt == g1)
+    return ((pa == g1) & (pt == g2)) | ((pa == g2) & (pt == g1))
 
 
 def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> list:
@@ -87,46 +94,54 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
     def passable(r, c):
         return 0 <= r < size and 0 <= c < size
 
+    # Every non-absorbing state as its (agent, teammate) cells, in state
+    # order: state pa * cells + pt.
+    pa = np.repeat(np.arange(cells), cells)
+    pt = np.tile(np.arange(cells), cells)
+
     # The sensor only depends on the landing state, so one observation
     # table serves every action and every task.
     obs = np.zeros((num_states, gc.NUM_OBSERVATIONS))
-    for pa in range(cells):
-        for pt in range(cells):
-            symbols = gc.sensor_symbols(divmod(pa, size), divmod(pt, size), passable)
-            obs[pa * cells + pt] = gc.noisy_observation_row(symbols, epsilon)
+    for x, (a_cell, t_cell) in enumerate(zip(pa.tolist(), pt.tolist())):
+        symbols = gc.sensor_symbols(divmod(a_cell, size), divmod(t_cell, size), passable)
+        obs[x] = gc.noisy_observation_row(symbols, epsilon)
     obs[absorbing, gc.BLANK_OBSERVATION] = 1.0
 
     b0 = np.zeros(num_states)
-    b0[: cells * cells] = 1.0 / (cells * cells)
+    b0[:absorbing] = 1.0 / absorbing
 
+    agent_moves = np.array(
+        [[_clip_move(cell, a, size) for a in range(NUM_ACTIONS)] for cell in range(cells)]
+    )
     models = []
     for goals in goal_pairs:
+        done = _completed(pa, pt, goals)
+        finished, live = np.flatnonzero(done), np.flatnonzero(~done)
+        la = pa[live]
+        teammate = np.array([teammate_step(cell, goals, size) for cell in range(cells)])[pt[live]]
+        held = la * cells + teammate
         reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
         reward[absorbing] = 0.0
-        rows, cols, vals = [], [], []
+        reward[finished] = COMPLETION_REWARD
+        # A finished task moves to the absorbing state, which stays put.
+        fixed_rows = np.append(finished, absorbing)
         per_action = []
         for a in range(NUM_ACTIONS):
-            rows.clear(), cols.clear(), vals.clear()
-            for pa in range(cells):
-                for pt in range(cells):
-                    x = pa * cells + pt
-                    if _completed(pa, pt, goals):
-                        reward[x] = COMPLETION_REWARD
-                        rows.append(x), cols.append(absorbing), vals.append(1.0)
-                        continue
-                    pt2 = teammate_step(pt, goals, size)
-                    moved = _clip_move(pa, a, size)
-                    if moved == pa:
-                        rows.append(x), cols.append(pa * cells + pt2), vals.append(1.0)
-                    else:
-                        rows.append(x), cols.append(moved * cells + pt2), vals.append(1.0 - epsilon)
-                        rows.append(x), cols.append(pa * cells + pt2), vals.append(epsilon)
-            rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
+            agent = agent_moves[la, a]
+            moves = agent != la
+            # A row lists its move entry, then the failure entry if the move
+            # leaves the cell; an epsilon of 0 or 1 leaves an explicit zero.
+            rows = np.concatenate([fixed_rows, live, live[moves]])
+            cols = np.concatenate(
+                [np.full(len(fixed_rows), absorbing), agent * cells + teammate, held[moves]]
+            )
+            vals = np.concatenate([
+                np.ones(len(fixed_rows)),
+                np.where(moves, 1.0 - epsilon, 1.0),
+                np.full(np.count_nonzero(moves), epsilon),
+            ])
             per_action.append(
-                sparse.coo_array(
-                    (np.array(vals), (np.array(rows), np.array(cols))),
-                    shape=(num_states, num_states),
-                )
+                sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
             )
         models.append(
             TabularPomdp.from_tables(

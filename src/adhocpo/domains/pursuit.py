@@ -13,7 +13,15 @@ moves become stays).  The prey picks uniformly among staying and its four
 moves; choices landing on a predator become stays.  The agent's moves fail
 with the domain noise rate.  Each entity is sensed in the 3x3 patch around
 the agent: outside the patch, or on sensor failure (rate epsilon again),
-it reads as the centre cell.
+it reads as the centre cell.  Pursuit needs a side of at least 3: below
+that the capture configurations collapse into each other.
+
+The teammate's move and the prey's five landings are worked out state by
+state, the greedy move and the prey's once per build since no candidate
+changes them.  Each candidate's transition entries and capture rewards
+are then laid out with array operations over all states at once, each
+row's entries in the order a state-by-state loop would list them, so
+coinciding prey landings are summed in that order.
 """
 from __future__ import annotations
 
@@ -37,6 +45,11 @@ CAPTURE_OFFSETS = ((0, -1), (-1, 0), (1, -1), (-1, -1))
 CONFIG_NAMES = ("north-south", "west-east", "ne-sw", "nw-se")
 
 GREEDY, AWARE = "greedy", "aware"
+
+# Below this side the candidates collapse: at size 2 only 6 of the 8 have
+# distinct tables, and at size 1 all 8 share the tables of one
+# non-absorbing state, which puts the prey on both predators.
+MIN_SIZE = 3
 
 
 def _wrap(v, size):
@@ -142,20 +155,28 @@ def _aware_teammate_move(dt, dp, config, size, bfs_cache):
     return best[1]
 
 
-def _observation_row(dt, dp, size, epsilon) -> np.ndarray:
-    """Distribution over the 81 patch readings from one state."""
-    def element(offset):
-        sx, sy = _signed(offset, size)
-        if abs(sx) <= 1 and abs(sy) <= 1:
-            true_cell = (sy + 1) * 3 + (sx + 1)
-        else:
-            true_cell = 4
-        e = np.zeros(9)
-        e[true_cell] += 1.0 - epsilon
-        e[4] += epsilon
-        return e
+def _patch_reading(offset, size, epsilon) -> np.ndarray:
+    """Distribution over the 9 patch cells at which one entity reads."""
+    sx, sy = _signed(offset, size)
+    if abs(sx) <= 1 and abs(sy) <= 1:
+        true_cell = (sy + 1) * 3 + (sx + 1)
+    else:
+        true_cell = 4
+    e = np.zeros(9)
+    e[true_cell] += 1.0 - epsilon
+    e[4] += epsilon
+    return e
 
-    return np.kron(element(dt), element(dp))
+
+def _prey_choices(dt, dp, size) -> list:
+    """The prey's landing per move in action order; a move onto a predator is a stay."""
+    choices = []
+    for pm in ACTION_VECTORS:
+        prey_landing = _add(dp, pm, size)
+        if prey_landing in ((0, 0), dt):
+            prey_landing = dp  # blocked by a predator
+        choices.append(prey_landing)
+    return choices
 
 
 def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> tuple:
@@ -173,73 +194,88 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
         ]
     else:
         raise ValueError(f"unknown pursuit variant {variant!r}")
+    if size < MIN_SIZE:
+        raise ValueError(f"pursuit needs size at least {MIN_SIZE}, got {size!r}")
 
     cells = size * size
     num_states = cells * cells + 1
     absorbing = num_states - 1
+    # Offset ids follow _offset_id, and every non-absorbing state is its
+    # (teammate, prey) offsets in state order: state id(dt) * cells + id(dp).
     offsets = [(x, y) for y in range(size) for x in range(size)]
+    states = [(dt, dp) for dt in offsets for dp in offsets]
 
-    def state_id(dt, dp):
-        return _offset_id(dt, size) * cells + _offset_id(dp, size)
-
+    # The teammate and prey readings are independent, so a state's reading
+    # of the pair is the outer product of the two.
+    reading = np.array([_patch_reading(o, size, epsilon) for o in offsets])
     obs = np.zeros((num_states, 81))
-    for dt in offsets:
-        for dp in offsets:
-            obs[state_id(dt, dp)] = _observation_row(dt, dp, size, epsilon)
+    obs[:absorbing] = (reading[:, None, :, None] * reading[None, :, None, :]).reshape(absorbing, 81)
     obs[absorbing, 4 * 9 + 4] = 1.0
 
     b0 = np.zeros(num_states)
-    b0[: cells * cells] = 1.0 / (cells * cells)
+    b0[:absorbing] = 1.0 / absorbing
+
+    # shifted[a, i]: offset i as seen from the agent after it moves by action a.
+    shifted = np.array(
+        [[_offset_id(_sub(o, move, size), size) for o in offsets] for move in ACTION_VECTORS]
+    )
+    # The prey's options and the greedy teammate's move depend only on the
+    # state, not on the candidate or the agent's action.
+    prey = np.array(
+        [[_offset_id(p, size) for p in _prey_choices(dt, dp, size)] for dt, dp in states]
+    )
+    greedy = np.array([_offset_id(_greedy_teammate_move(dt, dp, size), size) for dt, dp in states])
+    prey_cell = np.tile(np.arange(cells), cells)
+    # Per action, the states where the agent holds still: it stays, or its
+    # move would enter the prey's cell.
+    held_by_action = [
+        (prey_cell == _offset_id(_wrap(move, size), size)) | (move == (0, 0))
+        for move in ACTION_VECTORS
+    ]
 
     models = []
+    # A search depends only on its (prey, slot) key, so candidates share them.
+    bfs_cache: dict = {}
     for config, kind in candidates:
+        done = np.array([_completed(dt, dp, config, size) for dt, dp in states])
+        finished, live = np.flatnonzero(done), np.flatnonzero(~done)
+        if kind == GREEDY:
+            teammate = greedy[live]
+        else:
+            teammate = np.array([
+                _offset_id(_aware_teammate_move(*states[x], config, size, bfs_cache), size)
+                for x in live.tolist()
+            ])
+        live_prey = prey[live]
         reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
         reward[absorbing] = 0.0
-        # The teammate's move and the prey's options depend only on the
-        # state, not on the agent's action; compute them once per state.
-        bfs_cache: dict = {}
-        per_state = {}
-        for dt in offsets:
-            for dp in offsets:
-                if _completed(dt, dp, config, size):
-                    reward[state_id(dt, dp)] = CAPTURE_REWARD
-                    continue
-                if kind == GREEDY:
-                    te_next = _greedy_teammate_move(dt, dp, size)
-                else:
-                    te_next = _aware_teammate_move(dt, dp, config, size, bfs_cache)
-                prey_choices = []
-                for pm in ACTION_VECTORS:
-                    prey_landing = _add(dp, pm, size)
-                    if prey_landing in ((0, 0), dt):
-                        prey_landing = dp  # blocked by a predator
-                    prey_choices.append(prey_landing)
-                per_state[(dt, dp)] = (te_next, prey_choices)
+        reward[finished] = CAPTURE_REWARD
+        # A capture moves to the absorbing state, which stays put.
+        fixed_rows = np.append(finished, absorbing)
+        # Landings by prey choice when the agent stays in place.
+        still = teammate[:, None] * cells + live_prey
         per_action = []
         for a in range(NUM_ACTIONS):
-            rows, cols, vals = [], [], []
-            move = ACTION_VECTORS[a]
-            for dt in offsets:
-                for dp in offsets:
-                    x = state_id(dt, dp)
-                    if (dt, dp) not in per_state:
-                        rows.append(x), cols.append(absorbing), vals.append(1.0)
-                        continue
-                    te_next, prey_choices = per_state[(dt, dp)]
-                    agent_moves = [(1.0 - epsilon, move), (epsilon, (0, 0))]
-                    if _wrap(move, size) == dp or move == (0, 0):
-                        agent_moves = [(1.0, (0, 0))]  # blocked by the prey
-                    for p_agent, am in agent_moves:
-                        for prey_next in prey_choices:
-                            nxt = state_id(
-                                _sub(te_next, am, size), _sub(prey_next, am, size)
-                            )
-                            rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
-            rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
-            per_action.append(sparse.coo_array(
-                (np.array(vals), (np.array(rows), np.array(cols))),
-                shape=(num_states, num_states),
-            ))
+            held = held_by_action[a][live]
+            moved = shifted[a, teammate][:, None] * cells + shifted[a, live_prey]
+            # A row lists its five prey landings after the agent's move, then,
+            # unless the agent holds still, the five after a failed move; an
+            # epsilon of 0 or 1 leaves explicit zeros, and landings that
+            # coincide are summed in this order.
+            rows = np.concatenate([fixed_rows, np.repeat(live, 5), np.repeat(live[~held], 5)])
+            cols = np.concatenate([
+                np.full(len(fixed_rows), absorbing),
+                np.where(held[:, None], still, moved).ravel(),
+                still[~held].ravel(),
+            ])
+            vals = np.concatenate([
+                np.ones(len(fixed_rows)),
+                np.repeat(np.where(held, 1.0 / 5.0, (1.0 - epsilon) / 5.0), 5),
+                np.full(5 * np.count_nonzero(~held), epsilon / 5.0),
+            ])
+            per_action.append(
+                sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
+            )
         models.append(
             TabularPomdp.from_tables(
                 per_action,

@@ -165,6 +165,15 @@ def test_cli_size_below_one_is_an_error(capsys, argv, size):
     assert "valid" not in captured.out
 
 
+@pytest.mark.parametrize("name", ["pursuit-task", "pursuit-teammate", "pursuit-both"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_cli_pursuit_below_its_minimum_size_is_an_error(capsys, name, size):
+    assert main(["validate", name, "--size", str(size)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: pursuit needs size at least 3, got {size}\n"
+    assert "valid" not in captured.out
+
+
 def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys, monkeypatch):
     loads = []
     load = solvers.PolicyCache.load

@@ -17,7 +17,7 @@ from adhocpo.domains import mapnav
 from adhocpo.domains import overcooked as oc
 from adhocpo.domains import powerplant as pp
 from adhocpo.domains import pursuit as pu
-from adhocpo.pomdp import validate
+from adhocpo.pomdp import TabularPomdp, validate
 from adhocpo.solvers import SolverSettings
 
 
@@ -364,6 +364,128 @@ def test_map_tables_match_the_state_by_state_reference():
             assert np.array_equal(model.reward, reward)
             for a in range(model.num_actions):
                 assert np.array_equal(model.dense_transition(a), transition[a])
+
+
+def _reference_gridworld_tables(size, goals, epsilon):
+    """Per-action COO transitions and the reward of one grid task, entry by entry."""
+    cells = size * size
+    num_states = cells * cells + 1
+    absorbing = num_states - 1
+    reward = np.full((num_states, gw.NUM_ACTIONS), gw.STEP_REWARD)
+    reward[absorbing] = 0.0
+    per_action = []
+    for a in range(gw.NUM_ACTIONS):
+        rows, cols, vals = [], [], []
+        for pa in range(cells):
+            for pt in range(cells):
+                x = pa * cells + pt
+                if (pa, pt) in (goals, goals[::-1]):
+                    reward[x] = gw.COMPLETION_REWARD
+                    rows.append(x), cols.append(absorbing), vals.append(1.0)
+                    continue
+                pt2 = gw.teammate_step(pt, goals, size)
+                moved = gw._clip_move(pa, a, size)
+                if moved == pa:
+                    rows.append(x), cols.append(pa * cells + pt2), vals.append(1.0)
+                else:
+                    rows.append(x), cols.append(moved * cells + pt2), vals.append(1.0 - epsilon)
+                    rows.append(x), cols.append(pa * cells + pt2), vals.append(epsilon)
+        rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
+        per_action.append(sparse.coo_array(
+            (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
+        ))
+    return per_action, reward
+
+
+def _reference_pursuit_tables(size, config, kind, epsilon):
+    """Per-action COO transitions and the reward of one pursuit candidate, entry by entry."""
+    cells = size * size
+    num_states = cells * cells + 1
+    absorbing = num_states - 1
+    offsets = [(x, y) for y in range(size) for x in range(size)]
+
+    def state_id(dt, dp):
+        return pu._offset_id(dt, size) * cells + pu._offset_id(dp, size)
+
+    reward = np.full((num_states, pu.NUM_ACTIONS), pu.STEP_REWARD)
+    reward[absorbing] = 0.0
+    bfs_cache = {}
+    per_state = {}
+    for dt in offsets:
+        for dp in offsets:
+            if pu._completed(dt, dp, config, size):
+                reward[state_id(dt, dp)] = pu.CAPTURE_REWARD
+                continue
+            if kind == pu.GREEDY:
+                te_next = pu._greedy_teammate_move(dt, dp, size)
+            else:
+                te_next = pu._aware_teammate_move(dt, dp, config, size, bfs_cache)
+            prey_choices = []
+            for pm in pu.ACTION_VECTORS:
+                prey_landing = pu._add(dp, pm, size)
+                if prey_landing in ((0, 0), dt):
+                    prey_landing = dp
+                prey_choices.append(prey_landing)
+            per_state[(dt, dp)] = (te_next, prey_choices)
+    per_action = []
+    for a in range(pu.NUM_ACTIONS):
+        rows, cols, vals = [], [], []
+        move = pu.ACTION_VECTORS[a]
+        for dt in offsets:
+            for dp in offsets:
+                x = state_id(dt, dp)
+                if (dt, dp) not in per_state:
+                    rows.append(x), cols.append(absorbing), vals.append(1.0)
+                    continue
+                te_next, prey_choices = per_state[(dt, dp)]
+                agent_moves = [(1.0 - epsilon, move), (epsilon, (0, 0))]
+                if pu._wrap(move, size) == dp or move == (0, 0):
+                    agent_moves = [(1.0, (0, 0))]
+                for p_agent, am in agent_moves:
+                    for prey_next in prey_choices:
+                        nxt = state_id(pu._sub(te_next, am, size), pu._sub(prey_next, am, size))
+                        rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
+        rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
+        per_action.append(sparse.coo_array(
+            (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
+        ))
+    return per_action, reward
+
+
+def _assert_same_stored_tables(model, reference_tables, reference_reward):
+    """The model's stored transitions are exactly those the storage rules
+    make of the reference tables: class, CSR arrays (explicit zeros and
+    summation order included) or dense values."""
+    reference = TabularPomdp.from_tables(
+        reference_tables, model.observation, reference_reward, model.discount, model.initial_belief
+    )
+    assert np.array_equal(model.reward, reference.reward)
+    for got, want in zip(model.transition, reference.transition, strict=True):
+        assert type(got) is type(want)
+        if sparse.issparse(want):
+            assert got.has_canonical_format
+            for field in ("indptr", "indices", "data"):
+                ours, theirs = getattr(got, field), getattr(want, field)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("size", [3, 4])
+def test_gridworld_tables_match_the_entry_by_entry_reference(size, epsilon):
+    models = gw.build_gridworld(size, 8, epsilon, 0.95)
+    for model, goals in zip(models, gw.canonical_tasks(size), strict=False):
+        _assert_same_stored_tables(model, *_reference_gridworld_tables(size, goals, epsilon))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("size", [3, 4])
+def test_pursuit_tables_match_the_entry_by_entry_reference(size, epsilon):
+    _, models = pu.build_pursuit(size, "both", epsilon, 0.95)
+    candidates = [(c, kind) for c in pu.CAPTURE_OFFSETS for kind in (pu.GREEDY, pu.AWARE)]
+    for model, (config, kind) in zip(models, candidates, strict=True):
+        _assert_same_stored_tables(model, *_reference_pursuit_tables(size, config, kind, epsilon))
 
 
 def test_exported_names_resolve():

@@ -1,12 +1,18 @@
 """Round-trip fidelity and error reporting for the text model format."""
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import adhocpo
 from adhocpo import modelio
 from adhocpo.domains import build
 from adhocpo.modelio import (
@@ -191,6 +197,43 @@ PINNED_DIGESTS = [
         "8121a2c04e9bec358b7a1e6bbb314adf32b91759ae43e02cbb9e7586340cf85a",
         "3ccb6a5f647302ba2a24b2f274391faca08adf1fc07e7056ce6cfd73622ae043",
     ]),
+    # The K=8 4x4 grid keys the benchmark's online-grid caches and is the
+    # acceptance desk library.
+    (("gridworld", dict(size=4, tasks=8)), [
+        "ce7fd10c6f17709a09e391265c8d15cfa5f4525477c9042e75baa07791020212",
+        "1aa63411b2d4fb3ba942d74c88ec91ba75c8fb633387f167b1d6007c9c2e3926",
+        "b434d2ed706940619d8b79ac2ae00e95d883ae5a3770c7ad57c91b7b31421574",
+        "39434273663d2a199783138a429ae8fa1e2bc83d1123d63d303a8dc6b03a7e15",
+        "7ff118d0183a2bbdf8015b36b4d228d09438360b253b9361b5703b4de113bec7",
+        "658d0e0c52acaab44d1b3c32eb799720e681758ceb5016e9c24f6c9f4339dbf6",
+        "67a237c456fd6e53530bb5081b2e3b39c078e521d5beb5d0b93deb8d31ab3ac3",
+        "4a55cd8e5bde872a7d07d193cbb82d5211f9a9aefce33c83308b397b99ad4045",
+    ]),
+    (("gridworld", {}), [
+        "e30ecd06836ed0a09eb317405717d9187c398347ac4b9372138f9f30f5b6fef5",
+        "558f7945ff63585154bac1a0f4e789c2e2fe5cc629dcf75695f8c197adc60fb2",
+    ]),
+    # Full-scale pursuit; 'teammate' is the first two candidates of 'both'.
+    (("pursuit-task", {}), [
+        "07faca5ba4de7716ffe0d01f6cf43da822674b1eddac9466db25040d2d31225a",
+        "b94a261edd32089b2b123c71dfea4888f4b4c28be17686de2541d7dc71b525ce",
+        "f802325422a18065bbd2fc72352bc94bee51fe86c63c6811dbcec6c6f1a737a2",
+        "366bd4204439b2569bbe83e65a19e31d34ec1f4671aecca8a0430f085f9518de",
+    ]),
+    (("pursuit-teammate", {}), [
+        "92aa70fd40cff855e14143c52e9358091ec4c421c13aaf0c28cfc0fd8e9f5daa",
+        "18e5801854e04911964311bf91f1fd036341926e570ec5783a0e01c894363701",
+    ]),
+    (("pursuit-both", {}), [
+        "92aa70fd40cff855e14143c52e9358091ec4c421c13aaf0c28cfc0fd8e9f5daa",
+        "18e5801854e04911964311bf91f1fd036341926e570ec5783a0e01c894363701",
+        "1a2d236af5b7220a3da2298cadd704f8496620f4c99bf16d8a3cb59c6ec334c1",
+        "d4287ce85dc80b45185e72696232564f77421c6ad6f12a01b4f881c7ec9dff81",
+        "d09601cf1bfc28128582f19ef19f6de2906313a3b67f9892423250782aa8e226",
+        "422d39d201898e5cc9221a4b41e7ade06c51d04d3d847783388ccc5576fdfe43",
+        "9057bfa23ea17ab57015dae022f02f186be5e5084e276100a38506e54c884d50",
+        "69407fb209c46672563a53209e566199cdf6f746945b1f18f9583d01b7b50374",
+    ]),
 ]
 
 
@@ -206,6 +249,46 @@ def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
             path = tmp_path / "model.model"
             dump_model(model, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
+
+
+# The grid and pursuit libraries at desk size and at full scale.
+_HASH_SEED_BUILDS = [
+    ("gridworld", dict(size=4, tasks=8)),
+    ("gridworld", {}),
+    ("pursuit-both", dict(size=3)),
+    ("pursuit-both", {}),
+]
+
+_DIGEST_SCRIPT = """
+import json, sys
+from adhocpo.domains import build
+from adhocpo.modelio import model_digests
+builds = json.loads(sys.argv[1])
+print(json.dumps([model_digests(build(name, **overrides).models) for name, overrides in builds]))
+"""
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    # A table laid out in set or dict-of-set order would change with the
+    # interpreter's hash seed and miss every cached policy in a new process.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adhocpo.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_SCRIPT, json.dumps(_HASH_SEED_BUILDS)],
+            env={**env, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    first, second = (json.loads(out) for out in outputs)
+    assert first == second
+    assert [len(digests) for digests in first] == [8, 2, 8, 8]
 
 
 # -- each distinct table is formatted once per digest ------------------------
