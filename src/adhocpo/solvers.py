@@ -45,7 +45,6 @@ import bisect
 import contextlib
 import dataclasses
 import hashlib
-import io
 import math
 import os
 import tempfile
@@ -68,7 +67,7 @@ from adhocpo.pomdp import (
     simulate_step,
 )
 
-POLICY_TAG = "adhocpo-policy v1"
+POLICY_TAG = "adhocpo-policy v2"
 CACHE_ENV = "ADHOCPO_CACHE"
 
 _EPS = 1e-12
@@ -553,46 +552,60 @@ def perseus_solve(
 # Policy files and the solve cache
 
 
-def dumps_policy(policy: AlphaVectorPolicy) -> str:
-    out = io.StringIO()
-    out.write(POLICY_TAG + "\n")
-    out.write(f"label {policy.label}\n")
-    out.write(f"model {policy.source_digest or '-'}\n")
-    out.write(f"discount {repr(float(policy.discount))}\n")
+def dumps_policy(policy: AlphaVectorPolicy) -> bytes:
+    """The policy file: nine UTF-8 header lines, then one raw block.
+
+    The block holds the n action tags as little-endian int64, then the
+    n x width coefficients as little-endian float64, row by row; the
+    `vectors n width` line fixes its length, so nothing follows it.
+    """
+    n, width = policy.vectors.shape
     key = policy.settings.key_string() if policy.settings else "-"
-    out.write(f"settings {key}\n")
-    out.write(f"beliefs {policy.belief_count}\n")
-    out.write(
-        "stagevalues " + " ".join(repr(float(v)) for v in policy.stage_values) + "\n"
-    )
-    out.write(
-        "improvements "
-        + " ".join(repr(float(v)) for v in policy.stage_improvements)
-        + "\n"
-    )
-    out.write(f"vectors {len(policy.vectors)} {policy.vectors.shape[1]}\n")
-    for coefs, act in zip(policy.vectors, policy.actions):
-        out.write(str(int(act)) + " " + " ".join(repr(float(c)) for c in coefs) + "\n")
-    out.write("end\n")
-    return out.getvalue()
+    header = [
+        POLICY_TAG,
+        f"label {policy.label}",
+        f"model {policy.source_digest or '-'}",
+        f"discount {repr(float(policy.discount))}",
+        f"settings {key}",
+        f"beliefs {policy.belief_count}",
+        "stagevalues " + " ".join(repr(float(v)) for v in policy.stage_values),
+        "improvements " + " ".join(repr(float(v)) for v in policy.stage_improvements),
+        f"vectors {n} {width}",
+    ]
+    return b"".join((
+        ("\n".join(header) + "\n").encode(),
+        policy.actions.astype("<i8").tobytes(),
+        policy.vectors.astype("<f8").tobytes(),
+    ))
 
 
 class PolicyFormatError(ValueError):
     pass
 
 
-def loads_policy(text: str) -> AlphaVectorPolicy:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != POLICY_TAG:
-        raise PolicyFormatError(f"expected {POLICY_TAG!r} header")
+def loads_policy(data: bytes) -> AlphaVectorPolicy:
+    """Read a policy file made by dumps_policy; every fault names its line.
 
-    def line(i):
-        if i >= len(lines):
-            raise PolicyFormatError(f"line {i + 1}: unexpected end of file")
-        return lines[i]
+    A header line is whole only with its newline, so a file cut inside
+    the header fails on the first line it lacks.  A block of the wrong
+    length, or with a coefficient that is not finite, fails on line 9.
+    The arrays are copies in native byte order.
+    """
+    lines, start = [], 0
+    while len(lines) < 9 and (end := data.find(b"\n", start)) >= 0:
+        lines.append(data[start:end])
+        start = end + 1
+    if lines and lines[0] != POLICY_TAG.encode():
+        raise PolicyFormatError(f"line 1: expected {POLICY_TAG!r} header")
+    if len(lines) < 9:
+        raise PolicyFormatError(f"line {len(lines) + 1}: unexpected end of file")
+    block = memoryview(data)[start:]  # no copy
 
     def field(i, key):
-        text = line(i)
+        try:
+            text = lines[i].decode()
+        except UnicodeDecodeError:
+            raise PolicyFormatError(f"line {i + 1}: not UTF-8") from None
         if not text.startswith(key + " ") and text != key:
             raise PolicyFormatError(f"line {i + 1}: expected {key!r}")
         return text[len(key) + 1:]
@@ -612,16 +625,10 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
             raise ValueError(text)
         return n, width
 
-    # Read every header line before converting any, so that a file cut
-    # short inside the header fails on the missing line, not on a number.
-    label = field(1, "label")
-    digest = field(2, "model")
-    discount = field(3, "discount")
-    key = field(4, "settings")
-    belief_count = field(5, "beliefs")
-    sv = field(6, "stagevalues")
-    imp = field(7, "improvements")
-    head = field(8, "vectors")
+    keys = "label model discount settings beliefs stagevalues improvements vectors".split()
+    label, digest, discount, key, belief_count, sv, imp, head = (
+        field(i, k) for i, k in enumerate(keys, start=1)
+    )
     discount = parsed(3, float, discount)
     settings = None if key == "-" else parsed(4, SolverSettings.from_key_string, key)
     belief_count = parsed(5, int, belief_count)
@@ -630,24 +637,14 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
     n, width = parsed(8, shape, head)
     if n == 0:
         raise PolicyFormatError("line 9: a policy needs at least one alpha vector")
-    vectors = np.empty((n, width))
-    actions = np.empty(n, dtype=int)
-    for i in range(n):
-        text = line(9 + i)
-        act, _, rest = text.strip().partition(" ")
-        try:
-            actions[i] = int(act)
-            row = np.fromstring(rest, sep=" ")  # ValueError on a bad token
-            if len(row) != width:
-                raise ValueError(rest)
-            vectors[i] = row
-        except ValueError:
-            # Name the fault as a field count first, then as a bad number.
-            if len(text.split()) != width + 1:
-                raise PolicyFormatError(f"line {10 + i}: expected {width + 1} fields") from None
-            raise PolicyFormatError(f"line {10 + i}: bad number") from None
-    if line(9 + n).strip() != "end":
-        raise PolicyFormatError(f"line {10 + n}: missing 'end'")
+    if len(block) != 8 * n * (1 + width):
+        raise PolicyFormatError(
+            f"line 9: expected {8 * n * (1 + width)} bytes of actions and vectors, found {len(block)}"
+        )
+    actions = np.frombuffer(block, "<i8", n).astype(int)
+    vectors = np.frombuffer(block, "<f8", offset=8 * n).reshape(n, width).astype(float)
+    if not np.isfinite(vectors).all():
+        raise PolicyFormatError("line 9: a coefficient is not finite")
     return AlphaVectorPolicy(
         vectors=vectors,
         actions=actions,
@@ -662,8 +659,7 @@ def loads_policy(text: str) -> AlphaVectorPolicy:
 
 
 def load_policy(path) -> AlphaVectorPolicy:
-    with open(path) as fh:
-        return loads_policy(fh.read())
+    return loads_policy(Path(path).read_bytes())
 
 
 def resolve_cache_dir(explicit=None) -> Optional[Path]:
@@ -713,7 +709,7 @@ class PolicyCache:
         path = self.path(policy.source_digest or model_digest(model), settings)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.stem, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.write(dumps_policy(policy))
             os.replace(tmp, path)
         except BaseException:

@@ -445,3 +445,29 @@ def test_shared_state_baseline_rejects_heterogeneous_library():
     assert len(sizes) == 2  # genuinely heterogeneous
     with pytest.raises(CapabilityError, match="shared state space"):
         make_agent("bopa", library)
+
+
+# ---------------------------------------------------------------------------
+# 10. A warm set-up plays as the cold one: the desk policies read back from
+#     a cache give the same seeded trials, bit for bit.  On a run that
+#     starts without a cache, the fixture's library is the cold solve.
+
+
+def test_warm_desk_library_plays_as_the_cold_one(grid_desk, tmp_path):
+    domain, library = grid_desk
+    cache = PolicyCache(tmp_path)
+    for model, policy in zip(library.models, library.policies):
+        cache.store(model, domain.solver, policy)
+    notes = []
+    warm = prepare_library(domain, cache, progress=notes.append)
+    assert notes == [f"policy for {model.label}: cache" for model in domain.models]
+    for cold_policy, warm_policy in zip(library.policies, warm.policies, strict=True):
+        assert np.array_equal(warm_policy.vectors.view(np.uint64), cold_policy.vectors.view(np.uint64))
+        assert np.array_equal(warm_policy.actions, cold_policy.actions)
+    for seed in range(3):
+        cold = run_trial(library, make_agent("atpo", library), domain.horizon, seed=seed)
+        again = run_trial(warm, make_agent("atpo", warm), domain.horizon, seed=seed)
+        assert again.model_index == cold.model_index
+        assert again.actions == cold.actions
+        assert again.observations == cold.observations
+        assert again.rewards == cold.rewards

@@ -649,17 +649,41 @@ def test_converged_policy_loss_zero_at_greedy_action(rng):
 # -- policy files and cache --------------------------------------------------
 
 
-def test_policy_round_trip_byte_identical(rng):
+def _small_policy(rng):
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
-    text = dumps_policy(policy)
-    again = dumps_policy(loads_policy(text))
-    assert text == again
-    loaded = loads_policy(text)
+    return model, perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
+
+
+def _header_length(data):
+    """Bytes up to and including the newline of header line 9."""
+    end = -1
+    for _ in range(9):
+        end = data.index(b"\n", end + 1)
+    return end + 1
+
+
+def _with_block(data, actions, vectors):
+    """The file `data` with its line 9 and block rebuilt from the given arrays."""
+    head = data[: data.index(b"\nvectors ") + 1]
+    line9 = f"vectors {len(actions)} {vectors.shape[1]}\n".encode()
+    return head + line9 + actions.astype("<i8").tobytes() + vectors.astype("<f8").tobytes()
+
+
+def test_policy_round_trip_byte_identical(rng):
+    _, policy = _small_policy(rng)
+    data = dumps_policy(policy)
+    assert isinstance(data, bytes)
+    assert dumps_policy(loads_policy(data)) == data
+    loaded = loads_policy(data)
     assert np.array_equal(loaded.vectors, policy.vectors)
     assert np.array_equal(loaded.actions, policy.actions)
     assert loaded.settings == policy.settings
     assert loaded.stage_values == policy.stage_values
+    assert loaded.stage_improvements == policy.stage_improvements
+    # Owned, writable, native-order arrays, like a solved policy's.
+    for array, dtype in ((loaded.vectors, np.float64), (loaded.actions, np.int64)):
+        assert array.dtype == dtype and array.dtype.isnative
+        assert array.flags.owndata and array.flags.writeable and array.flags.c_contiguous
 
 
 def test_cache_round_trip_and_digest_guard(tmp_path, rng):
@@ -680,44 +704,57 @@ def test_cache_round_trip_and_digest_guard(tmp_path, rng):
 
 
 def test_truncated_policy_names_the_missing_line(rng):
-    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
-    lines = dumps_policy(policy).splitlines()
-    for keep in range(1, len(lines)):
-        with pytest.raises(PolicyFormatError, match=f"line {keep + 1}: unexpected end of file"):
-            loads_policy("\n".join(lines[:keep]))
-    # Cut inside a line: the last vector row loses half its text.
-    text = dumps_policy(policy)
-    cut = text.rindex("\nend") - 5
-    with pytest.raises(PolicyFormatError, match="line"):
-        loads_policy(text[:cut])
+    _, policy = _small_policy(rng)
+    data = dumps_policy(policy)
+    header = _header_length(data)
+    # A cut anywhere in the header names the first line it leaves without
+    # its newline: every byte count of lines 1 to 9.
+    for cut in range(header):
+        line = data[:cut].count(b"\n") + 1
+        with pytest.raises(PolicyFormatError, match=f"^line {line}: unexpected end of file$"):
+            loads_policy(data[:cut])
+    assert data[:header].count(b"\n") == 9
+    # A cut anywhere in the block, or one byte too many, names line 9 with
+    # the byte counts.
+    expected = len(data) - header
+    assert expected == 8 * len(policy) * (1 + policy.vectors.shape[1])
+    for bad in [data[:cut] for cut in range(header, len(data))] + [data + b"\0"]:
+        message = f"^line 9: expected {expected} bytes of actions and vectors, found {len(bad) - header}$"
+        with pytest.raises(PolicyFormatError, match=message):
+            loads_policy(bad)
 
 
-def test_vector_rows_parse_bit_for_bit_and_name_a_bad_row():
+def test_vector_block_reads_bit_for_bit_and_names_a_bad_coefficient():
     vectors = np.array([[1.0 / 3.0, -0.0, 5e-324, -2.5e300], [0.0, -1.0, 1e-300, 7.0]])
-    text = dumps_policy(AlphaVectorPolicy(vectors=vectors, actions=np.array([1, 0]), discount=0.9))
-    lines = text.splitlines()
-    # Reference: one float() per token.
-    reference = np.array([[float(v) for v in line.split()[1:]] for line in lines[9:11]])
-    parsed = loads_policy(text)
+    actions = np.array([1, 0])
+    data = dumps_policy(AlphaVectorPolicy(vectors=vectors, actions=actions, discount=0.9))
+    header = _header_length(data)
+    assert data[:header].decode().splitlines()[-1] == "vectors 2 4"
+    # The block is the little-endian tags, then the little-endian rows.
+    assert data[header:] == actions.astype("<i8").tobytes() + vectors.astype("<f8").tobytes()
+    assert data[header:header + 8] == b"\x01" + b"\x00" * 7
+    parsed = loads_policy(data)
     assert np.array_equal(parsed.vectors.view(np.uint64), vectors.view(np.uint64))
-    assert np.array_equal(parsed.vectors.view(np.uint64), reference.view(np.uint64))
     assert parsed.actions.tolist() == [1, 0]
-    row = lines[9]
-    act, coefs = row.split(" ", 1)
-    cases = [
-        (row.rsplit(" ", 1)[0], "expected 5 fields"),
-        (row + " 0.5", "expected 5 fields"),
-        (act, "expected 5 fields"),
-        (f"{act} 0.5", "expected 5 fields"),
-        ("x " + coefs, "bad number"),
-        (f"{act} {coefs.rsplit(' ', 1)[0]} 1.0x", "bad number"),
-        (f"{act} {coefs.rsplit(' ', 1)[0]} nope", "bad number"),
-        ("x 1.0", "expected 5 fields"),  # both faults: the field count is named
-    ]
-    for bad, message in cases:
-        with pytest.raises(PolicyFormatError, match=f"^line 10: {message}$"):
-            loads_policy("\n".join([*lines[:9], bad, *lines[10:]]) + "\n")
+    for value in (np.nan, np.inf, -np.inf):
+        for row, col in ((0, 0), (1, 3)):
+            bad = vectors.copy()
+            bad[row, col] = value
+            with pytest.raises(PolicyFormatError, match="^line 9: a coefficient is not finite$"):
+                loads_policy(_with_block(data, actions, bad))
+
+
+def test_non_utf8_header_names_its_line(rng):
+    _, policy = _small_policy(rng)
+    data = dumps_policy(policy)
+    lines = data[:_header_length(data)].split(b"\n")[:9]
+    block = data[_header_length(data):]
+    for i in range(9):
+        broken = [*lines[:i], lines[i] + b" \xff\xfe", *lines[i + 1:]]
+        bad = b"".join(line + b"\n" for line in broken) + block
+        message = "line 1: expected 'adhocpo-policy v2' header" if i == 0 else f"line {i + 1}: not UTF-8"
+        with pytest.raises(PolicyFormatError, match=f"^{message}$"):
+            loads_policy(bad)
 
 
 def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
@@ -726,16 +763,16 @@ def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     solved, _ = solve_with_cache(model, s, cache)
     path = cache.path(solved.source_digest, s)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-
-    again, hit = solve_with_cache(model, s, cache)
-    assert not hit
-    assert np.array_equal(again.vectors, solved.vectors)
-    assert path.read_text() == text
-    _, hit = solve_with_cache(model, s, cache)
-    assert hit
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
+    data = path.read_bytes()
+    for cut in (len(data) // 2, _header_length(data) // 2, len(data) - 1):
+        path.write_bytes(data[:cut])
+        again, hit = solve_with_cache(model, s, cache)
+        assert not hit
+        assert np.array_equal(again.vectors, solved.vectors)
+        assert path.read_bytes() == data
+        _, hit = solve_with_cache(model, s, cache)
+        assert hit
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
 
 
 CORRUPT_HEADERS = [
@@ -751,20 +788,33 @@ CORRUPT_HEADERS = [
 ]
 
 
-def _corrupt(text, prefix, replacement):
-    lines = text.splitlines(keepends=True)
+def _corrupt(data, prefix, replacement):
+    """`data` with the header line that starts with `prefix` replaced."""
+    header = _header_length(data)
+    lines = data[:header].decode().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     lines[i] = replacement + "\n"
-    return "".join(lines)
+    return "".join(lines).encode() + data[header:]
 
 
 def test_corrupt_policy_header_names_the_line(rng):
-    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    policy = perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0))
-    text = dumps_policy(policy)
+    _, policy = _small_policy(rng)
+    data = dumps_policy(policy)
     for lineno, prefix, replacement in CORRUPT_HEADERS:
-        with pytest.raises(PolicyFormatError, match=f"line {lineno}: bad value"):
-            loads_policy(_corrupt(text, prefix, replacement))
+        with pytest.raises(PolicyFormatError, match=f"^line {lineno}: bad value"):
+            loads_policy(_corrupt(data, prefix, replacement))
+    # A line with the wrong key, or another format's tag, names its line too.
+    with pytest.raises(PolicyFormatError, match="^line 3: expected 'model'$"):
+        loads_policy(_corrupt(data, "model ", "modle -"))
+    with pytest.raises(PolicyFormatError, match="^line 1: expected 'adhocpo-policy v2' header$"):
+        loads_policy(_corrupt(data, "adhocpo-policy ", "adhocpo-policy v1"))
+
+
+def _nonfinite_entry(data):
+    """A whole entry with one coefficient NaN."""
+    policy = loads_policy(data)
+    policy.vectors[0, 0] = np.nan
+    return _with_block(data, policy.actions, policy.vectors)
 
 
 def test_corrupt_cache_header_is_resolved_then_hits(tmp_path, rng):
@@ -773,45 +823,48 @@ def test_corrupt_cache_header_is_resolved_then_hits(tmp_path, rng):
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     solved, _ = solve_with_cache(model, s, cache)
     path = cache.path(solved.source_digest, s)
-    text = path.read_text()
-    for _, prefix, replacement in CORRUPT_HEADERS:
-        path.write_text(_corrupt(text, prefix, replacement))
+    data = path.read_bytes()
+    corrupt = [_corrupt(data, prefix, replacement) for _, prefix, replacement in CORRUPT_HEADERS]
+    for bad in (*corrupt, _nonfinite_entry(data)):
+        path.write_bytes(bad)
         again, hit = solve_with_cache(model, s, cache)
         assert not hit
         assert np.array_equal(again.vectors, solved.vectors)
-        assert path.read_text() == text
+        assert path.read_bytes() == data
         _, hit = solve_with_cache(model, s, cache)
         assert hit
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
 
 
-def _unusable_entries(text, num_actions):
+def _unusable_entries(data, num_actions):
     """Readable variants of a policy file that no model can use: no vectors,
     vectors one state too narrow, an action tag past the last action, and a
-    negative action tag."""
-    lines = text.splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("vectors "))
-    n, width = (int(v) for v in lines[i].split()[1:])
-    rows = lines[i + 1:i + 1 + n]
-    coefs = rows[0].split(" ", 1)[1]
-    variants = [
-        lines[:i] + [f"vectors 0 {width}", "end"],
-        lines[:i] + [f"vectors {n} {width - 1}"] + [r.rsplit(" ", 1)[0] for r in rows] + ["end"],
-        lines[:i + 1] + [f"{num_actions} {coefs}"] + rows[1:] + ["end"],
-        lines[:i + 1] + [f"-1 {coefs}"] + rows[1:] + ["end"],
+    negative action tag.  Each block has the length its line 9 gives."""
+    policy = loads_policy(data)
+    actions, vectors = policy.actions, policy.vectors
+    past, negative = actions.copy(), actions.copy()
+    past[0], negative[0] = num_actions, -1
+    return [
+        _with_block(data, actions[:0], vectors[:0]),
+        _with_block(data, actions, vectors[:, :-1]),
+        _with_block(data, past, vectors),
+        _with_block(data, negative, vectors),
     ]
-    return ["\n".join(v) + "\n" for v in variants]
 
 
 def test_empty_vector_section_names_the_vectors_line(rng):
-    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    text = dumps_policy(perseus_solve(model, SolverSettings(belief_set_size=30, horizon=8, seed=0)))
-    empty, narrow, past, negative = _unusable_entries(text, model.num_actions)
-    with pytest.raises(PolicyFormatError, match="line 9: a policy needs at least one alpha vector"):
+    model, policy = _small_policy(rng)
+    data = dumps_policy(policy)
+    empty, narrow, past, negative = _unusable_entries(data, model.num_actions)
+    assert empty.endswith(f"\nvectors 0 {model.num_states}\n".encode())
+    with pytest.raises(PolicyFormatError, match="^line 9: a policy needs at least one alpha vector$"):
         loads_policy(empty)
     # The others parse; only the cache knows they do not fit the model.
-    assert loads_policy(narrow).vectors.shape[1] == model.num_states - 1
+    assert loads_policy(narrow).vectors.shape == (len(policy), model.num_states - 1)
+    assert np.array_equal(loads_policy(narrow).vectors, policy.vectors[:, :-1])
     assert loads_policy(past).actions[0] == model.num_actions
     assert loads_policy(negative).actions[0] == -1
+    assert np.array_equal(loads_policy(negative).actions[1:], policy.actions[1:])
 
 
 def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
@@ -821,25 +874,65 @@ def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     solved, _ = solve_with_cache(model, s, cache)
     path = cache.path(solved.source_digest, s)
-    text = path.read_text()
+    data = path.read_bytes()
     # A whole entry of another model (wrong digest at the right path), an
     # entry cut short, then readable entries that do not fit this model.
     for bad in (
         dumps_policy(perseus_solve(other, s)),
-        text[: len(text) // 2],
-        *_unusable_entries(text, model.num_actions),
+        data[: len(data) // 2],
+        *_unusable_entries(data, model.num_actions),
     ):
-        path.write_text(bad)
+        path.write_bytes(bad)
         assert cache.load(model, s) is None
         notes = []
         again, hit = solve_with_cache(model, s, cache, progress=notes.append)
         assert not hit
         assert np.array_equal(again.vectors, solved.vectors)
         assert len(notes) == 1 and notes[0].endswith("replacing an unusable cache entry")
-        assert path.read_text() == text
+        assert path.read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp files left
         notes.clear()
         _, hit = solve_with_cache(model, s, cache, progress=notes.append)
         assert hit and notes == [f"policy for {model.label}: cache"]
+
+
+# A version 1 entry: the same header, then one text row per vector and an
+# "end" line.
+V1_ENTRY = """adhocpo-policy v1
+label random
+model -
+discount 0.9
+settings belief_set_size=30,horizon=8,tolerance=0.01,seed=0,stage_cap=500
+beliefs 30
+stagevalues -10.0 1.5
+improvements 11.5 0.0
+vectors 2 4
+0 1.5 -0.25 0.0 2.0
+1 0.5 0.75 1.0 -2.0
+end
+"""
+
+
+def test_a_version_1_entry_is_resolved_once_and_replaced_in_place(tmp_path, rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    cache = PolicyCache(tmp_path)
+    s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
+    path = cache.path(solvers.model_digest(model), s)
+    path.write_text(V1_ENTRY)
+    with pytest.raises(PolicyFormatError, match="^line 1: expected 'adhocpo-policy v2' header$"):
+        solvers.load_policy(path)
+    assert cache.load(model, s) is None
+    notes = []
+    (policy, hit), = solve_many([model], s, cache, progress=notes.append)
+    assert not hit
+    assert len(notes) == 1 and notes[0].endswith("replacing an unusable cache entry")
+    assert path.read_bytes().startswith(b"adhocpo-policy v2\n")
+    assert path.read_bytes() == dumps_policy(policy)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    notes.clear()
+    (again, hit), = solve_many([model], s, cache, progress=notes.append)
+    assert hit and notes == [f"policy for {model.label}: cache"]
+    assert np.array_equal(again.vectors.view(np.uint64), policy.vectors.view(np.uint64))
 
 
 def _store_repeatedly(root, model, settings, policy, times):
