@@ -72,15 +72,14 @@ class _StateFeedbackAgent(Agent):
 
     needs_state = True
 
-    def __init__(self, library: ModelLibrary, tolerance: float = 1e-6):
+    def __init__(self, library: ModelLibrary):
         super().__init__(library)
-        self.tolerance = tolerance
         self._solutions: dict = {}
 
     def _greedy_for(self, k: int) -> np.ndarray:
         if k not in self._solutions:
             mdp = induced_mdp(self.library.models[k])
-            self._solutions[k] = value_iteration(mdp, tolerance=self.tolerance)
+            self._solutions[k] = value_iteration(mdp)
         return self._solutions[k].greedy
 
 
@@ -189,8 +188,8 @@ class BopaAgent(_StateFeedbackAgent):
 
     name = "bopa"
 
-    def __init__(self, library: ModelLibrary, greedy: bool = False, tolerance: float = 1e-6):
-        super().__init__(library, tolerance)
+    def __init__(self, library: ModelLibrary, greedy: bool = False):
+        super().__init__(library)
         sizes = {m.num_states for m in library.models}
         if len(sizes) != 1:
             raise CapabilityError(

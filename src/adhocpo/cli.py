@@ -97,6 +97,12 @@ def _cache(args) -> PolicyCache:
 
 def cmd_solve(args) -> int:
     models, settings, label = _resolve_models(args)
+    if _is_model_file(Path(args.domain)):
+        # A model file is outside input: refuse what `validate` rejects
+        # before anything is solved or cached.
+        problems = validate_model(models[0])
+        if problems:
+            raise ValueError(f"{args.domain}: {problems[0]}")
     cache = _cache(args)
     print(f"{label}: {len(models)} model(s), cache {cache.root}")
     for model, (policy, cached) in zip(models, solve_many(models, settings, cache=cache, progress=print)):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
 NUM_ROOMS = 6
@@ -45,23 +46,13 @@ STEP_REWARD = -1.0
 COMPLETION_REWARD = 100.0
 
 
-def _room_distances() -> np.ndarray:
-    dist = np.full((NUM_ROOMS, NUM_ROOMS), NUM_ROOMS, dtype=int)
-    for start in range(NUM_ROOMS):
-        dist[start, start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in ADJACENCY[u]:
-                    if dist[start, v] > dist[start, u] + 1:
-                        dist[start, v] = dist[start, u] + 1
-                        nxt.append(v)
-            frontier = nxt
-    return dist
-
-
-_DIST = _room_distances()
+# ROOM_MOVES[room][a]: where the robot's move action a leads from room; a
+# move indexed past the room's degree stays put.
+ROOM_MOVES = tuple(
+    tuple(rooms[a] if a < len(rooms) else room for a in (MOVE_0, MOVE_1, MOVE_2))
+    for room, rooms in sorted(ADJACENCY.items())
+)
+_DIST = gc.path_lengths(np.array(ROOM_MOVES))
 
 
 def human_step(room: int, unfinished: frozenset) -> int:
@@ -139,9 +130,8 @@ def _build_task(
             continue
         hdist = human_row(h, bits, epsilon)
         for a in range(NUM_ACTIONS):
-            neighbors = ADJACENCY[r]
-            if a in (MOVE_0, MOVE_1, MOVE_2) and a < len(neighbors):
-                rdist = {neighbors[a]: 1.0 - epsilon, r: epsilon}
+            if a <= MOVE_2 and ROOM_MOVES[r][a] != r:
+                rdist = {ROOM_MOVES[r][a]: 1.0 - epsilon, r: epsilon}
             else:
                 rdist = {r: 1.0}
             for r2, pr in rdist.items():

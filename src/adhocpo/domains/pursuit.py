@@ -25,11 +25,10 @@ coinciding prey landings are summed in that order.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 from scipy import sparse
 
+from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
 STEP_REWARD = -1.0
@@ -80,19 +79,18 @@ def _offset_id(offset, size) -> int:
     return offset[1] * size + offset[0]
 
 
-def _bfs_distances(size, target, blocked) -> dict:
-    """Shortest path lengths to `target` avoiding `blocked` cells."""
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        cell = queue.popleft()
-        for move in ACTION_VECTORS[:4]:
-            nxt = _add(cell, move, size)
-            if nxt in blocked or nxt in dist:
-                continue
-            dist[nxt] = dist[cell] + 1
-            queue.append(nxt)
-    return dist
+def _path_lengths(size, blocked) -> list:
+    """Shortest path lengths avoiding `blocked` cells, lengths[a][b] between offset ids a and b.
+
+    An unreachable cell reads 10 * size * size, more than any path.
+    """
+    ids = np.arange(size * size)
+    x, y = ids % size, ids // size
+    moves = np.stack(
+        [(y + dy) % size * size + (x + dx) % size for dx, dy in ACTION_VECTORS[:4]], axis=1
+    )
+    moves = np.where(np.isin(moves, [_offset_id(b, size) for b in blocked]), ids[:, None], moves)
+    return np.minimum(gc.path_lengths(moves), 10 * size * size).tolist()
 
 
 def _completed(dt, dp, config, size) -> bool:
@@ -118,7 +116,7 @@ def _greedy_teammate_move(dt, dp, size):
     return best[1]
 
 
-def _aware_teammate_move(dt, dp, config, size, bfs_cache):
+def _aware_teammate_move(dt, dp, config, size, path_cache):
     """Claim a capture slot and route to it around the agent and prey.
 
     The two slots sit at prey +/- the configuration offset.  Slots go to
@@ -131,13 +129,15 @@ def _aware_teammate_move(dt, dp, config, size, bfs_cache):
     blocked = {(0, 0), dp}
     cost = {}
     for slot in (slot_a, slot_b):
-        key = (dp, slot)
-        if key not in bfs_cache:
-            bfs_cache[key] = _bfs_distances(size, slot, blocked - {slot})
-        cost[slot] = bfs_cache[key]
-    inf = 10 * size * size
-    te_a = cost[slot_a].get(dt, inf)
-    te_b = cost[slot_b].get(dt, inf)
+        # The route avoids blocked - {slot}, which only the prey's cell and
+        # whether the slot is the agent's cell decide.
+        key = (dp, slot == (0, 0))
+        if key not in path_cache:
+            path_cache[key] = _path_lengths(size, blocked - {slot})
+        cost[slot] = path_cache[key][_offset_id(slot, size)]
+    here = _offset_id(dt, size)
+    te_a = cost[slot_a][here]
+    te_b = cost[slot_b][here]
     ah_a = _torus_distance(slot_a, size)  # agent sits at the origin
     ah_b = _torus_distance(slot_b, size)
     target = slot_a if te_a + ah_b <= te_b + ah_a else slot_b
@@ -149,7 +149,7 @@ def _aware_teammate_move(dt, dp, config, size, bfs_cache):
         landing = _add(dt, move, size)
         if move != (0, 0) and landing in blocked:
             continue
-        score = dist.get(landing, inf)
+        score = dist[_offset_id(landing, size)]
         if best is None or score < best[0]:
             best = (score, landing)
     return best[1]
@@ -234,8 +234,8 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
     ]
 
     models = []
-    # A search depends only on its (prey, slot) key, so candidates share them.
-    bfs_cache: dict = {}
+    # A search depends only on the cells it avoids, so candidates share them.
+    path_cache: dict = {}
     for config, kind in candidates:
         done = np.array([_completed(dt, dp, config, size) for dt, dp in states])
         finished, live = np.flatnonzero(done), np.flatnonzero(~done)
@@ -243,7 +243,7 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
             teammate = greedy[live]
         else:
             teammate = np.array([
-                _offset_id(_aware_teammate_move(*states[x], config, size, bfs_cache), size)
+                _offset_id(_aware_teammate_move(*states[x], config, size, path_cache), size)
                 for x in live.tolist()
             ])
         live_prey = prey[live]

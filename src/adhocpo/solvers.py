@@ -71,6 +71,10 @@ POLICY_TAG = "adhocpo-policy v2"
 CACHE_ENV = "ADHOCPO_CACHE"
 
 _EPS = 1e-12
+# collect_beliefs: the L1 distance below which a belief counts as collected,
+# and the run of episodes adding nothing after which collection stops.
+DEDUP_ATOL = 1e-9
+STAGNATION_LIMIT = 50
 
 
 class NonconvergenceBudget(RuntimeError):
@@ -348,21 +352,19 @@ def collect_beliefs(
     size: int,
     horizon: int,
     rng: np.random.Generator,
-    dedup_atol: float = 1e-9,
-    stagnation_limit: int = 50,
 ) -> np.ndarray:
     """Beliefs reachable under uniform-random actions from the initial belief.
 
     Episodes run for `horizon` steps; a belief joins the set when its L1
-    distance to every collected belief exceeds dedup_atol.  Collection stops
-    at `size` beliefs or after stagnation_limit episodes in a row add
+    distance to every collected belief exceeds DEDUP_ATOL.  Collection stops
+    at `size` beliefs or after STAGNATION_LIMIT episodes in a row add
     nothing (small or deterministic models saturate early).
 
     The distance test is indexed.  Collected beliefs are kept sorted by the
     key k(b) = b . w, with w a fixed vector in [0, 1)^X drawn from a
     generator of its own, so `rng` draws exactly what a plain scan would.
-    Since |k(b) - k(c)| <= L1(b, c), a belief within dedup_atol of b has a
-    key within dedup_atol of b's.  The window widens that by 1e-12 and by
+    Since |k(b) - k(c)| <= L1(b, c), a belief within DEDUP_ATOL of b has a
+    key within DEDUP_ATOL of b's.  The window widens that by 1e-12 and by
     the rounding of two keys (each within X machine epsilons of exact), and
     only the beliefs inside it get the exact L1 test.  The result is the set a test against every
     collected belief gives.
@@ -375,9 +377,9 @@ def collect_beliefs(
     weights = np.random.default_rng(0).random(model.num_states)
     keys = [float(out[0] @ weights)]  # ascending
     rows = [0]  # row of `out` holding each key's belief
-    window = dedup_atol + _EPS + 2 * model.num_states * np.finfo(float).eps
+    window = DEDUP_ATOL + _EPS + 2 * model.num_states * np.finfo(float).eps
     stagnant = 0
-    while count < size and stagnant < stagnation_limit:
+    while count < size and stagnant < STAGNATION_LIMIT:
         added = 0
         x = sample_initial_state(model, rng)
         b = model.initial_belief
@@ -390,7 +392,7 @@ def collect_beliefs(
                 break
             key = float(b @ weights)
             near = rows[bisect.bisect_left(keys, key - window):bisect.bisect_right(keys, key + window)]
-            if not near or np.abs(out[near] - b).sum(axis=1).min() > dedup_atol:
+            if not near or np.abs(out[near] - b).sum(axis=1).min() > DEDUP_ATOL:
                 at = bisect.bisect_right(keys, key)
                 keys.insert(at, key)
                 rows.insert(at, count)

@@ -8,6 +8,7 @@ from adhocpo import solvers
 from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
+from adhocpo.pomdp import TabularPomdp
 from adhocpo.solvers import SolverSettings
 
 DESK_SPEC = """\
@@ -98,6 +99,25 @@ def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, mon
     # The printed names are the entries on disk.
     names = sorted(p.name for p in (tmp_path / "cache").glob("*.policy"))
     assert sorted(line.rsplit(" ", 1)[1] for line in out.splitlines() if "->" in line) == names
+
+
+def test_cli_solve_refuses_a_model_file_that_validate_rejects(tmp_path, capsys):
+    model = build("gridworld", size=2, tasks=1).models[0]
+    transition = [model.dense_transition(a) for a in range(model.num_actions)]
+    transition[0][0] *= 3.0
+    path = tmp_path / "bad.model"
+    dump_model(TabularPomdp.from_tables(
+        transition, model.observation, model.reward, model.discount, model.initial_belief, label="bad"
+    ), path)
+    assert main(["validate", str(path)]) == 1
+    assert "transition[0] row 0: sums to 3\n" in capsys.readouterr().out
+
+    cache = tmp_path / "cache"
+    assert main(["solve", str(path), "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: transition[0] row 0: sums to 3\n"
+    assert captured.out == ""
+    assert not list(cache.glob("*.policy"))
 
 
 def test_cli_solve_cache_env_override(tmp_path, capsys, desk_spec, monkeypatch):

@@ -4,6 +4,9 @@ Full-scale state/action/observation counts are covered by the
 acceptance suite; here the builders are exercised on small instances
 with hand-checked dynamics.
 """
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -63,17 +66,63 @@ def test_gridworld_desk_build():
         assert validate(m) == []
 
 
+def _open_grid(size):
+    return gc.GridMap("\n".join(["." * size] * size))
+
+
+def _manhattan(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def _manhattan_tasks(size):
+    """The open grid's goal pairs by the Manhattan rule: farthest first, then by cell ids."""
+    pairs = itertools.combinations(range(size * size), 2)
+    return sorted(pairs, key=lambda g: (-_manhattan(divmod(g[0], size), divmod(g[1], size)), g))
+
+
+def _clipped_move(cell, action, size):
+    r, c = divmod(cell, size)
+    dr, dc = gc.MOVES[action]
+    return (r + dr) * size + c + dc if 0 <= r + dr < size and 0 <= c + dc < size else cell
+
+
+def _manhattan_teammate_step(cell, goals, size):
+    """Toward the Manhattan-nearer goal (lower id on ties), first reducing move in Up, Down, Left, Right."""
+    here = divmod(cell, size)
+    target = min(goals, key=lambda g: (_manhattan(here, divmod(g, size)), g))
+    for action in gc.MOVE_ORDER:
+        nxt = _clipped_move(cell, action, size)
+        if _manhattan(divmod(nxt, size), divmod(target, size)) < _manhattan(here, divmod(target, size)):
+            return nxt
+    return cell
+
+
 def test_gridworld_task_enumeration_nests():
-    tasks = gw.canonical_tasks(4)
+    tasks = gc.canonical_tasks(_open_grid(4))
     assert tasks[0] == (0, 15)
     assert tasks[1] == (3, 12)
-    assert gw.canonical_tasks(4)[:2] == tasks[:2]
+    assert gc.canonical_tasks(_open_grid(4))[:2] == tasks[:2]
 
 
 def test_gridworld_teammate_walks_to_nearest_goal():
     # Cell 5 is (1,1) on a 4-grid; goal 0 is nearer than 15, Up wins.
-    assert gw.teammate_step(5, (0, 15), 4) == 1
-    assert gw.teammate_step(0, (0, 15), 4) == 0
+    assert gc.teammate_steps(_open_grid(4), (0, 15))[[5, 0]].tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_open_grid_geometry_follows_the_manhattan_rules(size):
+    # The gridworld's plan is a map without walls: its path distances,
+    # task order, teammate steps and moves are the Manhattan ones.
+    grid = _open_grid(size)
+    cells = range(size * size)
+    manhattan = [[_manhattan(divmod(a, size), divmod(b, size)) for b in cells] for a in cells]
+    assert grid.distances.tolist() == manhattan
+    tasks = gc.canonical_tasks(grid)
+    assert tasks == _manhattan_tasks(size)
+    for goals in tasks:
+        expected = [_manhattan_teammate_step(cell, goals, size) for cell in cells]
+        assert gc.teammate_steps(grid, goals).tolist() == expected
+    assert grid.moves.tolist() == [[_clipped_move(c, a, size) for a in range(5)] for c in cells]
 
 
 def test_gridworld_completion_and_noise_rows():
@@ -93,6 +142,26 @@ def test_gridworld_completion_and_noise_rows():
     assert row[1 * 16 + 14] == pytest.approx(0.8)
     assert row[5 * 16 + 14] == pytest.approx(0.2)
 
+
+
+def _sensor_symbols(cell, teammate_cell, passable):
+    """True reading per direction, Up, Down, Left, Right: Wall where
+    `passable(r, c)` is False, Teammate on the teammate's cell, else Nothing."""
+    out = []
+    for d in gc.MOVE_ORDER:
+        target = (cell[0] + gc.MOVES[d][0], cell[1] + gc.MOVES[d][1])
+        if not passable(*target):
+            out.append(gc.WALL)
+        elif target == teammate_cell:
+            out.append(gc.TEAMMATE)
+        else:
+            out.append(gc.NOTHING)
+    return tuple(out)
+
+
+def _passable(plan):
+    """Whether (r, c) is a free cell of the plan."""
+    return lambda r, c: 0 <= r < plan.height and 0 <= c < plan.width and plan.rows[r][c] == "."
 
 
 def _fresh_sensor_row(symbols, epsilon):
@@ -115,7 +184,7 @@ def test_sensor_tables_equal_rows_computed_fresh():
     expected = np.zeros((grid.num_states, gc.NUM_OBSERVATIONS))
     for pa in range(cells):
         for pt in range(cells):
-            symbols = gc.sensor_symbols(
+            symbols = _sensor_symbols(
                 divmod(pa, size), divmod(pt, size), lambda r, c: 0 <= r < size and 0 <= c < size
             )
             expected[pa * cells + pt] = _fresh_sensor_row(symbols, epsilon)
@@ -130,18 +199,19 @@ def test_sensor_tables_equal_rows_computed_fresh():
     for pa in range(f):
         for pt in range(f):
             if pa != pt:
-                symbols = gc.sensor_symbols(plan.free_cells[pa], plan.free_cells[pt], plan.passable)
+                symbols = _sensor_symbols(plan.free_cells[pa], plan.free_cells[pt], _passable(plan))
                 expected[pa * (f - 1) + (pt if pt < pa else pt - 1)] = _fresh_sensor_row(symbols, epsilon)
     expected[-1, gc.BLANK_OBSERVATION] = 1.0
     assert np.array_equal(house.dense_observation(0), expected)
 
 
 def test_shared_sensor_rows_are_read_only():
-    row = gc.noisy_observation_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2)
-    assert gc.noisy_observation_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2) is row
+    table = gc._reading_table(0.2)
+    assert gc._reading_table(0.2) is table
     with pytest.raises(ValueError, match="read-only"):
-        row[0] = 1.0
-    assert np.array_equal(row, _fresh_sensor_row((gc.WALL, gc.NOTHING, gc.TEAMMATE, gc.NOTHING), 0.2))
+        table[0, 0] = 1.0
+    for reading, symbols in enumerate(itertools.product(range(3), repeat=4)):
+        assert np.array_equal(table[reading], _fresh_sensor_row(symbols, 0.2))
 
 def test_pursuit_desk_counts_by_variant():
     sizes = {"task": 4, "teammate": 2, "both": 8}
@@ -302,7 +372,7 @@ def test_map_loading_and_free_counts():
 def test_map_navigation_desk_build():
     b = build("isr", map_name="test3x3", tasks=2, belief_set_size=100)
     grid = mapnav.load_map("test3x3")
-    assert mapnav.canonical_tasks(grid)[0] == (0, 8)
+    assert gc.canonical_tasks(grid)[0] == (0, 8)
     for m in b.models:
         assert (m.num_states, m.num_actions, m.num_observations) == (73, 5, 81)
         assert validate(m) == []
@@ -323,6 +393,8 @@ def _reference_map_tables(grid, goals, epsilon):
     f = grid.num_free
     n = f * (f - 1) + 1
     absorbing = n - 1
+    index = {cell: i for i, cell in enumerate(grid.free_cells)}
+    passable = _passable(grid)
 
     def state_id(pa, pt):
         return pa * (f - 1) + (pt if pt < pa else pt - 1)
@@ -330,9 +402,31 @@ def _reference_map_tables(grid, goals, epsilon):
     def step(cell, a):
         dr, dc = gc.MOVES[a]
         nxt = (grid.free_cells[cell][0] + dr, grid.free_cells[cell][1] + dc)
-        return grid.index[nxt] if grid.passable(*nxt) else cell
+        return index[nxt] if passable(*nxt) else cell
 
-    teammate = [mapnav._teammate_step(grid, pt, goals) for pt in range(f)]
+    def steps_to(goal):
+        """Breadth-first path lengths to `goal`, by cell id; absent where cut off."""
+        dist, queue = {goal: 0}, collections.deque([goal])
+        while queue:
+            cell = queue.popleft()
+            for a in gc.MOVE_ORDER:
+                nxt = step(cell, a)
+                if nxt not in dist:
+                    dist[nxt] = dist[cell] + 1
+                    queue.append(nxt)
+        return dist
+
+    far = grid.num_free  # longer than any path
+    to_goal = {g: steps_to(g) for g in goals}
+
+    def teammate_step(cell):
+        target = min(goals, key=lambda g: (to_goal[g].get(cell, far), g))
+        for a in gc.MOVE_ORDER:
+            if to_goal[target].get(step(cell, a), far) < to_goal[target].get(cell, far):
+                return step(cell, a)
+        return cell
+
+    teammate = [teammate_step(pt) for pt in range(f)]
     transition = np.zeros((mapnav.NUM_ACTIONS, n, n))
     reward = np.full((n, mapnav.NUM_ACTIONS), mapnav.STEP_REWARD)
     reward[absorbing] = 0.0
@@ -359,7 +453,7 @@ def test_map_tables_match_the_state_by_state_reference():
     for name, tasks, epsilon in (("test3x3", 2, 0.2), ("test3x3", 1, 0.0), ("ntu", 2, 0.1)):
         grid = mapnav.load_map(name)
         _, models = mapnav.build_map_navigation(name, tasks, epsilon, 0.95)
-        for model, goals in zip(models, mapnav.canonical_tasks(grid), strict=False):
+        for model, goals in zip(models, gc.canonical_tasks(grid), strict=False):
             transition, reward = _reference_map_tables(grid, goals, epsilon)
             assert np.array_equal(model.reward, reward)
             for a in range(model.num_actions):
@@ -383,8 +477,8 @@ def _reference_gridworld_tables(size, goals, epsilon):
                     reward[x] = gw.COMPLETION_REWARD
                     rows.append(x), cols.append(absorbing), vals.append(1.0)
                     continue
-                pt2 = gw.teammate_step(pt, goals, size)
-                moved = gw._clip_move(pa, a, size)
+                pt2 = _manhattan_teammate_step(pt, goals, size)
+                moved = _clipped_move(pa, a, size)
                 if moved == pa:
                     rows.append(x), cols.append(pa * cells + pt2), vals.append(1.0)
                 else:
@@ -475,7 +569,7 @@ def _assert_same_stored_tables(model, reference_tables, reference_reward):
 @pytest.mark.parametrize("size", [3, 4])
 def test_gridworld_tables_match_the_entry_by_entry_reference(size, epsilon):
     models = gw.build_gridworld(size, 8, epsilon, 0.95)
-    for model, goals in zip(models, gw.canonical_tasks(size), strict=False):
+    for model, goals in zip(models, _manhattan_tasks(size), strict=False):
         _assert_same_stored_tables(model, *_reference_gridworld_tables(size, goals, epsilon))
 
 
