@@ -11,7 +11,6 @@ from adhocpo.pomdp import (
     ZeroLikelihood,
     belief_update,
     induced_mdp,
-    observation_likelihoods,
     sample_initial_state,
     simulate_step,
     validate,
@@ -24,7 +23,6 @@ __all__ = [
     "ZeroLikelihood",
     "belief_update",
     "induced_mdp",
-    "observation_likelihoods",
     "sample_initial_state",
     "simulate_step",
     "validate",

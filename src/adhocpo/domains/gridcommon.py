@@ -5,8 +5,9 @@ gridworld's plan is a square with every cell free, the maps are real floor
 plans.  Both builders take from here the per-cell move table, the path
 distances, the task enumeration, the teammate's step and the sensor table;
 each keeps only its own state space and transition layout.  `path_lengths`
-is the breadth-first search of every domain: pursuit and the power plant
-call it on move tables of their own.
+is the breadth-first search of every domain: pursuit calls it on its torus
+move table, built from the action ids and `MOVES` here, and the power plant
+on its room graph.
 
 The four-way proximity sensor reads the cells Up, Down, Left, Right of the
 agent; each element is Nothing, Teammate, or Wall and is independently

@@ -16,12 +16,15 @@ the agent: outside the patch, or on sensor failure (rate epsilon again),
 it reads as the centre cell.  Pursuit needs a side of at least 3: below
 that the capture configurations collapse into each other.
 
-The teammate's move and the prey's five landings are worked out state by
-state, the greedy move and the prey's once per build since no candidate
-changes them.  Each candidate's transition entries and capture rewards
-are then laid out with array operations over all states at once, each
-row's entries in the order a state-by-state loop would list them, so
-coinciding prey landings are summed in that order.
+The torus is one move table over offset ids, as the grid domains'
+`GridMap.moves` is over cells, with tables of offset sums and differences
+beside it; distances and the aware teammate's routes come from
+`gridcommon.path_lengths` on that table.  Every rule (capture, the two
+teammate types, the prey's five landings, the sensor patch) is read off
+these tables with array operations over all states at once, and each
+candidate's transition entries are laid out the same way, each row's
+entries in the order a state-by-state loop would list them, so coinciding
+prey landings are summed in that order.
 """
 from __future__ import annotations
 
@@ -35,11 +38,8 @@ STEP_REWARD = -1.0
 CAPTURE_REWARD = 100.0
 NUM_ACTIONS = 5
 
-# (dx, dy) per action: Up, Down, Left, Right, Stay.
-ACTION_VECTORS = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))
-
-# One representative offset per capture configuration; the opposite cell
-# completes the pair.  Straight pairs first, then diagonals.
+# One representative (dx, dy) offset per capture configuration; the
+# opposite cell completes the pair.  Straight pairs first, then diagonals.
 CAPTURE_OFFSETS = ((0, -1), (-1, 0), (1, -1), (-1, -1))
 CONFIG_NAMES = ("north-south", "west-east", "ne-sw", "nw-se")
 
@@ -49,134 +49,6 @@ GREEDY, AWARE = "greedy", "aware"
 # distinct tables, and at size 1 all 8 share the tables of one
 # non-absorbing state, which puts the prey on both predators.
 MIN_SIZE = 3
-
-
-def _wrap(v, size):
-    return (v[0] % size, v[1] % size)
-
-
-def _add(a, b, size):
-    return ((a[0] + b[0]) % size, (a[1] + b[1]) % size)
-
-
-def _sub(a, b, size):
-    return ((a[0] - b[0]) % size, (a[1] - b[1]) % size)
-
-
-def _torus_distance(offset, size) -> int:
-    dx = min(offset[0], size - offset[0])
-    dy = min(offset[1], size - offset[1])
-    return dx + dy
-
-
-def _signed(offset, size):
-    sx = offset[0] if offset[0] <= size // 2 else offset[0] - size
-    sy = offset[1] if offset[1] <= size // 2 else offset[1] - size
-    return sx, sy
-
-
-def _offset_id(offset, size) -> int:
-    return offset[1] * size + offset[0]
-
-
-def _path_lengths(size, blocked) -> list:
-    """Shortest path lengths avoiding `blocked` cells, lengths[a][b] between offset ids a and b.
-
-    An unreachable cell reads 10 * size * size, more than any path.
-    """
-    ids = np.arange(size * size)
-    x, y = ids % size, ids // size
-    moves = np.stack(
-        [(y + dy) % size * size + (x + dx) % size for dx, dy in ACTION_VECTORS[:4]], axis=1
-    )
-    moves = np.where(np.isin(moves, [_offset_id(b, size) for b in blocked]), ids[:, None], moves)
-    return np.minimum(gc.path_lengths(moves), 10 * size * size).tolist()
-
-
-def _completed(dt, dp, config, size) -> bool:
-    d = config
-    d2 = _wrap((2 * d[0], 2 * d[1]), size)
-    if dp == _wrap(d, size) and dt == d2:
-        return True
-    neg = _wrap((-d[0], -d[1]), size)
-    neg2 = _wrap((-2 * d[0], -2 * d[1]), size)
-    return dp == neg and dt == neg2
-
-
-def _greedy_teammate_move(dt, dp, size):
-    """Chase the prey: minimise toroidal distance, lowest action id on ties.
-    Moves onto the prey are evaluated as stays."""
-    best = None
-    for move in ACTION_VECTORS:
-        landing = _add(dt, move, size)
-        effective = dt if landing == dp else landing
-        score = _torus_distance(_sub(dp, effective, size), size)
-        if best is None or score < best[0]:
-            best = (score, effective)
-    return best[1]
-
-
-def _aware_teammate_move(dt, dp, config, size, path_cache):
-    """Claim a capture slot and route to it around the agent and prey.
-
-    The two slots sit at prey +/- the configuration offset.  Slots go to
-    whichever assignment minimises teammate path length (avoiding the
-    agent's and prey's cells) plus the agent's straight-line distance; ties
-    favour the teammate taking the + slot.
-    """
-    slot_a = _add(dp, config, size)
-    slot_b = _sub(dp, config, size)
-    blocked = {(0, 0), dp}
-    cost = {}
-    for slot in (slot_a, slot_b):
-        # The route avoids blocked - {slot}, which only the prey's cell and
-        # whether the slot is the agent's cell decide.
-        key = (dp, slot == (0, 0))
-        if key not in path_cache:
-            path_cache[key] = _path_lengths(size, blocked - {slot})
-        cost[slot] = path_cache[key][_offset_id(slot, size)]
-    here = _offset_id(dt, size)
-    te_a = cost[slot_a][here]
-    te_b = cost[slot_b][here]
-    ah_a = _torus_distance(slot_a, size)  # agent sits at the origin
-    ah_b = _torus_distance(slot_b, size)
-    target = slot_a if te_a + ah_b <= te_b + ah_a else slot_b
-    if dt == target:
-        return dt
-    dist = cost[target]
-    best = None
-    for move in ACTION_VECTORS:
-        landing = _add(dt, move, size)
-        if move != (0, 0) and landing in blocked:
-            continue
-        score = dist[_offset_id(landing, size)]
-        if best is None or score < best[0]:
-            best = (score, landing)
-    return best[1]
-
-
-def _patch_reading(offset, size, epsilon) -> np.ndarray:
-    """Distribution over the 9 patch cells at which one entity reads."""
-    sx, sy = _signed(offset, size)
-    if abs(sx) <= 1 and abs(sy) <= 1:
-        true_cell = (sy + 1) * 3 + (sx + 1)
-    else:
-        true_cell = 4
-    e = np.zeros(9)
-    e[true_cell] += 1.0 - epsilon
-    e[4] += epsilon
-    return e
-
-
-def _prey_choices(dt, dp, size) -> list:
-    """The prey's landing per move in action order; a move onto a predator is a stay."""
-    choices = []
-    for pm in ACTION_VECTORS:
-        prey_landing = _add(dp, pm, size)
-        if prey_landing in ((0, 0), dt):
-            prey_landing = dp  # blocked by a predator
-        choices.append(prey_landing)
-    return choices
 
 
 def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> tuple:
@@ -200,14 +72,28 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
     cells = size * size
     num_states = cells * cells + 1
     absorbing = num_states - 1
-    # Offset ids follow _offset_id, and every non-absorbing state is its
-    # (teammate, prey) offsets in state order: state id(dt) * cells + id(dp).
-    offsets = [(x, y) for y in range(size) for x in range(size)]
-    states = [(dt, dp) for dt in offsets for dp in offsets]
+    # Offset (x, y) has id y * size + x, the agent's own cell is offset 0.
+    # moves[i, a]: offset i moved by action a; add[i, j] and diff[i, j]:
+    # the offsets i + j and i - j.
+    here = np.arange(cells)
+    y, x = np.divmod(here, size)
+    dy, dx = np.array(list(gc.MOVES.values())).T
+    moves = (y[:, None] + dy) % size * size + (x[:, None] + dx) % size
+    add = (y[:, None] + y) % size * size + (x[:, None] + x) % size
+    diff = (y[:, None] - y) % size * size + (x[:, None] - x) % size
+    dist = gc.path_lengths(moves)
+    # Every non-absorbing state is its (teammate, prey) offsets: dt * cells + dp.
+    dt, dp = np.divmod(np.arange(cells * cells), cells)
 
     # The teammate and prey readings are independent, so a state's reading
-    # of the pair is the outer product of the two.
-    reading = np.array([_patch_reading(o, size, epsilon) for o in offsets])
+    # of the pair is the outer product of the two.  The patch's cells run
+    # row by row from the north-west; outside it an entity reads as cell 4.
+    patch = add[moves[0, [gc.UP, gc.STAY, gc.DOWN]][:, None], moves[0, [gc.LEFT, gc.STAY, gc.RIGHT]]]
+    true_cell = np.full(cells, 4)
+    true_cell[patch.ravel()] = np.arange(9)
+    reading = np.zeros((cells, 9))
+    reading[here, true_cell] = 1.0 - epsilon
+    reading[:, 4] += epsilon
     obs = np.zeros((num_states, 81))
     obs[:absorbing] = (reading[:, None, :, None] * reading[None, :, None, :]).reshape(absorbing, 81)
     obs[absorbing, 4 * 9 + 4] = 1.0
@@ -215,37 +101,58 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
     b0 = np.zeros(num_states)
     b0[:absorbing] = 1.0 / absorbing
 
-    # shifted[a, i]: offset i as seen from the agent after it moves by action a.
-    shifted = np.array(
-        [[_offset_id(_sub(o, move, size), size) for o in offsets] for move in ACTION_VECTORS]
-    )
-    # The prey's options and the greedy teammate's move depend only on the
-    # state, not on the candidate or the agent's action.
-    prey = np.array(
-        [[_offset_id(p, size) for p in _prey_choices(dt, dp, size)] for dt, dp in states]
-    )
-    greedy = np.array([_offset_id(_greedy_teammate_move(dt, dp, size), size) for dt, dp in states])
-    prey_cell = np.tile(np.arange(cells), cells)
+    # The prey's five landings; one onto a predator is a stay.
+    landing = moves[dp]
+    prey = np.where((landing == 0) | (landing == dt[:, None]), dp[:, None], landing)
+    # The greedy teammate: the first move in action order that brings it
+    # nearest the prey, a move onto the prey counting as a stay.
+    landing = moves[dt]
+    landing = np.where(landing == dp[:, None], dt[:, None], landing)
+    greedy = np.take_along_axis(landing, dist[landing, dp[:, None]].argmin(axis=1)[:, None], 1)[:, 0]
     # Per action, the states where the agent holds still: it stays, or its
     # move would enter the prey's cell.
-    held_by_action = [
-        (prey_cell == _offset_id(_wrap(move, size), size)) | (move == (0, 0))
-        for move in ACTION_VECTORS
-    ]
+    held_by_action = dp == moves[0, :, None]
+    held_by_action[gc.STAY] = True
+
+    # The aware teammate routes on the torus around the agent's and the
+    # prey's cells, less its slot; a route depends only on the prey's cell
+    # and whether the slot is the agent's cell, so candidates share them.
+    # An unreachable cell reads 10 * cells, more than any path.
+    routes: dict = {}
+
+    def route_from(slot, prey_cell):
+        key = (prey_cell, slot == 0)
+        if key not in routes:
+            walls = np.isin(moves, [prey_cell] if slot == 0 else [0, prey_cell])
+            routes[key] = np.minimum(gc.path_lengths(np.where(walls, here[:, None], moves)), 10 * cells)
+        return routes[key][slot]
 
     models = []
-    # A search depends only on the cells it avoids, so candidates share them.
-    path_cache: dict = {}
-    for config, kind in candidates:
-        done = np.array([_completed(dt, dp, config, size) for dt, dp in states])
+    for (cx, cy), kind in candidates:
+        c = cy % size * size + cx % size
+        c2 = add[c, c]
+        done = ((dp == c) & (dt == c2)) | ((dp == diff[0, c]) & (dt == diff[0, c2]))
         finished, live = np.flatnonzero(done), np.flatnonzero(~done)
         if kind == GREEDY:
             teammate = greedy[live]
         else:
-            teammate = np.array([
-                _offset_id(_aware_teammate_move(*states[x], config, size, path_cache), size)
-                for x in live.tolist()
-            ])
+            # The slots sit at prey +/- c.  The teammate takes the one that
+            # minimises its route length plus the agent's distance to the
+            # other, the + slot on ties, then steps to the landing nearest
+            # it along its route; it never enters the agent's or the prey's
+            # cell, and standing on the slot it stays.
+            slots = np.stack([add[here, c], diff[here, c]])
+            route = np.array([[route_from(s, p) for p, s in enumerate(side)] for side in slots])
+            own = route[:, dp, dt]
+            agent = dist[0, slots[:, dp]]
+            plus = own[0] + agent[1] <= own[1] + agent[0]
+            toward = np.where(plus[:, None], route[0, dp], route[1, dp])
+            landing = moves[dt]
+            score = np.take_along_axis(toward, landing, 1)
+            blocked = (landing == 0) | (landing == dp[:, None])
+            blocked[:, gc.STAY] = False
+            score[blocked] = np.inf
+            teammate = np.take_along_axis(landing, score.argmin(axis=1)[:, None], 1)[live, 0]
         live_prey = prey[live]
         reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
         reward[absorbing] = 0.0
@@ -257,7 +164,8 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
         per_action = []
         for a in range(NUM_ACTIONS):
             held = held_by_action[a][live]
-            moved = shifted[a, teammate][:, None] * cells + shifted[a, live_prey]
+            shifted = diff[:, moves[0, a]]  # an offset as seen from the moved agent
+            moved = shifted[teammate][:, None] * cells + shifted[live_prey]
             # A row lists its five prey landings after the agent's move, then,
             # unless the agent holds still, the five after a failed move; an
             # epsilon of 0 or 1 leaves explicit zeros, and landings that
@@ -283,7 +191,7 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
                 reward,
                 discount,
                 b0,
-                label=f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index(config)]} {kind}",
+                label=f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index((cx, cy))]} {kind}",
             )
         )
 

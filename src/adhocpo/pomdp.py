@@ -249,12 +249,6 @@ def belief_update(
     return unnormalised / likelihood, likelihood
 
 
-def observation_likelihoods(model: TabularPomdp, belief: Belief, action: int) -> np.ndarray:
-    """P(z | belief, action) for every observation symbol at once."""
-    predicted = model.propagate(belief, action)
-    return np.asarray(predicted @ model.observation[action])
-
-
 def _row_sums(table) -> np.ndarray:
     """Per-row sums as a 1-D array, whatever the table's storage."""
     return np.asarray(table.sum(axis=1)).ravel()

@@ -1,9 +1,15 @@
-"""End-to-end checks of the command line interface (in-process)."""
+"""End-to-end checks of the command line interface (in-process), and what
+importing it loads (in a fresh interpreter)."""
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import adhocpo
 from adhocpo import solvers
 from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
@@ -306,3 +312,20 @@ def test_cli_scale_writes_table(tmp_path, capsys, desk_spec):
     pursuit_spec.write_text("domain pursuit-task\nsize 3\n")
     assert main(["scale", str(pursuit_spec), "--sizes", "1,2"]) == 2
     assert "has no task-library size to sweep" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
+    # Loading scipy.sparse.csgraph (which loads scipy.sparse.linalg) adds
+    # about 11 MB to every process's peak memory.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adhocpo.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    heavy = ["scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    script = f"import sys, adhocpo.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.strip()
+    assert loaded == "[]", (
+        f"importing adhocpo.cli loads {loaded}; import them inside the function that needs them"
+    )

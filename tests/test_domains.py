@@ -227,25 +227,33 @@ def test_pursuit_capture_states_absorb():
     b = build("pursuit-task", size=3, belief_set_size=100)
     m = b.models[0]  # north-south configuration, offset (0, -1)
     absorbing = m.num_states - 1
-    x = pu._offset_id((0, 1), 3) * 9 + pu._offset_id((0, 2), 3)
-    assert pu._completed((0, 1), (0, 2), (0, -1), 3)
+    x = _offset_id((0, 1), 3) * 9 + _offset_id((0, 2), 3)
+    assert _captured((0, 1), (0, 2), (0, -1), 3)
     for a in range(5):
         assert m.dense_transition(a)[x, absorbing] == 1.0
     assert np.all(m.reward[x] == 100.0)
 
 
 def test_pursuit_greedy_teammate_closes_distance():
-    assert pu._greedy_teammate_move((2, 2), (0, 1), 3) == (2, 1)
+    m = build("pursuit-task", size=3, belief_set_size=100).models[1]  # west-east, greedy
+
+    def teammate_next(dt, dp):
+        row = m.dense_transition(gc.STAY)[_offset_id(dt, 3) * 9 + _offset_id(dp, 3)]
+        return {int(j) // 9 for j in np.flatnonzero(row)}
+
+    assert _greedy_teammate_move((2, 2), (0, 1), 3) == (2, 1)
+    assert teammate_next((2, 2), (0, 1)) == {_offset_id((2, 1), 3)}
     # Already adjacent: several moves keep distance 1 and the first in
     # action order (Up) wins, landing on the agent's (shareable) cell.
-    assert pu._greedy_teammate_move((0, 1), (0, 2), 3) == (0, 0)
+    assert _greedy_teammate_move((0, 1), (0, 2), 3) == (0, 0)
+    assert teammate_next((0, 1), (0, 2)) == {_offset_id((0, 0), 3)}
 
 
 def test_pursuit_observation_patch():
     b = build("pursuit-task", size=3, epsilon=0.2, belief_set_size=100)
     m = b.models[0]
     # Teammate on the agent (centre cell 4), prey at signed (+1,+1) = cell 8.
-    x = pu._offset_id((0, 0), 3) * 9 + pu._offset_id((1, 1), 3)
+    x = _offset_id((0, 0), 3) * 9 + _offset_id((1, 1), 3)
     row = m.dense_observation(0)[x]
     assert row[4 * 9 + 8] == pytest.approx(0.8)
     assert row[4 * 9 + 4] == pytest.approx(0.2)
@@ -491,6 +499,112 @@ def _reference_gridworld_tables(size, goals, epsilon):
     return per_action, reward
 
 
+# Pursuit's rules state by state on (dx, dy) offset tuples, the test's
+# reference for the builder's array rules.
+_PURSUIT_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0), (0, 0))  # Up, Down, Left, Right, Stay
+
+
+def _torus_add(a, b, size):
+    return ((a[0] + b[0]) % size, (a[1] + b[1]) % size)
+
+
+def _torus_sub(a, b, size):
+    return ((a[0] - b[0]) % size, (a[1] - b[1]) % size)
+
+
+def _torus_distance(offset, size):
+    return min(offset[0], size - offset[0]) + min(offset[1], size - offset[1])
+
+
+def _offset_id(offset, size):
+    return offset[1] * size + offset[0]
+
+
+def _captured(dt, dp, config, size):
+    """Teammate and prey complete the configuration: prey at +c and teammate at +2c, or both negated."""
+    plus, minus = _torus_add(config, (0, 0), size), _torus_sub((0, 0), config, size)
+    return (dp, dt) in ((plus, _torus_add(plus, plus, size)), (minus, _torus_add(minus, minus, size)))
+
+
+def _greedy_teammate_move(dt, dp, size):
+    """Chase the prey: minimise toroidal distance, lowest action id on ties.
+    Moves onto the prey are evaluated as stays."""
+    best = None
+    for move in _PURSUIT_MOVES:
+        landing = _torus_add(dt, move, size)
+        effective = dt if landing == dp else landing
+        score = _torus_distance(_torus_sub(dp, effective, size), size)
+        if best is None or score < best[0]:
+            best = (score, effective)
+    return best[1]
+
+
+def _torus_path_lengths(start, blocked, size):
+    """Breadth-first path lengths from `start` that never enter a `blocked` cell; absent where cut off."""
+    dist, queue = {start: 0}, collections.deque([start])
+    while queue:
+        cell = queue.popleft()
+        for move in _PURSUIT_MOVES[:4]:
+            nxt = _torus_add(cell, move, size)
+            if nxt not in dist and nxt not in blocked:
+                dist[nxt] = dist[cell] + 1
+                queue.append(nxt)
+    return dist
+
+
+def _aware_teammate_move(dt, dp, config, size, routes):
+    """Claim a capture slot and route to it around the agent and prey.
+
+    The two slots sit at prey +/- the configuration offset.  Slots go to
+    whichever assignment minimises teammate path length (avoiding the
+    agent's and prey's cells) plus the agent's straight-line distance; ties
+    favour the teammate taking the + slot.  A cut-off cell counts
+    10 * size**2 steps.
+    """
+    far = 10 * size * size
+    slot_a = _torus_add(dp, config, size)
+    slot_b = _torus_sub(dp, config, size)
+    blocked = {(0, 0), dp}
+    for slot in (slot_a, slot_b):
+        if (slot, dp) not in routes:
+            routes[(slot, dp)] = _torus_path_lengths(slot, blocked - {slot}, size)
+    te_a = routes[(slot_a, dp)].get(dt, far)
+    te_b = routes[(slot_b, dp)].get(dt, far)
+    ah_a = _torus_distance(slot_a, size)  # agent sits at the origin
+    ah_b = _torus_distance(slot_b, size)
+    target = slot_a if te_a + ah_b <= te_b + ah_a else slot_b
+    if dt == target:
+        return dt
+    best = None
+    for move in _PURSUIT_MOVES:
+        landing = _torus_add(dt, move, size)
+        if move != (0, 0) and landing in blocked:
+            continue
+        score = routes[(target, dp)].get(landing, far)
+        if best is None or score < best[0]:
+            best = (score, landing)
+    return best[1]
+
+
+def _reference_pursuit_observation(size, epsilon):
+    """Each state's reading of the teammate and the prey in the 3x3 patch, state by state."""
+    cells = size * size
+
+    def patch_reading(offset):
+        sx, sy = (v if v <= size // 2 else v - size for v in offset)
+        e = np.zeros(9)
+        e[(sy + 1) * 3 + sx + 1 if abs(sx) <= 1 and abs(sy) <= 1 else 4] += 1.0 - epsilon
+        e[4] += epsilon
+        return e
+
+    offsets = [(x, y) for y in range(size) for x in range(size)]
+    obs = np.zeros((cells * cells + 1, 81))
+    for x, (dt, dp) in enumerate(itertools.product(offsets, repeat=2)):
+        obs[x] = np.outer(patch_reading(dt), patch_reading(dp)).ravel()
+    obs[-1, 4 * 9 + 4] = 1.0
+    return obs
+
+
 def _reference_pursuit_tables(size, config, kind, epsilon):
     """Per-action COO transitions and the reward of one pursuit candidate, entry by entry."""
     cells = size * size
@@ -499,24 +613,24 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
     offsets = [(x, y) for y in range(size) for x in range(size)]
 
     def state_id(dt, dp):
-        return pu._offset_id(dt, size) * cells + pu._offset_id(dp, size)
+        return _offset_id(dt, size) * cells + _offset_id(dp, size)
 
     reward = np.full((num_states, pu.NUM_ACTIONS), pu.STEP_REWARD)
     reward[absorbing] = 0.0
-    bfs_cache = {}
+    routes = {}
     per_state = {}
     for dt in offsets:
         for dp in offsets:
-            if pu._completed(dt, dp, config, size):
+            if _captured(dt, dp, config, size):
                 reward[state_id(dt, dp)] = pu.CAPTURE_REWARD
                 continue
             if kind == pu.GREEDY:
-                te_next = pu._greedy_teammate_move(dt, dp, size)
+                te_next = _greedy_teammate_move(dt, dp, size)
             else:
-                te_next = pu._aware_teammate_move(dt, dp, config, size, bfs_cache)
+                te_next = _aware_teammate_move(dt, dp, config, size, routes)
             prey_choices = []
-            for pm in pu.ACTION_VECTORS:
-                prey_landing = pu._add(dp, pm, size)
+            for pm in _PURSUIT_MOVES:
+                prey_landing = _torus_add(dp, pm, size)
                 if prey_landing in ((0, 0), dt):
                     prey_landing = dp
                 prey_choices.append(prey_landing)
@@ -524,7 +638,7 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
     per_action = []
     for a in range(pu.NUM_ACTIONS):
         rows, cols, vals = [], [], []
-        move = pu.ACTION_VECTORS[a]
+        move = _PURSUIT_MOVES[a]
         for dt in offsets:
             for dp in offsets:
                 x = state_id(dt, dp)
@@ -533,11 +647,11 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
                     continue
                 te_next, prey_choices = per_state[(dt, dp)]
                 agent_moves = [(1.0 - epsilon, move), (epsilon, (0, 0))]
-                if pu._wrap(move, size) == dp or move == (0, 0):
+                if _torus_add(move, (0, 0), size) == dp or move == (0, 0):
                     agent_moves = [(1.0, (0, 0))]
                 for p_agent, am in agent_moves:
                     for prey_next in prey_choices:
-                        nxt = state_id(pu._sub(te_next, am, size), pu._sub(prey_next, am, size))
+                        nxt = state_id(_torus_sub(te_next, am, size), _torus_sub(prey_next, am, size))
                         rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
         rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
         per_action.append(sparse.coo_array(
@@ -574,12 +688,14 @@ def test_gridworld_tables_match_the_entry_by_entry_reference(size, epsilon):
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.2, 1.0])
-@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("size", [3, 4, 5, 6])
 def test_pursuit_tables_match_the_entry_by_entry_reference(size, epsilon):
     _, models = pu.build_pursuit(size, "both", epsilon, 0.95)
     candidates = [(c, kind) for c in pu.CAPTURE_OFFSETS for kind in (pu.GREEDY, pu.AWARE)]
+    observation = _reference_pursuit_observation(size, epsilon)
     for model, (config, kind) in zip(models, candidates, strict=True):
         _assert_same_stored_tables(model, *_reference_pursuit_tables(size, config, kind, epsilon))
+        assert np.array_equal(model.dense_observation(0), observation)
 
 
 def test_exported_names_resolve():
