@@ -85,7 +85,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
                 sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
             )
         models.append(
-            TabularPomdp.from_tables(
+            TabularPomdp(
                 per_action,
                 [obs] * NUM_ACTIONS,
                 reward,

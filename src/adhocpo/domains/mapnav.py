@@ -89,7 +89,7 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
             ))
         g_cells = tuple(grid.free_cells[g] for g in goals)
         models.append(
-            TabularPomdp.from_tables(
+            TabularPomdp(
                 per_action,
                 [obs] * NUM_ACTIONS,
                 reward,

@@ -149,7 +149,7 @@ def cook_action_distribution(name: str, factors: tuple) -> dict:
     raise ValueError(f"unknown cook {name!r}")
 
 
-def _build_cook_model(name: str, discount: float) -> TabularPomdp:
+def _build_cook_model(name: str, discount: float, identity: sparse.csr_array) -> TabularPomdp:
     rows = [[] for _ in range(NUM_ACTIONS)]
     cols = [[] for _ in range(NUM_ACTIONS)]
     vals = [[] for _ in range(NUM_ACTIONS)]
@@ -180,11 +180,10 @@ def _build_cook_model(name: str, discount: float) -> TabularPomdp:
         for a in range(NUM_ACTIONS)
     ]
 
-    identity = sparse.eye_array(NUM_STATES, format="csr")
     b0 = np.zeros(NUM_STATES)
     b0[state_id((TOP, TOP, EMPTY, EMPTY, EMPTY, EMPTY, 0))] = 1.0
 
-    return TabularPomdp.from_tables(
+    return TabularPomdp(
         transition,
         [identity] * NUM_ACTIONS,
         reward,
@@ -195,5 +194,9 @@ def _build_cook_model(name: str, discount: float) -> TabularPomdp:
 
 
 def build_overcooked(discount: float) -> list:
-    """One candidate model per cook style; the kitchen itself is shared."""
-    return [_build_cook_model(name, discount) for name in COOK_NAMES]
+    """One candidate model per cook style; the kitchen itself is shared.
+
+    The state is fully observed: every model stores the one identity table.
+    """
+    identity = sparse.eye_array(NUM_STATES, format="csr")
+    return [_build_cook_model(name, discount, identity) for name in COOK_NAMES]

@@ -165,7 +165,7 @@ def _build_task(
     b0 = np.zeros(num_states)
     b0[index[(ROBOT_START, HUMAN_START, frozenset(targets))]] = 1.0
 
-    return TabularPomdp.from_tables(
+    return TabularPomdp(
         transition,
         observation,
         reward,

@@ -185,7 +185,7 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
                 sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
             )
         models.append(
-            TabularPomdp.from_tables(
+            TabularPomdp(
                 per_action,
                 [obs] * NUM_ACTIONS,
                 reward,
@@ -194,5 +194,8 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
                 label=f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index((cx, cy))]} {kind}",
             )
         )
+        # The sensor table as stored, dense or CSR, which later candidates
+        # keep as it is: one table object for the whole library.
+        obs = models[-1].observation[0]
 
     return f"pursuit-{variant}", models

@@ -217,6 +217,8 @@ def loads_model(text: str) -> TabularPomdp:
 
     n = _header_int(lines, "states")
     num_actions = _header_int(lines, "actions")
+    if num_actions == 0:
+        lines.fail("a model needs at least one action")
     num_obs = _header_int(lines, "observations")
     disc_line = lines.next().split()
     if len(disc_line) != 2 or disc_line[0] != "discount":
@@ -270,7 +272,7 @@ def loads_model(text: str) -> TabularPomdp:
     for x, p in b_rows:
         b0[x] = p
 
-    return TabularPomdp.from_tables(
+    return TabularPomdp(
         build_tables(t_rows, n),
         build_tables(o_rows, num_obs),
         reward,

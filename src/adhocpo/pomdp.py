@@ -1,12 +1,15 @@
 """Tabular partially observable models and exact belief filtering.
 
 Models are finite and explicit: per-action transition matrices, per-action
-observation matrices, and a state-action reward table.  Builders and model
-files hand tables in any form (dense arrays, scipy COO or CSR), and this
-module alone decides how each is stored: a scipy `csr_array` when fewer
-than half of its entries are nonzero and at least 2**15 of them are zero,
-a dense array otherwise.  Both forms take the same `@`, `*` and
-`.sum(axis=...)`, so the solvers need no storage branch.
+observation matrices, and a state-action reward table.  A model is made
+one way, `TabularPomdp(transition, observation, reward, discount,
+initial_belief, label)`, and that constructor checks every shape, reads
+the state, action and observation counts off the tables, and decides how
+each table is stored.  Builders and model files hand tables in any form
+(dense arrays, any scipy sparse form); each is stored as a scipy
+`csr_array` when fewer than half of its entries are nonzero and at least
+2**15 of them are zero, as a dense array otherwise.  Both forms take the
+same `@`, `*` and `.sum(axis=...)`, so the solvers need no storage branch.
 
 The zeros floor means CSR is chosen only when a dense product would read
 at least 256 KB of zeros.  Measured on a 2-core Xeon with two nonzeros
@@ -28,11 +31,14 @@ dense arithmetic.
 Each CSR table also keeps its transpose, built once when the model is
 made, so that belief propagation and column reads run as plain CSR
 products and row slices instead of building a scipy object per call.
-Stored tables are therefore read-only after construction.
+Stored tables are therefore read-only after construction.  A table
+handed in already in its stored form is kept as that very object, so
+one table handed to many models stays one object.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from scipy import sparse
@@ -67,11 +73,6 @@ class ZeroLikelihood(Exception):
         return type(self), (self.label, self.action, self.observation)
 
 
-def _dense_copy(m: Table) -> np.ndarray:
-    """A table as a new dense array, never the stored object itself."""
-    return m.toarray() if sparse.issparse(m) else np.array(m)
-
-
 def _row(table: Table, x: int) -> np.ndarray:
     """Row x of a table as a new dense array.
 
@@ -84,22 +85,22 @@ def _row(table: Table, x: int) -> np.ndarray:
     return np.bincount(table.indices[lo:hi], weights=table.data[lo:hi], minlength=table.shape[1])
 
 
-def _stored(table, shape) -> Table:
+def _stored(table) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    Every sparse input becomes a `csr_array`, its duplicate entries summed;
-    a `csr_matrix` never survives, since its `*` is a matrix product.  A
-    dense input that stays dense is not copied.
+    Every sparse input becomes a float64 `csr_array` in canonical form
+    (duplicate entries summed, column indices sorted); a `csr_matrix`
+    never survives, since its `*` is a matrix product.  An input already
+    in the form it is stored in, dense or CSR, is not copied.
     """
     if sparse.issparse(table):
-        table = sparse.csr_array(table)
+        if not (isinstance(table, sparse.csr_array) and table.dtype == float and table.has_canonical_format):
+            table = sparse.csr_array(table.tocoo(), dtype=float)
         nonzeros = table.count_nonzero()
     else:
         table = np.asarray(table, dtype=float)
         nonzeros = np.count_nonzero(table)
-    if table.shape != shape:
-        raise ValueError(f"table has shape {table.shape}, expected {shape}")
-    zeros = shape[0] * shape[1] - nonzeros
+    zeros = math.prod(table.shape) - nonzeros
     if nonzeros < zeros and zeros >= _CSR_MIN_ZEROS:
         return table if sparse.issparse(table) else sparse.csr_array(table)
     return table.toarray() if sparse.issparse(table) else table
@@ -134,71 +135,58 @@ class TabularPomdp:
 
     transition[a] is |X| x |X| (row-stochastic), observation[a] is |X| x |Z|
     where entry (x', z) is the probability of observing z when landing in x'
-    after action a, and reward is |X| x |A|.
+    after action a, and reward is |X| x |A|.  The counts |X|, |A| and |Z|
+    are read off the tables; a table, reward or belief of another shape is
+    a ValueError.
 
     Stored tables are read-only after construction: each CSR table keeps
     a transpose built in `__post_init__` (one per distinct table object),
     which a table changed in place would leave stale.  To change a table,
-    make a new model, e.g. with `dataclasses.replace`.
+    make a new model, e.g. with `dataclasses.replace`, which stores and
+    checks the new tables as the constructor does.
     """
 
-    num_states: int
-    num_actions: int
-    num_observations: int
     transition: list  # per action, |X| x |X|
     observation: list  # per action, |X| x |Z|
     reward: np.ndarray  # |X| x |A|
     discount: float
     initial_belief: np.ndarray
     label: str = ""
+    num_states: int = dataclasses.field(init=False)
+    num_actions: int = dataclasses.field(init=False)
+    num_observations: int = dataclasses.field(init=False)
     # Per action, _transpose of the table: derived, so not part of the value.
     _transition_t: list = dataclasses.field(init=False, repr=False, compare=False)
     _observation_t: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.transition = _once_each(_stored, self.transition)
+        self.observation = _once_each(_stored, self.observation)
         self.reward = np.asarray(self.reward, dtype=float)
+        self.discount = float(self.discount)
         self.initial_belief = np.asarray(self.initial_belief, dtype=float)
-        if len(self.transition) != self.num_actions:
-            raise ValueError("need one transition matrix per action")
-        if len(self.observation) != self.num_actions:
-            raise ValueError("need one observation matrix per action")
-        if self.reward.shape != (self.num_states, self.num_actions):
-            raise ValueError(f"reward table has shape {self.reward.shape}")
-        if self.initial_belief.shape != (self.num_states,):
-            raise ValueError("initial belief length mismatch")
+        if not self.transition:
+            raise ValueError("a model needs at least one action")
+        if len(self.observation) != len(self.transition):
+            raise ValueError(
+                f"{len(self.transition)} transition tables but {len(self.observation)} observation tables"
+            )
+        self.num_actions = len(self.transition)
+        self.num_states = n = self.transition[0].shape[0]
+        self.num_observations = self.observation[0].shape[-1]
+        for name, tables, shape in (
+            ("transition", self.transition, (n, n)),
+            ("observation", self.observation, (n, self.num_observations)),
+        ):
+            for a, table in enumerate(tables):
+                if table.shape != shape:
+                    raise ValueError(f"{name}[{a}] has shape {table.shape}, expected {shape}")
+        if self.reward.shape != (n, self.num_actions):
+            raise ValueError(f"reward table has shape {self.reward.shape}, expected {(n, self.num_actions)}")
+        if self.initial_belief.shape != (n,):
+            raise ValueError(f"initial belief has shape {self.initial_belief.shape}, expected {(n,)}")
         self._transition_t = _once_each(_transpose, self.transition)
         self._observation_t = _once_each(_transpose, self.observation)
-
-    @classmethod
-    def from_tables(
-        cls,
-        transition,
-        observation,
-        reward,
-        discount: float,
-        initial_belief,
-        label: str = "",
-    ) -> "TabularPomdp":
-        """Build a model from per-action tables in any form.
-
-        A table may be dense or any scipy sparse form; COO duplicates are
-        summed.  Each table is stored dense or CSR by its own structure.
-        """
-        transition = list(transition)
-        observation = list(observation)
-        num_states = transition[0].shape[0]
-        num_observations = observation[0].shape[1]
-        return cls(
-            num_states=num_states,
-            num_actions=len(transition),
-            num_observations=num_observations,
-            transition=_once_each(lambda t: _stored(t, (num_states, num_states)), transition),
-            observation=_once_each(lambda o: _stored(o, (num_states, num_observations)), observation),
-            reward=np.asarray(reward, dtype=float),
-            discount=float(discount),
-            initial_belief=np.asarray(initial_belief, dtype=float),
-            label=label,
-        )
 
     # -- Row access helpers (work for dense and CSR storage alike) --
 
@@ -223,12 +211,6 @@ class TabularPomdp:
         if self._transition_t[a] is None:
             return np.asarray(belief @ self.transition[a])
         return self._transition_t[a] @ belief
-
-    def dense_transition(self, a: int) -> np.ndarray:
-        return _dense_copy(self.transition[a])
-
-    def dense_observation(self, a: int) -> np.ndarray:
-        return _dense_copy(self.observation[a])
 
 
 def belief_update(
@@ -255,30 +237,26 @@ def _row_sums(table) -> np.ndarray:
 
 
 def validate(model: TabularPomdp, atol: float = _ATOL) -> list[str]:
-    """Check stochasticity and shape constraints.
+    """Check that the tables and the initial belief are distributions.
 
     Returns a list of human-readable violations, empty when the model is
     well formed.  Each entry names the offending table and row.  Tables
     are checked in their own storage, so a CSR table is never densified.
+    Shapes need no check here: the constructor refuses a mis-shaped table.
     """
     problems: list[str] = []
 
-    def stochastic(name: str, table, shape) -> bool:
-        if table.shape != shape:
-            problems.append(f"{name}: shape {table.shape}")
-            return False
+    def stochastic(name: str, table) -> None:
         negative = np.flatnonzero(_row_sums(table < -atol))
         if negative.size:
             problems.append(f"{name} row {int(negative[0])}: negative entry")
         sums = _row_sums(table)
         for x in np.flatnonzero(np.abs(sums - 1.0) > atol)[:5]:
             problems.append(f"{name} row {int(x)}: sums to {sums[x]:.12g}")
-        return True
 
-    n = model.num_states
     for a in range(model.num_actions):
-        if stochastic(f"transition[{a}]", model.transition[a], (n, n)):
-            stochastic(f"observation[{a}]", model.observation[a], (n, model.num_observations))
+        stochastic(f"transition[{a}]", model.transition[a])
+        stochastic(f"observation[{a}]", model.observation[a])
     b = model.initial_belief
     if (b < -atol).any() or abs(b.sum() - 1.0) > atol:
         problems.append(f"initial belief: sums to {b.sum():.12g} or has negatives")
@@ -331,41 +309,24 @@ def sample_initial_state(model: TabularPomdp, rng: np.random.Generator) -> int:
 
 @dataclasses.dataclass
 class TabularMmdp:
-    """A fully observable multiagent MDP over a shared state space.
+    """A fully observable MDP over a POMDP's states and actions.
 
-    Joint actions are flattened in C order over the per-agent action counts
-    (last agent varies fastest); transition[ja] and reward[:, ja] are indexed
-    by that flat id.
+    transition[a] is |X| x |X| and reward is |X| x |A|; the counts are
+    read off the reward table.
     """
 
-    num_states: int
-    agent_action_counts: tuple
-    transition: list  # per joint action, |X| x |X|
-    reward: np.ndarray  # |X| x |JA|
+    transition: list  # per action, |X| x |X|
+    reward: np.ndarray  # |X| x |A|
     discount: float
+    num_states: int = dataclasses.field(init=False)
+    num_actions: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        self.agent_action_counts = tuple(int(n) for n in self.agent_action_counts)
         self.reward = np.asarray(self.reward, dtype=float)
-
-    @property
-    def num_joint_actions(self) -> int:
-        return int(np.prod(self.agent_action_counts))
-
-    def dense_transition(self, ja: int) -> np.ndarray:
-        return _dense_copy(self.transition[ja])
+        self.num_states, self.num_actions = self.reward.shape
 
 
 def induced_mdp(model: TabularPomdp) -> TabularMmdp:
-    """The fully observable control problem underlying a POMDP.
-
-    Treats the single decision maker as a one-agent team; used by planners
-    that assume state feedback.
-    """
-    return TabularMmdp(
-        num_states=model.num_states,
-        agent_action_counts=(model.num_actions,),
-        transition=list(model.transition),
-        reward=model.reward,
-        discount=model.discount,
-    )
+    """The fully observable control problem underlying a POMDP, for
+    planners that assume state feedback."""
+    return TabularMmdp(transition=list(model.transition), reward=model.reward, discount=model.discount)

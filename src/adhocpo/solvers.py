@@ -1,6 +1,6 @@
 """Planning: exact value iteration and point-based alpha-vector solving.
 
-Value iteration targets the fully observable joint-action model and is the
+Value iteration targets the fully observable model (`induced_mdp`) and is the
 performance ceiling in experiments.  The point-based solver follows the
 randomised backup scheme: gather a reachable belief set by simulating
 uniform-random actions, then per stage back up beliefs in random order,
@@ -101,21 +101,19 @@ class NonconvergenceBudget(RuntimeError):
 
 @dataclasses.dataclass
 class StateValueFunction:
-    """Optimal state values with the greedy joint action per state."""
+    """Optimal state values with the greedy action per state."""
 
     values: np.ndarray
-    greedy: np.ndarray  # flat joint-action id per state, lowest id on ties within rounding
+    greedy: np.ndarray  # action per state, lowest on ties within rounding
     residual: float
     iterations: int
 
 
 def bellman_q(mdp: TabularMmdp, values: np.ndarray) -> np.ndarray:
-    """One-step lookahead q(x, ja) under the given state values."""
-    q = np.empty((mdp.num_states, mdp.num_joint_actions))
-    for ja in range(mdp.num_joint_actions):
-        q[:, ja] = mdp.reward[:, ja] + mdp.discount * np.asarray(
-            mdp.transition[ja] @ values
-        )
+    """One-step lookahead q(x, a) under the given state values."""
+    q = np.empty((mdp.num_states, mdp.num_actions))
+    for a in range(mdp.num_actions):
+        q[:, a] = mdp.reward[:, a] + mdp.discount * np.asarray(mdp.transition[a] @ values)
     return q
 
 

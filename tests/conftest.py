@@ -1,11 +1,30 @@
-"""Shared helpers: random model generators, exhaustive-filter oracles and a child process guard."""
+"""Shared helpers: random model generators, table reads, a storage seam,
+exhaustive-filter oracles and a child process guard."""
 import itertools
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from adhocpo import pomdp
 from adhocpo.pomdp import TabularPomdp
+
+
+def dense(table):
+    """A stored table as a new dense array, never the stored object itself."""
+    return table.toarray() if sparse.issparse(table) else np.array(table)
+
+
+def stored_as_given():
+    """A block inside which models store their tables exactly as handed in.
+
+    The storage rule would re-store a small CSR table dense, so a test
+    that needs a CSR (or otherwise hand-made) twin of a model builds it
+    here, and asserts the form the twin holds.  Shapes are still checked.
+    """
+    return mock.patch.object(pomdp, "_stored", lambda table: table)
 
 
 def random_stochastic(rng, rows, cols, zeros=0.0):
@@ -38,9 +57,7 @@ def random_pomdp(
     reward = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
     b0 = rng.random(num_states)
     b0 /= b0.sum()
-    return TabularPomdp.from_tables(
-        transition, observation, reward, discount, b0, label=label
-    )
+    return TabularPomdp(transition, observation, reward, discount, b0, label=label)
 
 
 def exhaustive_filter(model, history):
@@ -53,8 +70,8 @@ def exhaustive_filter(model, history):
     """
     n = model.num_states
     t = len(history)
-    transition = [model.dense_transition(a) for a in range(model.num_actions)]
-    observation = [model.dense_observation(a) for a in range(model.num_actions)]
+    transition = [dense(t) for t in model.transition]
+    observation = [dense(o) for o in model.observation]
     mass = [0.0] * n
     for seq in itertools.product(range(n), repeat=t + 1):
         p = float(model.initial_belief[seq[0]])

@@ -37,7 +37,7 @@ from adhocpo.harness import (
     run_library_scaling,
     run_trial,
 )
-from adhocpo.pomdp import TabularMmdp, induced_mdp, sample_initial_state, simulate_step
+from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp, sample_initial_state, simulate_step
 from adhocpo.solvers import (
     CACHE_ENV,
     AlphaVectorPolicy,
@@ -48,7 +48,7 @@ from adhocpo.solvers import (
     value_iteration,
 )
 
-from conftest import exhaustive_filter, random_pomdp, random_stochastic
+from conftest import dense, exhaustive_filter, random_pomdp, random_stochastic
 
 CACHE_DIR = Path(os.environ.get(CACHE_ENV) or Path(__file__).resolve().parent.parent / ".cache")
 
@@ -183,8 +183,8 @@ def test_posterior_matches_exhaustive_joint_filter():
         library = ModelLibrary(models, [_dummy_policy(m) for m in models])
         state = PosteriorState.initial(library)
 
-        t_tables = [[m.dense_transition(a) for a in range(num_actions)] for m in models]
-        o_tables = [[m.dense_observation(a) for a in range(num_actions)] for m in models]
+        t_tables = [[dense(t) for t in m.transition] for m in models]
+        o_tables = [[dense(t) for t in m.observation] for m in models]
         alphas = [[float(v) for v in m.initial_belief] for m in models]
 
         k_star = int(rng.integers(num_models))
@@ -249,13 +249,11 @@ def test_loss_bound_holds_on_all_trajectories(grid_experiment, scaling_results):
 
 def _random_mmdp(rng) -> TabularMmdp:
     n = int(rng.integers(3, 16))
-    counts = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-    ja = counts[0] * counts[1]
+    # 4, 6 or 9 actions.
+    num_actions = int(rng.integers(2, 4)) * int(rng.integers(2, 4))
     return TabularMmdp(
-        num_states=n,
-        agent_action_counts=counts,
-        transition=[random_stochastic(rng, n, n) for _ in range(ja)],
-        reward=rng.uniform(-1.0, 1.0, size=(n, ja)),
+        transition=[random_stochastic(rng, n, n) for _ in range(num_actions)],
+        reward=rng.uniform(-1.0, 1.0, size=(n, num_actions)),
         discount=float(rng.uniform(0.90, 0.97)),
     )
 
@@ -278,8 +276,8 @@ def test_solver_quality(grid_desk, pursuit_desk):
             rng, num_states=n, num_actions=num_actions, num_observations=n,
             discount=0.95, label="observable",
         )
-        model = type(model).from_tables(
-            [model.dense_transition(a) for a in range(num_actions)],
+        model = TabularPomdp(
+            [dense(t) for t in model.transition],
             [np.eye(n) for _ in range(num_actions)],
             model.reward,
             model.discount,

@@ -17,7 +17,7 @@ from adhocpo.atpo import ModelLibrary
 from adhocpo.pomdp import TabularPomdp, belief_update, induced_mdp
 from adhocpo.solvers import SolverSettings, perseus_solve, policy_action, value_iteration
 
-from conftest import random_pomdp
+from conftest import dense, random_pomdp
 
 TINY = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0, stage_cap=60)
 
@@ -30,8 +30,8 @@ def observable_pomdp(rng, num_states=4, num_actions=3, label="obs"):
     """Identity observations so privileged and belief agents coincide."""
     base = random_pomdp(rng, num_states, num_actions, num_observations=num_states, label=label)
     eye = [np.eye(num_states) for _ in range(num_actions)]
-    return TabularPomdp.from_tables(
-        [base.dense_transition(a) for a in range(num_actions)],
+    return TabularPomdp(
+        [dense(t) for t in base.transition],
         eye,
         base.reward,
         base.discount,
@@ -45,8 +45,8 @@ def signal_pomdp(rng, emit, num_states=3, num_actions=2, label="signal"):
     base = random_pomdp(rng, num_states, num_actions, num_observations=2, label=label)
     obs = np.zeros((num_states, 2))
     obs[:, emit] = 1.0
-    return TabularPomdp.from_tables(
-        [base.dense_transition(a) for a in range(num_actions)],
+    return TabularPomdp(
+        [dense(t) for t in base.transition],
         [obs] * num_actions,
         base.reward,
         base.discount,
@@ -126,7 +126,7 @@ def test_perseus_agent_follows_alpha_policy(rng):
         a = agent.act(rng)
         assert a == policy_action(lib.policies[0], belief)
         z = int(np.argmax(np.cumsum(
-            np.asarray(belief @ model.dense_transition(a) @ model.dense_observation(a))
+            np.asarray(belief @ dense(model.transition[a]) @ dense(model.observation[a]))
         ) > 0.3))
         belief, _ = belief_update(model, belief, a, z)
         agent.observe(a, observation=z)
@@ -173,8 +173,8 @@ def test_bopa_posterior_tracks_transitions(rng):
     obs = [np.full((3, 2), 0.5)] * 2
     reward = np.zeros((3, 2))
     b0 = np.full(3, 1.0 / 3.0)
-    stayer = TabularPomdp.from_tables([stay, stay], obs, reward, 0.9, b0, label="stayer")
-    drifter = TabularPomdp.from_tables([drift, drift], obs, reward, 0.9, b0, label="drifter")
+    stayer = TabularPomdp([stay, stay], obs, reward, 0.9, b0, label="stayer")
+    drifter = TabularPomdp([drift, drift], obs, reward, 0.9, b0, label="drifter")
     lib = tiny_library([stayer, drifter])
     agent = BopaAgent(lib)
     agent.reset(rng, initial_state=1)

@@ -15,6 +15,8 @@ from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
 from adhocpo.pomdp import TabularPomdp
+
+from conftest import dense
 from adhocpo.solvers import SolverSettings
 
 DESK_SPEC = """\
@@ -109,10 +111,10 @@ def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, mon
 
 def test_cli_solve_refuses_a_model_file_that_validate_rejects(tmp_path, capsys):
     model = build("gridworld", size=2, tasks=1).models[0]
-    transition = [model.dense_transition(a) for a in range(model.num_actions)]
+    transition = [dense(t) for t in model.transition]
     transition[0][0] *= 3.0
     path = tmp_path / "bad.model"
-    dump_model(TabularPomdp.from_tables(
+    dump_model(TabularPomdp(
         transition, model.observation, model.reward, model.discount, model.initial_belief, label="bad"
     ), path)
     assert main(["validate", str(path)]) == 1
@@ -124,6 +126,23 @@ def test_cli_solve_refuses_a_model_file_that_validate_rejects(tmp_path, capsys):
     assert captured.err == f"error: {path}: transition[0] row 0: sums to 3\n"
     assert captured.out == ""
     assert not list(cache.glob("*.policy"))
+
+
+def test_cli_refuses_a_model_file_without_actions(tmp_path, capsys):
+    # A file can declare no actions and list no entries; the parser names
+    # the line of the count instead of the constructor failing later.
+    path = tmp_path / "no-actions.model"
+    path.write_text(
+        "adhocpo-model v1\nlabel none\nstates 2\nactions 0\nobservations 1\ndiscount 0.9\n"
+        "T 0\nO 0\nR 0\nb0 1\n0 1.0\nend\n"
+    )
+    cache = tmp_path / "cache"
+    for argv in (["validate", str(path)], ["solve", str(path), "--cache-dir", str(cache)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 4: a model needs at least one action\n"
+        assert captured.out == ""
+    assert not cache.exists()
 
 
 def test_cli_solve_cache_env_override(tmp_path, capsys, desk_spec, monkeypatch):

@@ -23,6 +23,8 @@ from adhocpo.domains import pursuit as pu
 from adhocpo.pomdp import TabularPomdp, validate
 from adhocpo.solvers import SolverSettings
 
+from conftest import dense
+
 
 def test_registry_lists_eleven_domains():
     assert len(DOMAIN_NAMES) == 11
@@ -131,14 +133,14 @@ def test_gridworld_completion_and_noise_rows():
     absorbing = m.num_states - 1
     done = 0 * 16 + 15
     for a in range(5):
-        assert m.dense_transition(a)[done, absorbing] == 1.0
+        assert dense(m.transition[a])[done, absorbing] == 1.0
     assert np.all(m.reward[done] == 100.0)
     assert np.all(m.reward[absorbing] == 0.0)
 
     # Agent at cell 5, teammate at 10: teammate steps Down to 14; the
     # agent's Up lands on 1 with prob 0.8 and fails in place with 0.2.
     x = 5 * 16 + 10
-    row = m.dense_transition(0)[x]
+    row = dense(m.transition[0])[x]
     assert row[1 * 16 + 14] == pytest.approx(0.8)
     assert row[5 * 16 + 14] == pytest.approx(0.2)
 
@@ -189,7 +191,7 @@ def test_sensor_tables_equal_rows_computed_fresh():
             )
             expected[pa * cells + pt] = _fresh_sensor_row(symbols, epsilon)
     expected[-1, gc.BLANK_OBSERVATION] = 1.0
-    assert np.array_equal(grid.dense_observation(0), expected)
+    assert np.array_equal(dense(grid.observation[0]), expected)
 
     epsilon = 0.1
     house = build("isr", map_name="test3x3", tasks=1, epsilon=epsilon).models[0]
@@ -202,7 +204,7 @@ def test_sensor_tables_equal_rows_computed_fresh():
                 symbols = _sensor_symbols(plan.free_cells[pa], plan.free_cells[pt], _passable(plan))
                 expected[pa * (f - 1) + (pt if pt < pa else pt - 1)] = _fresh_sensor_row(symbols, epsilon)
     expected[-1, gc.BLANK_OBSERVATION] = 1.0
-    assert np.array_equal(house.dense_observation(0), expected)
+    assert np.array_equal(dense(house.observation[0]), expected)
 
 
 def test_shared_sensor_rows_are_read_only():
@@ -230,7 +232,7 @@ def test_pursuit_capture_states_absorb():
     x = _offset_id((0, 1), 3) * 9 + _offset_id((0, 2), 3)
     assert _captured((0, 1), (0, 2), (0, -1), 3)
     for a in range(5):
-        assert m.dense_transition(a)[x, absorbing] == 1.0
+        assert dense(m.transition[a])[x, absorbing] == 1.0
     assert np.all(m.reward[x] == 100.0)
 
 
@@ -238,7 +240,7 @@ def test_pursuit_greedy_teammate_closes_distance():
     m = build("pursuit-task", size=3, belief_set_size=100).models[1]  # west-east, greedy
 
     def teammate_next(dt, dp):
-        row = m.dense_transition(gc.STAY)[_offset_id(dt, 3) * 9 + _offset_id(dp, 3)]
+        row = dense(m.transition[gc.STAY])[_offset_id(dt, 3) * 9 + _offset_id(dp, 3)]
         return {int(j) // 9 for j in np.flatnonzero(row)}
 
     assert _greedy_teammate_move((2, 2), (0, 1), 3) == (2, 1)
@@ -254,7 +256,7 @@ def test_pursuit_observation_patch():
     m = b.models[0]
     # Teammate on the agent (centre cell 4), prey at signed (+1,+1) = cell 8.
     x = _offset_id((0, 0), 3) * 9 + _offset_id((1, 1), 3)
-    row = m.dense_observation(0)[x]
+    row = dense(m.observation[0])[x]
     assert row[4 * 9 + 8] == pytest.approx(0.8)
     assert row[4 * 9 + 4] == pytest.approx(0.2)
     assert row.sum() == pytest.approx(1.0)
@@ -292,8 +294,8 @@ def test_power_plant_queries_read_landing_state():
     triples = pp.enumerate_states(pp.CLEANUP_ROOMS, False)
     index = {s: i for i, s in enumerate(triples)}
     x = index[(1, 2, frozenset({3, 4}))]
-    who = m.dense_observation(pp.QUERY_HUMAN)
-    left = m.dense_observation(pp.QUERY_PROGRESS)
+    who = dense(m.observation[pp.QUERY_HUMAN])
+    left = dense(m.observation[pp.QUERY_PROGRESS])
     assert who[x, 2] == pytest.approx(0.8)
     assert who[x, pp.NULL_OBSERVATION] == pytest.approx(0.2)
     assert left[x, 3] == pytest.approx(0.8)  # 1 + two unfinished rooms
@@ -301,7 +303,7 @@ def test_power_plant_queries_read_landing_state():
     x0 = index[(1, 0, frozenset({3, 4}))]
     assert who[x0, pp.NULL_OBSERVATION] == 1.0
     # Movement is silent.
-    assert m.dense_observation(pp.MOVE_0)[x, pp.NULL_OBSERVATION] == 1.0
+    assert dense(m.observation[pp.MOVE_0])[x, pp.NULL_OBSERVATION] == 1.0
     assert m.initial_belief[x0] == 1.0
 
 
@@ -314,7 +316,7 @@ def test_power_plant_completion_pays_once():
         if not bits:
             assert np.all(m.reward[x] == 100.0)
             for a in range(6):
-                assert m.dense_transition(a)[x, absorbing] == 1.0
+                assert dense(m.transition[a])[x, absorbing] == 1.0
         else:
             assert np.all(m.reward[x] == -1.0)
 
@@ -393,7 +395,7 @@ def test_map_navigation_swap_blocks():
     m = b.models[0]  # goals (0, 8)
     x = 0 * 8 + (1 - 1)  # state_id(pa=0, pt=1)
     right = 3
-    assert m.dense_transition(right)[x, x] == 1.0
+    assert dense(m.transition[right])[x, x] == 1.0
 
 
 def _reference_map_tables(grid, goals, epsilon):
@@ -465,7 +467,7 @@ def test_map_tables_match_the_state_by_state_reference():
             transition, reward = _reference_map_tables(grid, goals, epsilon)
             assert np.array_equal(model.reward, reward)
             for a in range(model.num_actions):
-                assert np.array_equal(model.dense_transition(a), transition[a])
+                assert np.array_equal(dense(model.transition[a]), transition[a])
 
 
 def _reference_gridworld_tables(size, goals, epsilon):
@@ -664,7 +666,7 @@ def _assert_same_stored_tables(model, reference_tables, reference_reward):
     """The model's stored transitions are exactly those the storage rules
     make of the reference tables: class, CSR arrays (explicit zeros and
     summation order included) or dense values."""
-    reference = TabularPomdp.from_tables(
+    reference = TabularPomdp(
         reference_tables, model.observation, reference_reward, model.discount, model.initial_belief
     )
     assert np.array_equal(model.reward, reference.reward)
@@ -695,7 +697,7 @@ def test_pursuit_tables_match_the_entry_by_entry_reference(size, epsilon):
     observation = _reference_pursuit_observation(size, epsilon)
     for model, (config, kind) in zip(models, candidates, strict=True):
         _assert_same_stored_tables(model, *_reference_pursuit_tables(size, config, kind, epsilon))
-        assert np.array_equal(model.dense_observation(0), observation)
+        assert np.array_equal(dense(model.observation[0]), observation)
 
 
 def test_exported_names_resolve():

@@ -31,7 +31,7 @@ from adhocpo.harness import (
 from adhocpo.pomdp import TabularPomdp
 from adhocpo.solvers import PolicyCache
 
-from conftest import child_process_left, random_pomdp
+from conftest import child_process_left, dense, random_pomdp, stored_as_given
 
 
 def test_trial_is_reproducible(small_library):
@@ -165,13 +165,13 @@ def test_deferred_loss_rows_cover_pruned_and_floored_models():
     models = [random_pomdp(rng, label=f"m{k}") for k in range(2)]
     observation = []
     for a in range(models[0].num_actions):
-        o = models[0].dense_observation(a).copy()
+        o = dense(models[0].observation[a])
         o[:, 0] += o[:, 2]
         o[:, 2] = 0.0
         observation.append(o)
     m = models[0]
-    transition = [m.dense_transition(a) for a in range(m.num_actions)]
-    models[0] = TabularPomdp.from_tables(transition, observation, m.reward, m.discount, m.initial_belief, label="m0")
+    transition = [dense(t) for t in m.transition]
+    models[0] = TabularPomdp(transition, observation, m.reward, m.discount, m.initial_belief, label="m0")
     settings = solvers.SolverSettings(belief_set_size=30, horizon=8, stage_cap=20)
     lib = atpo.ModelLibrary(models, [solvers.perseus_solve(m, settings) for m in models])
     for seed in range(3):
@@ -216,12 +216,10 @@ def test_csr_and_dense_desk_grids_solve_and_play_alike():
     domain = build("gridworld", size=4, tasks=2)
     settings = dataclasses.replace(domain.solver, belief_set_size=100, stage_cap=30)
     csr_models = domain.models
-    dense_models = [
-        dataclasses.replace(m, transition=[m.dense_transition(a) for a in range(m.num_actions)])
-        for m in csr_models
-    ]
-    assert all(map(sparse.issparse, csr_models[0].transition))
-    assert not any(map(sparse.issparse, dense_models[0].transition))
+    with stored_as_given():
+        dense_models = [dataclasses.replace(m, transition=[dense(t) for t in m.transition]) for m in csr_models]
+    assert all(sparse.issparse(t) for m in csr_models for t in m.transition)
+    assert not any(sparse.issparse(t) for m in dense_models for t in m.transition)
     csr_lib, dense_lib = (
         atpo.ModelLibrary(models, [solvers.perseus_solve(m, settings) for m in models])
         for models in (csr_models, dense_models)
@@ -541,12 +539,12 @@ def test_a_failing_pool_trial_raises_its_own_error_and_leaves_no_process(cpus, m
     m = random_pomdp(rng, label="silent")
     observation = []
     for a in range(m.num_actions):
-        o = m.dense_observation(a).copy()
+        o = dense(m.observation[a])
         o[:, 0] += o[:, 2]
         o[:, 2] = 0.0
         observation.append(o)
-    transition = [m.dense_transition(a) for a in range(m.num_actions)]
-    silent = TabularPomdp.from_tables(transition, observation, m.reward, m.discount, m.initial_belief)
+    transition = [dense(t) for t in m.transition]
+    silent = TabularPomdp(transition, observation, m.reward, m.discount, m.initial_belief)
     settings = solvers.SolverSettings(belief_set_size=30, horizon=8, stage_cap=20)
     env = atpo.ModelLibrary([emitting], [solvers.perseus_solve(emitting, settings)])
     agent_lib = atpo.ModelLibrary([silent], [solvers.perseus_solve(silent, settings)])

@@ -27,7 +27,7 @@ from adhocpo.modelio import (
 )
 from adhocpo.pomdp import TabularPomdp
 
-from conftest import random_pomdp
+from conftest import dense, random_pomdp, stored_as_given
 
 
 def test_round_trip_is_byte_identical(rng):
@@ -48,8 +48,8 @@ def test_round_trip_preserves_values_exactly(rng):
     assert np.array_equal(loaded.reward, model.reward)
     assert np.array_equal(loaded.initial_belief, model.initial_belief)
     for a in range(model.num_actions):
-        assert np.array_equal(loaded.dense_transition(a), model.dense_transition(a))
-        assert np.array_equal(loaded.dense_observation(a), model.dense_observation(a))
+        assert np.array_equal(dense(loaded.transition[a]), dense(model.transition[a]))
+        assert np.array_equal(dense(loaded.observation[a]), dense(model.observation[a]))
 
 
 def test_file_round_trip(tmp_path, rng):
@@ -68,11 +68,13 @@ def test_sparse_threshold_respected(rng):
     # than 2**15 zeros in any table, so every table is dense.
     assert not any(map(sparse.issparse, loaded.transition + loaded.observation))
     # Storage form does not leak into the serialization.
-    csr_twin = dataclasses.replace(
-        loaded,
-        transition=[sparse.csr_array(t) for t in loaded.transition],
-        observation=[sparse.csr_array(o) for o in loaded.observation],
-    )
+    with stored_as_given():
+        csr_twin = dataclasses.replace(
+            loaded,
+            transition=[sparse.csr_array(t) for t in loaded.transition],
+            observation=[sparse.csr_array(o) for o in loaded.observation],
+        )
+    assert all(map(sparse.issparse, csr_twin.transition + csr_twin.observation))
     assert dumps_model(csr_twin) == text
 
 
@@ -131,10 +133,23 @@ def test_errors_carry_line_numbers(rng):
         with pytest.raises(ModelFormatError, match=f"^line {i + 1}: {message}"):
             loads_model("\n".join(broken))
 
+    # A model without actions is refused where the count is read.
+    broken = list(lines)
+    broken[3] = "actions 0"
+    with pytest.raises(ModelFormatError, match="^line 4: a model needs at least one action"):
+        loads_model("\n".join(broken))
+
     # An empty label is written as "label " and also read back from a bare "label".
     bare = list(lines)
     bare[1] = "label"
     assert loads_model("\n".join(bare)).label == ""
+
+
+def _holds(model, transition, observation) -> bool:
+    """Whether the model stores these very table objects."""
+    return all(
+        s is g for s, g in zip(model.transition + model.observation, transition + observation, strict=True)
+    )
 
 
 def _hand_built_csr():
@@ -148,10 +163,12 @@ def _hand_built_csr():
     ]
     obs = csr([-0.0, 1.0, 0.3, 0.7, 1.0], [1, 0, 1, 0, 1], [0, 2, 4, 5], (3, 2))
     reward = np.array([[1.0, -0.0], [0.0, -2.5], [1e-300, 3.0]])
-    return TabularPomdp(
-        3, 2, 2, transition, [obs, obs], reward, 0.95, np.array([0.5, 0.0, 0.5]),
-        label="hand-built csr",
-    )
+    with stored_as_given():
+        model = TabularPomdp(
+            transition, [obs, obs], reward, 0.95, np.array([0.5, 0.0, 0.5]), label="hand-built csr"
+        )
+    assert _holds(model, transition, [obs, obs])
+    return model
 
 
 # sha256 hex digests recorded from the repr-text serializer the cache was
@@ -334,10 +351,12 @@ def test_shared_tables_serialize_like_equal_copies(rng):
     base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4, zeros=0.3)
     csr_t = sparse.csr_array(base.transition[0])
     for t, o in ((base.transition[0], base.observation[2]), (csr_t, base.observation[2])):
-        shared = dataclasses.replace(base, transition=[t] * 3, observation=[o] * 3)
-        copies = dataclasses.replace(
-            base, transition=[t.copy() for _ in range(3)], observation=[o.copy() for _ in range(3)]
-        )
+        with stored_as_given():
+            shared = dataclasses.replace(base, transition=[t] * 3, observation=[o] * 3)
+            copies = dataclasses.replace(
+                base, transition=[t.copy() for _ in range(3)], observation=[o.copy() for _ in range(3)]
+            )
+        assert all(type(m.transition[a]) is type(t) for m in (shared, copies) for a in range(3))
         text = dumps_model(shared)
         assert text == dumps_model(copies)
         assert model_digest(shared) == model_digest(copies)
@@ -360,7 +379,9 @@ def test_shared_empty_and_negative_zero_tables_hash_their_text():
         (empty, "O 0\nR "),
         (signed, "O 4\n0 0 1 -0.0\n0 2 0 1.0\n1 0 1 -0.0\n1 2 0 1.0\nR "),
     ):
-        model = dataclasses.replace(base, observation=[o, o])
+        with stored_as_given():
+            model = dataclasses.replace(base, observation=[o, o])
+        assert _holds(model, base.transition, [o, o])
         text = dumps_model(model)
         assert section in text
         assert model_digest(model) == hashlib.sha256(text.encode()).hexdigest()
@@ -374,16 +395,17 @@ def test_batch_digests_equal_one_model_digests(rng):
     base = _hand_built_csr()
     empty, signed = _empty_and_signed_tables()
     # Shared across models and actions: the empty and -0.0 tables.
-    odd = [
-        dataclasses.replace(base, observation=[empty, empty], label="empty"),
-        dataclasses.replace(base, observation=[signed, signed], label="signed"),
-        dataclasses.replace(base, observation=[empty, signed], label="both"),
-    ]
+    with stored_as_given():
+        odd = [
+            dataclasses.replace(base, observation=[empty, empty], label="empty"),
+            dataclasses.replace(base, observation=[signed, signed], label="signed"),
+            dataclasses.replace(base, observation=[empty, signed], label="both"),
+        ]
+    assert all(map(sparse.issparse, [t for m in odd for t in m.transition + m.observation]))
     # Action counts differ, and one observation table serves both models.
     three = random_pomdp(rng, num_states=4, num_actions=3, num_observations=3)
     two = dataclasses.replace(
         three,
-        num_actions=2,
         transition=three.transition[1:],
         observation=[three.observation[0]] * 2,
         reward=three.reward[:, :2],
@@ -459,7 +481,7 @@ def _many_block_model():
     rng = np.random.default_rng(18)
     n = modelio._BLOCK + 8
 
-    def dense(cols):
+    def dense_table(cols):
         # Many distinct values, with zeros, -0.0 and a row of zeros.
         table = rng.random((n, cols))
         table[rng.random((n, cols)) < 0.2] = 0.0
@@ -483,13 +505,15 @@ def _many_block_model():
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return _csr(data[keep], cols[keep], indptr, (n, n))
 
-    t0, t1, o0, o1 = csr(), csr(), dense(3), dense(3)
+    t0, t1, o0, o1 = csr(), csr(), dense_table(3), dense_table(3)
     b0 = rng.random(n)
     b0[[0, 100, n - 1]] = 0.0
-    return TabularPomdp(
-        n, 4, 3, [t0, t1, t0, t1], [o0, o1, o0, o1], dense(4), 0.95, b0 / b0.sum(),
-        label="many blocks",
-    )
+    with stored_as_given():
+        model = TabularPomdp(
+            [t0, t1, t0, t1], [o0, o1, o0, o1], dense_table(4), 0.95, b0 / b0.sum(), label="many blocks"
+        )
+    assert _holds(model, [t0, t1, t0, t1], [o0, o1, o0, o1])
+    return model
 
 
 def _first_difference(got: str, expected: str):

@@ -18,7 +18,9 @@ from adhocpo.pomdp import (
     weighted_draw,
 )
 
-from conftest import exhaustive_filter, random_pomdp, random_stochastic
+from adhocpo.solvers import point_backup
+
+from conftest import dense, exhaustive_filter, random_pomdp, random_stochastic, stored_as_given
 
 
 def _random_history(model, rng, length):
@@ -59,7 +61,7 @@ def test_belief_update_zero_likelihood_raises():
     t = [np.eye(2)]
     o = [np.array([[1.0, 0.0], [1.0, 0.0]])]
     r = np.zeros((2, 1))
-    model = TabularPomdp.from_tables(t, o, r, 0.9, np.array([0.5, 0.5]))
+    model = TabularPomdp(t, o, r, 0.9, np.array([0.5, 0.5]))
     with pytest.raises(ZeroLikelihood):
         belief_update(model, model.initial_belief, 0, 1)
 
@@ -79,7 +81,7 @@ def test_likelihood_matches_marginal(rng):
     b = model.initial_belief
     for a in range(3):
         # P(z | b, a) for every observation z at once.
-        liks = b @ model.dense_transition(a) @ model.dense_observation(a)
+        liks = b @ dense(model.transition[a]) @ dense(model.observation[a])
         for z in range(5):
             _, lik = belief_update(model, b, a, z)
             assert lik == pytest.approx(liks[z], abs=1e-14)
@@ -87,29 +89,31 @@ def test_likelihood_matches_marginal(rng):
 
 def test_dense_and_sparse_storage_agree(rng):
     for _ in range(5):
-        dense = random_pomdp(rng, num_states=8, num_actions=2, num_observations=3, zeros=0.5)
-        sparse_model = dataclasses.replace(
-            dense,
-            transition=[sparse.csr_array(t) for t in dense.transition],
-            observation=[sparse.csr_array(o) for o in dense.observation],
-        )
+        dense_model = random_pomdp(rng, num_states=8, num_actions=2, num_observations=3, zeros=0.5)
+        with stored_as_given():
+            sparse_model = dataclasses.replace(
+                dense_model,
+                transition=[sparse.csr_array(t) for t in dense_model.transition],
+                observation=[sparse.csr_array(o) for o in dense_model.observation],
+            )
         assert all(map(sparse.issparse, sparse_model.transition + sparse_model.observation))
-        assert not any(map(sparse.issparse, dense.transition + dense.observation))
-        history = _random_history(dense, rng, 4)
-        bd, bs = dense.initial_belief, sparse_model.initial_belief
+        assert not any(map(sparse.issparse, dense_model.transition + dense_model.observation))
+        history = _random_history(dense_model, rng, 4)
+        bd, bs = dense_model.initial_belief, sparse_model.initial_belief
         for a, z in history:
-            bd, lik_d = belief_update(dense, bd, a, z)
+            bd, lik_d = belief_update(dense_model, bd, a, z)
             bs, lik_s = belief_update(sparse_model, bs, a, z)
             assert np.allclose(bd, bs, atol=1e-12)
             assert lik_d == pytest.approx(lik_s, abs=1e-12)
         for x in range(8):
-            assert np.allclose(dense.transition_row(x, 1), sparse_model.transition_row(x, 1))
-            assert np.allclose(dense.observation_row(x, 0), sparse_model.observation_row(x, 0))
+            assert np.allclose(dense_model.transition_row(x, 1), sparse_model.transition_row(x, 1))
+            assert np.allclose(dense_model.observation_row(x, 0), sparse_model.observation_row(x, 0))
 
 
-def test_from_tables_stores_only_dense_arrays_and_csr_arrays(rng):
+def test_constructor_stores_only_dense_arrays_and_csr_arrays(rng):
     # Whatever form a table is handed in, it is stored as an ndarray or a
-    # csr_array; a csr_matrix would make `*` a matrix product.
+    # float64 csr_array in canonical form; a csr_matrix would make `*` a
+    # matrix product.
     n = 600
     big = random_stochastic(rng, n, n, zeros=0.995)
     small = random_stochastic(rng, n, 4)
@@ -118,19 +122,34 @@ def test_from_tables_stores_only_dense_arrays_and_csr_arrays(rng):
     halves = sparse.coo_array(
         (np.tile(big[rows, cols] / 2, 2), (np.tile(rows, 2), np.tile(cols, 2))), shape=(n, n)
     )
-    forms = [big, sparse.csr_matrix(big), sparse.coo_matrix(big), sparse.coo_array(big), halves]
-    model = TabularPomdp.from_tables(
+    # A CSR table with each row's column indices reversed, and a CSR table
+    # of integers: both are re-stored, and the input is left as it was.
+    canonical = sparse.csr_array(big)
+    order = np.lexsort((-canonical.indices, np.repeat(np.arange(n), np.diff(canonical.indptr))))
+    shuffled = sparse.csr_array((canonical.data[order], canonical.indices[order], canonical.indptr), shape=(n, n))
+    assert not shuffled.has_canonical_format
+    kept = shuffled.indices.copy()
+    whole = np.zeros((n, n))
+    whole[rows, cols] = 3.0
+    forms = [
+        big, sparse.csr_matrix(big), sparse.coo_matrix(big), sparse.coo_array(big), halves,
+        shuffled, sparse.csr_array(whole.astype(int)),
+    ]
+    model = TabularPomdp(
         forms,
-        [small, sparse.csr_matrix(small), sparse.coo_array(small), small, small],
-        np.zeros((n, 5)),
+        [small, sparse.csr_matrix(small), sparse.coo_array(small), small, small, small, small],
+        np.zeros((n, 7)),
         0.9,
         np.full(n, 1.0 / n),
     )
-    assert [type(t) for t in model.transition] == [sparse.csr_array] * 5
-    assert [type(o) for o in model.observation] == [np.ndarray] * 5
-    for a in range(5):
-        assert np.array_equal(model.dense_transition(a), big)
-        assert np.array_equal(model.dense_observation(a), small)
+    assert [type(t) for t in model.transition] == [sparse.csr_array] * 7
+    assert [type(o) for o in model.observation] == [np.ndarray] * 7
+    for table in model.transition:
+        assert table.dtype == np.float64 and table.has_canonical_format
+    for a in range(7):
+        assert np.array_equal(dense(model.transition[a]), whole if a == 6 else big)
+        assert np.array_equal(dense(model.observation[a]), small)
+    assert np.array_equal(shuffled.indices, kept)
 
 
 def test_each_table_picks_its_own_storage(rng):
@@ -139,13 +158,17 @@ def test_each_table_picks_its_own_storage(rng):
     n = 600
     transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
     obs = random_stochastic(rng, n, 4)
-    model = TabularPomdp.from_tables(
-        transition, [obs, obs], np.zeros((n, 2)), 0.9, np.full(n, 1.0 / n)
-    )
+    model = TabularPomdp(transition, [obs, obs], np.zeros((n, 2)), 0.9, np.full(n, 1.0 / n))
     assert all(map(sparse.issparse, model.transition))
     assert model.observation[0] is obs and model.observation[1] is obs
     for a in range(2):
-        assert np.array_equal(model.dense_transition(a), transition[a])
+        assert np.array_equal(dense(model.transition[a]), transition[a])
+    # A table handed in as it is stored, CSR as well as dense, is kept as
+    # that very object: models that share it store it once.
+    again = TabularPomdp(
+        model.transition[::-1], [obs, obs], np.zeros((n, 2)), 0.9, np.full(n, 1.0 / n)
+    )
+    assert again.transition[0] is model.transition[1] and again.transition[1] is model.transition[0]
 
     # CSR needs at least 2**15 zeros as well as fewer than half nonzero.
     # 128 x 257 observation tables with one nonzero per row have exactly
@@ -156,9 +179,7 @@ def test_each_table_picks_its_own_storage(rng):
     one_more = one_per_row.copy()
     one_more[0, :2] = 0.5
     for obs, stored_sparse in ((one_per_row, True), (one_more, False)):
-        model = TabularPomdp.from_tables(
-            [np.eye(rows)], [obs], np.zeros((rows, 1)), 0.9, np.full(rows, 1.0 / rows)
-        )
+        model = TabularPomdp([np.eye(rows)], [obs], np.zeros((rows, 1)), 0.9, np.full(rows, 1.0 / rows))
         assert rows * cols - np.count_nonzero(obs) == 2**15 - (not stored_sparse)
         assert sparse.issparse(model.observation[0]) == stored_sparse
         # 128 x 128 has fewer than 2**15 entries: dense, however sparse.
@@ -168,9 +189,7 @@ def test_each_table_picks_its_own_storage(rng):
     # number of zeros.
     half = np.zeros((n, n))
     half[:, : n // 2] = 2.0 / n
-    model = TabularPomdp.from_tables(
-        [half], [np.ones((n, 1))], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n)
-    )
+    model = TabularPomdp([half], [np.ones((n, 1))], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n))
     assert model.transition[0] is half
 
     # On the desk configurations only the 4x4 grid's transitions (257
@@ -207,12 +226,11 @@ def test_csr_kernels_match_scipy_bit_for_bit(rng):
     n, nz = 600, 5
     shared, other = (random_stochastic(rng, n, n, zeros=0.99) for _ in range(2))
     obs = random_stochastic(rng, n, nz, zeros=0.8)
-    base = TabularPomdp.from_tables(
-        [shared, shared, other], [obs] * 3, np.zeros((n, 3)), 0.9, np.full(n, 1.0 / n)
-    )
+    base = TabularPomdp([shared, shared, other], [obs] * 3, np.zeros((n, 3)), 0.9, np.full(n, 1.0 / n))
     # The twin is CSR whatever the storage rule picks for these tables.
     shared, other, obs = (sparse.csr_array(t) for t in (shared, other, obs))
-    model = dataclasses.replace(base, transition=[shared, shared, other], observation=[obs] * 3)
+    with stored_as_given():
+        model = dataclasses.replace(base, transition=[shared, shared, other], observation=[obs] * 3)
     assert all(map(sparse.issparse, model.transition + model.observation))
     # One transpose per distinct table object.
     assert model._transition_t[0] is model._transition_t[1]
@@ -248,7 +266,7 @@ def test_simulate_step_frequencies():
         nxt, _, r = simulate_step(model, x, a, rng)
         assert r == model.reward[x, a]
         next_counts[nxt] += 1
-    p = model.dense_transition(a)[x]
+    p = dense(model.transition[a])[x]
     # Binomial three-sigma envelope per outcome.
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(next_counts / n - p) <= 3 * sigma + 1e-9).all()
@@ -258,7 +276,7 @@ def test_observation_sampled_from_landing_state():
     # Deterministic chain: from 0, action 0 goes to 1; state 1 always emits 1.
     t = [np.array([[0.0, 1.0], [0.0, 1.0]])]
     o = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-    model = TabularPomdp.from_tables(t, o, np.zeros((2, 1)), 0.9, np.array([1.0, 0.0]))
+    model = TabularPomdp(t, o, np.zeros((2, 1)), 0.9, np.array([1.0, 0.0]))
     rng = np.random.default_rng(0)
     for _ in range(20):
         nxt, z, _ = simulate_step(model, 0, 0, rng)
@@ -269,7 +287,7 @@ def test_sampling_treats_negative_dust_as_zero(rng):
     # -1e-12 is within validate's tolerance, so simulation must accept it:
     # the entry is never drawn, and nothing fails inside numpy.
     model = random_pomdp(rng, num_states=3, num_actions=1, num_observations=3)
-    obs = model.dense_observation(0)
+    obs = dense(model.observation[0])
     obs[:, 1] += obs[:, 0] + 1e-12
     obs[:, 0] = -1e-12
     dusty = dataclasses.replace(model, observation=[obs])
@@ -310,22 +328,6 @@ def test_weighted_draw_refuses_a_row_without_mass(rng):
         weighted_draw(np.zeros(3), rng)
 
 
-def test_dense_tables_are_fresh_copies(rng):
-    # Editing a dense_* result must leave the model as it was, whatever
-    # the table's storage.
-    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    csr_twin = dataclasses.replace(
-        model, transition=[sparse.csr_array(t) for t in model.transition]
-    )
-    for m in (model, csr_twin):
-        mdp = induced_mdp(m)
-        for read in (m.dense_transition, m.dense_observation, mdp.dense_transition):
-            table = read(1)
-            kept = table.copy()
-            table[:] = 0.0
-            assert np.array_equal(read(1), kept)
-
-
 def test_sample_initial_state_frequencies():
     rng = np.random.default_rng(3)
     model = random_pomdp(rng, num_states=4)
@@ -352,11 +354,13 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
     broken.transition[0][3, :2] = [-0.5, 1.5]
     problems = validate(broken)
     assert "transition[0] row 3: negative entry" in problems
-    csr_twin = dataclasses.replace(
-        broken,
-        transition=[sparse.csr_array(t) for t in broken.transition],
-        observation=[sparse.csr_array(o) for o in broken.observation],
-    )
+    with stored_as_given():
+        csr_twin = dataclasses.replace(
+            broken,
+            transition=[sparse.csr_array(t) for t in broken.transition],
+            observation=[sparse.csr_array(o) for o in broken.observation],
+        )
+    assert all(map(sparse.issparse, csr_twin.transition + csr_twin.observation))
     assert validate(csr_twin) == problems
 
     lopsided = random_pomdp(rng, num_states=3)
@@ -367,21 +371,72 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
 def test_induced_mdp_shares_tables(rng):
     model = random_pomdp(rng, num_states=5, num_actions=3)
     mdp = induced_mdp(model)
-    assert mdp.num_joint_actions == 3
-    assert mdp.agent_action_counts == (3,)
-    assert np.array_equal(mdp.reward, model.reward)
-    for a in range(3):
-        assert np.array_equal(mdp.dense_transition(a), model.dense_transition(a))
+    assert (mdp.num_states, mdp.num_actions) == (5, 3)
+    assert mdp.reward is model.reward
+    assert all(t is u for t, u in zip(mdp.transition, model.transition, strict=True))
 
 
-def test_joint_action_ids_flatten_in_c_order():
-    from adhocpo.pomdp import TabularMmdp
+# -- one way to make a model -------------------------------------------------
 
-    m = TabularMmdp(
-        num_states=2,
-        agent_action_counts=(2, 3),
-        transition=[np.eye(2)] * 6,
-        reward=np.zeros((2, 6)),
-        discount=0.9,
+
+def test_replace_stores_any_table_form_by_the_rule(rng):
+    # A COO transition or a csr_matrix observation handed to
+    # dataclasses.replace is stored as the constructor stores it, so the
+    # model plays and backs up exactly like the original.
+    small = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3, zeros=0.3)
+    n = 600
+    large = TabularPomdp(
+        [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)],
+        [random_stochastic(rng, n, 3, zeros=0.3) for _ in range(2)],
+        rng.uniform(-1.0, 1.0, size=(n, 2)),
+        0.9,
+        np.full(n, 1.0 / n),
     )
-    assert m.num_joint_actions == 6
+    for model in (small, large):
+        twins = [
+            dataclasses.replace(model, transition=[sparse.coo_array(t) for t in model.transition]),
+            dataclasses.replace(model, observation=[sparse.csr_matrix(o) for o in model.observation]),
+        ]
+        for twin in twins:
+            for stored, original in zip(twin.transition + twin.observation, model.transition + model.observation):
+                assert type(stored) is type(original)
+                assert np.array_equal(dense(stored), dense(original))
+            assert (twin.num_states, twin.num_actions, twin.num_observations) == (
+                model.num_states, model.num_actions, model.num_observations,
+            )
+            ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+            x = y = 0
+            for step in range(50):
+                a = step % 2
+                (x, zx, rx), (y, zy, ry) = simulate_step(model, x, a, ours), simulate_step(twin, y, a, theirs)
+                assert (x, zx, rx) == (y, zy, ry)
+            vectors = rng.uniform(-1.0, 1.0, size=(3, model.num_states))
+            for b in (model.initial_belief, np.eye(model.num_states)[1]):
+                alpha, act = point_backup(model, b, vectors)
+                twin_alpha, twin_act = point_backup(twin, b, vectors)
+                assert act == twin_act and np.array_equal(alpha, twin_alpha)
+
+
+def test_mis_shaped_tables_are_refused(rng):
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    t, o = model.transition, model.observation
+    cases = [
+        (dict(transition=[t[0], np.eye(5)]), r"transition\[1\] has shape \(5, 5\), expected \(4, 4\)"),
+        (dict(transition=[t[0], np.ones(4) / 4]), r"transition\[1\] has shape \(4,\)"),
+        (dict(observation=[o[0], np.ones((5, 3)) / 3]), r"observation\[1\] has shape \(5, 3\)"),
+        # Every observation table must have as many columns as the first.
+        (dict(observation=[o[0], np.ones((4, 2)) / 2]), r"observation\[1\] has shape \(4, 2\), expected \(4, 3\)"),
+        (dict(observation=[o[0]]), "2 transition tables but 1 observation tables"),
+        (dict(reward=np.zeros((4, 3))), r"reward table has shape \(4, 3\), expected \(4, 2\)"),
+        (dict(reward=np.zeros(4)), "reward table has shape"),
+        (dict(initial_belief=np.full(5, 0.2)), r"initial belief has shape \(5,\), expected \(4,\)"),
+        (dict(transition=[], observation=[], reward=np.zeros((4, 0))), "at least one action"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, **changes)
+    # The counts are read off the tables, never handed in.
+    with pytest.raises(ValueError, match="num_actions"):
+        dataclasses.replace(model, num_actions=2)
+    with pytest.raises(TypeError):
+        TabularPomdp(3, 2, 2, t, o, model.reward, 0.9, model.initial_belief)

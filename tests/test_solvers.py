@@ -45,19 +45,13 @@ from adhocpo.solvers import (
     value_iteration,
 )
 
-from conftest import random_pomdp, random_stochastic
+from conftest import dense, random_pomdp, random_stochastic, stored_as_given
 
 
 def random_mmdp(rng, num_states=5, num_actions=3, discount=0.9):
     t = [random_stochastic(rng, num_states, num_states) for _ in range(num_actions)]
     r = rng.uniform(-1.0, 1.0, size=(num_states, num_actions))
-    return TabularMmdp(
-        num_states=num_states,
-        agent_action_counts=(num_actions,),
-        transition=t,
-        reward=r,
-        discount=discount,
-    )
+    return TabularMmdp(transition=t, reward=r, discount=discount)
 
 
 # -- value iteration ---------------------------------------------------------
@@ -70,7 +64,7 @@ def test_value_iteration_matches_policy_evaluation():
         svf = value_iteration(mdp, tolerance=1e-10)
         # Evaluate the greedy policy in closed form: v = (I - g T_pi)^-1 r_pi.
         n = mdp.num_states
-        t_pi = np.array([mdp.dense_transition(svf.greedy[x])[x] for x in range(n)])
+        t_pi = np.array([mdp.transition[svf.greedy[x]][x] for x in range(n)])
         r_pi = np.array([mdp.reward[x, svf.greedy[x]] for x in range(n)])
         v_pi = np.linalg.solve(np.eye(n) - mdp.discount * t_pi, r_pi)
         assert np.abs(svf.values - v_pi).max() < 1e-7
@@ -87,7 +81,7 @@ def test_value_iteration_residual_via_explicit_sweep():
         for a in range(2):
             total = mdp.reward[x, a]
             for y in range(4):
-                total += mdp.discount * mdp.dense_transition(a)[x, y] * svf.values[y]
+                total += mdp.discount * mdp.transition[a][x, y] * svf.values[y]
             best = max(best, total)
         worst = max(worst, abs(best - svf.values[x]))
     assert worst <= 1e-8
@@ -96,13 +90,7 @@ def test_value_iteration_residual_via_explicit_sweep():
 
 def test_value_iteration_geometric_series():
     for r, g in [(-1.0, 0.5), (2.0, 0.95)]:
-        mdp = TabularMmdp(
-            num_states=1,
-            agent_action_counts=(1,),
-            transition=[np.ones((1, 1))],
-            reward=np.array([[r]]),
-            discount=g,
-        )
+        mdp = TabularMmdp(transition=[np.ones((1, 1))], reward=np.array([[r]]), discount=g)
         svf = value_iteration(mdp, tolerance=1e-12)
         assert svf.values[0] == pytest.approx(r / (1 - g), abs=1e-9)
 
@@ -117,13 +105,7 @@ def test_value_iteration_budget_exhaustion():
 def test_value_iteration_greedy_tie_lowest():
     # Both actions identical, so every state ties; greedy must pick 0.
     t = np.array([[0.5, 0.5], [0.5, 0.5]])
-    mdp = TabularMmdp(
-        num_states=2,
-        agent_action_counts=(2,),
-        transition=[t, t.copy()],
-        reward=np.array([[1.0, 1.0], [0.0, 0.0]]),
-        discount=0.9,
-    )
+    mdp = TabularMmdp(transition=[t, t.copy()], reward=np.array([[1.0, 1.0], [0.0, 0.0]]), discount=0.9)
     svf = value_iteration(mdp, tolerance=1e-9)
     assert (svf.greedy == 0).all()
 
@@ -135,9 +117,7 @@ def test_value_iteration_breaks_near_ties_toward_the_lowest_action():
     # state 1 it earns 1.0 more, a real difference.
     t = np.array([[0.5, 0.5], [0.5, 0.5]])
     reward = np.array([[85.64243255601275, 85.64243255601275 + 1e-11], [84.0, 85.0]])
-    mdp = TabularMmdp(
-        num_states=2, agent_action_counts=(2,), transition=[t, t.copy()], reward=reward, discount=0.5
-    )
+    mdp = TabularMmdp(transition=[t, t.copy()], reward=reward, discount=0.5)
     svf = value_iteration(mdp, tolerance=1e-9)
     q = solvers.bellman_q(mdp, svf.values)
     assert q[0, 1] > q[0, 0]
@@ -150,10 +130,10 @@ def test_dense_and_csr_twins_pick_the_same_vi_actions():
     # its many exactly tied moves must still resolve to the same actions.
     for model in build("gridworld", size=4, tasks=8).models:
         assert sparse.issparse(model.transition[0])
-        dense = dataclasses.replace(
-            model, transition=[model.dense_transition(a) for a in range(model.num_actions)]
-        )
-        csr_vi, dense_vi = (value_iteration(induced_mdp(m)) for m in (model, dense))
+        with stored_as_given():
+            twin = dataclasses.replace(model, transition=[dense(t) for t in model.transition])
+        assert not any(map(sparse.issparse, twin.transition))
+        csr_vi, dense_vi = (value_iteration(induced_mdp(m)) for m in (model, twin))
         assert np.abs(csr_vi.values - dense_vi.values).max() <= 1e-12
         assert np.array_equal(csr_vi.greedy, dense_vi.greedy), model.label
 
@@ -188,8 +168,8 @@ def test_policy_q_matches_triple_sum_oracle(rng):
             expected = sum(b[x] * model.reward[x, a] for x in range(4))
             for z in range(3):
                 w = [
-                    sum(b[x] * model.dense_transition(a)[x, y] for x in range(4))
-                    * model.dense_observation(a)[y, z]
+                    sum(b[x] * dense(model.transition[a])[x, y] for x in range(4))
+                    * dense(model.observation[a])[y, z]
                     for y in range(4)
                 ]
                 rho = sum(w)
@@ -205,7 +185,7 @@ def test_zero_likelihood_observation_contributes_zero():
     # Observation 1 never occurs; q must equal the z=0 branch alone.
     t = [np.array([[0.3, 0.7], [0.6, 0.4]])]
     o = [np.array([[1.0, 0.0], [1.0, 0.0]])]
-    model = TabularPomdp.from_tables(t, o, np.array([[0.5], [-0.5]]), 0.9, np.array([0.5, 0.5]))
+    model = TabularPomdp(t, o, np.array([[0.5], [-0.5]]), 0.9, np.array([0.5, 0.5]))
     vectors = np.array([[2.0, 1.0]])
     policy = AlphaVectorPolicy(vectors=vectors, actions=np.array([0]), discount=0.9)
     b = np.array([0.5, 0.5])
@@ -246,7 +226,7 @@ def test_collect_beliefs_starts_at_b0_and_dedups(rng):
 
 def test_collect_beliefs_stagnation_guard():
     # One state: the filter is constant, so only b0 is collectable.
-    model = TabularPomdp.from_tables(
+    model = TabularPomdp(
         [np.ones((1, 1))], [np.ones((1, 1))], np.array([[-1.0]]), 0.9, np.array([1.0])
     )
     beliefs = collect_beliefs(model, size=100, horizon=5, rng=np.random.default_rng(0))
@@ -254,7 +234,7 @@ def test_collect_beliefs_stagnation_guard():
 
 
 def test_perseus_single_state_geometric():
-    model = TabularPomdp.from_tables(
+    model = TabularPomdp(
         [np.ones((1, 1)), np.ones((1, 1))],
         [np.ones((1, 1)), np.ones((1, 1))],
         np.array([[-1.0, 1.0]]),
@@ -276,7 +256,7 @@ def test_perseus_matches_vi_on_observable_reduction():
         o = [np.eye(n) for _ in range(na)]
         r = rng.uniform(-1.0, 1.0, size=(n, na))
         b0 = np.full(n, 1.0 / n)
-        model = TabularPomdp.from_tables(t, o, r, 0.9, b0)
+        model = TabularPomdp(t, o, r, 0.9, b0)
         policy = perseus_solve(
             model, SolverSettings(belief_set_size=150, horizon=25, tolerance=0.005, seed=1)
         )
@@ -306,20 +286,22 @@ def test_perseus_deterministic_for_seed(rng):
 
 
 def test_perseus_sparse_dense_storage_agree(rng):
-    dense = random_pomdp(rng, num_states=6, num_actions=2, num_observations=3, zeros=0.4)
-    sparse_model = dataclasses.replace(
-        dense,
-        transition=[sparse.csr_array(t) for t in dense.transition],
-        observation=[sparse.csr_array(o) for o in dense.observation],
-    )
+    dense_model = random_pomdp(rng, num_states=6, num_actions=2, num_observations=3, zeros=0.4)
+    with stored_as_given():
+        sparse_model = dataclasses.replace(
+            dense_model,
+            transition=[sparse.csr_array(t) for t in dense_model.transition],
+            observation=[sparse.csr_array(o) for o in dense_model.observation],
+        )
+    assert all(map(sparse.issparse, sparse_model.transition + sparse_model.observation))
     s = SolverSettings(belief_set_size=50, horizon=10, tolerance=0.005, seed=2)
-    pd = perseus_solve(dense, s)
+    pd = perseus_solve(dense_model, s)
     ps = perseus_solve(sparse_model, s)
     assert np.allclose(pd.stage_values, ps.stage_values, atol=1e-8)
-    b = dense.initial_belief
+    b = dense_model.initial_belief
     assert policy_value(pd, b) == pytest.approx(policy_value(ps, b), abs=1e-8)
     assert np.allclose(
-        policy_q_all(dense, pd, b), policy_q_all(sparse_model, ps, b), atol=1e-8
+        policy_q_all(dense_model, pd, b), policy_q_all(sparse_model, ps, b), atol=1e-8
     )
 
 
@@ -332,7 +314,7 @@ def test_csr_matrix_tables_solve_like_csr_arrays(rng):
     reward = rng.uniform(-1.0, 1.0, size=(n, 2))
 
     def model(form):
-        return TabularPomdp.from_tables(
+        return TabularPomdp(
             [form(t) for t in transition],
             [form(o) for o in observation],
             reward,
@@ -362,7 +344,7 @@ def test_point_backup_improves_value(rng):
 def test_point_backup_takes_the_first_of_tied_actions(rng):
     # Actions 1 and 2 share every table, so their q values tie exactly.
     base = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    model = TabularPomdp.from_tables(
+    model = TabularPomdp(
         base.transition + base.transition[1:],
         base.observation + base.observation[1:],
         base.reward[:, [0, 1, 1]],
@@ -386,13 +368,15 @@ def _csr_transition_model(rng, n=600):
     transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
     observation = [random_stochastic(rng, n, 5, zeros=0.8) for _ in range(2)]
     reward = rng.uniform(-1.0, 1.0, size=(n, 2))
-    model = TabularPomdp.from_tables(transition, observation, reward, 0.9, np.full(n, 1.0 / n))
     # CSR whatever the storage rule picks for these tables.
-    model = dataclasses.replace(
-        model,
-        transition=[sparse.csr_array(t) for t in transition],
-        observation=[sparse.csr_array(o) for o in observation],
-    )
+    with stored_as_given():
+        model = TabularPomdp(
+            [sparse.csr_array(t) for t in transition],
+            [sparse.csr_array(o) for o in observation],
+            reward,
+            0.9,
+            np.full(n, 1.0 / n),
+        )
     assert all(type(t) is sparse.csr_array for t in model.transition + model.observation)
     return model
 
@@ -400,10 +384,10 @@ def _csr_transition_model(rng, n=600):
 def test_successor_store_rows_are_fresh_propagations(rng):
     # Row i * |A| + a of the store is b_i T[a] on its support, next to
     # <b_i, R[:, a]>; the bound rows reuse its indices and offsets.
-    dense = random_pomdp(rng, num_states=6, num_actions=3, num_observations=3, zeros=0.6)
+    dense_model = random_pomdp(rng, num_states=6, num_actions=3, num_observations=3, zeros=0.6)
     full = random_pomdp(rng, num_states=5, num_actions=2, num_observations=3)
     csr = _csr_transition_model(rng)
-    for model in (dense, full, csr):
+    for model in (dense_model, full, csr):
         beliefs = collect_beliefs(model, 12, 5, np.random.default_rng(1))
         store = solvers._successors(model, beliefs)
         n = model.num_actions
@@ -493,7 +477,7 @@ def _tied_model(rng):
     Their reward is raised so that they are often the best.
     """
     base = random_pomdp(rng, num_states=5, num_actions=2, num_observations=3)
-    return TabularPomdp.from_tables(
+    return TabularPomdp(
         base.transition + base.transition[1:],
         base.observation + base.observation[1:],
         base.reward[:, [0, 1, 1]] + [0.0, 0.5, 0.5],
@@ -558,11 +542,11 @@ def test_action_bounds_hold_above_every_lookahead_q(rng):
 
 def test_a_negative_table_entry_turns_the_bounds_off_and_solves_like_the_oracle(rng, monkeypatch):
     base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=3, zeros=0.4)
-    observation = [base.dense_observation(a).copy() for a in range(3)]
+    observation = [dense(o) for o in base.observation]
     x, z = np.argwhere(observation[1] == 0.0)[0]
     observation[1][x, z] = -1e-12
-    model = TabularPomdp.from_tables(
-        [base.dense_transition(a) for a in range(3)], observation, base.reward, base.discount, base.initial_belief
+    model = TabularPomdp(
+        [dense(t) for t in base.transition], observation, base.reward, base.discount, base.initial_belief
     )
     assert validate(model) == []
     settings = SolverSettings(tolerance=1e-3, seed=2)
