@@ -65,6 +65,8 @@ def _requested(args) -> tuple:
     """(registry name, overrides): a name or a spec file, with flag overrides on top."""
     candidate = Path(args.domain)
     if candidate.is_file():
+        if _is_model_file(candidate):
+            raise ValueError(f"{args.domain} is a model file; only solve and validate take model files")
         name, overrides = domains.parse_domain_spec(candidate.read_text())
     else:
         name, overrides = args.domain, {}

@@ -98,5 +98,8 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
                 label=f"map {map_name} goals {g_cells[0]}+{g_cells[1]}",
             )
         )
+        # The sensor table as stored, dense or CSR, which later candidates
+        # keep as it is: one table object for the whole library.
+        obs = models[-1].observation[0]
 
     return map_name, models

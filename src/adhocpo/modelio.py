@@ -1,21 +1,22 @@
-"""Versioned plain-text serialization for tabular models.
+"""Versioned plain-text serialization for tabular models, and their digests.
 
 The format is line oriented: a fixed header, then sparse triple sections for
 the transition, observation, and reward tables, then the initial belief.
 Floats are written with repr(), so a load/dump round trip reproduces the
-file byte for byte.  Writing formats each distinct table object once: a
-table shared by several actions is formatted without its action column,
-which is then put in front of every line for each action that uses it.
-`model_digests` hashes a whole library this way, so a table shared across
-models too (the grid and map sensor table serves every action of every
-model) is formatted once per batch.
+file byte for byte.
 
-A table's text is made in bytes blocks of about `_BLOCK` lines, each cut
-at a row boundary.  A table used once is formatted, written or hashed and
-dropped block by block; a shared table's blocks are held until its last
-use, and an action's prefix goes into one block at a time.  So the text
-alive at once is that of the shared tables still to come plus one block
-and its prefixed copy, never a model's whole text.
+One walk, `_entries`, yields a table's entries in text order, in array
+blocks of about `_BLOCK` entries cut at row boundaries.  The text formats
+those blocks; a table shared by several actions of a model is formatted
+once, and only its action prefix is repeated.  So the text alive at once
+is that of the shared tables still to come plus one block and its
+prefixed copy, never a model's whole text.
+
+`model_digests` hashes the same blocks as packed int64 records instead of
+text: one sha256 per distinct table object of the whole batch, combined
+per model with the header and count lines.  Two models have equal digests
+exactly when they have equal texts, and a table shared across actions and
+models (the grid and map sensor table) is hashed once per library.
 
     adhocpo-model v1
     label <free text>
@@ -31,6 +32,7 @@ and its prefixed copy, never a model's whole text.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import hashlib
@@ -38,12 +40,12 @@ import hashlib
 import numpy as np
 from scipy import sparse
 
-from adhocpo.pomdp import TabularPomdp, entry_count
+from adhocpo.pomdp import TabularPomdp, _once_each, entry_count
 
 FORMAT_TAG = "adhocpo-model v1"
-# Entries per block of table text.  Blocks are cut by entry count, not by
-# rows: a few rows of a sparse table make a block too small to pay for its
-# numpy calls.
+# Entries per block of a table's walk, which the text formats and the
+# digest hashes.  Blocks are cut by entry count, not by rows: a few rows of
+# a sparse table make a block too small to pay for its numpy calls.
 _BLOCK = 2**13
 
 
@@ -73,13 +75,12 @@ def _lines(rows, cols, values) -> bytes:
 
 
 def _pieces(model: TabularPomdp):
-    """A model's canonical text as (slot, prefix, table) pieces, in order.
+    """A model's canonical text as (prefix, table) pieces, in order.
 
     A piece without a table is its prefix alone; otherwise it is the lines
-    of the table, each led by the prefix.  The slot, (section, action),
-    orders the pieces of every model alike.
+    of the table, each led by the prefix.
     """
-    yield (0, 0), (
+    yield (
         f"{FORMAT_TAG}\n"
         f"label {model.label}\n"
         f"states {model.num_states}\n"
@@ -87,19 +88,19 @@ def _pieces(model: TabularPomdp):
         f"observations {model.num_observations}\n"
         f"discount {float(model.discount)!r}\n"
     ).encode(), None
-    for s, (key, tables) in enumerate((("T", model.transition), ("O", model.observation)), start=1):
-        yield (s, -1), f"{key} {sum(entry_count(t) for t in tables)}\n".encode(), None
+    for key, tables in (("T", model.transition), ("O", model.observation)):
+        yield f"{key} {sum(_once_each(entry_count, tables))}\n".encode(), None
         for a, table in enumerate(tables):
-            yield (s, a), f"{a} ".encode(), table
-    for s, (key, table) in enumerate((("R", model.reward), ("b0", model.initial_belief)), start=3):
-        yield (s, -1), f"{key} {entry_count(table)}\n".encode(), None
-        yield (s, 0), b"", table
-    yield (5, 0), b"end\n", None
+            yield f"{a} ".encode(), table
+    for key, table in (("R", model.reward), ("b0", model.initial_belief)):
+        yield f"{key} {entry_count(table)}\n".encode(), None
+        yield b"", table
+    yield b"end\n", None
 
 
-def _body(table):
-    """The lines of one table, or of the initial belief, without a prefix:
-    bytes blocks in row-major order, each formatted when it is asked for.
+def _entries(table):
+    """The entries of one table, or of the initial belief, in text order:
+    (rows, cols, values) array blocks, with cols None for the belief.
 
     Each block holds whole rows and about _BLOCK entries (a longer row is
     a block of its own); the initial belief is cut by index.  CSR tables
@@ -111,7 +112,7 @@ def _body(table):
         idx = np.flatnonzero(table)
         for start in range(0, len(idx), _BLOCK):
             part = idx[start : start + _BLOCK]
-            yield _lines(part, None, table[part])
+            yield part, None, table[part]
         return
     csr = sparse.issparse(table)
     # ends[x]: the number of entries before row x.
@@ -124,55 +125,57 @@ def _body(table):
             rows = np.repeat(np.arange(lo, hi), np.diff(ends[lo : hi + 1]))
             cols, values = table.indices[span], table.data[span]
             order = np.lexsort((cols, rows))
-            yield _lines(rows[order], cols[order], values[order])
+            yield rows[order], cols[order], values[order]
         else:
             part = table[lo:hi]
             rows, cols = np.nonzero(part)
-            yield _lines(rows + lo, cols, part[rows, cols])
+            yield rows + lo, cols, part[rows, cols]
 
 
-def _texts(models):
-    """The canonical texts of several models, walked together.
+def _body(table):
+    """The lines of one table, or of the initial belief, without a prefix:
+    bytes blocks of `_entries`, each formatted when it is asked for."""
+    for block in _entries(table):
+        yield _lines(*block)
 
-    Yields (chunk, ks): the next piece of the text of every models[k] with
-    k in ks.  A table object is formatted once however many actions and
-    models use it, and its blocks are held only until its last use; each
-    action's prefixed copy of a block is built once, just before it is
-    yielded.  So the transient text is the held tables' blocks plus one
-    block and one prefixed copy of it.
+
+def _text(model: TabularPomdp):
+    """A model's canonical text, as bytes chunks.
+
+    A table shared by several actions is formatted once and its blocks
+    are held until its last use; each action's prefixed copy of a block is
+    built just before it is yielded.  So the transient text is the held
+    tables' blocks plus one block and one prefixed copy of it.
     """
-    slots: dict = {}
-    for k, model in enumerate(models):
-        for slot, prefix, table in _pieces(model):
-            slots.setdefault(slot, {}).setdefault((prefix, id(table)), (table, []))[1].append(k)
-    order = sorted(slots)
-    last_use = {id(table): i for i, slot in enumerate(order) for table, _ in slots[slot].values()}
+    pieces = list(_pieces(model))
+    uses = collections.Counter(id(table) for _, table in pieces)
     held: dict = {}
-    for i, slot in enumerate(order):
-        for (prefix, key), (table, ks) in slots[slot].items():
-            if table is None:
-                yield prefix, ks
-                continue
-            body = held.pop(key, None)
-            if body is None:
-                body = _body(table)
-            if last_use[key] > i:
-                held[key] = body = list(body)
-            for block in body:
-                if prefix:
-                    yield prefix, ks
-                    yield memoryview(block.replace(b"\n", b"\n" + prefix))[: -len(prefix)], ks
-                else:
-                    yield block, ks
+    for prefix, table in pieces:
+        if table is None:
+            yield prefix
+            continue
+        key = id(table)
+        uses[key] -= 1
+        body = held.pop(key, None)
+        if body is None:
+            body = _body(table)
+        if uses[key]:
+            held[key] = body = list(body)
+        for block in body:
+            if prefix:
+                yield prefix
+                yield memoryview(block.replace(b"\n", b"\n" + prefix))[: -len(prefix)]
+            else:
+                yield block
 
 
 def dumps_model(model: TabularPomdp) -> str:
-    return b"".join(chunk for chunk, _ in _texts([model])).decode()
+    return b"".join(_text(model)).decode()
 
 
 def dump_model(model: TabularPomdp, path) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(chunk for chunk, _ in _texts([model]))
+        fh.writelines(_text(model))
 
 
 class _Lines:
@@ -287,18 +290,43 @@ def load_model(path) -> TabularPomdp:
         return loads_model(fh.read())
 
 
-def model_digests(models) -> list:
-    """Content hash of each model's canonical serialization, in order.
+def _table_digest(table) -> bytes:
+    """sha256 of one table's entries in text order, as little-endian int64
+    records (row, column, float64 bits), or (index, float64 bits) for the
+    initial belief."""
+    h = hashlib.sha256()
+    for rows, cols, values in _entries(table):
+        # Every NaN is written as "nan" and read back as this one, so it
+        # is hashed as this one: equal texts give equal digests.
+        bits = np.where(np.isnan(values), np.nan, values).view(np.int64)
+        fields = (rows, bits) if cols is None else (rows, cols, bits)
+        h.update(np.column_stack(fields).astype("<i8", copy=False).tobytes())
+    return h.digest()
 
-    Equal to the sha256 of the file dump_model writes; each text is hashed
-    piece by piece and never held whole.  The models are hashed together,
-    so a table they share is formatted once for all of them.
+
+def model_digests(models) -> list:
+    """Content hash of each model, in order; keys the policy cache.
+
+    A model's digest is the sha256 of its text's header and section-count
+    lines, with each table's lines replaced by its action prefix and the
+    32-byte `_table_digest` of the table.  Two models therefore have equal
+    digests exactly when `dump_model` writes equal files.  Each distinct
+    table object of the batch is hashed once, so a table shared across
+    actions and models (the grid and map sensor table) is hashed once for
+    the whole library.
     """
-    hashers = [hashlib.sha256() for _ in models]
-    for chunk, ks in _texts(models):
-        for k in ks:
-            hashers[k].update(chunk)
-    return [h.hexdigest() for h in hashers]
+    tables: dict = {}  # {id(table): its digest}; the models keep each table alive
+    digests = []
+    for model in models:
+        h = hashlib.sha256()
+        for prefix, table in _pieces(model):
+            h.update(prefix)
+            if table is not None:
+                if id(table) not in tables:
+                    tables[id(table)] = _table_digest(table)
+                h.update(tables[id(table)])
+        digests.append(h.hexdigest())
+    return digests
 
 
 # {id(model): (model, digest)} for the models of the innermost digests_held block.
@@ -320,7 +348,7 @@ def digests_held(models):
 
 
 def model_digest(model: TabularPomdp) -> str:
-    """Content hash of the canonical serialization; keys the policy cache.
+    """Content hash of one model; keys the policy cache.
 
     `model_digests` of this model alone, or the digest that the innermost
     `digests_held` block made for this very object.

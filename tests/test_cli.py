@@ -275,6 +275,22 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
     assert not list((tmp_path / "cache").glob("*.policy"))
 
 
+def test_cli_run_scale_and_export_refuse_a_model_file(tmp_path, capsys):
+    # These take a domain name or spec file; the message says which commands take model files.
+    path = tmp_path / "one.model"
+    dump_model(build("gridworld", size=2, tasks=1).models[0], path)
+    for command in ("run", "scale", "export"):
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command != "export":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is a model file; only solve and validate take model files\n"
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_resolve_models_reads_model_file_overrides(tmp_path):
     path = tmp_path / "one.model"
     dump_model(build("gridworld", size=3, tasks=1).models[0], path)

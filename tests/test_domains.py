@@ -5,6 +5,7 @@ acceptance suite; here the builders are exercised on small instances
 with hand-checked dynamics.
 """
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from adhocpo.domains import mapnav
 from adhocpo.domains import overcooked as oc
 from adhocpo.domains import powerplant as pp
 from adhocpo.domains import pursuit as pu
+from adhocpo.modelio import model_digests
 from adhocpo.pomdp import TabularPomdp, validate
 from adhocpo.solvers import SolverSettings
 
@@ -268,6 +270,23 @@ def test_pursuit_observation_table_is_one_object_per_model():
     for m in build("pursuit-task").models:
         assert sparse.issparse(m.observation[0])
         assert all(o is m.observation[0] for o in m.observation)
+
+
+def test_map_sensor_table_is_one_object_per_library():
+    # At epsilon 0 the sensor table is stored as CSR, at the default it
+    # stays dense; either way later candidates keep the first one's.
+    for name in ("isr", "mit", "pentagon", "cit"):
+        for overrides in ({}, {"epsilon": 0.0}):
+            models = build(name, **overrides).models
+            assert len({id(o) for m in models for o in m.observation}) == 1
+            assert sparse.issparse(models[0].observation[0]) == ("epsilon" in overrides)
+    # Sharing leaves each model's digest as that of its own copy of the
+    # table (here cit's, at epsilon 0).
+    unshared = [
+        dataclasses.replace(m, observation=[m.observation[0].copy()] * m.num_actions) for m in models
+    ]
+    assert len({id(o) for m in unshared for o in m.observation}) == len(models)
+    assert model_digests(unshared) == model_digests(models)
 
 
 def test_power_plant_counts_and_validity():

@@ -1,8 +1,10 @@
-"""Round-trip fidelity and error reporting for the text model format."""
+"""Round-trip fidelity and error reporting for the text model format, and
+the model digests that key the policy cache."""
 import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -171,9 +173,9 @@ def _hand_built_csr():
     return model
 
 
-# sha256 hex digests recorded from the repr-text serializer the cache was
-# first keyed on.  A change here invalidates every existing policy cache.
-PINNED_DIGESTS = [
+# sha256 hex digests of the exported files, recorded from the repr-text
+# serializer; a change here changes every model file written.
+PINNED_FILES = [
     (("gridworld", dict(size=3, tasks=2)), [
         "cf71e58d8fcd9052a557f343501f0cbaa0a8b6b239012a51bd0882d41c39c523",
         "485b700e340613052eb3fcf9c9c503f8ac3447fe20837f08c7c9df7fc54325cf",
@@ -207,6 +209,12 @@ PINNED_DIGESTS = [
         "fc64609ec1ce1e1fc6f9b220ce42f6d40b1bb7c3308688c26b9c007acf56c5ee",
         "88ab7dc990bb7c83915454ffe50bcd6be97ac90e01c812fa823dd4f9360746cd",
         "ee4523a9a7c34f3c648338ffe9f58e433c3fb31d40906c5a01ff46a9d58fbc10",
+    ]),
+    # At epsilon 0 the sensor table is stored as CSR, one object for the library.
+    (("isr", dict(epsilon=0.0)), [
+        "25598df755cb0ed65c1e74f181f93cd5c417df276a206fb059aebdc5a78ae397",
+        "c3a8b4843c6debc5e1e52945307ed6056fa2e123cd2b793f72ae9d539ca2a5c4",
+        "830096677b345e21b642ff0711f8709d502267889f0e03c4598da360670a9a71",
     ]),
     (("ntu", {}), [
         "6bbd6e95eb8d670b8cc63872b2e48e4e440d75d4b01d63485ffa8e880b489b90",
@@ -254,18 +262,50 @@ PINNED_DIGESTS = [
 ]
 
 
-def test_digests_are_pinned_and_hash_the_exported_file(tmp_path):
-    libraries = [(build(name, **overrides).models, digests) for (name, overrides), digests in PINNED_DIGESTS]
-    libraries.append(
-        ([_hand_built_csr()], ["a8a63a0af386ab5ac0b977ef9d972407cbf88075062670a0387a625e3af42a8c"])
-    )
-    for models, digests in libraries:
-        assert model_digests(models) == digests, models[0].label
-        for model, expected in zip(models, digests, strict=True):
-            assert model_digest(model) == expected, model.label
-            path = tmp_path / "model.model"
+_HAND_BUILT_FILE = "a8a63a0af386ab5ac0b977ef9d972407cbf88075062670a0387a625e3af42a8c"
+
+
+def test_exported_files_are_pinned(tmp_path):
+    libraries = [(build(name, **overrides).models, files) for (name, overrides), files in PINNED_FILES]
+    libraries.append(([_hand_built_csr()], [_HAND_BUILT_FILE]))
+    path = tmp_path / "model.model"
+    for models, files in libraries:
+        for model, expected in zip(models, files, strict=True):
             dump_model(model, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model.label
+
+
+# model_digest values, which key the policy cache: a change here misses
+# every cached policy.  The full-scale isr and the K=8 4x4 grid libraries
+# key the benchmark's warm caches; the grid is also the acceptance desk library.
+PINNED_DIGESTS = [
+    (("isr", {}), [
+        "3b169d14430d20c1b05c9bbab5c658076209ff2b47d2afeafd48bd144e9abee6",
+        "78937d12d9db009a86af1d15d7d17f866c067f217ee806ea4e40abd902d748e6",
+        "ba0bcfe0cdeee74d9786d86116181f0ac0c630f844a82173a2eece4b432902bd",
+    ]),
+    (("gridworld", dict(size=4, tasks=8)), [
+        "ba30f9574aadd59bb5d53925738df57bfa51aacc87824d0388385012633ed11a",
+        "1f508687031998f026f8261d21428c791a655a6e95e4ffb61f9a771382979bce",
+        "7dd6e3ab55fa56ac597737ac064e17f2c9de1ea1b973546ab73a2369dcd4dc94",
+        "76989973688d4f8e4de1a6f53b9f0d6e90e427671da4b379e605cc0e18e377a0",
+        "120248b34436d5a0f5f84c582c3235db7b5c7f8dcaf176c098f8ee3e0fbe92e4",
+        "e71db592548e31a032fbf73e87b78526cfe49886b783c8e2f26d759d4a56953b",
+        "ef2567e738112cdb647722dd060c1bfee7ca5a31275fd55b7502d90f7be17fed",
+        "45f8aa02059581fc95f1cddc4024805f062304aa51634b6c0ae846eb73fb98e0",
+    ]),
+]
+_HAND_BUILT_DIGEST = "03409f7188920696b439b91e4f6ec545b3dc9a845372a351ab3acb53ee036127"
+
+
+def test_digests_are_pinned():
+    libraries = [(build(name, **overrides).models, digests) for (name, overrides), digests in PINNED_DIGESTS]
+    hand_built = _hand_built_csr()
+    libraries.append(([hand_built], [_HAND_BUILT_DIGEST]))
+    for models, digests in libraries:
+        assert model_digests(models) == digests, models[0].label
+        assert [model_digest(m) for m in models] == digests, models[0].label
+    assert _plain_digest(hand_built) == _HAND_BUILT_DIGEST
 
 
 # The grid and pursuit libraries at desk size and at full scale.
@@ -308,18 +348,18 @@ def test_digests_do_not_depend_on_the_hash_seed():
     assert [len(digests) for digests in first] == [8, 2, 8, 8]
 
 
-# -- each distinct table is formatted once per digest ------------------------
+# -- each distinct table is walked once per digest ---------------------------
 
 
 def test_digest_formats_each_distinct_table_once(monkeypatch):
     calls = []
-    original = modelio._body
+    original = modelio._entries
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(modelio, "_body", counting)
+    monkeypatch.setattr(modelio, "_entries", counting)
     # The grid: five transition tables, one sensor table shared by all five
     # actions.  The random model: actions 0 and 2 share a transition table
     # with action 1's in between, and one observation table serves all.
@@ -332,10 +372,12 @@ def test_digest_formats_each_distinct_table_once(monkeypatch):
     for model, tables in ((grid, 5 + 1), (interleaved, 2 + 1)):
         distinct = len({id(t) for t in model.transition}) + len({id(t) for t in model.observation})
         assert distinct == tables
-        calls.clear()
-        model_digest(model)
-        assert len(calls) == distinct + 2  # and one each for R and b0
-    # A batch formats each distinct table object of the whole library once:
+        # The digest walks each distinct table once, and so does the text.
+        for write in (model_digest, dumps_model):
+            calls.clear()
+            write(model)
+            assert len(calls) == distinct + 2  # and one each for R and b0
+    # A batch walks each distinct table object of the whole library once:
     # the grid library's sensor table serves every action of both models.
     library = [*build("gridworld", size=3, tasks=2).models, interleaved, grid, interleaved]
     assert library[0].observation[0] is library[1].observation[4]
@@ -360,7 +402,6 @@ def test_shared_tables_serialize_like_equal_copies(rng):
         text = dumps_model(shared)
         assert text == dumps_model(copies)
         assert model_digest(shared) == model_digest(copies)
-        assert model_digest(shared) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def _csr(data, cols, indptr, shape):
@@ -372,7 +413,7 @@ def _empty_and_signed_tables():
     return _csr([], [], [0, 0, 0, 0], (3, 2)), _csr([-0.0, 1.0], [1, 0], [0, 1, 1, 2], (3, 2))
 
 
-def test_shared_empty_and_negative_zero_tables_hash_their_text():
+def test_shared_empty_and_negative_zero_tables_write_their_text():
     base = _hand_built_csr()
     empty, signed = _empty_and_signed_tables()
     for o, section in (
@@ -382,9 +423,7 @@ def test_shared_empty_and_negative_zero_tables_hash_their_text():
         with stored_as_given():
             model = dataclasses.replace(base, observation=[o, o])
         assert _holds(model, base.transition, [o, o])
-        text = dumps_model(model)
-        assert section in text
-        assert model_digest(model) == hashlib.sha256(text.encode()).hexdigest()
+        assert section in dumps_model(model)
 
 
 # -- a library is digested together ------------------------------------------
@@ -413,22 +452,84 @@ def test_batch_digests_equal_one_model_digests(rng):
     )
     for models in (grid, grid[:1], [grid[1], grid[0], grid[1]], odd, [three, two], [two, three, grid[0]]):
         assert model_digests(models) == [model_digest(m) for m in models]
-        for model, digest in zip(models, model_digests(models)):
-            assert digest == hashlib.sha256(dumps_model(model).encode()).hexdigest()
     assert model_digests([]) == []
+
+
+def _text_sha256(model) -> str:
+    """sha256 of the text that dump_model writes, hashed chunk by chunk."""
+    h = hashlib.sha256()
+    for chunk in modelio._text(model):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def test_equal_digests_exactly_when_equal_texts(rng):
+    # Every pinned library; pursuit-teammate's two models are pursuit-both's first two.
+    models = [m for (name, overrides), _ in PINNED_FILES for m in build(name, **overrides).models]
+    hand = _hand_built_csr()
+    empty, signed = _empty_and_signed_tables()
+    grid = build("gridworld", size=3, tasks=1).models[0]
+    base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4, zeros=0.3)
+    csr_t = sparse.csr_array(base.transition[0])
+
+    def reward_with(value, at=(2, 0)):
+        reward = hand.reward.copy()
+        reward[at] = value
+        return reward
+
+    with stored_as_given():
+        models += [
+            hand,
+            _many_block_model(),
+            # The empty and -0.0 tables, shared across actions.
+            dataclasses.replace(hand, observation=[empty, empty], label="empty"),
+            dataclasses.replace(hand, observation=[signed, signed], label="signed"),
+            dataclasses.replace(hand, observation=[empty, signed], label="both"),
+            # Tables shared across actions and their equal copies.
+            *(
+                dataclasses.replace(base, transition=ts, observation=[base.observation[2]] * 3)
+                for t in (base.transition[0], csr_t)
+                for ts in ([t] * 3, [t.copy() for _ in range(3)])
+            ),
+            # A CSR twin of a dense model.
+            dataclasses.replace(
+                grid,
+                transition=[sparse.csr_array(t) for t in grid.transition],
+                observation=[sparse.csr_array(grid.observation[0])] * grid.num_actions,
+            ),
+            # One ulp of one reward, one ulp of the discount, the label.
+            dataclasses.replace(hand, reward=reward_with(np.nextafter(1e-300, 1.0))),
+            dataclasses.replace(hand, discount=np.nextafter(hand.discount, 1.0)),
+            dataclasses.replace(hand, label="hand-built csr, renamed"),
+            # A dense -0.0 is no entry, so it writes as 0.0 does.
+            dataclasses.replace(hand, reward=reward_with(0.0, at=(0, 1))),
+            # Every NaN writes as "nan".
+            dataclasses.replace(hand, reward=reward_with(np.nan)),
+            dataclasses.replace(hand, reward=reward_with(-np.nan)),
+            dataclasses.replace(
+                hand, reward=reward_with(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+            ),
+        ]
+    texts = [_text_sha256(m) for m in models]
+    digests = model_digests(models)
+    # Nine models repeat another's text: pursuit-teammate's two, a shared
+    # table's copy twice, the CSR twin, the dense -0.0 and two of the NaNs.
+    assert (len(models), len(set(texts))) == (69, 60)
+    # Equal digests exactly when equal texts: each text has one digest and each digest one text.
+    assert len(set(zip(texts, digests))) == len(set(texts)) == len(set(digests))
 
 
 def test_digests_held_serves_only_those_model_objects(rng, monkeypatch):
     models = [random_pomdp(rng, label=f"model {k}") for k in range(2)]
     digests = [model_digest(m) for m in models]
     walks = []
-    texts = modelio._texts
+    batch_digests = modelio.model_digests
 
     def counting(batch):
         walks.append(len(batch))
-        return texts(batch)
+        return batch_digests(batch)
 
-    monkeypatch.setattr(modelio, "_texts", counting)
+    monkeypatch.setattr(modelio, "model_digests", counting)
     with modelio.digests_held(models):
         assert walks == [2]
         assert [model_digest(m) for m in models] == digests
@@ -444,20 +545,28 @@ def test_digests_held_serves_only_those_model_objects(rng, monkeypatch):
 # -- the text is made in blocks ----------------------------------------------
 
 
+def _table_entries(table):
+    """A table's entries in text order, one (row, column, value) at a time.
+
+    CSR: every stored entry, row by row, stably sorted by column.  Dense:
+    the nonzeros in row-major order.
+    """
+    if sparse.issparse(table):
+        for x in range(table.shape[0]):
+            span = range(table.indptr[x], table.indptr[x + 1])
+            for j in sorted(span, key=lambda j: table.indices[j]):
+                yield x, int(table.indices[j]), float(table.data[j])
+    else:
+        for x, row in enumerate(table.tolist()):
+            yield from ((x, y, v) for y, v in enumerate(row) if v != 0)
+
+
+def _belief_entries(model):
+    return ((x, v) for x, v in enumerate(model.initial_belief.tolist()) if v != 0)
+
+
 def _plain_text(model):
     """The canonical text written entry by entry, straight from the format."""
-    def table_entries(table):
-        # CSR: every stored entry, row by row, stably sorted by column.
-        # Dense: the nonzeros in row-major order.
-        if sparse.issparse(table):
-            for x in range(table.shape[0]):
-                span = range(table.indptr[x], table.indptr[x + 1])
-                for j in sorted(span, key=lambda j: table.indices[j]):
-                    yield x, int(table.indices[j]), float(table.data[j])
-        else:
-            for x, row in enumerate(table.tolist()):
-                yield from ((x, y, v) for y, v in enumerate(row) if v != 0)
-
     out = [
         FORMAT_TAG,
         f"label {model.label}",
@@ -467,13 +576,34 @@ def _plain_text(model):
         f"discount {model.discount!r}",
     ]
     for key, tables in (("T", model.transition), ("O", model.observation)):
-        lines = [f"{a} {x} {y} {v!r}" for a, t in enumerate(tables) for x, y, v in table_entries(t)]
+        lines = [f"{a} {x} {y} {v!r}" for a, t in enumerate(tables) for x, y, v in _table_entries(t)]
         out += [f"{key} {len(lines)}", *lines]
-    lines = [f"{x} {a} {v!r}" for x, a, v in table_entries(model.reward)]
+    lines = [f"{x} {a} {v!r}" for x, a, v in _table_entries(model.reward)]
     out += [f"R {len(lines)}", *lines]
-    lines = [f"{x} {v!r}" for x, v in enumerate(model.initial_belief.tolist()) if v != 0]
+    lines = [f"{x} {v!r}" for x, v in _belief_entries(model)]
     out += [f"b0 {len(lines)}", *lines, "end"]
     return "\n".join(out) + "\n"
+
+
+def _plain_digest(model):
+    """The model digest built entry by entry, straight from its definition:
+    the text's header and count lines, and for each table its prefix and
+    the sha256 of its (row, column, value bits) or (index, value bits)
+    records, little-endian, with every NaN read back as float("nan")."""
+    def table(entries):
+        h = hashlib.sha256()
+        for *index, v in entries:
+            h.update(struct.pack(f"<{len(index)}qd", *index, float("nan") if v != v else v))
+        return h.digest()
+
+    # Entry lines start with a row index; the rest are header, count and end lines.
+    head = [line.encode() for line in _plain_text(model).splitlines(keepends=True) if not line[0].isdigit()]
+    parts = head[:7]
+    parts += [f"{a} ".encode() + table(_table_entries(t)) for a, t in enumerate(model.transition)]
+    parts += [head[7]]
+    parts += [f"{a} ".encode() + table(_table_entries(o)) for a, o in enumerate(model.observation)]
+    parts += [head[8], table(_table_entries(model.reward)), head[9], table(_belief_entries(model)), head[10]]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def _many_block_model():
@@ -538,7 +668,8 @@ def test_text_matches_a_per_entry_formatter_across_blocks(tmp_path):
     path = tmp_path / "blocks.model"
     dump_model(model, path)
     assert _first_difference(path.read_text(), text) is None
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    # The digest walks the same blocks.
+    digest = _plain_digest(model)
     assert model_digests([model, model]) == [digest, digest]
     assert model_digest(model) == digest
 
