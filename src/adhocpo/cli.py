@@ -30,7 +30,7 @@ from adhocpo.harness import (
     run_experiment,
     run_library_scaling,
 )
-from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, model_digest
+from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, read_text
 from adhocpo.pomdp import validate as validate_model
 from adhocpo.solvers import PolicyCache, resolve_cache_dir, solve_many
 
@@ -55,8 +55,8 @@ def _overrides(args) -> dict:
 
 def _is_model_file(path: Path) -> bool:
     try:
-        with open(path) as fh:
-            return fh.readline().strip() == FORMAT_TAG
+        with open(path, "rb") as fh:
+            return fh.readline().strip() == FORMAT_TAG.encode()
     except OSError:
         return False
 
@@ -67,7 +67,7 @@ def _requested(args) -> tuple:
     if candidate.is_file():
         if _is_model_file(candidate):
             raise ValueError(f"{args.domain} is a model file; only solve and validate take model files")
-        name, overrides = domains.parse_domain_spec(candidate.read_text())
+        name, overrides = domains.parse_domain_spec(read_text(candidate, ValueError))
     else:
         name, overrides = args.domain, {}
     return name, {**overrides, **_overrides(args)}
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
     print(f"{label}: {len(models)} model(s), cache {cache.root}")
     for model, (policy, cached) in zip(models, solve_many(models, settings, cache=cache, progress=print)):
         origin = "cached" if cached else "solved"
-        path = cache.path(policy.source_digest or model_digest(model), settings)
+        path = cache.path(policy.source_digest, settings)
         print(f"  {model.label}: {origin} -> {path.name}")
     return 0
 

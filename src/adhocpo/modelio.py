@@ -12,11 +12,14 @@ once, and only its action prefix is repeated.  So the text alive at once
 is that of the shared tables still to come plus one block and its
 prefixed copy, never a model's whole text.
 
-`model_digests` hashes the same blocks as packed int64 records instead of
-text: one sha256 per distinct table object of the whole batch, combined
-per model with the header and count lines.  Two models have equal digests
-exactly when they have equal texts, and a table shared across actions and
-models (the grid and map sensor table) is hashed once per library.
+`model_digest` hashes the same blocks as packed int64 records instead of
+text: one sha256 per table, combined with the header and count lines.
+Two models have equal digests exactly when they have equal texts.  A
+table memo passed to every call of a batch hashes each distinct table
+object once; `model_digests` keeps one for its batch, so a table shared
+across actions and models (the grid and map sensor table) is hashed once
+per library.  The digest is a plain value: `solvers.solve_many` computes
+a library's digests once and hands them to the policy cache.
 
     adhocpo-model v1
     label <free text>
@@ -33,9 +36,9 @@ models (the grid and map sensor table) is hashed once per library.
 from __future__ import annotations
 
 import collections
-import contextlib
-import contextvars
 import hashlib
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -285,9 +288,19 @@ def loads_model(text: str) -> TabularPomdp:
     )
 
 
+def read_text(path, error=ModelFormatError) -> str:
+    """A file's UTF-8 text; a byte that is not UTF-8 raises `error`
+    naming the file and the line, one plus the newlines before it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 (byte {data[err.start]:#04x})") from None
+
+
 def load_model(path) -> TabularPomdp:
-    with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    return loads_model(read_text(path))
 
 
 def _table_digest(table) -> bytes:
@@ -304,54 +317,30 @@ def _table_digest(table) -> bytes:
     return h.digest()
 
 
-def model_digests(models) -> list:
-    """Content hash of each model, in order; keys the policy cache.
-
-    A model's digest is the sha256 of its text's header and section-count
-    lines, with each table's lines replaced by its action prefix and the
-    32-byte `_table_digest` of the table.  Two models therefore have equal
-    digests exactly when `dump_model` writes equal files.  Each distinct
-    table object of the batch is hashed once, so a table shared across
-    actions and models (the grid and map sensor table) is hashed once for
-    the whole library.
-    """
-    tables: dict = {}  # {id(table): its digest}; the models keep each table alive
-    digests = []
-    for model in models:
-        h = hashlib.sha256()
-        for prefix, table in _pieces(model):
-            h.update(prefix)
-            if table is not None:
-                if id(table) not in tables:
-                    tables[id(table)] = _table_digest(table)
-                h.update(tables[id(table)])
-        digests.append(h.hexdigest())
-    return digests
-
-
-# {id(model): (model, digest)} for the models of the innermost digests_held block.
-_held: contextvars.ContextVar = contextvars.ContextVar("held model digests", default={})
-
-
-@contextlib.contextmanager
-def digests_held(models):
-    """Digest `models` together; inside the block, model_digest of one of
-    these very objects returns its digest from here.
-
-    The models must not change inside the block.
-    """
-    token = _held.set({id(m): (m, d) for m, d in zip(models, model_digests(models))})
-    try:
-        yield
-    finally:
-        _held.reset(token)
-
-
-def model_digest(model: TabularPomdp) -> str:
+def model_digest(model: TabularPomdp, tables: Optional[dict] = None) -> str:
     """Content hash of one model; keys the policy cache.
 
-    `model_digests` of this model alone, or the digest that the innermost
-    `digests_held` block made for this very object.
+    The sha256 of its text's header and section-count lines, with each
+    table's lines replaced by its action prefix and the 32-byte
+    `_table_digest` of the table.  Two models therefore have equal digests
+    exactly when `dump_model` writes equal files.  `tables` is a memo
+    {id(table): its digest} that a batch passes to every model's call, so
+    a table shared across actions and models is hashed once per batch; the
+    batch's models keep each table alive, so no id is reused.
     """
-    held, digest = _held.get().get(id(model), (None, None))
-    return digest if held is model else model_digests([model])[0]
+    if tables is None:
+        tables = {}
+    h = hashlib.sha256()
+    for prefix, table in _pieces(model):
+        h.update(prefix)
+        if table is not None:
+            if id(table) not in tables:
+                tables[id(table)] = _table_digest(table)
+            h.update(tables[id(table)])
+    return h.hexdigest()
+
+
+def model_digests(models) -> list:
+    """model_digest of each model, in order, with one table memo for the batch."""
+    tables: dict = {}
+    return [model_digest(model, tables) for model in models]

@@ -42,7 +42,6 @@ runs the full scan.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import dataclasses
 import hashlib
 import math
@@ -56,7 +55,9 @@ import numpy as np
 from scipy import sparse
 
 from adhocpo.forkpool import forked_map
-from adhocpo.modelio import digests_held, model_digest
+# model_digest is not called here, but the benchmark's tracer wraps it
+# under this module's name.
+from adhocpo.modelio import model_digest, model_digests  # noqa: F401
 from adhocpo.pomdp import (
     Belief,
     TabularMmdp,
@@ -364,8 +365,8 @@ def collect_beliefs(
     Since |k(b) - k(c)| <= L1(b, c), a belief within DEDUP_ATOL of b has a
     key within DEDUP_ATOL of b's.  The window widens that by 1e-12 and by
     the rounding of two keys (each within X machine epsilons of exact), and
-    only the beliefs inside it get the exact L1 test.  The result is the set a test against every
-    collected belief gives.
+    only the beliefs inside it get the exact L1 test.  The result is the
+    set a test against every collected belief gives.
     """
     if size < 1:
         raise ValueError(f"belief set size must be at least 1, got {size}")
@@ -539,7 +540,6 @@ def perseus_solve(
         actions=actions,
         discount=model.discount,
         label=model.label,
-        source_digest=model_digest(model),
         settings=settings,
         stage_values=stage_values,
         stage_improvements=stage_improvements,
@@ -688,8 +688,9 @@ class PolicyCache:
         """Entry file for a model digest and solver settings."""
         return self.root / (self._key(digest, settings) + ".policy")
 
-    def load(self, model: TabularPomdp, settings: SolverSettings):
-        digest = model_digest(model)
+    def load(self, digest: str, settings: SolverSettings) -> Optional[AlphaVectorPolicy]:
+        """The entry of a model digest and settings, or None when there is
+        none, it cannot be read, or it was stored for another digest."""
         try:
             policy = load_policy(self.path(digest, settings))
         except FileNotFoundError:
@@ -698,15 +699,11 @@ class PolicyCache:
             return None  # unreadable entry; the re-solve overwrites it
         if policy.source_digest and policy.source_digest != digest:
             return None  # hash prefix collision; treat as a miss
-        if policy.vectors.shape[1] != model.num_states or not (
-            0 <= policy.actions.min() and policy.actions.max() < model.num_actions
-        ):
-            return None  # readable, but not a policy for this model
         return policy
 
-    def store(self, model: TabularPomdp, settings: SolverSettings, policy: AlphaVectorPolicy):
+    def store(self, digest: str, settings: SolverSettings, policy: AlphaVectorPolicy):
         """Write the entry whole or not at all: temp file, then rename."""
-        path = self.path(policy.source_digest or model_digest(model), settings)
+        path = self.path(digest, settings)
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.stem, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -715,6 +712,13 @@ class PolicyCache:
         except BaseException:
             os.unlink(tmp)
             raise
+
+
+def _fits(policy: AlphaVectorPolicy, model: TabularPomdp) -> bool:
+    """Whether a policy's vectors span the model's states and its actions are the model's."""
+    return policy.vectors.shape[1] == model.num_states and (
+        0 <= policy.actions.min() and policy.actions.max() < model.num_actions
+    )
 
 
 def _timed_solve(model: TabularPomdp, settings: SolverSettings) -> tuple[AlphaVectorPolicy, float]:
@@ -732,18 +736,19 @@ def solve_many(
 ) -> list[tuple[AlphaVectorPolicy, bool]]:
     """Solve or fetch every model's policy; returns (policy, came_from_cache) per model.
 
-    This process does every cache load and store, in model order, and
-    digests the models together once (`digests_held`) for them.  When two or
-    more models miss and this process may run on more than one CPU, the
-    misses are solved in forked worker processes with one BLAS thread each
-    (`forkpool.forked_map`), and every worker is joined before this
-    returns.  The workers get the models through the fork, not pickled, so
-    none of them digests a model again.  Each solve seeds its own
-    generator, so the policies are the ones a solve in this process gives.
-    `progress` gets one line per model: a cache hit, or the vector count
-    and solve seconds, noting an unusable entry that was replaced.  A belief set size or horizon below
-    1, or a negative or NaN tolerance (which would never stop a solve), is
-    a ValueError, raised before any cache access.
+    This process digests the models once (`model_digests`), does every
+    cache load and store by those digests, in model order, and stamps each
+    returned policy's `source_digest`.  An entry that does not fit its
+    model's states and actions is a miss.  When two or more models miss
+    and this process may run on more than one CPU, the misses are solved
+    in forked workers with one BLAS thread each (`forkpool.forked_map`),
+    all joined before this returns; they get the models through the fork
+    and never digest one.  Each solve seeds its own generator, so the
+    policies are the ones a solve in this process gives.  `progress` gets
+    one line per model: a cache hit, or the vector count and solve
+    seconds, noting an unusable entry that was replaced.  A belief set
+    size or horizon below 1, or a negative or NaN tolerance (which would
+    never stop a solve), is a ValueError, raised before any cache access.
     """
     if settings.belief_set_size < 1:
         raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
@@ -751,24 +756,21 @@ def solve_many(
         raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
     if not settings.tolerance >= 0.0:
         raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
+    digests = model_digests(models)
     results: list = [None] * len(models)
     misses = []
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(digests_held(models))
-        for k, model in enumerate(models):
-            hit = None if cache is None else cache.load(model, settings)
-            if hit is None:
-                misses.append(k)
-                continue
-            results[k] = (hit, True)
-            if progress:
-                progress(f"policy for {model.label}: cache")
-        # The workers solve the caller's very model objects, handed over
-        # through the fork, and read their digests from the held batch.
-        solved = stack.enter_context(
-            forked_map(lambda k: _timed_solve(models[k], settings), [(k,) for k in misses])
-        )
+    for k, model in enumerate(models):
+        hit = None if cache is None else cache.load(digests[k], settings)
+        if hit is None or not _fits(hit, model):
+            misses.append(k)
+            continue
+        hit.source_digest = digests[k]
+        results[k] = (hit, True)
+        if progress:
+            progress(f"policy for {model.label}: cache")
+    with forked_map(lambda k: _timed_solve(models[k], settings), [(k,) for k in misses]) as solved:
         for k, (policy, seconds) in zip(misses, solved):
+            policy.source_digest = digests[k]
             note = f"policy for {models[k].label}: {len(policy)} vectors in {seconds:.2f} s"
             if policy.lookahead_counts:
                 evaluated, skipped = policy.lookahead_counts
@@ -778,9 +780,9 @@ def solve_many(
                 # The load above missed, so an entry now at this path could
                 # not be read, belongs to another model, or was stored since
                 # by another process.
-                if cache.path(policy.source_digest, settings).exists():
+                if cache.path(digests[k], settings).exists():
                     note += ", replacing an unusable cache entry"
-                cache.store(models[k], settings, policy)
+                cache.store(digests[k], settings, policy)
             results[k] = (policy, False)
             if progress:
                 progress(note)

@@ -454,8 +454,8 @@ def test_shared_state_baseline_rejects_heterogeneous_library():
 def test_warm_desk_library_plays_as_the_cold_one(grid_desk, tmp_path):
     domain, library = grid_desk
     cache = PolicyCache(tmp_path)
-    for model, policy in zip(library.models, library.policies):
-        cache.store(model, domain.solver, policy)
+    for policy in library.policies:
+        cache.store(policy.source_digest, domain.solver, policy)
     notes = []
     warm = prepare_library(domain, cache, progress=notes.append)
     assert notes == [f"policy for {model.label}: cache" for model in domain.models]

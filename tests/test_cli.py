@@ -7,10 +7,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adhocpo
-from adhocpo import solvers
+from adhocpo import modelio, solvers
 from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
@@ -81,25 +82,25 @@ def test_cli_solve_populates_cache(tmp_path, capsys, desk_spec):
 
 def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, monkeypatch):
     # Cold misses may be solved in forked workers, so every process appends
-    # its digests to one file.
-    digest = solvers.model_digest
+    # its digests to one file; only this process may digest.
+    digest = modelio.model_digest
     log = tmp_path / "digests.log"
 
-    def counting_digest(model):
+    def counting_digest(model, tables=None):
         with open(log, "a") as fh:
             fh.write(model.label + "\n")
-        return digest(model)
+        return digest(model, tables)
 
     def calls():
         labels = log.read_text().splitlines()
         log.unlink()
         return labels
 
-    monkeypatch.setattr(solvers, "model_digest", counting_digest)
+    monkeypatch.setattr(modelio, "model_digest", counting_digest)
     argv = ["solve", str(desk_spec), "--beliefs", "50", "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("solved") == 2
-    assert sorted(Counter(calls()).values()) == [2, 2]
+    assert sorted(Counter(calls()).values()) == [1, 1]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("cached") == 2
@@ -289,6 +290,27 @@ def test_cli_run_scale_and_export_refuse_a_model_file(tmp_path, capsys):
         assert captured.out == ""
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "cache").exists()
+
+
+def test_cli_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    noise = tmp_path / "noise"
+    data = b"domain gridworld\n" + np.random.default_rng(0).bytes(200)
+    noise.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as raised:
+        data.decode()
+    at = raised.value.start
+    line = data.count(b"\n", 0, at) + 1
+    for argv in (["validate", str(noise)], ["run", str(noise), "--cache-dir", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {noise}: line {line}: not UTF-8 (byte {data[at]:#04x})\n"
+    # A model file whose label line holds bytes that are not UTF-8.
+    model = tmp_path / "label.model"
+    dump_model(build("gridworld", size=2, tasks=1).models[0], model)
+    model.write_bytes(model.read_bytes().replace(b"\nlabel ", b"\nlabel \xff\xfe", 1))
+    for argv in (["validate", str(model)], ["solve", str(model), "--cache-dir", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {model}: line 2: not UTF-8 (byte 0xff)\n"
+    assert not list(tmp_path.glob("*.policy"))
 
 
 def test_resolve_models_reads_model_file_overrides(tmp_path):

@@ -209,6 +209,26 @@ def test_traced_benchmark_wraps_names_that_exist(monkeypatch, small_library):
         assert getattr(owner, attr) is original, attr
 
 
+def test_traced_warm_set_up_times_one_digest_per_model(monkeypatch, tmp_path, small_library):
+    # The benchmark reads the digest time from these spans: a warm set-up
+    # must digest each model once, in a span of its own, and load it once.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    domain, lib = small_library
+    cache = PolicyCache(tmp_path)
+    for policy in lib.policies:
+        cache.store(policy.source_digest, domain.solver, policy)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        warm = prepare_library(domain, cache)
+    digests = [end - start for name, start, end, _, _ in tracer.spans if name == "modelio.model_digest"]
+    assert len(digests) == len(domain.models) and min(digests) > 0
+    calls = tracer.summary()["calls"]
+    assert calls["solvers.cache_load"] == len(domain.models)
+    assert "solvers.perseus_solve" not in calls
+    assert [p.source_digest for p in warm.policies] == [p.source_digest for p in lib.policies]
+
+
 def test_csr_and_dense_desk_grids_solve_and_play_alike():
     # Storage oracle: the 4x4 desk grid keeps its transitions in CSR; a
     # twin with the same tables dense must give the same policies, up to
@@ -418,25 +438,26 @@ def test_prepare_library_pool_matches_sequential_solves(tmp_path, pool_library, 
 
 def test_a_cold_pool_solve_digests_the_library_once_in_this_process(tmp_path, pool_library, monkeypatch):
     domain = pool_library
-    digests = modelio.model_digests
-    log = tmp_path / "walks.log"
+    digest = modelio.model_digest
+    log = tmp_path / "digests.log"
 
-    def logged(models):
+    def logged(model, tables=None):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {len(models)}\n")
-        return digests(models)
+            fh.write(f"{os.getpid()} {model.label}\n")
+        return digest(model, tables)
 
-    monkeypatch.setattr(modelio, "model_digests", logged)
+    monkeypatch.setattr(modelio, "model_digest", logged)
     results = solvers.solve_many(domain.models, domain.solver, PolicyCache(tmp_path / "cache"))
     assert not child_process_left()
-    # One walk over both models, here; the workers read its digests.
-    assert log.read_text().split() == [str(os.getpid()), "2"]
+    # One digest per model, all here; the workers never digest.
+    assert log.read_text().splitlines() == [f"{os.getpid()} {model.label}" for model in domain.models]
     for model, (policy, cached) in zip(domain.models, results):
         assert not cached
         expected = solvers.perseus_solve(model, domain.solver)
         assert np.array_equal(policy.vectors, expected.vectors)
         assert np.array_equal(policy.actions, expected.actions)
-        assert policy.source_digest == expected.source_digest
+        assert expected.source_digest == ""  # a standalone solve has none
+        assert policy.source_digest == digest(model)
 
 
 def test_a_failing_worker_solve_propagates_and_leaves_no_process(pool_library, monkeypatch):

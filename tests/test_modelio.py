@@ -147,6 +147,16 @@ def test_errors_carry_line_numbers(rng):
     assert loads_model("\n".join(bare)).label == ""
 
 
+def test_a_file_that_is_not_utf8_names_the_file_and_line(tmp_path, rng):
+    text = dumps_model(random_pomdp(rng, num_states=3)).encode()
+    path = tmp_path / "bad.model"
+    # A byte that is not UTF-8 in the label, and one in the last section.
+    for at, line in ((text.index(b"\nlabel ") + 7, 2), (text.rindex(b"\nend") + 1, text.count(b"\n"))):
+        path.write_bytes(text[:at] + b"\xff\xfe" + text[at:])
+        with pytest.raises(ModelFormatError, match=f"^{path}: line {line}: not UTF-8 \\(byte 0xff\\)$"):
+            load_model(path)
+
+
 def _holds(model, transition, observation) -> bool:
     """Whether the model stores these very table objects."""
     return all(
@@ -519,27 +529,16 @@ def test_equal_digests_exactly_when_equal_texts(rng):
     assert len(set(zip(texts, digests))) == len(set(texts)) == len(set(digests))
 
 
-def test_digests_held_serves_only_those_model_objects(rng, monkeypatch):
-    models = [random_pomdp(rng, label=f"model {k}") for k in range(2)]
-    digests = [model_digest(m) for m in models]
-    walks = []
-    batch_digests = modelio.model_digests
-
-    def counting(batch):
-        walks.append(len(batch))
-        return batch_digests(batch)
-
-    monkeypatch.setattr(modelio, "model_digests", counting)
-    with modelio.digests_held(models):
-        assert walks == [2]
-        assert [model_digest(m) for m in models] == digests
-        assert walks == [2]
-        # An equal model that is another object is digested afresh.
-        assert model_digest(dataclasses.replace(models[0])) == digests[0]
-        assert walks == [2, 1]
-    # Outside the block every call digests the model as it is now.
-    models[0].reward[0, 0] += 1.0
-    assert model_digest(models[0]) != digests[0]
+def test_a_fresh_table_memo_sees_a_changed_table(rng):
+    model = random_pomdp(rng, label="model")
+    memo: dict = {}
+    before = model_digest(model, memo)
+    assert len(memo) == 2 * model.num_actions + 2  # T and O per action, R, b0
+    model.reward[0, 0] += 1.0
+    # A memo stands for one batch of unchanged models: it still holds the
+    # old reward's digest, and a fresh memo hashes the reward as it is now.
+    assert model_digest(model, memo) == before
+    assert model_digest(model, {}) == model_digest(model) == model_digests([model])[0] != before
 
 
 # -- the text is made in blocks ----------------------------------------------

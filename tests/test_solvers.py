@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import forkpool, solvers
+from adhocpo import forkpool, modelio, solvers
 from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularMmdp,
@@ -674,17 +674,18 @@ def test_cache_round_trip_and_digest_guard(tmp_path, rng):
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     cache = PolicyCache(tmp_path)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
-    assert cache.load(model, s) is None
+    digest = modelio.model_digest(model)
+    assert cache.load(digest, s) is None
     p1, hit1 = solve_with_cache(model, s, cache)
-    assert not hit1
+    assert not hit1 and p1.source_digest == digest
     p2, hit2 = solve_with_cache(model, s, cache)
-    assert hit2
+    assert hit2 and p2.source_digest == digest
     assert np.array_equal(p1.vectors, p2.vectors)
     # Different settings miss.
-    assert cache.load(model, SolverSettings(belief_set_size=31, horizon=8, tolerance=0.01, seed=0)) is None
+    assert cache.load(digest, SolverSettings(belief_set_size=31, horizon=8, tolerance=0.01, seed=0)) is None
     # Different model content misses even at the same path name space.
     other = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    assert cache.load(other, s) is None
+    assert cache.load(modelio.model_digest(other), s) is None
 
 
 def test_truncated_policy_names_the_missing_line(rng):
@@ -860,14 +861,14 @@ def test_unusable_cache_entry_is_reported_resolved_then_hits(tmp_path, rng):
     path = cache.path(solved.source_digest, s)
     data = path.read_bytes()
     # A whole entry of another model (wrong digest at the right path), an
-    # entry cut short, then readable entries that do not fit this model.
-    for bad in (
-        dumps_policy(perseus_solve(other, s)),
-        data[: len(data) // 2],
-        *_unusable_entries(data, model.num_actions),
-    ):
+    # entry cut short and one without vectors do not load; readable entries
+    # that do not fit this model load, and solve_many refuses them.
+    other_policy = perseus_solve(other, s)
+    other_policy.source_digest = modelio.model_digest(other)
+    empty, *unfit = _unusable_entries(data, model.num_actions)
+    for bad in (dumps_policy(other_policy), data[: len(data) // 2], empty, *unfit):
         path.write_bytes(bad)
-        assert cache.load(model, s) is None
+        assert (cache.load(solved.source_digest, s) is None) == (bad not in unfit)
         notes = []
         again, hit = solve_with_cache(model, s, cache, progress=notes.append)
         assert not hit
@@ -901,11 +902,12 @@ def test_a_version_1_entry_is_resolved_once_and_replaced_in_place(tmp_path, rng)
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     cache = PolicyCache(tmp_path)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
-    path = cache.path(solvers.model_digest(model), s)
+    digest = modelio.model_digest(model)
+    path = cache.path(digest, s)
     path.write_text(V1_ENTRY)
     with pytest.raises(PolicyFormatError, match="^line 1: expected 'adhocpo-policy v2' header$"):
         solvers.load_policy(path)
-    assert cache.load(model, s) is None
+    assert cache.load(digest, s) is None
     notes = []
     (policy, hit), = solve_many([model], s, cache, progress=notes.append)
     assert not hit
@@ -919,20 +921,21 @@ def test_a_version_1_entry_is_resolved_once_and_replaced_in_place(tmp_path, rng)
     assert np.array_equal(again.vectors.view(np.uint64), policy.vectors.view(np.uint64))
 
 
-def _store_repeatedly(root, model, settings, policy, times):
+def _store_repeatedly(root, digest, settings, policy, times):
     cache = PolicyCache(root)
     for _ in range(times):
-        cache.store(model, settings, policy)
+        cache.store(digest, settings, policy)
 
 
 def test_concurrent_stores_of_one_key_leave_one_whole_entry(tmp_path, rng):
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     policy = perseus_solve(model, s)
+    digest = modelio.model_digest(model)
     cache = PolicyCache(tmp_path)
     fork = multiprocessing.get_context("fork")
     writers = [
-        fork.Process(target=_store_repeatedly, args=(tmp_path, model, s, policy, 200))
+        fork.Process(target=_store_repeatedly, args=(tmp_path, digest, s, policy, 200))
         for _ in range(4)
     ]
     try:
@@ -940,7 +943,7 @@ def test_concurrent_stores_of_one_key_leave_one_whole_entry(tmp_path, rng):
             w.start()
         # A reader never sees a partial entry while the writers race.
         while any(w.is_alive() for w in writers):
-            seen = cache.load(model, s)
+            seen = cache.load(digest, s)
             assert seen is None or np.array_equal(seen.vectors, policy.vectors)
         for w in writers:
             w.join(timeout=60)
@@ -950,7 +953,7 @@ def test_concurrent_stores_of_one_key_leave_one_whole_entry(tmp_path, rng):
             if w.is_alive():
                 w.kill()
                 w.join()
-    loaded = cache.load(model, s)
+    loaded = cache.load(digest, s)
     assert np.array_equal(loaded.vectors, policy.vectors)
     assert np.array_equal(loaded.actions, policy.actions)
     assert loaded.stage_values == policy.stage_values
@@ -971,20 +974,20 @@ def test_one_miss_or_a_warm_cache_creates_no_pool(tmp_path, rng, monkeypatch):
     assert [hit for _, hit in solve_many(models, s, cache)] == [True, True]
 
 
-def test_solve_with_cache_digests_once_warm_twice_cold(tmp_path, rng, monkeypatch):
-    digest = solvers.model_digest
+def test_solve_with_cache_digests_once_warm_and_cold(tmp_path, rng, monkeypatch):
+    digest = modelio.model_digest
     calls = []
 
-    def counting_digest(model):
+    def counting_digest(model, tables=None):
         calls.append(model.label)
-        return digest(model)
+        return digest(model, tables)
 
-    monkeypatch.setattr(solvers, "model_digest", counting_digest)
+    monkeypatch.setattr(modelio, "model_digest", counting_digest)
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
     cache = PolicyCache(tmp_path)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
     _, hit = solve_with_cache(model, s, cache)
-    assert not hit and len(calls) == 2
+    assert not hit and len(calls) == 1
     calls.clear()
     _, hit = solve_with_cache(model, s, cache)
     assert hit and len(calls) == 1
