@@ -176,7 +176,7 @@ class RandomPickerAgent(Agent):
         self.state = PosteriorState.initial(self.library)
 
     def act(self, rng):
-        pick = int(rng.choice(np.flatnonzero(self.state.active)))
+        pick = int(rng.choice(np.flatnonzero(self.state.greedy >= 0)))
         return int(self.state.greedy[pick])
 
     def observe(self, action, observation=None, state=None):

@@ -6,14 +6,15 @@ model predicted the last observation; models that assign it probability
 zero are ruled out permanently (an optional likelihood floor keeps them
 alive instead).
 
-Every posterior state carries each surviving model's greedy action at its
-current belief, computed once when the state is made.  The mixture policy
-the agent acts from (the posterior-weighted mixture of those actions) and
-the random-picker baseline read that one array.
+Every posterior state carries each model's greedy action at its current
+belief (-1 once pruned, the one record of which models are alive),
+computed once when the state is made.  The mixture policy the agent acts
+from and the random-picker baseline read that one array.
 
 The agent is never told which model is in play.  The loss rows the
-cumulative bound is checked on are computed after the trial, from the
-greedy actions it recorded and the true model's belief re-filtered.
+cumulative bound is checked on, against the true model, are computed
+after the trial from the greedy actions it recorded and the true
+model's belief re-filtered.
 """
 from __future__ import annotations
 
@@ -108,16 +109,15 @@ def _greedy_actions(library: ModelLibrary, beliefs: list, active: np.ndarray) ->
 
 @dataclasses.dataclass
 class PosteriorState:
-    """Posterior over models, per-model beliefs, and what is still alive.
+    """Posterior over models, per-model beliefs, and each model's greedy action.
 
-    greedy[k] is model k's greedy action at beliefs[k] (-1 once k is
-    pruned); it is filled when the state is made and read by everything
-    that acts on the state.
+    greedy[k] is model k's greedy action at beliefs[k], or -1 once k is
+    pruned: a model is alive exactly when greedy[k] >= 0.  It is filled
+    when the state is made and read by everything that acts on the state.
     """
 
     posterior: np.ndarray
     beliefs: list
-    active: np.ndarray
     greedy: np.ndarray
     step: int = 0
     last_evidence: Optional[np.ndarray] = None
@@ -125,18 +125,16 @@ class PosteriorState:
     @classmethod
     def initial(cls, library: ModelLibrary) -> "PosteriorState":
         beliefs = [m.initial_belief.copy() for m in library.models]
-        active = library.prior > 0.0
         return cls(
             posterior=library.prior.copy(),
             beliefs=beliefs,
-            active=active,
-            greedy=_greedy_actions(library, beliefs, active),
+            greedy=_greedy_actions(library, beliefs, library.prior > 0.0),
         )
 
 
 def mixture_policy(library: ModelLibrary, state: PosteriorState) -> np.ndarray:
     """Posterior-weighted mixture of per-model greedy actions."""
-    active = state.active
+    active = state.greedy >= 0
     return np.bincount(
         state.greedy[active], weights=state.posterior[active], minlength=library.num_actions
     )
@@ -182,7 +180,7 @@ def update(
     """
     evidence = np.zeros(library.size)
     beliefs = list(state.beliefs)
-    active = state.active.copy()
+    active = state.greedy >= 0
     for k in range(library.size):
         if not active[k]:
             continue
@@ -202,7 +200,6 @@ def update(
     return PosteriorState(
         posterior=weights / total,
         beliefs=beliefs,
-        active=active,
         greedy=_greedy_actions(library, beliefs, active),
         step=state.step + 1,
         last_evidence=evidence,
@@ -231,8 +228,9 @@ def policy_loss_row(
 class BoundReport:
     """Cumulative mixture loss against the comparator-plus-slack ceiling.
 
-    The ceiling is comparator_total + sqrt(2/T) * kl_total plus a
-    model-free term sqrt(T/2) * r_max^2 / (1 - discount)^2.
+    The comparator is the true model.  The ceiling is comparator_total +
+    sqrt(2/T) * kl_total plus a model-free term sqrt(T/2) * r_max^2 /
+    (1 - discount)^2, and satisfied allows tolerance over it.
     """
 
     mixture_total: float
@@ -262,36 +260,31 @@ class BoundReport:
 def check_bound(
     loss_rows: np.ndarray,
     posteriors: np.ndarray,
-    comparator: np.ndarray,
+    true_model: int,
     r_max: float,
     discount: float,
-    tolerance: float = 1e-6,
 ) -> BoundReport:
     """Check the cumulative loss of the posterior mixture against its ceiling.
 
     loss_rows[t, k] is the true-model loss of model k's recommendation at
-    step t; posteriors[t] is the mixture used at step t; comparator is any
-    fixed distribution over models (typically a point mass on the true
-    one).  KL terms use the convention 0 ln 0 = 0 and are infinite when
-    the comparator puts mass outside the posterior's support.
+    step t and posteriors[t] is the mixture used at step t.  The comparator
+    is the true model: its total is the true model's column of loss_rows,
+    and its KL term at step t is ln(1 / posteriors[t, true_model]), infinite
+    once the true model is outside the posterior's support.
     """
     loss_rows = np.asarray(loss_rows, dtype=float)
     posteriors = np.asarray(posteriors, dtype=float)
-    comparator = np.asarray(comparator, dtype=float)
     horizon = loss_rows.shape[0]
     if horizon == 0:
         raise ValueError("need at least one step")
     mixture_total = float((loss_rows * posteriors).sum())
-    comparator_total = float((loss_rows @ comparator).sum())
+    comparator_total = float(loss_rows[:, true_model].sum())
     kl_total = 0.0
-    for t in range(horizon):
-        for k in np.flatnonzero(comparator > 0.0):
-            if posteriors[t, k] <= 0.0:
-                kl_total = math.inf
-                break
-            kl_total += comparator[k] * math.log(comparator[k] / posteriors[t, k])
-        if math.isinf(kl_total):
+    for p in posteriors[:, true_model].tolist():
+        if p <= 0.0:
+            kl_total = math.inf
             break
+        kl_total += math.log(1.0 / p)
     slack = math.sqrt(horizon / 2.0) * r_max * r_max / (1.0 - discount) ** 2
     return BoundReport(
         mixture_total=mixture_total,
@@ -301,7 +294,6 @@ def check_bound(
         horizon=horizon,
         r_max=r_max,
         discount=discount,
-        tolerance=tolerance,
     )
 
 

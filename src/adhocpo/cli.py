@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from adhocpo import domains
 from adhocpo.agents import AGENT_NAMES, CapabilityError, check_likelihood_floor, make_agent
 from adhocpo.domains import DOMAIN_NAMES, DomainBuild
 from adhocpo.harness import (
+    check_agent_names,
     check_trials,
     emit_reports,
     prepare_library,
@@ -32,8 +34,9 @@ from adhocpo.harness import (
 )
 from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, read_text
 from adhocpo.pomdp import validate as validate_model
-from adhocpo.solvers import PolicyCache, resolve_cache_dir, solve_many
+from adhocpo.solvers import PolicyCache, solve_many
 
+CACHE_ENV = "ADHOCPO_CACHE"
 DEFAULT_CACHE = Path.home() / ".cache" / "adhocpo"
 
 def _add_domain_arguments(parser: argparse.ArgumentParser, model_file_ok: bool = False):
@@ -93,8 +96,7 @@ def _resolve_models(args):
 
 
 def _cache(args) -> PolicyCache:
-    root = resolve_cache_dir(args.cache_dir) or DEFAULT_CACHE
-    return PolicyCache(root)
+    return PolicyCache(args.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE)
 
 
 def cmd_solve(args) -> int:
@@ -122,6 +124,7 @@ def cmd_run(args) -> int:
             print(f"unknown agent {name!r}; choices: {', '.join(AGENT_NAMES)}", file=sys.stderr)
             return 2
     # Refuse bad values before the library is solved, not after.
+    check_agent_names(requested)
     check_trials(args.trials)
     if "atpo" in requested:
         check_likelihood_floor(args.likelihood_floor)
@@ -159,7 +162,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    sizes = sorted({int(s) for s in args.sizes.split(",")})
+    sizes = set()
+    for text in args.sizes.split(","):
+        try:
+            sizes.add(int(text))
+        except ValueError:
+            raise ValueError(f"--sizes: {text!r} is not an integer") from None
+    sizes = sorted(sizes)
     if any(s < 1 for s in sizes):
         print("library sizes must be positive", file=sys.stderr)
         return 2

@@ -84,6 +84,8 @@ class TrialResult:
 
 
 PHASES = ("act", "step", "observe", "diagnostics")
+# The acting steps at which summary.json reports posterior identification.
+IDENTIFICATION_STEPS = (5, 10, 20)
 
 
 def run_trial(
@@ -138,12 +140,10 @@ def run_trial(
         result.posteriors = np.array(posteriors)
         result.evidence = np.array(agent.evidence)
         result.loss_rows = _loss_rows(library, k_star, result, agent.greedy_actions)
-        comparator = np.zeros(library.size)
-        comparator[k_star] = 1.0
         result.bound = atpo.check_bound(
             result.loss_rows,
             result.posteriors[:-1],
-            comparator,
+            k_star,
             r_max=library.max_abs_reward,
             discount=model.discount,
         )
@@ -231,6 +231,13 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial per agent, got {trials}")
 
 
+def check_agent_names(names: tuple) -> None:
+    """Raise ValueError if an agent is named twice: reports keep one entry per name."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"agent {name!r} is named more than once")
+
+
 def run_experiment(
     library: ModelLibrary,
     agent_names,
@@ -244,16 +251,18 @@ def run_experiment(
 ) -> ExperimentResult:
     """Same seed block for every agent, trials in forked workers.
 
-    Every agent is made here first, so a CapabilityError comes before any
-    trial runs.  The trials, one job per (agent, seed), go through
-    `forkpool.forked_map`: the workers get the library and the agents
-    through the fork and call run_trial, and every worker is joined before
-    this returns, also after a failing trial or an interrupt.  A trial
-    depends only on its seed, so the results are the ones a run in this
-    process gives.  `progress` gets one line per agent, in agent order.
+    Every agent is made here first, so a CapabilityError, like a repeated
+    name, comes before any trial runs.  The trials, one job per (agent,
+    seed), go through `forkpool.forked_map`: the workers get the library
+    and the agents through the fork and call run_trial, and every worker
+    is joined before this returns, also after a failing trial or an
+    interrupt.  A trial depends only on its seed, so the results are the
+    ones a run in this process gives.  `progress` gets one line per agent,
+    in agent order.
     """
     check_trials(trials)
     names = tuple(agent_names)
+    check_agent_names(names)
     made = [
         make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)
         for name in names
@@ -362,7 +371,6 @@ def emit_reports(
     result: ExperimentResult,
     out_dir,
     traces: bool = False,
-    identification_steps=(5, 10, 20),
 ) -> dict:
     """Write returns.csv and summary.json (and per-trial traces on request).
 
@@ -399,7 +407,7 @@ def emit_reports(
         tracked = [t for t in summary.trials if t.posteriors is not None]
         if tracked:
             per_step = {}
-            for step in identification_steps:
+            for step in IDENTIFICATION_STEPS:
                 ident = identification_summary(tracked, step)
                 per_step[str(step)] = {
                     "median_probability": ident.median_probability,

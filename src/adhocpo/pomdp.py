@@ -236,7 +236,7 @@ def _row_sums(table) -> np.ndarray:
     return np.asarray(table.sum(axis=1)).ravel()
 
 
-def validate(model: TabularPomdp, atol: float = _ATOL) -> list[str]:
+def validate(model: TabularPomdp) -> list[str]:
     """Check that the tables and the initial belief are distributions.
 
     Returns a list of human-readable violations, empty when the model is
@@ -247,18 +247,18 @@ def validate(model: TabularPomdp, atol: float = _ATOL) -> list[str]:
     problems: list[str] = []
 
     def stochastic(name: str, table) -> None:
-        negative = np.flatnonzero(_row_sums(table < -atol))
+        negative = np.flatnonzero(_row_sums(table < -_ATOL))
         if negative.size:
             problems.append(f"{name} row {int(negative[0])}: negative entry")
         sums = _row_sums(table)
-        for x in np.flatnonzero(np.abs(sums - 1.0) > atol)[:5]:
+        for x in np.flatnonzero(np.abs(sums - 1.0) > _ATOL)[:5]:
             problems.append(f"{name} row {int(x)}: sums to {sums[x]:.12g}")
 
     for a in range(model.num_actions):
         stochastic(f"transition[{a}]", model.transition[a])
         stochastic(f"observation[{a}]", model.observation[a])
     b = model.initial_belief
-    if (b < -atol).any() or abs(b.sum() - 1.0) > atol:
+    if (b < -_ATOL).any() or abs(b.sum() - 1.0) > _ATOL:
         problems.append(f"initial belief: sums to {b.sum():.12g} or has negatives")
     if not (0.0 <= model.discount < 1.0):
         problems.append(f"discount {model.discount} outside [0, 1)")

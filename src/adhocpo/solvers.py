@@ -45,6 +45,7 @@ import bisect
 import dataclasses
 import hashlib
 import math
+import operator
 import os
 import tempfile
 import time
@@ -69,7 +70,6 @@ from adhocpo.pomdp import (
 )
 
 POLICY_TAG = "adhocpo-policy v2"
-CACHE_ENV = "ADHOCPO_CACHE"
 
 _EPS = 1e-12
 # collect_beliefs: the L1 distance below which a belief counts as collected,
@@ -165,22 +165,18 @@ class SolverSettings:
     stage_cap: int = 500
 
     def key_string(self) -> str:
-        return (
-            f"belief_set_size={self.belief_set_size},horizon={self.horizon},"
-            f"tolerance={repr(float(self.tolerance))},seed={self.seed},"
-            f"stage_cap={self.stage_cap}"
+        """`name=value` per field, in field order, as the type of the field's
+        default: tolerance 0 reads `tolerance=0.0`, and an int field given a
+        float (2.5, or 2.0) is a TypeError, as it is to the solver."""
+        write = {int: operator.index, float: float}
+        return ",".join(
+            f"{f.name}={write[type(f.default)](getattr(self, f.name))!r}" for f in dataclasses.fields(self)
         )
 
     @classmethod
     def from_key_string(cls, text: str) -> "SolverSettings":
-        fields = dict(part.split("=", 1) for part in text.split(","))
-        return cls(
-            belief_set_size=int(fields["belief_set_size"]),
-            horizon=int(fields["horizon"]),
-            tolerance=float(fields["tolerance"]),
-            seed=int(fields["seed"]),
-            stage_cap=int(fields["stage_cap"]),
-        )
+        values = dict(part.split("=", 1) for part in text.split(","))
+        return cls(**{f.name: type(f.default)(values[f.name]) for f in dataclasses.fields(cls)})
 
 
 @dataclasses.dataclass
@@ -660,14 +656,6 @@ def loads_policy(data: bytes) -> AlphaVectorPolicy:
 
 def load_policy(path) -> AlphaVectorPolicy:
     return loads_policy(Path(path).read_bytes())
-
-
-def resolve_cache_dir(explicit=None) -> Optional[Path]:
-    """Cache location: explicit argument first, then the environment."""
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
 
 
 class PolicyCache:

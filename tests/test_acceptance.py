@@ -29,6 +29,7 @@ from adhocpo.agents import (
     make_agent,
 )
 from adhocpo.atpo import ModelLibrary, PosteriorState
+from adhocpo.cli import CACHE_ENV
 from adhocpo.domains import build
 from adhocpo.harness import (
     identification_summary,
@@ -39,7 +40,6 @@ from adhocpo.harness import (
 )
 from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp, sample_initial_state, simulate_step
 from adhocpo.solvers import (
-    CACHE_ENV,
     AlphaVectorPolicy,
     PolicyCache,
     SolverSettings,
@@ -206,7 +206,7 @@ def test_posterior_matches_exhaustive_joint_filter():
             total = sum(weights)
             assert total > 0.0
             for k in range(num_models):
-                assert bool(state.active[k]) == (masses[k] > 0.0)
+                assert bool(state.greedy[k] >= 0) == (masses[k] > 0.0)
                 assert abs(state.posterior[k] - weights[k] / total) <= 1e-8
                 if masses[k] > 0.0:
                     want = np.array(alphas[k]) / masses[k]

@@ -79,7 +79,7 @@ def test_posterior_matches_joint_enumeration_oracle():
             s = update(lib, s, a, z)
         assert np.allclose(s.posterior, expected_posterior, atol=1e-10)
         for k in range(lib.size):
-            if s.active[k]:
+            if s.greedy[k] >= 0:
                 assert np.allclose(s.beliefs[k], expected_beliefs[k], atol=1e-10)
             else:
                 assert expected_posterior[k] == 0.0
@@ -95,11 +95,9 @@ def test_pruned_models_stay_pruned():
         o /= o.sum(axis=1, keepdims=True)
     s = PosteriorState.initial(lib)
     s = update(lib, s, 0, 2)
-    assert not s.active[0]
     assert s.posterior[0] == 0.0
     assert s.greedy[0] == -1
     s2 = update(lib, s, 1, 0)
-    assert not s2.active[0]
     assert s2.posterior[0] == 0.0
     assert s2.greedy[0] == -1
 
@@ -127,7 +125,7 @@ def test_likelihood_floor_keeps_model_alive():
         lib.models[0].observation[a] /= lib.models[0].observation[a].sum(axis=1, keepdims=True)
     s0 = PosteriorState.initial(lib)
     s = update(lib, s0, 0, 1, likelihood_floor=1e-12)
-    assert s.active[0]
+    assert s.greedy[0] >= 0
     assert s.posterior[0] > 0.0
     # The stalled filter keeps its previous belief.
     assert np.array_equal(s.beliefs[0], s0.beliefs[0])
@@ -236,7 +234,7 @@ def test_loss_row_reads_each_models_greedy_action():
         o[o.sum(axis=1) == 0.0, 0] = 1.0
         o /= o.sum(axis=1, keepdims=True)
     s = update(lib, s, 0, 2)
-    assert not s.active[0]
+    assert s.greedy[0] == -1
     losses = loss_all(lib.models[k_true], lib.policies[k_true], s.beliefs[k_true])
     row = policy_loss_row(lib, k_true, s.beliefs[k_true], s.greedy)
     assert row[0] == losses.max()
@@ -251,8 +249,7 @@ def test_check_bound_hand_computed():
     # Two steps, two models, all pieces chosen so the ceiling is explicit.
     loss_rows = np.array([[1.0, 3.0], [2.0, 0.0]])
     posteriors = np.array([[0.5, 0.5], [0.25, 0.75]])
-    comparator = np.array([1.0, 0.0])
-    report = check_bound(loss_rows, posteriors, comparator, r_max=2.0, discount=0.5, tolerance=1e-6)
+    report = check_bound(loss_rows, posteriors, 0, r_max=2.0, discount=0.5)
     assert report.mixture_total == pytest.approx(0.5 + 1.5 + 0.5 + 0.0)
     assert report.comparator_total == pytest.approx(1.0 + 2.0)
     expected_kl = math.log(1 / 0.5) + math.log(1 / 0.25)
@@ -268,14 +265,13 @@ def test_check_bound_flags_violation():
     # loss violates.
     loss_rows = np.array([[1.0, 0.0]])
     posteriors = np.array([[1.0, 0.0]])
-    comparator = np.array([0.0, 1.0])
-    report = check_bound(loss_rows, posteriors, comparator, r_max=0.0, discount=0.5)
+    report = check_bound(loss_rows, posteriors, 1, r_max=0.0, discount=0.5)
     assert report.mixture_total == 1.0
-    assert math.isinf(report.kl_total)  # comparator outside support
+    assert math.isinf(report.kl_total)  # true model outside the support
     assert report.satisfied  # infinite ceiling
 
     posteriors = np.array([[0.5, 0.5]])
-    report = check_bound(loss_rows, posteriors, comparator, r_max=0.0, discount=0.5)
+    report = check_bound(loss_rows, posteriors, 1, r_max=0.0, discount=0.5)
     assert report.ceiling == pytest.approx(math.sqrt(2.0) * math.log(2.0))
     assert not report.satisfied or report.mixture_total <= report.ceiling + 1e-6
 

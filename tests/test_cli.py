@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adhocpo
-from adhocpo import modelio, solvers
+from adhocpo import cli, domains, modelio, solvers
 from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
@@ -173,6 +173,17 @@ def test_cli_run_selected_agents(tmp_path, capsys, desk_spec):
     assert len(list((out_dir / "traces").glob("atpo-*.csv"))) == 3
 
 
+def test_cache_location_is_flag_over_env_over_default(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_CACHE", tmp_path / "default")
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    parse = build_parser().parse_args
+    flag = ["--cache-dir", str(tmp_path / "flag")]
+    assert cli._cache(parse(["solve", "gridworld"])).root == tmp_path / "default"
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "env"))
+    assert cli._cache(parse(["solve", "gridworld"])).root == tmp_path / "env"
+    assert cli._cache(parse(["solve", "gridworld", *flag])).root == tmp_path / "flag"
+
+
 def test_cli_run_rejects_unknown_agent(capsys, desk_spec):
     assert main(["run", str(desk_spec), "--agent", "psychic"]) == 2
     assert "unknown agent" in capsys.readouterr().err
@@ -266,6 +277,8 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["run", "--tolerance", "-1"], "error: solver tolerance must be non-negative, got -1.0\n"),
         (["scale", "--sizes", "1", "--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
         (["scale", "--sizes", "1", "--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
+        (["scale", "--sizes", "2,x"], "error: --sizes: 'x' is not an integer\n"),
+        (["run", "--agent", "random,atpo,random"], "error: agent 'random' is named more than once\n"),
     ]
     for (command, *flags), message in cases:
         assert main([command, *common, *flags]) == 2
@@ -369,6 +382,20 @@ def test_cli_scale_writes_table(tmp_path, capsys, desk_spec):
     pursuit_spec.write_text("domain pursuit-task\nsize 3\n")
     assert main(["scale", str(pursuit_spec), "--sizes", "1,2"]) == 2
     assert "has no task-library size to sweep" in capsys.readouterr().err
+
+
+def test_readme_settings_table_and_cache_location_match_the_cli():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Domain settings", 1)[1].split("\n#", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+        for line in table.splitlines()
+        if line.startswith("| `")
+    ]
+    assert rows == [(key, flag, keyword) for key, flag, keyword, _, _ in domains.SETTINGS]
+    sentence = next(s for s in " ".join(text.split()).split(". ") if "`--cache-dir`, else" in s)
+    assert f"`${cli.CACHE_ENV}`" in sentence
+    assert f"`~/{cli.DEFAULT_CACHE.relative_to(Path.home())}`" in sentence
 
 
 def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():

@@ -133,7 +133,7 @@ def per_step_loss_rows(lib, trial, likelihood_floor=0.0):
     rows, posteriors = [], []
     for a, z in zip(trial.actions, trial.observations):
         losses = solvers.loss_all(lib.models[k], lib.policies[k], state.beliefs[k])
-        rows.append(np.where(state.active, losses[state.greedy], losses.max()))
+        rows.append(np.where(state.greedy >= 0, losses[state.greedy], losses.max()))
         posteriors.append(state.posterior)
         state = atpo.update(lib, state, a, z, likelihood_floor)
     return np.array(rows), np.array(posteriors)
@@ -145,10 +145,47 @@ def assert_deferred_rows_match(lib, trial, likelihood_floor=0.0):
     assert np.array_equal(trial.posteriors[:-1], posteriors)
 
 
+def reference_bound_terms(loss_rows, posteriors, comparator, r_max, discount):
+    """(mixture, comparator, KL, slack) totals of the loss bound against any
+    fixed comparator distribution over the models, with 0 ln 0 = 0 and an
+    infinite KL once the comparator has mass outside the posterior."""
+    mixture_total = float((loss_rows * posteriors).sum())
+    comparator_total = float((loss_rows @ comparator).sum())
+    kl_total = 0.0
+    for t in range(loss_rows.shape[0]):
+        for k in np.flatnonzero(comparator > 0.0):
+            if posteriors[t, k] <= 0.0:
+                kl_total = math.inf
+                break
+            kl_total += comparator[k] * math.log(comparator[k] / posteriors[t, k])
+        if math.isinf(kl_total):
+            break
+    slack = math.sqrt(loss_rows.shape[0] / 2.0) * r_max * r_max / (1.0 - discount) ** 2
+    return mixture_total, comparator_total, kl_total, slack
+
+
+def assert_bound_matches_reference(lib, trial):
+    # The bound's comparator is the true model: its terms are, float for
+    # float, those of the general formula with a point mass there.
+    comparator = np.zeros(lib.size)
+    comparator[trial.model_index] = 1.0
+    want = reference_bound_terms(
+        trial.loss_rows,
+        trial.posteriors[:-1],
+        comparator,
+        lib.max_abs_reward,
+        lib.models[trial.model_index].discount,
+    )
+    b = trial.bound
+    assert (b.mixture_total, b.comparator_total, b.kl_total, b.slack) == want
+
+
 def test_deferred_loss_rows_equal_per_step_rows(small_library):
     _, lib = small_library
     for seed in range(5):
-        assert_deferred_rows_match(lib, run_trial(lib, make_agent("atpo", lib), horizon=20, seed=seed))
+        t = run_trial(lib, make_agent("atpo", lib), horizon=20, seed=seed)
+        assert_deferred_rows_match(lib, t)
+        assert_bound_matches_reference(lib, t)
 
     domain = build("gridworld", size=5, tasks=2)
     settings = dataclasses.replace(domain.solver, belief_set_size=50, stage_cap=5)
@@ -178,15 +215,19 @@ def test_deferred_loss_rows_cover_pruned_and_floored_models():
         t = run_trial(lib, make_agent("atpo", lib), horizon=20, seed=seed, true_model=1)
         assert t.posteriors[-1, 0] == 0.0
         assert_deferred_rows_match(lib, t)
+        assert_bound_matches_reference(lib, t)
         floor = 1e-3
         t = run_trial(lib, make_agent("atpo", lib, likelihood_floor=floor), horizon=20, seed=seed, true_model=1)
         assert (t.evidence[:, 0] == floor).any()
         assert_deferred_rows_match(lib, t, floor)
+        assert_bound_matches_reference(lib, t)
     # A true model the prior rules out keeps its initial belief, as it
     # does in the agent's posterior state.
     ruled_out = atpo.ModelLibrary(models, lib.policies, prior=[0.0, 1.0])
     t = run_trial(ruled_out, make_agent("atpo", ruled_out), horizon=10, seed=0, true_model=0)
     assert_deferred_rows_match(ruled_out, t)
+    assert math.isinf(t.bound.kl_total)
+    assert_bound_matches_reference(ruled_out, t)
 
 
 def test_traced_benchmark_wraps_names_that_exist(monkeypatch, small_library):
@@ -282,6 +323,19 @@ def test_experiment_normalization_endpoints(small_library):
     assert res.num_trials == 6 and res.horizon == 25
 
 
+def test_experiment_refuses_a_repeated_agent_before_any_trial(small_library, monkeypatch):
+    # One summary entry per name: a second block of a repeated agent would
+    # replace the first.
+    _, lib = small_library
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trials)
+    with pytest.raises(ValueError, match="^agent 'random' is named more than once$"):
+        run_experiment(lib, ["random", "atpo", "random"], horizon=3, trials=2)
+
+
 def test_identification_summary_math():
     # The last row follows the last action; no step acts on it.
     histories = [
@@ -316,7 +370,7 @@ def test_emit_reports_files(tmp_path, small_library):
     domain, lib = small_library
     res = run_experiment(lib, ["atpo", "vi", "random"], horizon=10, trials=3,
                          base_seed=0, label=domain.name)
-    report = emit_reports(res, tmp_path, traces=True, identification_steps=(5,))
+    report = emit_reports(res, tmp_path, traces=True)
 
     lines = (tmp_path / "returns.csv").read_text().strip().splitlines()
     assert lines[0] == "agent,trial,seed,model_index,total_return,wall_time"
@@ -326,7 +380,7 @@ def test_emit_reports_files(tmp_path, small_library):
     assert on_disk == report
     assert on_disk["label"] == domain.name
     atpo_entry = on_disk["agents"]["atpo"]
-    assert set(atpo_entry["identification"]["at_step"]) == {"5"}
+    assert set(atpo_entry["identification"]["at_step"]) == {"5", "10", "20"}
     assert "median_first_correct_step" in atpo_entry["identification"]
     assert "bound_violations" in atpo_entry
     bounds = [t.bound for t in res.agents["atpo"].trials]

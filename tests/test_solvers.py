@@ -39,7 +39,6 @@ from adhocpo.solvers import (
     policy_action,
     policy_q_all,
     policy_value,
-    resolve_cache_dir,
     solve_many,
     solve_with_cache,
     value_iteration,
@@ -993,9 +992,20 @@ def test_solve_with_cache_digests_once_warm_and_cold(tmp_path, rng, monkeypatch)
     assert hit and len(calls) == 1
 
 
-def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv("ADHOCPO_CACHE", raising=False)
-    assert resolve_cache_dir(None) is None
-    monkeypatch.setenv("ADHOCPO_CACHE", str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == tmp_path / "env"
-    assert resolve_cache_dir(tmp_path / "flag") == tmp_path / "flag"
+def test_settings_key_string_is_pinned():
+    # The key names every field in order, each value as its default's type;
+    # cache paths hash it, so these bytes must not move.
+    default = SolverSettings()
+    bench = SolverSettings(belief_set_size=100, stage_cap=15)
+    integer_tolerance = SolverSettings(tolerance=0)
+    numpy_ints = SolverSettings(belief_set_size=np.int64(30), horizon=np.int32(8), seed=np.int64(3))
+    assert default.key_string() == "belief_set_size=5000,horizon=50,tolerance=0.01,seed=0,stage_cap=500"
+    assert bench.key_string() == "belief_set_size=100,horizon=50,tolerance=0.01,seed=0,stage_cap=15"
+    assert integer_tolerance.key_string() == "belief_set_size=5000,horizon=50,tolerance=0.0,seed=0,stage_cap=500"
+    assert numpy_ints.key_string() == "belief_set_size=30,horizon=8,tolerance=0.01,seed=3,stage_cap=500"
+    for s in (default, bench, integer_tolerance, numpy_ints, SolverSettings(tolerance=1e-4)):
+        assert SolverSettings.from_key_string(s.key_string()) == s
+    # An int field the solver would refuse keys nothing, not the entry of its integer part.
+    for count in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            SolverSettings(belief_set_size=count).key_string()
