@@ -169,13 +169,11 @@ def cmd_scale(args) -> int:
         except ValueError:
             raise ValueError(f"--sizes: {text!r} is not an integer") from None
     sizes = sorted(sizes)
-    if any(s < 1 for s in sizes):
-        print("library sizes must be positive", file=sys.stderr)
-        return 2
+    if sizes[0] < 1:
+        raise ValueError(f"library sizes must be positive, got {sizes[0]}")
     name, overrides = _requested(args)
     if not domains.takes(name, "tasks"):
-        print(f"domain {args.domain!r} has no task-library size to sweep", file=sys.stderr)
-        return 2
+        raise ValueError(f"domain {args.domain!r} has no task-library size to sweep")
     check_trials(args.trials)
     build = domains.build(name, **{**overrides, "tasks": max(sizes)})
 

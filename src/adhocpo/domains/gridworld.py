@@ -22,8 +22,8 @@ loop would list them.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
@@ -81,9 +81,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
                 np.where(moves, 1.0 - epsilon, 1.0),
                 np.full(np.count_nonzero(moves), epsilon),
             ])
-            per_action.append(
-                sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
-            )
+            per_action.append(CsrTable.from_coo(vals, rows, cols, (num_states, num_states)))
         models.append(
             TabularPomdp(
                 per_action,

@@ -18,8 +18,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
@@ -83,9 +83,8 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
                 moved = agent * (f - 1) + teammate - (teammate > agent)
                 cols.append(np.where(stay, live, moved))
                 vals.append(np.full(len(live), p))
-            per_action.append(sparse.coo_array(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(num_states, num_states),
+            per_action.append(CsrTable.from_coo(
+                np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (num_states, num_states)
             ))
         g_cells = tuple(grid.free_cells[g] for g in goals)
         models.append(

@@ -34,8 +34,8 @@ acts uniformly at random.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.pomdp import TabularPomdp
 
 TOP, BOTTOM = 0, 1
@@ -149,7 +149,7 @@ def cook_action_distribution(name: str, factors: tuple) -> dict:
     raise ValueError(f"unknown cook {name!r}")
 
 
-def _build_cook_model(name: str, discount: float, identity: sparse.csr_array) -> TabularPomdp:
+def _build_cook_model(name: str, discount: float, identity: CsrTable) -> TabularPomdp:
     rows = [[] for _ in range(NUM_ACTIONS)]
     cols = [[] for _ in range(NUM_ACTIONS)]
     vals = [[] for _ in range(NUM_ACTIONS)]
@@ -173,10 +173,7 @@ def _build_cook_model(name: str, discount: float, identity: sparse.csr_array) ->
         vals[a] += [1.0, 1.0]
 
     transition = [
-        sparse.coo_array(
-            (np.array(vals[a]), (np.array(rows[a]), np.array(cols[a]))),
-            shape=(NUM_STATES, NUM_STATES),
-        )
+        CsrTable.from_coo(vals[a], rows[a], cols[a], (NUM_STATES, NUM_STATES))
         for a in range(NUM_ACTIONS)
     ]
 
@@ -198,5 +195,6 @@ def build_overcooked(discount: float) -> list:
 
     The state is fully observed: every model stores the one identity table.
     """
-    identity = sparse.eye_array(NUM_STATES, format="csr")
+    states = np.arange(NUM_STATES)
+    identity = CsrTable.from_coo(np.ones(NUM_STATES), states, states, (NUM_STATES, NUM_STATES))
     return [_build_cook_model(name, discount, identity) for name in COOK_NAMES]

@@ -29,8 +29,8 @@ prey landings are summed in that order.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
@@ -181,9 +181,7 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
                 np.repeat(np.where(held, 1.0 / 5.0, (1.0 - epsilon) / 5.0), 5),
                 np.full(5 * np.count_nonzero(~held), epsilon / 5.0),
             ])
-            per_action.append(
-                sparse.coo_array((vals, (rows, cols)), shape=(num_states, num_states))
-            )
+            per_action.append(CsrTable.from_coo(vals, rows, cols, (num_states, num_states)))
         models.append(
             TabularPomdp(
                 per_action,

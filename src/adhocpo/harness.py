@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import json
 import math
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Optional
@@ -299,7 +300,8 @@ class IdentificationSummary:
 
     @property
     def median_probability(self) -> float:
-        return float(np.median(self.probabilities))
+        # The floats np.median gives, without its import of numpy.ma (1.2 MB).
+        return float(statistics.median(self.probabilities))
 
 
 def identification_summary(trials, step: int) -> IdentificationSummary:
@@ -416,7 +418,7 @@ def emit_reports(
             firsts = [s for s in map(first_correct_step, tracked) if s is not None]
             entry["identification"] = {
                 "at_step": per_step,
-                "median_first_correct_step": float(np.median(firsts)) if firsts else None,
+                "median_first_correct_step": float(statistics.median(firsts)) if firsts else None,
             }
             entry["bound_violations"] = summary.bound_violations
             # Per trial, in trial order; a term that is not finite is written as null.

@@ -6,34 +6,38 @@ one way, `TabularPomdp(transition, observation, reward, discount,
 initial_belief, label)`, and that constructor checks every shape, reads
 the state, action and observation counts off the tables, and decides how
 each table is stored.  Builders and model files hand tables in any form
-(dense arrays, any scipy sparse form); each is stored as a scipy
-`csr_array` when fewer than half of its entries are nonzero and at least
-2**15 of them are zero, as a dense array otherwise.  Both forms take the
-same `@`, `*` and `.sum(axis=...)`, so the solvers need no storage branch.
+(dense arrays, `CsrTable`s, or any SciPy sparse table, read through its
+`tocoo` without importing SciPy); each is stored as a canonical
+`csr.CsrTable` when fewer than half of its entries are nonzero and at
+least 2**15 of them are zero, as a dense array otherwise.  Both forms
+take `table @ x` and `x @ table`; the few other products branch on the
+form, and a CSR table sums in SciPy's order (see `csr`).
 
 The zeros floor means CSR is chosen only when a dense product would read
 at least 256 KB of zeros.  Measured on a 2-core Xeon with two nonzeros
-per row and 40 tables in the working set, dense `b @ T` against CSR
-`T^T @ b` took:
+per row and 40 tables in the working set (best of three runs), dense
+`b @ T` against the CSR table's `b @ T` took:
 
     rows    64      96      128     181     256
-    dense   2.9 us  4.9 us  8.2 us  15.5 us 26.5 us
-    CSR     7.4 us  5.5 us  8.2 us  7.0 us  10.2 us
+    dense   1.3 us  3.5 us  6.0 us  11.7 us 22.3 us
+    CSR     1.6 us  1.8 us  2.0 us  2.4 us  2.9 us
 
-The floor sits above that crossover because a small CSR table costs more
-elsewhere: without it every table of the 3x3 pursuit models goes CSR
-(their 82x81 observation tables are 4.4% nonzero), and one such model's
-1500-belief solve took 18.1 s instead of 7.3 s.  So the transitions of
-the 4x4 gridworld (257 states, under 1% nonzero) and of the larger
-domains are CSR, while small tables and dense sensor tables keep the
-dense arithmetic.
+CSR now wins from about 96 rows, but the floor and every storage
+decision stay where they were set against SciPy's CSR: moving a table
+between forms changes the rounding of its products, and with it every
+cached policy.  The floor also keeps small CSR tables out of the
+point-based solver's observation reads: without it every table of the
+3x3 pursuit models goes CSR (their 82x81 observation tables are 4.4%
+nonzero), and one such model's 1500-belief solve took 18.1 s instead of
+7.3 s with SciPy's CSR.  So the transitions of the 4x4 gridworld (257
+states, under 1% nonzero) and of the larger domains are CSR, while small
+tables and dense sensor tables keep the dense arithmetic.
 
-Each CSR table also keeps its transpose, built once when the model is
-made, so that belief propagation and column reads run as plain CSR
-products and row slices instead of building a scipy object per call.
-Stored tables are therefore read-only after construction.  A table
-handed in already in its stored form is kept as that very object, so
-one table handed to many models stays one object.
+A CSR table derives its per-entry rows once, and its column order on the
+first column read, on the table object itself, so models that share a
+table share them.  Stored tables are therefore read-only after
+construction.  A table handed in already in its stored form is kept as
+that very object, so one table handed to many models stays one object.
 """
 from __future__ import annotations
 
@@ -41,12 +45,13 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import sparse
+
+from adhocpo.csr import CsrTable
 
 # A belief is a 1-D probability vector over states.
 Belief = np.ndarray
 
-Table = np.ndarray | sparse.csr_array
+Table = np.ndarray | CsrTable
 
 # A table is stored as CSR only when fewer than half of its entries are
 # nonzero and at least this many are zero (256 KB of float64 zeros).
@@ -74,42 +79,34 @@ class ZeroLikelihood(Exception):
 
 
 def _row(table: Table, x: int) -> np.ndarray:
-    """Row x of a table as a new dense array.
-
-    A CSR row is summed into zeros in stored order, as `toarray` does, so
-    its floats equal those of scipy's own row read.
-    """
-    if not sparse.issparse(table):
-        return table[x].copy()
-    lo, hi = table.indptr[x], table.indptr[x + 1]
-    return np.bincount(table.indices[lo:hi], weights=table.data[lo:hi], minlength=table.shape[1])
+    """Row x of a table as a new dense array."""
+    return table.row(x) if isinstance(table, CsrTable) else table[x].copy()
 
 
 def _stored(table) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    Every sparse input becomes a float64 `csr_array` in canonical form
-    (duplicate entries summed, column indices sorted); a `csr_matrix`
-    never survives, since its `*` is a matrix product.  An input already
+    A SciPy sparse table is read through its `tocoo`, so its duplicate
+    entries are summed and its integers made float64.  An input already
     in the form it is stored in, dense or CSR, is not copied.
     """
-    if sparse.issparse(table):
-        if not (isinstance(table, sparse.csr_array) and table.dtype == float and table.has_canonical_format):
-            table = sparse.csr_array(table.tocoo(), dtype=float)
-        nonzeros = table.count_nonzero()
-    else:
+    if hasattr(table, "tocoo"):
+        coo = table.tocoo()
+        table = CsrTable.from_coo(coo.data, coo.row, coo.col, coo.shape)
+    csr = isinstance(table, CsrTable)
+    if not csr:
         table = np.asarray(table, dtype=float)
-        nonzeros = np.count_nonzero(table)
+    nonzeros = np.count_nonzero(table.data if csr else table)
     zeros = math.prod(table.shape) - nonzeros
     if nonzeros < zeros and zeros >= _CSR_MIN_ZEROS:
-        return table if sparse.issparse(table) else sparse.csr_array(table)
-    return table.toarray() if sparse.issparse(table) else table
+        return table if csr else CsrTable.from_dense(table)
+    return table.toarray() if csr else table
 
 
 def entry_count(table: Table) -> int:
     """Number of stored entries of one table: a CSR table's, explicit zeros
     included, or a dense table's nonzeros."""
-    return table.nnz if sparse.issparse(table) else int(np.count_nonzero(table))
+    return table.nnz if isinstance(table, CsrTable) else int(np.count_nonzero(table))
 
 
 def _once_each(convert, tables) -> list:
@@ -124,11 +121,6 @@ def _once_each(convert, tables) -> list:
     return [done[id(table)] for table in tables]
 
 
-def _transpose(table: Table):
-    """A CSR table's transpose as a csr_array; None for a dense table."""
-    return sparse.csr_array(table.T) if sparse.issparse(table) else None
-
-
 @dataclasses.dataclass
 class TabularPomdp:
     """A finite POMDP: states, actions, observations, and explicit tables.
@@ -139,11 +131,11 @@ class TabularPomdp:
     are read off the tables; a table, reward or belief of another shape is
     a ValueError.
 
-    Stored tables are read-only after construction: each CSR table keeps
-    a transpose built in `__post_init__` (one per distinct table object),
-    which a table changed in place would leave stale.  To change a table,
-    make a new model, e.g. with `dataclasses.replace`, which stores and
-    checks the new tables as the constructor does.
+    Stored tables are read-only after construction: a CSR table keeps
+    arrays derived from its entries, which a table changed in place would
+    leave stale.  To change a table, make a new model, e.g. with
+    `dataclasses.replace`, which stores and checks the new tables as the
+    constructor does.
     """
 
     transition: list  # per action, |X| x |X|
@@ -155,9 +147,6 @@ class TabularPomdp:
     num_states: int = dataclasses.field(init=False)
     num_actions: int = dataclasses.field(init=False)
     num_observations: int = dataclasses.field(init=False)
-    # Per action, _transpose of the table: derived, so not part of the value.
-    _transition_t: list = dataclasses.field(init=False, repr=False, compare=False)
-    _observation_t: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.transition = _once_each(_stored, self.transition)
@@ -185,8 +174,6 @@ class TabularPomdp:
             raise ValueError(f"reward table has shape {self.reward.shape}, expected {(n, self.num_actions)}")
         if self.initial_belief.shape != (n,):
             raise ValueError(f"initial belief has shape {self.initial_belief.shape}, expected {(n,)}")
-        self._transition_t = _once_each(_transpose, self.transition)
-        self._observation_t = _once_each(_transpose, self.observation)
 
     # -- Row access helpers (work for dense and CSR storage alike) --
 
@@ -197,20 +184,12 @@ class TabularPomdp:
         return _row(self.observation[a], x)
 
     def observation_column(self, a: int, z: int) -> np.ndarray:
-        if self._observation_t[a] is None:
-            return self.observation[a][:, z].copy()
-        return _row(self._observation_t[a], z)
+        table = self.observation[a]
+        return table.column(z) if isinstance(table, CsrTable) else table[:, z].copy()
 
     def propagate(self, belief: Belief, a: int) -> np.ndarray:
-        """Predictive state distribution after action a: belief @ T[a].
-
-        On a CSR table this is T[a]^T @ belief, which adds the same
-        products in the same ascending-state order as scipy's
-        `belief @ T[a]`, so the result is bit-identical.
-        """
-        if self._transition_t[a] is None:
-            return np.asarray(belief @ self.transition[a])
-        return self._transition_t[a] @ belief
+        """Predictive state distribution after action a: belief @ T[a]."""
+        return belief @ self.transition[a]
 
 
 def belief_update(
@@ -231,9 +210,9 @@ def belief_update(
     return unnormalised / likelihood, likelihood
 
 
-def _row_sums(table) -> np.ndarray:
+def row_sums(table: Table) -> np.ndarray:
     """Per-row sums as a 1-D array, whatever the table's storage."""
-    return np.asarray(table.sum(axis=1)).ravel()
+    return table.row_sums() if isinstance(table, CsrTable) else table.sum(axis=1)
 
 
 def validate(model: TabularPomdp) -> list[str]:
@@ -247,10 +226,13 @@ def validate(model: TabularPomdp) -> list[str]:
     problems: list[str] = []
 
     def stochastic(name: str, table) -> None:
-        negative = np.flatnonzero(_row_sums(table < -_ATOL))
+        if isinstance(table, CsrTable):
+            negative = table.rows[table.data < -_ATOL]
+        else:
+            negative = np.flatnonzero((table < -_ATOL).any(axis=1))
         if negative.size:
             problems.append(f"{name} row {int(negative[0])}: negative entry")
-        sums = _row_sums(table)
+        sums = row_sums(table)
         for x in np.flatnonzero(np.abs(sums - 1.0) > _ATOL)[:5]:
             problems.append(f"{name} row {int(x)}: sums to {sums[x]:.12g}")
 

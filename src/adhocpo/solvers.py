@@ -53,8 +53,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.forkpool import forked_map
 # model_digest is not called here, but the benchmark's tracer wraps it
 # under this module's name.
@@ -65,6 +65,7 @@ from adhocpo.pomdp import (
     TabularPomdp,
     ZeroLikelihood,
     belief_update,
+    row_sums,
     sample_initial_state,
     simulate_step,
 )
@@ -114,7 +115,7 @@ def bellman_q(mdp: TabularMmdp, values: np.ndarray) -> np.ndarray:
     """One-step lookahead q(x, a) under the given state values."""
     q = np.empty((mdp.num_states, mdp.num_actions))
     for a in range(mdp.num_actions):
-        q[:, a] = mdp.reward[:, a] + mdp.discount * np.asarray(mdp.transition[a] @ values)
+        q[:, a] = mdp.reward[:, a] + mdp.discount * (mdp.transition[a] @ values)
     return q
 
 
@@ -274,10 +275,12 @@ def _successor_scores(
     propagation would give, so the scores are the same floats.
     """
     o = model.observation[a]
+    if isinstance(o, CsrTable):
+        return o.scores(vectors, support, weights)
     if len(support) < model.num_states:
         o = o[support]
         vectors = vectors[:, support]
-    return np.asarray(vectors @ (weights[:, None] * o))
+    return vectors @ (weights[:, None] * o)
 
 
 class _Bounds(NamedTuple):
@@ -424,8 +427,9 @@ def point_backup(
         successors = _successors(model, belief[None])
     _, a, scores = _lookahead(model, vectors, successors, bounds)
     picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
-    back = np.asarray((model.observation[a] * picked.T).sum(axis=1)).ravel()
-    alpha = model.reward[:, a] + model.discount * np.asarray(model.transition[a] @ back)
+    o = model.observation[a]
+    back = o.weighted_row_sums(picked.T) if isinstance(o, CsrTable) else (o * picked.T).sum(axis=1)
+    alpha = model.reward[:, a] + model.discount * (model.transition[a] @ back)
     return alpha, a
 
 
@@ -443,11 +447,11 @@ def _bound_inputs(model: TabularPomdp, beliefs: np.ndarray, successors: _Success
     tables = model.transition + model.observation
     if beliefs.min() < 0 or any(table.min() < 0 for table in tables):
         return None
-    sums = np.array([np.asarray(o.sum(axis=1)).ravel() for o in model.observation])
+    sums = np.array([row_sums(o) for o in model.observation])
     actions = np.repeat(np.tile(np.arange(model.num_actions), len(beliefs)), np.diff(successors.offsets))
     data = successors.weights * sums[actions, successors.indices]
     shape = (len(beliefs) * model.num_actions, model.num_states)
-    rows = sparse.csr_array((data, successors.indices, successors.offsets), shape=shape)
+    rows = CsrTable(data, successors.indices, successors.offsets, shape)
     return rows, successors.rewards
 
 

@@ -6,15 +6,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from adhocpo import pomdp
+from adhocpo.csr import CsrTable
 from adhocpo.pomdp import TabularPomdp
 
 
 def dense(table):
     """A stored table as a new dense array, never the stored object itself."""
-    return table.toarray() if sparse.issparse(table) else np.array(table)
+    return table.toarray() if isinstance(table, CsrTable) else np.array(table)
+
+
+def bits_equal(a, b) -> bool:
+    """Whether two float arrays hold the same float64 bit patterns."""
+    bits = [np.ascontiguousarray(x, dtype=np.float64).view(np.uint64) for x in (a, b)]
+    return np.array_equal(*bits)
+
+
+def is_csr(table) -> bool:
+    """Whether a table is stored in the package's CSR form."""
+    return isinstance(table, CsrTable)
+
+
+def is_canonical(table: CsrTable) -> bool:
+    """Whether a CSR table's column indices ascend strictly within each row."""
+    return bool((np.diff(table.indices)[np.diff(table.rows) == 0] > 0).all())
 
 
 def stored_as_given():

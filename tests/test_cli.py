@@ -278,6 +278,7 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["scale", "--sizes", "1", "--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
         (["scale", "--sizes", "1", "--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
         (["scale", "--sizes", "2,x"], "error: --sizes: 'x' is not an integer\n"),
+        (["scale", "--sizes", "0,2"], "error: library sizes must be positive, got 0\n"),
         (["run", "--agent", "random,atpo,random"], "error: agent 'random' is named more than once\n"),
     ]
     for (command, *flags), message in cases:
@@ -381,7 +382,7 @@ def test_cli_scale_writes_table(tmp_path, capsys, desk_spec):
     pursuit_spec = tmp_path / "pursuit.domain"
     pursuit_spec.write_text("domain pursuit-task\nsize 3\n")
     assert main(["scale", str(pursuit_spec), "--sizes", "1,2"]) == 2
-    assert "has no task-library size to sweep" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: domain {str(pursuit_spec)!r} has no task-library size to sweep\n"
 
 
 def test_readme_settings_table_and_cache_location_match_the_cli():
@@ -413,3 +414,34 @@ def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
     assert loaded == "[]", (
         f"importing adhocpo.cli loads {loaded}; import them inside the function that needs them"
     )
+
+
+def test_csr_models_solve_and_play_without_loading_scipy_sparse():
+    # The package's own CSR tables replace scipy.sparse, whose import adds
+    # about 16 MB to every process: building CSR models, solving one and
+    # playing an ATPO trial with its loss rows must not load it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adhocpo.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    script = """
+import sys
+import adhocpo.cli
+from adhocpo import harness, solvers
+from adhocpo.agents import make_agent
+from adhocpo.csr import CsrTable
+from adhocpo.domains import build
+
+grid = build("gridworld", size=4, tasks=2, belief_set_size=20)
+pursuit = build("pursuit-both", belief_set_size=10)
+assert isinstance(grid.models[0].transition[0], CsrTable)
+assert isinstance(pursuit.models[0].observation[0], CsrTable)
+solvers.perseus_solve(pursuit.models[0], pursuit.solver)
+library = harness.prepare_library(grid)
+trial = harness.run_trial(library, make_agent("atpo", library), horizon=5, seed=0)
+assert trial.loss_rows.shape == (5, 2)
+print(sorted(m for m in sys.modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")))
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", f"scipy.sparse was loaded: {run.stdout.strip()}"

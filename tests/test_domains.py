@@ -5,6 +5,7 @@ acceptance suite; here the builders are exercised on small instances
 with hand-checked dynamics.
 """
 import collections
+import copy
 import dataclasses
 import itertools
 
@@ -25,7 +26,7 @@ from adhocpo.modelio import model_digests
 from adhocpo.pomdp import TabularPomdp, validate
 from adhocpo.solvers import SolverSettings
 
-from conftest import dense
+from conftest import dense, is_canonical, is_csr
 
 
 def test_registry_lists_eleven_domains():
@@ -268,7 +269,7 @@ def test_pursuit_observation_table_is_one_object_per_model():
     # Full scale (626 states) stores the sensor table as CSR; the one table
     # every action shares is converted once, not once per action.
     for m in build("pursuit-task").models:
-        assert sparse.issparse(m.observation[0])
+        assert is_csr(m.observation[0])
         assert all(o is m.observation[0] for o in m.observation)
 
 
@@ -279,11 +280,11 @@ def test_map_sensor_table_is_one_object_per_library():
         for overrides in ({}, {"epsilon": 0.0}):
             models = build(name, **overrides).models
             assert len({id(o) for m in models for o in m.observation}) == 1
-            assert sparse.issparse(models[0].observation[0]) == ("epsilon" in overrides)
+            assert is_csr(models[0].observation[0]) == ("epsilon" in overrides)
     # Sharing leaves each model's digest as that of its own copy of the
     # table (here cit's, at epsilon 0).
     unshared = [
-        dataclasses.replace(m, observation=[m.observation[0].copy()] * m.num_actions) for m in models
+        dataclasses.replace(m, observation=[copy.copy(m.observation[0])] * m.num_actions) for m in models
     ]
     assert len({id(o) for m in unshared for o in m.observation}) == len(models)
     assert model_digests(unshared) == model_digests(models)
@@ -345,7 +346,7 @@ def test_overcooked_counts_and_validity():
     assert b.size == 4
     for m in b.models:
         assert (m.num_states, m.num_actions, m.num_observations) == (1730, 4, 1730)
-        assert all(map(sparse.issparse, m.transition + m.observation))
+        assert all(map(is_csr, m.transition + m.observation))
         assert validate(m) == []
 
 
@@ -514,9 +515,10 @@ def _reference_gridworld_tables(size, goals, epsilon):
                     rows.append(x), cols.append(moved * cells + pt2), vals.append(1.0 - epsilon)
                     rows.append(x), cols.append(pa * cells + pt2), vals.append(epsilon)
         rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
-        per_action.append(sparse.coo_array(
+        # SciPy's own CSR is the reference for the sort and the duplicate sums.
+        per_action.append(sparse.csr_array(sparse.coo_array(
             (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
-        ))
+        )))
     return per_action, reward
 
 
@@ -675,9 +677,10 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
                         nxt = state_id(_torus_sub(te_next, am, size), _torus_sub(prey_next, am, size))
                         rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
         rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
-        per_action.append(sparse.coo_array(
+        # SciPy's own CSR is the reference for the sort and the duplicate sums.
+        per_action.append(sparse.csr_array(sparse.coo_array(
             (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
-        ))
+        )))
     return per_action, reward
 
 
@@ -691,8 +694,8 @@ def _assert_same_stored_tables(model, reference_tables, reference_reward):
     assert np.array_equal(model.reward, reference.reward)
     for got, want in zip(model.transition, reference.transition, strict=True):
         assert type(got) is type(want)
-        if sparse.issparse(want):
-            assert got.has_canonical_format
+        if is_csr(want):
+            assert is_canonical(got)
             for field in ("indptr", "indices", "data"):
                 ours, theirs = getattr(got, field), getattr(want, field)
                 assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field

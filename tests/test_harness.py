@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from adhocpo import agents, atpo, forkpool, harness, modelio, pomdp, solvers
 from adhocpo.agents import make_agent
@@ -31,7 +30,7 @@ from adhocpo.harness import (
 from adhocpo.pomdp import TabularPomdp
 from adhocpo.solvers import PolicyCache
 
-from conftest import child_process_left, dense, random_pomdp, stored_as_given
+from conftest import child_process_left, dense, is_csr, random_pomdp, stored_as_given
 
 
 def test_trial_is_reproducible(small_library):
@@ -114,7 +113,7 @@ def test_seeded_trial_on_csr_tables_is_pinned():
     # runs the CSR kernels: propagate, row and column reads.  Recorded
     # before those kernels kept transposes; any rounding drift shows here.
     domain = build("gridworld", size=5, tasks=2)
-    assert all(map(sparse.issparse, domain.models[0].transition))
+    assert all(map(is_csr, domain.models[0].transition))
     settings = dataclasses.replace(domain.solver, belief_set_size=50, stage_cap=5)
     lib = atpo.ModelLibrary(domain.models, [solvers.perseus_solve(m, settings) for m in domain.models])
     t = run_trial(lib, make_agent("atpo", lib), horizon=30, seed=0)
@@ -279,8 +278,8 @@ def test_csr_and_dense_desk_grids_solve_and_play_alike():
     csr_models = domain.models
     with stored_as_given():
         dense_models = [dataclasses.replace(m, transition=[dense(t) for t in m.transition]) for m in csr_models]
-    assert all(sparse.issparse(t) for m in csr_models for t in m.transition)
-    assert not any(sparse.issparse(t) for m in dense_models for t in m.transition)
+    assert all(is_csr(t) for m in csr_models for t in m.transition)
+    assert not any(is_csr(t) for m in dense_models for t in m.transition)
     csr_lib, dense_lib = (
         atpo.ModelLibrary(models, [solvers.perseus_solve(m, settings) for m in models])
         for models in (csr_models, dense_models)

@@ -1,5 +1,6 @@
 """Round-trip fidelity and error reporting for the text model format, and
 the model digests that key the policy cache."""
+import copy
 import dataclasses
 import hashlib
 import json
@@ -12,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import adhocpo
 from adhocpo import modelio
+from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.modelio import (
     FORMAT_TAG,
@@ -29,7 +30,7 @@ from adhocpo.modelio import (
 )
 from adhocpo.pomdp import TabularPomdp
 
-from conftest import dense, random_pomdp, stored_as_given
+from conftest import dense, is_csr, random_pomdp, stored_as_given
 
 
 def test_round_trip_is_byte_identical(rng):
@@ -68,15 +69,15 @@ def test_sparse_threshold_respected(rng):
     loaded = loads_model(text)
     # Loaded tables follow the storage rule: a 6-state model has fewer
     # than 2**15 zeros in any table, so every table is dense.
-    assert not any(map(sparse.issparse, loaded.transition + loaded.observation))
+    assert not any(map(is_csr, loaded.transition + loaded.observation))
     # Storage form does not leak into the serialization.
     with stored_as_given():
         csr_twin = dataclasses.replace(
             loaded,
-            transition=[sparse.csr_array(t) for t in loaded.transition],
-            observation=[sparse.csr_array(o) for o in loaded.observation],
+            transition=[CsrTable.from_dense(t) for t in loaded.transition],
+            observation=[CsrTable.from_dense(o) for o in loaded.observation],
         )
-    assert all(map(sparse.issparse, csr_twin.transition + csr_twin.observation))
+    assert all(map(is_csr, csr_twin.transition + csr_twin.observation))
     assert dumps_model(csr_twin) == text
 
 
@@ -167,7 +168,7 @@ def _holds(model, transition, observation) -> bool:
 def _hand_built_csr():
     """CSR tables with unsorted column indices and explicit 0.0 and -0.0."""
     def csr(data, cols, indptr, shape):
-        return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
+        return CsrTable(np.array(data), np.array(cols), np.array(indptr), shape)
 
     transition = [
         csr([0.5, 0.0, 0.5, -0.0, 1.0], [2, 0, 1, 1, 0], [0, 3, 4, 5], (3, 3)),
@@ -401,12 +402,12 @@ def test_digest_formats_each_distinct_table_once(monkeypatch):
 
 def test_shared_tables_serialize_like_equal_copies(rng):
     base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4, zeros=0.3)
-    csr_t = sparse.csr_array(base.transition[0])
+    csr_t = CsrTable.from_dense(base.transition[0])
     for t, o in ((base.transition[0], base.observation[2]), (csr_t, base.observation[2])):
         with stored_as_given():
             shared = dataclasses.replace(base, transition=[t] * 3, observation=[o] * 3)
             copies = dataclasses.replace(
-                base, transition=[t.copy() for _ in range(3)], observation=[o.copy() for _ in range(3)]
+                base, transition=[copy.copy(t) for _ in range(3)], observation=[copy.copy(o) for _ in range(3)]
             )
         assert all(type(m.transition[a]) is type(t) for m in (shared, copies) for a in range(3))
         text = dumps_model(shared)
@@ -415,7 +416,7 @@ def test_shared_tables_serialize_like_equal_copies(rng):
 
 
 def _csr(data, cols, indptr, shape):
-    return sparse.csr_array((np.array(data), np.array(cols), np.array(indptr)), shape=shape)
+    return CsrTable(np.array(data), np.array(cols), np.array(indptr), shape)
 
 
 def _empty_and_signed_tables():
@@ -450,7 +451,7 @@ def test_batch_digests_equal_one_model_digests(rng):
             dataclasses.replace(base, observation=[signed, signed], label="signed"),
             dataclasses.replace(base, observation=[empty, signed], label="both"),
         ]
-    assert all(map(sparse.issparse, [t for m in odd for t in m.transition + m.observation]))
+    assert all(map(is_csr, [t for m in odd for t in m.transition + m.observation]))
     # Action counts differ, and one observation table serves both models.
     three = random_pomdp(rng, num_states=4, num_actions=3, num_observations=3)
     two = dataclasses.replace(
@@ -480,7 +481,7 @@ def test_equal_digests_exactly_when_equal_texts(rng):
     empty, signed = _empty_and_signed_tables()
     grid = build("gridworld", size=3, tasks=1).models[0]
     base = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4, zeros=0.3)
-    csr_t = sparse.csr_array(base.transition[0])
+    csr_t = CsrTable.from_dense(base.transition[0])
 
     def reward_with(value, at=(2, 0)):
         reward = hand.reward.copy()
@@ -499,13 +500,13 @@ def test_equal_digests_exactly_when_equal_texts(rng):
             *(
                 dataclasses.replace(base, transition=ts, observation=[base.observation[2]] * 3)
                 for t in (base.transition[0], csr_t)
-                for ts in ([t] * 3, [t.copy() for _ in range(3)])
+                for ts in ([t] * 3, [copy.copy(t) for _ in range(3)])
             ),
             # A CSR twin of a dense model.
             dataclasses.replace(
                 grid,
-                transition=[sparse.csr_array(t) for t in grid.transition],
-                observation=[sparse.csr_array(grid.observation[0])] * grid.num_actions,
+                transition=[CsrTable.from_dense(t) for t in grid.transition],
+                observation=[CsrTable.from_dense(grid.observation[0])] * grid.num_actions,
             ),
             # One ulp of one reward, one ulp of the discount, the label.
             dataclasses.replace(hand, reward=reward_with(np.nextafter(1e-300, 1.0))),
@@ -550,7 +551,7 @@ def _table_entries(table):
     CSR: every stored entry, row by row, stably sorted by column.  Dense:
     the nonzeros in row-major order.
     """
-    if sparse.issparse(table):
+    if is_csr(table):
         for x in range(table.shape[0]):
             span = range(table.indptr[x], table.indptr[x + 1])
             for j in sorted(span, key=lambda j: table.indices[j]):

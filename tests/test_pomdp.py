@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularPomdp,
@@ -20,7 +21,9 @@ from adhocpo.pomdp import (
 
 from adhocpo.solvers import point_backup
 
-from conftest import dense, exhaustive_filter, random_pomdp, random_stochastic, stored_as_given
+from conftest import (
+    bits_equal, dense, exhaustive_filter, is_canonical, is_csr, random_pomdp, random_stochastic, stored_as_given,
+)
 
 
 def _random_history(model, rng, length):
@@ -93,11 +96,11 @@ def test_dense_and_sparse_storage_agree(rng):
         with stored_as_given():
             sparse_model = dataclasses.replace(
                 dense_model,
-                transition=[sparse.csr_array(t) for t in dense_model.transition],
-                observation=[sparse.csr_array(o) for o in dense_model.observation],
+                transition=[CsrTable.from_dense(t) for t in dense_model.transition],
+                observation=[CsrTable.from_dense(o) for o in dense_model.observation],
             )
-        assert all(map(sparse.issparse, sparse_model.transition + sparse_model.observation))
-        assert not any(map(sparse.issparse, dense_model.transition + dense_model.observation))
+        assert all(map(is_csr, sparse_model.transition + sparse_model.observation))
+        assert not any(map(is_csr, dense_model.transition + dense_model.observation))
         history = _random_history(dense_model, rng, 4)
         bd, bs = dense_model.initial_belief, sparse_model.initial_belief
         for a, z in history:
@@ -111,9 +114,8 @@ def test_dense_and_sparse_storage_agree(rng):
 
 
 def test_constructor_stores_only_dense_arrays_and_csr_arrays(rng):
-    # Whatever form a table is handed in, it is stored as an ndarray or a
-    # float64 csr_array in canonical form; a csr_matrix would make `*` a
-    # matrix product.
+    # Whatever form a table is handed in, SciPy's included, it is stored as
+    # an ndarray or a float64 CsrTable in canonical form.
     n = 600
     big = random_stochastic(rng, n, n, zeros=0.995)
     small = random_stochastic(rng, n, 4)
@@ -142,10 +144,10 @@ def test_constructor_stores_only_dense_arrays_and_csr_arrays(rng):
         0.9,
         np.full(n, 1.0 / n),
     )
-    assert [type(t) for t in model.transition] == [sparse.csr_array] * 7
+    assert [type(t) for t in model.transition] == [CsrTable] * 7
     assert [type(o) for o in model.observation] == [np.ndarray] * 7
     for table in model.transition:
-        assert table.dtype == np.float64 and table.has_canonical_format
+        assert table.data.dtype == np.float64 and is_canonical(table)
     for a in range(7):
         assert np.array_equal(dense(model.transition[a]), whole if a == 6 else big)
         assert np.array_equal(dense(model.observation[a]), small)
@@ -159,7 +161,7 @@ def test_each_table_picks_its_own_storage(rng):
     transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
     obs = random_stochastic(rng, n, 4)
     model = TabularPomdp(transition, [obs, obs], np.zeros((n, 2)), 0.9, np.full(n, 1.0 / n))
-    assert all(map(sparse.issparse, model.transition))
+    assert all(map(is_csr, model.transition))
     assert model.observation[0] is obs and model.observation[1] is obs
     for a in range(2):
         assert np.array_equal(dense(model.transition[a]), transition[a])
@@ -181,9 +183,9 @@ def test_each_table_picks_its_own_storage(rng):
     for obs, stored_sparse in ((one_per_row, True), (one_more, False)):
         model = TabularPomdp([np.eye(rows)], [obs], np.zeros((rows, 1)), 0.9, np.full(rows, 1.0 / rows))
         assert rows * cols - np.count_nonzero(obs) == 2**15 - (not stored_sparse)
-        assert sparse.issparse(model.observation[0]) == stored_sparse
+        assert is_csr(model.observation[0]) == stored_sparse
         # 128 x 128 has fewer than 2**15 entries: dense, however sparse.
-        assert not sparse.issparse(model.transition[0])
+        assert not is_csr(model.transition[0])
 
     # Exactly half nonzero is not "fewer than half": dense, whatever the
     # number of zeros.
@@ -196,64 +198,73 @@ def test_each_table_picks_its_own_storage(rng):
     # states, under 1% nonzero) are CSR; the observations and the 3x3
     # grid and pursuit tables are dense.
     grid4 = build("gridworld", size=4, tasks=2).models
-    assert all(sparse.issparse(t) for m in grid4 for t in m.transition)
-    assert not any(sparse.issparse(o) for m in grid4 for o in m.observation)
+    assert all(is_csr(t) for m in grid4 for t in m.transition)
+    assert not any(is_csr(o) for m in grid4 for o in m.observation)
     for name in ("gridworld", "pursuit-task"):
         for m in build(name, size=3).models:
-            assert not any(map(sparse.issparse, m.transition + m.observation)), name
+            assert not any(map(is_csr, m.transition + m.observation)), name
 
 
 def test_desk_grid_library_tables_fit_in_two_megabytes():
     # The K=8 4x4 library took about 21 MB while its 257 x 257 transitions
     # (1.74 entries per row) were stored dense.  Every distinct stored
-    # table and transpose counts once.
+    # table counts once, with the arrays a CSR table derives.
     tables = {}
     for m in build("gridworld", size=4, tasks=8).models:
-        for t in m.transition + m.observation + m._transition_t + m._observation_t:
-            if t is not None:
-                tables[id(t)] = t
-    stored = sum(
-        t.data.nbytes + t.indices.nbytes + t.indptr.nbytes if sparse.issparse(t) else t.nbytes
-        for t in tables.values()
-    )
+        for a in range(m.num_actions):
+            m.observation_column(a, 0)
+        for t in m.transition + m.observation:
+            tables[id(t)] = t
+    stored = sum(_csr_bytes(t) if is_csr(t) else t.nbytes for t in tables.values())
     assert stored < 2 * 2**20
 
 
+def _csr_bytes(table) -> int:
+    """Bytes of a CSR table's arrays, its derived ones included."""
+    arrays = [table.data, table.indices, table.indptr, table.rows, *vars(table).get("_by_column", ())]
+    return sum(array.nbytes for array in arrays)
+
+
 def test_csr_kernels_match_scipy_bit_for_bit(rng):
-    # On CSR tables propagate and the row and column reads go through each
-    # table's stored transpose; their floats must equal scipy's own
-    # products and slices exactly.
+    # propagate and the row and column reads of CSR tables must give the
+    # floats of SciPy's own products and slices of the same arrays.
     n, nz = 600, 5
     shared, other = (random_stochastic(rng, n, n, zeros=0.99) for _ in range(2))
     obs = random_stochastic(rng, n, nz, zeros=0.8)
     base = TabularPomdp([shared, shared, other], [obs] * 3, np.zeros((n, 3)), 0.9, np.full(n, 1.0 / n))
     # The twin is CSR whatever the storage rule picks for these tables.
-    shared, other, obs = (sparse.csr_array(t) for t in (shared, other, obs))
+    shared, other, obs = (CsrTable.from_dense(t) for t in (shared, other, obs))
     with stored_as_given():
         model = dataclasses.replace(base, transition=[shared, shared, other], observation=[obs] * 3)
-    assert all(map(sparse.issparse, model.transition + model.observation))
-    # One transpose per distinct table object.
-    assert model._transition_t[0] is model._transition_t[1]
-    assert model._transition_t[2] is not model._transition_t[0]
-    assert all(t is model._observation_t[0] for t in model._observation_t)
+    assert all(map(is_csr, model.transition + model.observation))
 
     beliefs = rng.random((20, n)) * (rng.random((20, n)) < 0.3)
     beliefs /= beliefs.sum(axis=1, keepdims=True)
     for a in range(3):
-        T, O = model.transition[a], model.observation[a]
+        T, O = (
+            sparse.csr_array((t.data, t.indices, t.indptr), shape=t.shape)
+            for t in (model.transition[a], model.observation[a])
+        )
         for b in beliefs:
-            assert np.array_equal(model.propagate(b, a), b @ T)
+            assert bits_equal(model.propagate(b, a), b @ T)
         for x in range(0, n, 7):
-            assert np.array_equal(model.transition_row(x, a), T[[x], :].toarray()[0])
-            assert np.array_equal(model.observation_row(x, a), O[[x], :].toarray()[0])
+            assert bits_equal(model.transition_row(x, a), T[[x], :].toarray()[0])
+            assert bits_equal(model.observation_row(x, a), O[[x], :].toarray()[0])
         for z in range(nz):
-            assert np.array_equal(model.observation_column(a, z), O[:, [z]].toarray()[:, 0])
+            assert bits_equal(model.observation_column(a, z), O[:, [z]].toarray()[:, 0])
+    # The column order is derived once, on the table object every action
+    # and every model sharing the table reads.
+    by_column = obs._by_column
+    assert all(o._by_column is by_column for o in model.observation)
 
-    # Replacing the tables rebuilds the transposes, so none goes stale.
-    swapped = dataclasses.replace(model, transition=model.transition[::-1])
+    # A model made from another's tables reads those very objects, derived
+    # arrays included.
+    with stored_as_given():
+        swapped = dataclasses.replace(model, transition=model.transition[::-1])
+    assert swapped.observation[0]._by_column is by_column
     for a in range(3):
         for b in beliefs:
-            assert np.array_equal(swapped.propagate(b, a), b @ model.transition[2 - a])
+            assert bits_equal(swapped.propagate(b, a), model.propagate(b, 2 - a))
 
 
 def test_simulate_step_frequencies():
@@ -357,10 +368,10 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
     with stored_as_given():
         csr_twin = dataclasses.replace(
             broken,
-            transition=[sparse.csr_array(t) for t in broken.transition],
-            observation=[sparse.csr_array(o) for o in broken.observation],
+            transition=[CsrTable.from_dense(t) for t in broken.transition],
+            observation=[CsrTable.from_dense(o) for o in broken.observation],
         )
-    assert all(map(sparse.issparse, csr_twin.transition + csr_twin.observation))
+    assert all(map(is_csr, csr_twin.transition + csr_twin.observation))
     assert validate(csr_twin) == problems
 
     lopsided = random_pomdp(rng, num_states=3)
@@ -394,8 +405,8 @@ def test_replace_stores_any_table_form_by_the_rule(rng):
     )
     for model in (small, large):
         twins = [
-            dataclasses.replace(model, transition=[sparse.coo_array(t) for t in model.transition]),
-            dataclasses.replace(model, observation=[sparse.csr_matrix(o) for o in model.observation]),
+            dataclasses.replace(model, transition=[sparse.coo_array(dense(t)) for t in model.transition]),
+            dataclasses.replace(model, observation=[sparse.csr_matrix(dense(o)) for o in model.observation]),
         ]
         for twin in twins:
             for stored, original in zip(twin.transition + twin.observation, model.transition + model.observation):

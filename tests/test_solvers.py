@@ -14,11 +14,13 @@ import pytest
 from scipy import sparse
 
 from adhocpo import forkpool, modelio, solvers
+from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularMmdp,
     TabularPomdp,
     belief_update,
+    row_sums,
     induced_mdp,
     sample_initial_state,
     simulate_step,
@@ -44,7 +46,7 @@ from adhocpo.solvers import (
     value_iteration,
 )
 
-from conftest import dense, random_pomdp, random_stochastic, stored_as_given
+from conftest import dense, is_csr, random_pomdp, random_stochastic, stored_as_given
 
 
 def random_mmdp(rng, num_states=5, num_actions=3, discount=0.9):
@@ -128,10 +130,10 @@ def test_dense_and_csr_twins_pick_the_same_vi_actions():
     # without FMA; a dense twin's BLAS product differs in the last bit, and
     # its many exactly tied moves must still resolve to the same actions.
     for model in build("gridworld", size=4, tasks=8).models:
-        assert sparse.issparse(model.transition[0])
+        assert is_csr(model.transition[0])
         with stored_as_given():
             twin = dataclasses.replace(model, transition=[dense(t) for t in model.transition])
-        assert not any(map(sparse.issparse, twin.transition))
+        assert not any(map(is_csr, twin.transition))
         csr_vi, dense_vi = (value_iteration(induced_mdp(m)) for m in (model, twin))
         assert np.abs(csr_vi.values - dense_vi.values).max() <= 1e-12
         assert np.array_equal(csr_vi.greedy, dense_vi.greedy), model.label
@@ -289,10 +291,10 @@ def test_perseus_sparse_dense_storage_agree(rng):
     with stored_as_given():
         sparse_model = dataclasses.replace(
             dense_model,
-            transition=[sparse.csr_array(t) for t in dense_model.transition],
-            observation=[sparse.csr_array(o) for o in dense_model.observation],
+            transition=[CsrTable.from_dense(t) for t in dense_model.transition],
+            observation=[CsrTable.from_dense(o) for o in dense_model.observation],
         )
-    assert all(map(sparse.issparse, sparse_model.transition + sparse_model.observation))
+    assert all(map(is_csr, sparse_model.transition + sparse_model.observation))
     s = SolverSettings(belief_set_size=50, horizon=10, tolerance=0.005, seed=2)
     pd = perseus_solve(dense_model, s)
     ps = perseus_solve(sparse_model, s)
@@ -322,7 +324,7 @@ def test_csr_matrix_tables_solve_like_csr_arrays(rng):
         )
 
     from_matrix, from_array = model(sparse.csr_matrix), model(sparse.csr_array)
-    assert all(type(t) is sparse.csr_array for t in from_matrix.transition + from_matrix.observation)
+    assert all(type(t) is CsrTable for t in from_matrix.transition + from_matrix.observation)
     s = SolverSettings(belief_set_size=30, horizon=5, tolerance=0.1, seed=4)
     pm, pa = perseus_solve(from_matrix, s), perseus_solve(from_array, s)
     assert np.array_equal(pm.vectors, pa.vectors)
@@ -370,13 +372,13 @@ def _csr_transition_model(rng, n=600):
     # CSR whatever the storage rule picks for these tables.
     with stored_as_given():
         model = TabularPomdp(
-            [sparse.csr_array(t) for t in transition],
-            [sparse.csr_array(o) for o in observation],
+            [CsrTable.from_dense(t) for t in transition],
+            [CsrTable.from_dense(o) for o in observation],
             reward,
             0.9,
             np.full(n, 1.0 / n),
         )
-    assert all(type(t) is sparse.csr_array for t in model.transition + model.observation)
+    assert all(type(t) is CsrTable for t in model.transition + model.observation)
     return model
 
 
@@ -405,8 +407,8 @@ def test_successor_store_rows_are_fresh_propagations(rng):
                 assert store.rewards[i, a] == b @ model.reward[:, a]
                 own = slice(one.offsets[a], one.offsets[a + 1])
                 assert np.array_equal(one.indices[own], idx) and one.rewards[0, a] == store.rewards[i, a]
-                sums = np.asarray(model.observation[a].sum(axis=1)).ravel()
-                assert np.array_equal(rows[[i * n + a]].toarray()[0], np.where(u != 0, u * sums, 0.0))
+                sums = row_sums(model.observation[a])
+                assert np.array_equal(rows.row(i * n + a), np.where(u != 0, u * sums, 0.0))
         widths = np.diff(store.offsets)
         if model is full:
             # Every row is the full support.
@@ -603,7 +605,7 @@ def _scanned_beliefs(model, size, horizon, rng, dedup_atol=1e-9, stagnation_limi
 def test_indexed_belief_dedup_equals_the_plain_scan():
     desk = build("gridworld", size=4, tasks=8, belief_set_size=1500)
     csr = build("pursuit-task", belief_set_size=1000)
-    assert type(csr.models[0].transition[0]) is sparse.csr_array
+    assert type(csr.models[0].transition[0]) is CsrTable
     for domain in (desk, csr):
         model, s = domain.models[0], domain.solver
         indexed_rng, scanned_rng = np.random.default_rng(s.seed), np.random.default_rng(s.seed)
