@@ -26,6 +26,7 @@ from adhocpo.agents import AGENT_NAMES, CapabilityError, check_likelihood_floor,
 from adhocpo.domains import DOMAIN_NAMES, DomainBuild
 from adhocpo.harness import (
     check_agent_names,
+    check_seed,
     check_trials,
     emit_reports,
     prepare_library,
@@ -126,6 +127,7 @@ def cmd_run(args) -> int:
     # Refuse bad values before the library is solved, not after.
     check_agent_names(requested)
     check_trials(args.trials)
+    check_seed(args.seed)
     if "atpo" in requested:
         check_likelihood_floor(args.likelihood_floor)
 
@@ -175,6 +177,7 @@ def cmd_scale(args) -> int:
     if not domains.takes(name, "tasks"):
         raise ValueError(f"domain {args.domain!r} has no task-library size to sweep")
     check_trials(args.trials)
+    check_seed(args.seed)
     build = domains.build(name, **{**overrides, "tasks": max(sizes)})
 
     cache = _cache(args)
@@ -293,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapabilityError) as err:
+    except (ValueError, CapabilityError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

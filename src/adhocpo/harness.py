@@ -232,6 +232,12 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial per agent, got {trials}")
 
 
+def check_seed(base_seed: int) -> None:
+    """Raise ValueError on a negative base seed: numpy seeds no generator with one."""
+    if base_seed < 0:
+        raise ValueError(f"trial seed must be non-negative, got {base_seed}")
+
+
 def check_agent_names(names: tuple) -> None:
     """Raise ValueError if an agent is named twice: reports keep one entry per name."""
     for i, name in enumerate(names):
@@ -253,15 +259,16 @@ def run_experiment(
     """Same seed block for every agent, trials in forked workers.
 
     Every agent is made here first, so a CapabilityError, like a repeated
-    name, comes before any trial runs.  The trials, one job per (agent,
-    seed), go through `forkpool.forked_map`: the workers get the library
-    and the agents through the fork and call run_trial, and every worker
-    is joined before this returns, also after a failing trial or an
-    interrupt.  A trial depends only on its seed, so the results are the
-    ones a run in this process gives.  `progress` gets one line per agent,
-    in agent order.
+    name or a negative seed, comes before any trial runs.  The trials, one
+    job per (agent, seed), go through `forkpool.forked_map`: the workers
+    get the library and the agents through the fork and call run_trial,
+    and every worker is joined before this returns, also after a failing
+    trial or an interrupt.  A trial depends only on its seed, so the
+    results are the ones a run in this process gives.  `progress` gets one
+    line per agent, in agent order.
     """
     check_trials(trials)
+    check_seed(base_seed)
     names = tuple(agent_names)
     check_agent_names(names)
     made = [

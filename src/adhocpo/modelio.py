@@ -6,11 +6,12 @@ Floats are written with repr(), so a load/dump round trip reproduces the
 file byte for byte.
 
 One walk, `_entries`, yields a table's entries in text order, in array
-blocks of about `_BLOCK` entries cut at row boundaries.  The text formats
-those blocks; a table shared by several actions of a model is formatted
-once, and only its action prefix is repeated.  So the text alive at once
-is that of the shared tables still to come plus one block and its
-prefixed copy, never a model's whole text.
+blocks of about `_BLOCK` entries cut at row boundaries.  The text is
+written one table at a time, and a table's blocks are kept while the
+next actions name that same table object: a table shared by consecutive
+actions, as every builder shares one, is formatted once, and only its
+action prefix is repeated.  So the text alive at once is one table's
+blocks and one prefixed copy of a block, never a model's whole text.
 
 `model_digest` hashes the same blocks as packed int64 records instead of
 text: one sha256 per table, combined with the header and count lines.
@@ -35,7 +36,6 @@ a library's digests once and hands them to the policy cache.
 """
 from __future__ import annotations
 
-import collections
 import hashlib
 from pathlib import Path
 from typing import Optional
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from adhocpo.csr import CsrTable
-from adhocpo.pomdp import TabularPomdp, _once_each, entry_count
+from adhocpo.pomdp import TabularPomdp
 
 FORMAT_TAG = "adhocpo-model v1"
 # Entries per block of a table's walk, which the text formats and the
@@ -92,13 +92,20 @@ def _pieces(model: TabularPomdp):
         f"discount {float(model.discount)!r}\n"
     ).encode(), None
     for key, tables in (("T", model.transition), ("O", model.observation)):
-        yield f"{key} {sum(_once_each(entry_count, tables))}\n".encode(), None
+        # A table shared by several actions is counted once.
+        counts = {id(t): _entry_count(t) for t in {id(t): t for t in tables}.values()}
+        yield f"{key} {sum(counts[id(t)] for t in tables)}\n".encode(), None
         for a, table in enumerate(tables):
             yield f"{a} ".encode(), table
     for key, table in (("R", model.reward), ("b0", model.initial_belief)):
-        yield f"{key} {entry_count(table)}\n".encode(), None
+        yield f"{key} {_entry_count(table)}\n".encode(), None
         yield b"", table
     yield b"end\n", None
+
+
+def _entry_count(table) -> int:
+    """The number of entries `_entries` yields for one table."""
+    return table.nnz if isinstance(table, CsrTable) else int(np.count_nonzero(table))
 
 
 def _entries(table):
@@ -135,36 +142,22 @@ def _entries(table):
             yield rows + lo, cols, part[rows, cols]
 
 
-def _body(table):
-    """The lines of one table, or of the initial belief, without a prefix:
-    bytes blocks of `_entries`, each formatted when it is asked for."""
-    for block in _entries(table):
-        yield _lines(*block)
-
-
 def _text(model: TabularPomdp):
     """A model's canonical text, as bytes chunks.
 
-    A table shared by several actions is formatted once and its blocks
-    are held until its last use; each action's prefixed copy of a block is
-    built just before it is yielded.  So the transient text is the held
-    tables' blocks plus one block and one prefixed copy of it.
+    A table is formatted once per run of consecutive pieces that name it;
+    each action's prefixed copy of a block is built just before it is
+    yielded.
     """
-    pieces = list(_pieces(model))
-    uses = collections.Counter(id(table) for _, table in pieces)
-    held: dict = {}
-    for prefix, table in pieces:
+    last = blocks = None
+    for prefix, table in _pieces(model):
         if table is None:
             yield prefix
             continue
-        key = id(table)
-        uses[key] -= 1
-        body = held.pop(key, None)
-        if body is None:
-            body = _body(table)
-        if uses[key]:
-            held[key] = body = list(body)
-        for block in body:
+        if table is not last:
+            last, blocks = table, None  # drop the last table's text before formatting this one
+            blocks = [_lines(*block) for block in _entries(table)]
+        for block in blocks:
             if prefix:
                 yield prefix
                 yield memoryview(block.replace(b"\n", b"\n" + prefix))[: -len(prefix)]

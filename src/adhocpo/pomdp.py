@@ -103,12 +103,6 @@ def _stored(table) -> Table:
     return table.toarray() if csr else table
 
 
-def entry_count(table: Table) -> int:
-    """Number of stored entries of one table: a CSR table's, explicit zeros
-    included, or a dense table's nonzeros."""
-    return table.nnz if isinstance(table, CsrTable) else int(np.count_nonzero(table))
-
-
 def _once_each(convert, tables) -> list:
     """convert(table) for every per-action table, each distinct object converted once.
 
@@ -219,19 +213,22 @@ def validate(model: TabularPomdp) -> list[str]:
     """Check that the tables and the initial belief are distributions.
 
     Returns a list of human-readable violations, empty when the model is
-    well formed.  Each entry names the offending table and row.  Tables
-    are checked in their own storage, so a CSR table is never densified.
-    Shapes need no check here: the constructor refuses a mis-shaped table.
+    well formed.  Each entry names the offending table and row: a row that
+    does not sum to one, or the first row with a negative or non-finite
+    entry (a row with a NaN sums to NaN, which the sum check passes).
+    Tables are checked in their own storage, so a CSR table is never
+    densified.  Shapes need no check here: the constructor refuses a
+    mis-shaped table.
     """
     problems: list[str] = []
 
     def stochastic(name: str, table) -> None:
-        if isinstance(table, CsrTable):
-            negative = table.rows[table.data < -_ATOL]
-        else:
-            negative = np.flatnonzero((table < -_ATOL).any(axis=1))
-        if negative.size:
-            problems.append(f"{name} row {int(negative[0])}: negative entry")
+        csr = isinstance(table, CsrTable)
+        values = table.data if csr else table
+        for what, bad in (("negative", values < -_ATOL), ("non-finite", ~np.isfinite(values))):
+            rows = table.rows[bad] if csr else np.flatnonzero(bad.any(axis=1))
+            if rows.size:
+                problems.append(f"{name} row {int(rows[0])}: {what} entry")
         sums = row_sums(table)
         for x in np.flatnonzero(np.abs(sums - 1.0) > _ATOL)[:5]:
             problems.append(f"{name} row {int(x)}: sums to {sums[x]:.12g}")
@@ -240,6 +237,8 @@ def validate(model: TabularPomdp) -> list[str]:
         stochastic(f"transition[{a}]", model.transition[a])
         stochastic(f"observation[{a}]", model.observation[a])
     b = model.initial_belief
+    if not np.isfinite(b).all():
+        problems.append("initial belief: non-finite entry")
     if (b < -_ATOL).any() or abs(b.sum() - 1.0) > _ATOL:
         problems.append(f"initial belief: sums to {b.sum():.12g} or has negatives")
     if not (0.0 <= model.discount < 1.0):

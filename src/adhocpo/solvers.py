@@ -739,8 +739,9 @@ def solve_many(
     policies are the ones a solve in this process gives.  `progress` gets
     one line per model: a cache hit, or the vector count and solve
     seconds, noting an unusable entry that was replaced.  A belief set
-    size or horizon below 1, or a negative or NaN tolerance (which would
-    never stop a solve), is a ValueError, raised before any cache access.
+    size or horizon below 1, a negative or NaN tolerance (which would
+    never stop a solve), or a negative seed is a ValueError, raised before
+    any cache access.
     """
     if settings.belief_set_size < 1:
         raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
@@ -748,6 +749,8 @@ def solve_many(
         raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
     if not settings.tolerance >= 0.0:
         raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
+    if settings.seed < 0:
+        raise ValueError(f"solver seed must be non-negative, got {settings.seed}")
     digests = model_digests(models)
     results: list = [None] * len(models)
     misses = []

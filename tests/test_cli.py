@@ -112,21 +112,25 @@ def test_cli_solve_digests_each_model_once_warm(tmp_path, capsys, desk_spec, mon
 
 def test_cli_solve_refuses_a_model_file_that_validate_rejects(tmp_path, capsys):
     model = build("gridworld", size=2, tasks=1).models[0]
-    transition = [dense(t) for t in model.transition]
-    transition[0][0] *= 3.0
-    path = tmp_path / "bad.model"
-    dump_model(TabularPomdp(
-        transition, model.observation, model.reward, model.discount, model.initial_belief, label="bad"
-    ), path)
-    assert main(["validate", str(path)]) == 1
-    assert "transition[0] row 0: sums to 3\n" in capsys.readouterr().out
+    # A row that sums to 3, and one entry that reads nan (a row sum of nan
+    # would pass a sum check).
+    for name, value, problem in (("bad", 3.0, "sums to 3"), ("nan", np.nan, "non-finite entry")):
+        transition = [dense(t) for t in model.transition]
+        transition[0][0] *= value
+        path = tmp_path / f"{name}.model"
+        dump_model(TabularPomdp(
+            transition, model.observation, model.reward, model.discount, model.initial_belief, label=name
+        ), path)
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"transition[0] row 0: {problem}\n" in out and "0/1 models valid" in out
 
-    cache = tmp_path / "cache"
-    assert main(["solve", str(path), "--cache-dir", str(cache)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {path}: transition[0] row 0: sums to 3\n"
-    assert captured.out == ""
-    assert not list(cache.glob("*.policy"))
+        cache = tmp_path / "cache"
+        assert main(["solve", str(path), "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: transition[0] row 0: {problem}\n"
+        assert captured.out == ""
+        assert not list(cache.glob("*.policy"))
 
 
 def test_cli_refuses_a_model_file_without_actions(tmp_path, capsys):
@@ -239,14 +243,15 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys, monkeypatch):
         argv = ["solve", "gridworld", "--size", "3", "--tasks", tasks, "--beliefs", "0"]
         assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: belief set size must be at least 1, got 0\n"
-    # An empty belief set, a horizon below 1 and a negative or NaN
-    # tolerance fail before any policy is solved, fetched or stored.
+    # An empty belief set, a horizon below 1, a negative or NaN tolerance
+    # and a negative seed fail before any policy is solved, fetched or stored.
     argv = ["solve", "gridworld", "--size", "3", "--tasks", "1", "--cache-dir", str(tmp_path)]
     cases = [
         (["--horizon", "0"], "error: horizon must be at least 1, got 0\n"),
         (["--horizon", "-3"], "error: horizon must be at least 1, got -3\n"),
         (["--tolerance", "-1"], "error: solver tolerance must be non-negative, got -1.0\n"),
         (["--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
+        (["--solver-seed", "-3"], "error: solver seed must be non-negative, got -3\n"),
     ]
     for flags, message in cases:
         assert main([*argv, *flags]) == 2
@@ -280,6 +285,9 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["scale", "--sizes", "2,x"], "error: --sizes: 'x' is not an integer\n"),
         (["scale", "--sizes", "0,2"], "error: library sizes must be positive, got 0\n"),
         (["run", "--agent", "random,atpo,random"], "error: agent 'random' is named more than once\n"),
+        (["run", "--seed", "-1"], "error: trial seed must be non-negative, got -1\n"),
+        (["scale", "--sizes", "1", "--seed", "-1"], "error: trial seed must be non-negative, got -1\n"),
+        (["run", "--solver-seed", "-3"], "error: solver seed must be non-negative, got -3\n"),
     ]
     for (command, *flags), message in cases:
         assert main([command, *common, *flags]) == 2
@@ -288,6 +296,21 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         assert "policy for" not in captured.out
     assert not (tmp_path / "out").exists()
     assert not list((tmp_path / "cache").glob("*.policy"))
+
+
+def test_cli_reports_a_path_it_cannot_use_without_a_traceback(tmp_path, capsys, desk_spec):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    # The export directory exists as a file; the cache directory lies under a file.
+    for argv in (
+        ["export", str(desk_spec), "--out", str(taken)],
+        ["solve", str(desk_spec), "--cache-dir", str(taken / "sub")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_run_scale_and_export_refuse_a_model_file(tmp_path, capsys):

@@ -333,6 +333,9 @@ def test_experiment_refuses_a_repeated_agent_before_any_trial(small_library, mon
     monkeypatch.setattr(harness, "run_trial", no_trials)
     with pytest.raises(ValueError, match="^agent 'random' is named more than once$"):
         run_experiment(lib, ["random", "atpo", "random"], horizon=3, trials=2)
+    # numpy seeds no generator with a negative seed.
+    with pytest.raises(ValueError, match="^trial seed must be non-negative, got -1$"):
+        run_experiment(lib, ["random"], horizon=3, trials=2, base_seed=-1)
 
 
 def test_identification_summary_math():

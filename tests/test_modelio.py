@@ -17,7 +17,7 @@ import pytest
 import adhocpo
 from adhocpo import modelio
 from adhocpo.csr import CsrTable
-from adhocpo.domains import build
+from adhocpo.domains import DOMAIN_NAMES, build, takes
 from adhocpo.modelio import (
     FORMAT_TAG,
     ModelFormatError,
@@ -380,14 +380,18 @@ def test_digest_formats_each_distinct_table_once(monkeypatch):
     interleaved = dataclasses.replace(
         base, transition=[t0, t1, t0], observation=[base.observation[1]] * 3
     )
-    for model, tables in ((grid, 5 + 1), (interleaved, 2 + 1)):
+    for model, tables, runs in ((grid, 5 + 1, 5 + 1), (interleaved, 2 + 1, 3 + 1)):
         distinct = len({id(t) for t in model.transition}) + len({id(t) for t in model.observation})
         assert distinct == tables
-        # The digest walks each distinct table once, and so does the text.
-        for write in (model_digest, dumps_model):
-            calls.clear()
-            write(model)
-            assert len(calls) == distinct + 2  # and one each for R and b0
+        # The digest walks each distinct table once (and R and b0 once each).
+        calls.clear()
+        model_digest(model)
+        assert len(calls) == distinct + 2
+        # The text walks a table once per run of consecutive actions that
+        # share it: the grid's sensor table once, the interleaved t0 twice.
+        calls.clear()
+        dumps_model(model)
+        assert len(calls) == runs + 2
     # A batch walks each distinct table object of the whole library once:
     # the grid library's sensor table serves every action of both models.
     library = [*build("gridworld", size=3, tasks=2).models, interleaved, grid, interleaved]
@@ -398,6 +402,18 @@ def test_digest_formats_each_distinct_table_once(monkeypatch):
     calls.clear()
     model_digests(library)
     assert len(calls) == len(distinct)
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_builders_share_a_table_only_across_consecutive_actions(name):
+    # The text walks a table once per run of consecutive actions that use
+    # it, so a builder that shares tables this way has each distinct table
+    # formatted once.
+    scale = {key: value for key, value in (("size", 3), ("tasks", 2)) if takes(name, key)}
+    for model in build(name, **scale).models:
+        for tables in (model.transition, model.observation):
+            runs = [id(t) for a, t in enumerate(tables) if a == 0 or t is not tables[a - 1]]
+            assert len(runs) == len(set(runs))
 
 
 def test_shared_tables_serialize_like_equal_copies(rng):
@@ -660,7 +676,7 @@ def _first_difference(got: str, expected: str):
 def test_text_matches_a_per_entry_formatter_across_blocks(tmp_path):
     model = _many_block_model()
     for table in (*model.transition, *model.observation, model.reward, model.initial_belief):
-        assert len(list(modelio._body(table))) > 1
+        assert len(list(modelio._entries(table))) > 1
     assert model.transition[0] is model.transition[2]
     text = _plain_text(model)
     assert " -0.0\n" in text and " 0.0\n" in text
@@ -689,7 +705,7 @@ def test_digest_and_dump_hold_no_more_than_about_one_table_text(tmp_path):
     # text (about 4.3 MB).
     models = build("isr", belief_set_size=100).models
     tables = {id(t): t for m in models for t in (*m.transition, *m.observation, m.reward)}
-    largest = max(sum(map(len, modelio._body(t))) for t in tables.values())
+    largest = max(sum(len(modelio._lines(*b)) for b in modelio._entries(t)) for t in tables.values())
     assert largest > 4_000_000
     assert _traced_peak(lambda: model_digests(models)) < 2 * largest
     assert _traced_peak(lambda: dump_model(models[0], tmp_path / "isr.model")) < 2 * largest

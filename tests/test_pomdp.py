@@ -361,10 +361,15 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
     problems = validate(broken)
     assert any("transition[1] row 2" in p for p in problems)
     assert any("observation[0] row 1" in p for p in problems)
-    # Negative entries are named too, and CSR tables give the same list.
+    # Negative and non-finite entries are named too (a NaN row sums to
+    # NaN, which no sum check catches), and CSR tables give the same list.
     broken.transition[0][3, :2] = [-0.5, 1.5]
+    broken.transition[1][0, 1] = np.nan
+    broken.observation[1][2, 0] = np.inf
     problems = validate(broken)
     assert "transition[0] row 3: negative entry" in problems
+    assert "transition[1] row 0: non-finite entry" in problems
+    assert "observation[1] row 2: non-finite entry" in problems
     with stored_as_given():
         csr_twin = dataclasses.replace(
             broken,
@@ -377,6 +382,8 @@ def test_validate_accepts_good_and_names_bad_rows(rng):
     lopsided = random_pomdp(rng, num_states=3)
     lopsided.initial_belief = np.array([0.7, 0.2, 0.2])
     assert any("initial belief" in p for p in validate(lopsided))
+    lopsided.initial_belief = np.array([np.nan, 0.5, 0.5])
+    assert validate(lopsided) == ["initial belief: non-finite entry"]
 
 
 def test_induced_mdp_shares_tables(rng):
