@@ -228,12 +228,19 @@ class BopaAgent(_StateFeedbackAgent):
         self._step += 1
 
 
+def check_agent_name(name: str) -> None:
+    """Raise ValueError unless `name` is one of AGENT_NAMES."""
+    if name not in AGENT_NAMES:
+        raise ValueError(f"unknown agent {name!r}; known agents: {', '.join(AGENT_NAMES)}")
+
+
 def make_agent(
     name: str,
     library: ModelLibrary,
     greedy: bool = False,
     likelihood_floor: float = 0.0,
 ) -> Agent:
+    check_agent_name(name)
     if name == "atpo":
         return AtpoAgent(library, greedy=greedy, likelihood_floor=likelihood_floor)
     if name == "vi":
@@ -244,7 +251,4 @@ def make_agent(
         return RandomPickerAgent(library)
     if name == "bopa":
         return BopaAgent(library, greedy=greedy)
-    if name == "random":
-        return RandomAgent(library)
-    known = ", ".join(AGENT_NAMES)
-    raise ValueError(f"unknown agent {name!r}; known agents: {known}")
+    return RandomAgent(library)

@@ -120,10 +120,6 @@ def cmd_solve(args) -> int:
 def cmd_run(args) -> int:
     build = _resolve_build(args)
     requested = AGENT_NAMES if args.agent == "all" else tuple(args.agent.split(","))
-    for name in requested:
-        if name not in AGENT_NAMES:
-            print(f"unknown agent {name!r}; choices: {', '.join(AGENT_NAMES)}", file=sys.stderr)
-            return 2
     # Refuse bad values before the library is solved, not after.
     check_agent_names(requested)
     check_trials(args.trials)
@@ -164,6 +160,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_scale(args) -> int:
+    if args.tasks is not None:
+        raise ValueError("scale sweeps the library size: give it with --sizes, not --tasks")
     sizes = set()
     for text in args.sizes.split(","):
         try:

@@ -1,13 +1,19 @@
-"""Shared geometry for the rendezvous domains, and the one shortest-path search.
+"""The task skeleton and shared geometry of the grid domains, and the one shortest-path search.
+
+The open gridworld, the map domains and pursuit share one task skeleton:
+five actions, a +100 completion that falls into an absorbing last state,
+a cost of 1 per live step, a start belief uniform over the live states,
+and one sensor table for every candidate.  `task_model` lays that out
+from a candidate's finished states and live transition entries, so each
+builder keeps only its state space and its live transitions.
 
 The open gridworld and the map domains play one task on a `GridMap`: the
 gridworld's plan is a square with every cell free, the maps are real floor
-plans.  Both builders take from here the per-cell move table, the path
-distances, the task enumeration, the teammate's step and the sensor table;
-each keeps only its own state space and transition layout.  `path_lengths`
-is the breadth-first search of every domain: pursuit calls it on its torus
-move table, built from the action ids and `MOVES` here, and the power plant
-on its room graph.
+plans.  Both take from here the per-cell move table, the path distances,
+the task enumeration, the teammate's step and the sensor table.
+`path_lengths` is the breadth-first search of every domain: pursuit calls
+it on its torus move table, built from the action ids and `MOVES` here,
+and the power plant on its room graph.
 
 The four-way proximity sensor reads the cells Up, Down, Left, Right of the
 agent; each element is Nothing, Teammate, or Wall and is independently
@@ -21,8 +27,15 @@ import functools
 
 import numpy as np
 
+from adhocpo.csr import CsrTable
+from adhocpo.pomdp import TabularPomdp
+
+STEP_REWARD = -1.0
+COMPLETION_REWARD = 100.0
+NUM_ACTIONS = 5
+
 # Action ids shared by the grid domains: the four moves, then stay.
-UP, DOWN, LEFT, RIGHT, STAY = range(5)
+UP, DOWN, LEFT, RIGHT, STAY = range(NUM_ACTIONS)
 MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1), STAY: (0, 0)}
 MOVE_ORDER = (UP, DOWN, LEFT, RIGHT)
 
@@ -160,3 +173,42 @@ def sensor_table(grid: GridMap, pa: np.ndarray, pt: np.ndarray, epsilon: float) 
     obs[:-1] = _reading_table(epsilon)[reading]
     obs[-1, BLANK_OBSERVATION] = 1.0
     return obs
+
+
+def uniform_start(num_states: int) -> np.ndarray:
+    """The start belief: uniform over every state but the absorbing last one."""
+    b0 = np.zeros(num_states)
+    b0[:-1] = 1.0 / (num_states - 1)
+    return b0
+
+
+def task_model(finished, live_entries, sensor, b0, discount: float, label: str) -> TabularPomdp:
+    """One candidate of the task skeleton; the absorbing state is the last.
+
+    `finished` lists the completing states, which pay COMPLETION_REWARD and
+    fall into the absorbing state; it stays put and pays nothing, and every
+    other state pays STEP_REWARD.  `live_entries(a)` gives action a's
+    transition entries of the live states as lists of row, column and value
+    arrays, whose concatenations list each row's entries in the order its
+    duplicates are summed; it is called once per action, in order, before
+    this returns, so one action's entries are held at a time.  `sensor`
+    serves every action; a builder hands the first model's stored table,
+    dense or CSR, to the later candidates, so a library holds one sensor
+    table object.
+    """
+    num_states = len(b0)
+    absorbing = num_states - 1
+    reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
+    reward[absorbing] = 0.0
+    reward[finished] = COMPLETION_REWARD
+    fixed = np.append(finished, absorbing)
+    transition = []
+    for a in range(NUM_ACTIONS):
+        rows, cols, vals = live_entries(a)
+        transition.append(CsrTable.from_coo(
+            np.concatenate([np.ones(len(fixed)), *vals]),
+            np.concatenate([fixed, *rows]),
+            np.concatenate([np.full(len(fixed), absorbing), *cols]),
+            (num_states, num_states),
+        ))
+    return TabularPomdp(transition, [sensor] * NUM_ACTIONS, reward, discount, b0, label=label)

@@ -9,35 +9,27 @@ absorbing state.  The candidate models differ in which unordered goal pair
 {g1, g2} is the task: the teammate walks a deterministic shortest path to
 whichever goal is closest to it, so each task induces different teammate
 motion.  The episode completes when the two agents stand on the two goals
-in either assignment; the completing state pays +100 and falls into the
-absorbing state, every other live state costs 1 per step.
+in either assignment; rewards, the absorbing state and the start belief
+are the task skeleton of `gridcommon.task_model`.
 
 The controlled agent's moves fail (no-op) with the domain noise rate; the
 teammate's never do, and the two move independently.  The absorbing state
-reads all-Nothing deterministically.  Each task's transition entries and
-completion rewards are laid out with array operations over all (agent,
-teammate) states at once, each row's entries in the order a state-by-state
-loop would list them.
+reads all-Nothing deterministically.  Each task's live transition entries
+are laid out with array operations over all (agent, teammate) states at
+once, each row's entries in the order a state-by-state loop would list
+them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
-from adhocpo.pomdp import TabularPomdp
-
-STEP_REWARD = -1.0
-COMPLETION_REWARD = 100.0
-NUM_ACTIONS = 5
 
 
 def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> list:
     """One model per goal pair from the canonical task enumeration."""
     grid = gc.GridMap("\n".join(["." * size] * size))
     cells = size * size
-    num_states = cells * cells + 1
-    absorbing = num_states - 1
     goal_pairs = gc.canonical_tasks(grid)[:tasks]
     if len(goal_pairs) < tasks:
         raise ValueError(f"grid of size {size} supports {len(goal_pairs)} tasks")
@@ -50,9 +42,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
     # The sensor only depends on the landing state, so one observation
     # table serves every action and every task.
     obs = gc.sensor_table(grid, pa, pt, epsilon)
-
-    b0 = np.zeros(num_states)
-    b0[:absorbing] = 1.0 / absorbing
+    b0 = gc.uniform_start(cells * cells + 1)
 
     models = []
     for goals in goal_pairs:
@@ -61,36 +51,20 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
         la = pa[live]
         teammate = gc.teammate_steps(grid, goals)[pt[live]]
         held = la * cells + teammate
-        reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
-        reward[absorbing] = 0.0
-        reward[finished] = COMPLETION_REWARD
-        # A finished task moves to the absorbing state, which stays put.
-        fixed_rows = np.append(finished, absorbing)
-        per_action = []
-        for a in range(NUM_ACTIONS):
-            agent = grid.moves[la, a]
-            moves = agent != la
+
+        def live_entries(a):
             # A row lists its move entry, then the failure entry if the move
             # leaves the cell; an epsilon of 0 or 1 leaves an explicit zero.
-            rows = np.concatenate([fixed_rows, live, live[moves]])
-            cols = np.concatenate(
-                [np.full(len(fixed_rows), absorbing), agent * cells + teammate, held[moves]]
+            agent = grid.moves[la, a]
+            moves = agent != la
+            return (
+                [live, live[moves]],
+                [agent * cells + teammate, held[moves]],
+                [np.where(moves, 1.0 - epsilon, 1.0), np.full(np.count_nonzero(moves), epsilon)],
             )
-            vals = np.concatenate([
-                np.ones(len(fixed_rows)),
-                np.where(moves, 1.0 - epsilon, 1.0),
-                np.full(np.count_nonzero(moves), epsilon),
-            ])
-            per_action.append(CsrTable.from_coo(vals, rows, cols, (num_states, num_states)))
-        models.append(
-            TabularPomdp(
-                per_action,
-                [obs] * NUM_ACTIONS,
-                reward,
-                discount,
-                b0,
-                label=f"gridworld{size}x{size} goals {goals[0]}+{goals[1]}",
-            )
-        )
+
+        label = f"gridworld{size}x{size} goals {goals[0]}+{goals[1]}"
+        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
+        obs = models[-1].observation[0]
 
     return models

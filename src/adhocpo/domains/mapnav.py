@@ -7,8 +7,9 @@ state space and the joint-move rule.  States are ordered pairs of distinct
 free cells (the two agents cannot share a cell) plus one absorbing state,
 so a map with F free cells has F * (F - 1) + 1 states.  Moves resolve
 jointly: two agents heading for the same cell, or trying to swap, both stay
-put.  Each task's transition entries and completion rewards are laid out
-with array operations over all (agent, teammate) states at once.
+put.  Each task's live transition entries are laid out with array
+operations over all (agent, teammate) states at once; rewards, the
+absorbing state and the start belief are `gridcommon.task_model`'s.
 
 Maps are plain text, '#' for wall and '.' for free, shipped next to this
 module.
@@ -19,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
-from adhocpo.pomdp import TabularPomdp
-
-STEP_REWARD = -1.0
-COMPLETION_REWARD = 100.0
-NUM_ACTIONS = 5
 
 MAPS_DIR = Path(__file__).parent / "maps"
 
@@ -42,8 +37,6 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
     """One model per goal pair of the canonical task enumeration; returns (map_name, models)."""
     grid = load_map(map_name)
     f = grid.num_free
-    num_states = f * (f - 1) + 1
-    absorbing = num_states - 1
     goal_pairs = gc.canonical_tasks(grid)[:tasks]
     if len(goal_pairs) < tasks:
         raise ValueError(f"map {map_name!r} supports {len(goal_pairs)} tasks")
@@ -55,9 +48,7 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
     pt += pt >= pa
 
     obs = gc.sensor_table(grid, pa, pt, epsilon)
-
-    b0 = np.zeros(num_states)
-    b0[:absorbing] = 1.0 / absorbing
+    b0 = gc.uniform_start(f * (f - 1) + 1)
 
     branches = [(p, move) for p, move in ((1.0 - epsilon, True), (epsilon, False)) if p > 0.0]
     models = []
@@ -66,39 +57,21 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
         finished, live = np.flatnonzero(done), np.flatnonzero(~done)
         la, lt = pa[live], pt[live]
         teammate = gc.teammate_steps(grid, goals)[lt]
-        reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
-        reward[absorbing] = 0.0
-        reward[finished] = COMPLETION_REWARD
-        # A finished task moves to the absorbing state, which stays put.
-        fixed_rows = np.append(finished, absorbing)
-        per_action = []
-        for a in range(NUM_ACTIONS):
-            rows, cols = [fixed_rows], [np.full(len(fixed_rows), absorbing)]
-            vals = [np.ones(len(fixed_rows))]
+
+        def live_entries(a):
+            cols, vals = [], []
             for p, move in branches:
                 agent = grid.moves[la, a] if move else la
                 # Same target or a swap leaves both agents in place.
                 stay = (agent == teammate) | ((agent == lt) & (teammate == la))
-                rows.append(live)
                 moved = agent * (f - 1) + teammate - (teammate > agent)
                 cols.append(np.where(stay, live, moved))
                 vals.append(np.full(len(live), p))
-            per_action.append(CsrTable.from_coo(
-                np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (num_states, num_states)
-            ))
+            return [live] * len(branches), cols, vals
+
         g_cells = tuple(grid.free_cells[g] for g in goals)
-        models.append(
-            TabularPomdp(
-                per_action,
-                [obs] * NUM_ACTIONS,
-                reward,
-                discount,
-                b0,
-                label=f"map {map_name} goals {g_cells[0]}+{g_cells[1]}",
-            )
-        )
-        # The sensor table as stored, dense or CSR, which later candidates
-        # keep as it is: one table object for the whole library.
+        label = f"map {map_name} goals {g_cells[0]}+{g_cells[1]}"
+        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
         obs = models[-1].observation[0]
 
     return map_name, models

@@ -22,21 +22,17 @@ beside it; distances and the aware teammate's routes come from
 `gridcommon.path_lengths` on that table.  Every rule (capture, the two
 teammate types, the prey's five landings, the sensor patch) is read off
 these tables with array operations over all states at once, and each
-candidate's transition entries are laid out the same way, each row's
+candidate's live transition entries are laid out the same way, each row's
 entries in the order a state-by-state loop would list them, so coinciding
-prey landings are summed in that order.
+prey landings are summed in that order.  A capture completes the task of
+`gridcommon.task_model`, which lays out the rewards, the absorbing state
+and the start belief.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
-from adhocpo.pomdp import TabularPomdp
-
-STEP_REWARD = -1.0
-CAPTURE_REWARD = 100.0
-NUM_ACTIONS = 5
 
 # One representative (dx, dy) offset per capture configuration; the
 # opposite cell completes the pair.  Straight pairs first, then diagonals.
@@ -70,8 +66,6 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
         raise ValueError(f"pursuit needs size at least {MIN_SIZE}, got {size!r}")
 
     cells = size * size
-    num_states = cells * cells + 1
-    absorbing = num_states - 1
     # Offset (x, y) has id y * size + x, the agent's own cell is offset 0.
     # moves[i, a]: offset i moved by action a; add[i, j] and diff[i, j]:
     # the offsets i + j and i - j.
@@ -94,12 +88,10 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
     reading = np.zeros((cells, 9))
     reading[here, true_cell] = 1.0 - epsilon
     reading[:, 4] += epsilon
-    obs = np.zeros((num_states, 81))
-    obs[:absorbing] = (reading[:, None, :, None] * reading[None, :, None, :]).reshape(absorbing, 81)
-    obs[absorbing, 4 * 9 + 4] = 1.0
-
-    b0 = np.zeros(num_states)
-    b0[:absorbing] = 1.0 / absorbing
+    obs = np.zeros((cells * cells + 1, 81))
+    obs[:-1] = (reading[:, None, :, None] * reading[None, :, None, :]).reshape(-1, 81)
+    obs[-1, 4 * 9 + 4] = 1.0
+    b0 = gc.uniform_start(cells * cells + 1)
 
     # The prey's five landings; one onto a predator is a stay.
     landing = moves[dp]
@@ -154,15 +146,10 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
             score[blocked] = np.inf
             teammate = np.take_along_axis(landing, score.argmin(axis=1)[:, None], 1)[live, 0]
         live_prey = prey[live]
-        reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
-        reward[absorbing] = 0.0
-        reward[finished] = CAPTURE_REWARD
-        # A capture moves to the absorbing state, which stays put.
-        fixed_rows = np.append(finished, absorbing)
         # Landings by prey choice when the agent stays in place.
         still = teammate[:, None] * cells + live_prey
-        per_action = []
-        for a in range(NUM_ACTIONS):
+
+        def live_entries(a):
             held = held_by_action[a][live]
             shifted = diff[:, moves[0, a]]  # an offset as seen from the moved agent
             moved = shifted[teammate][:, None] * cells + shifted[live_prey]
@@ -170,30 +157,17 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
             # unless the agent holds still, the five after a failed move; an
             # epsilon of 0 or 1 leaves explicit zeros, and landings that
             # coincide are summed in this order.
-            rows = np.concatenate([fixed_rows, np.repeat(live, 5), np.repeat(live[~held], 5)])
-            cols = np.concatenate([
-                np.full(len(fixed_rows), absorbing),
-                np.where(held[:, None], still, moved).ravel(),
-                still[~held].ravel(),
-            ])
-            vals = np.concatenate([
-                np.ones(len(fixed_rows)),
-                np.repeat(np.where(held, 1.0 / 5.0, (1.0 - epsilon) / 5.0), 5),
-                np.full(5 * np.count_nonzero(~held), epsilon / 5.0),
-            ])
-            per_action.append(CsrTable.from_coo(vals, rows, cols, (num_states, num_states)))
-        models.append(
-            TabularPomdp(
-                per_action,
-                [obs] * NUM_ACTIONS,
-                reward,
-                discount,
-                b0,
-                label=f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index((cx, cy))]} {kind}",
+            return (
+                [np.repeat(live, 5), np.repeat(live[~held], 5)],
+                [np.where(held[:, None], still, moved).ravel(), still[~held].ravel()],
+                [
+                    np.repeat(np.where(held, 1.0 / 5.0, (1.0 - epsilon) / 5.0), 5),
+                    np.full(5 * np.count_nonzero(~held), epsilon / 5.0),
+                ],
             )
-        )
-        # The sensor table as stored, dense or CSR, which later candidates
-        # keep as it is: one table object for the whole library.
+
+        label = f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index((cx, cy))]} {kind}"
+        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
         obs = models[-1].observation[0]
 
     return f"pursuit-{variant}", models

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from adhocpo import atpo, pomdp
-from adhocpo.agents import Agent, make_agent
+from adhocpo.agents import Agent, check_agent_name, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary, posterior_entropy
 from adhocpo.domains import DomainBuild
 from adhocpo.forkpool import forked_map
@@ -239,7 +239,10 @@ def check_seed(base_seed: int) -> None:
 
 
 def check_agent_names(names: tuple) -> None:
-    """Raise ValueError if an agent is named twice: reports keep one entry per name."""
+    """Raise ValueError for an unknown agent name, then for one named twice:
+    reports keep one entry per name."""
+    for name in names:
+        check_agent_name(name)
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"agent {name!r} is named more than once")
@@ -258,14 +261,16 @@ def run_experiment(
 ) -> ExperimentResult:
     """Same seed block for every agent, trials in forked workers.
 
-    Every agent is made here first, so a CapabilityError, like a repeated
-    name or a negative seed, comes before any trial runs.  The trials, one
-    job per (agent, seed), go through `forkpool.forked_map`: the workers
-    get the library and the agents through the fork and call run_trial,
-    and every worker is joined before this returns, also after a failing
-    trial or an interrupt.  A trial depends only on its seed, so the
-    results are the ones a run in this process gives.  `progress` gets one
-    line per agent, in agent order.
+    An unknown or repeated agent name, a trial count below 1 or a negative
+    seed raises ValueError, and an agent that cannot run on the library
+    raises CapabilityError when it is made; every agent is made here
+    first, so either comes before any trial runs.  The trials, one job per
+    (agent, seed), go through `forkpool.forked_map`: the workers get the
+    library and the agents through the fork and call run_trial, and every
+    worker is joined before this returns, also after a failing trial or an
+    interrupt.  A trial depends only on its seed, so the results are the
+    ones a run in this process gives.  `progress` gets one line per agent,
+    in agent order.
     """
     check_trials(trials)
     check_seed(base_seed)

@@ -12,6 +12,7 @@ import pytest
 
 import adhocpo
 from adhocpo import cli, domains, modelio, solvers
+from adhocpo.agents import AGENT_NAMES
 from adhocpo.cli import _resolve_models, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
@@ -270,6 +271,7 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
     common = [str(desk_spec), "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]
     trials = "error: need at least one trial per agent, got {}\n"
     floor = "error: likelihood floor must be finite and non-negative, got {}\n"
+    unknown = f"error: unknown agent 'foo'; known agents: {', '.join(AGENT_NAMES)}\n"
     cases = [
         (["run", "--trials", "0"], trials.format(0)),
         (["run", "--trials", "-2"], trials.format(-2)),
@@ -285,6 +287,11 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["scale", "--sizes", "2,x"], "error: --sizes: 'x' is not an integer\n"),
         (["scale", "--sizes", "0,2"], "error: library sizes must be positive, got 0\n"),
         (["run", "--agent", "random,atpo,random"], "error: agent 'random' is named more than once\n"),
+        # An unknown name is refused before a repeated one.
+        (["run", "--agent", "foo"], unknown),
+        (["run", "--agent", "random,random,foo"], unknown),
+        (["scale", "--sizes", "1", "--tasks", "2"],
+         "error: scale sweeps the library size: give it with --sizes, not --tasks\n"),
         (["run", "--seed", "-1"], "error: trial seed must be non-negative, got -1\n"),
         (["scale", "--sizes", "1", "--seed", "-1"], "error: trial seed must be non-negative, got -1\n"),
         (["run", "--solver-seed", "-3"], "error: solver seed must be non-negative, got -3\n"),

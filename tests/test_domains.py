@@ -273,21 +273,29 @@ def test_pursuit_observation_table_is_one_object_per_model():
         assert all(o is m.observation[0] for o in m.observation)
 
 
-def test_map_sensor_table_is_one_object_per_library():
-    # At epsilon 0 the sensor table is stored as CSR, at the default it
-    # stays dense; either way later candidates keep the first one's.
-    for name in ("isr", "mit", "pentagon", "cit"):
-        for overrides in ({}, {"epsilon": 0.0}):
-            models = build(name, **overrides).models
-            assert len({id(o) for m in models for o in m.observation}) == 1
-            assert is_csr(models[0].observation[0]) == ("epsilon" in overrides)
-    # Sharing leaves each model's digest as that of its own copy of the
-    # table (here cit's, at epsilon 0).
-    unshared = [
-        dataclasses.replace(m, observation=[copy.copy(m.observation[0])] * m.num_actions) for m in models
+def test_grid_sensor_table_is_one_object_per_library():
+    # Later candidates keep the first one's stored sensor table, dense or
+    # CSR.  Cases: (name, settings, stored as CSR at the default epsilon,
+    # stored as CSR at epsilon 0).
+    cases = [
+        ("gridworld", {"size": 5, "tasks": 4}, False, True),
+        ("pursuit-task", {}, True, True),
+        ("pursuit-both", {}, True, True),
+        ("ntu", {}, False, False),
+        *((name, {}, False, True) for name in ("isr", "mit", "pentagon", "cit")),
     ]
-    assert len({id(o) for m in unshared for o in m.observation}) == len(models)
-    assert model_digests(unshared) == model_digests(models)
+    for name, settings, *csr in cases:
+        for overrides, stored_csr in zip(({}, {"epsilon": 0.0}), csr, strict=True):
+            models = build(name, **settings, **overrides).models
+            assert len({id(o) for m in models for o in m.observation}) == 1
+            assert is_csr(models[0].observation[0]) == stored_csr
+            # Sharing leaves each model's digest as that of its own copy of the table.
+            unshared = [
+                dataclasses.replace(m, observation=[copy.copy(m.observation[0])] * m.num_actions)
+                for m in models
+            ]
+            assert len({id(o) for m in unshared for o in m.observation}) == len(models)
+            assert model_digests(unshared) == model_digests(models)
 
 
 def test_power_plant_counts_and_validity():
@@ -457,18 +465,18 @@ def _reference_map_tables(grid, goals, epsilon):
         return cell
 
     teammate = [teammate_step(pt) for pt in range(f)]
-    transition = np.zeros((mapnav.NUM_ACTIONS, n, n))
-    reward = np.full((n, mapnav.NUM_ACTIONS), mapnav.STEP_REWARD)
+    transition = np.zeros((gc.NUM_ACTIONS, n, n))
+    reward = np.full((n, gc.NUM_ACTIONS), gc.STEP_REWARD)
     reward[absorbing] = 0.0
     transition[:, absorbing, absorbing] = 1.0
-    for a in range(mapnav.NUM_ACTIONS):
+    for a in range(gc.NUM_ACTIONS):
         for pa in range(f):
             for pt in range(f):
                 if pa == pt:
                     continue
                 x = state_id(pa, pt)
                 if {pa, pt} == set(goals):
-                    reward[x] = mapnav.COMPLETION_REWARD
+                    reward[x] = gc.COMPLETION_REWARD
                     transition[a, x, absorbing] = 1.0
                     continue
                 for p, agent in ((1.0 - epsilon, step(pa, a)), (epsilon, pa)):
@@ -495,16 +503,16 @@ def _reference_gridworld_tables(size, goals, epsilon):
     cells = size * size
     num_states = cells * cells + 1
     absorbing = num_states - 1
-    reward = np.full((num_states, gw.NUM_ACTIONS), gw.STEP_REWARD)
+    reward = np.full((num_states, gc.NUM_ACTIONS), gc.STEP_REWARD)
     reward[absorbing] = 0.0
     per_action = []
-    for a in range(gw.NUM_ACTIONS):
+    for a in range(gc.NUM_ACTIONS):
         rows, cols, vals = [], [], []
         for pa in range(cells):
             for pt in range(cells):
                 x = pa * cells + pt
                 if (pa, pt) in (goals, goals[::-1]):
-                    reward[x] = gw.COMPLETION_REWARD
+                    reward[x] = gc.COMPLETION_REWARD
                     rows.append(x), cols.append(absorbing), vals.append(1.0)
                     continue
                 pt2 = _manhattan_teammate_step(pt, goals, size)
@@ -638,14 +646,14 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
     def state_id(dt, dp):
         return _offset_id(dt, size) * cells + _offset_id(dp, size)
 
-    reward = np.full((num_states, pu.NUM_ACTIONS), pu.STEP_REWARD)
+    reward = np.full((num_states, gc.NUM_ACTIONS), gc.STEP_REWARD)
     reward[absorbing] = 0.0
     routes = {}
     per_state = {}
     for dt in offsets:
         for dp in offsets:
             if _captured(dt, dp, config, size):
-                reward[state_id(dt, dp)] = pu.CAPTURE_REWARD
+                reward[state_id(dt, dp)] = gc.COMPLETION_REWARD
                 continue
             if kind == pu.GREEDY:
                 te_next = _greedy_teammate_move(dt, dp, size)
@@ -659,7 +667,7 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
                 prey_choices.append(prey_landing)
             per_state[(dt, dp)] = (te_next, prey_choices)
     per_action = []
-    for a in range(pu.NUM_ACTIONS):
+    for a in range(gc.NUM_ACTIONS):
         rows, cols, vals = [], [], []
         move = _PURSUIT_MOVES[a]
         for dt in offsets:
