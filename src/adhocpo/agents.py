@@ -21,6 +21,8 @@ Agents are driven per trial as reset / act / observe.  The harness
 always offers the true model index, the state and the observation;
 `needs_state` and `needs_true_model` declare what an agent actually
 requires, and the privileged agents read only what they declare.
+`check_models` refuses an agent that a library's models cannot serve,
+before any policy is solved; `vi` and `bopa` read `ModelLibrary.state_greedy`.
 """
 from __future__ import annotations
 
@@ -28,10 +30,10 @@ import numpy as np
 
 from adhocpo import atpo
 from adhocpo.atpo import AllModelsPruned, ModelLibrary, PosteriorState
-from adhocpo.pomdp import belief_update, induced_mdp
-from adhocpo.solvers import policy_action, value_iteration
-
-AGENT_NAMES = ("atpo", "vi", "perseus", "random-picker", "bopa", "random")
+from adhocpo.pomdp import belief_update
+# value_iteration is not called here, but the benchmark's tracer wraps it
+# under this module's name.
+from adhocpo.solvers import policy_action, value_iteration  # noqa: F401
 
 
 class CapabilityError(RuntimeError):
@@ -42,9 +44,21 @@ class Agent:
     name = "agent"
     needs_state = False
     needs_true_model = False
+    needs_shared_states = False
 
     def __init__(self, library: ModelLibrary):
+        self.check_models(library.models)
         self.library = library
+
+    @classmethod
+    def check_models(cls, models) -> None:
+        """Raise CapabilityError unless this agent can run on a library of `models`."""
+        sizes = sorted({m.num_states for m in models})
+        if cls.needs_shared_states and len(sizes) > 1:
+            raise CapabilityError(
+                f"{cls.name} needs one shared state space; library has sizes "
+                + ", ".join(map(str, sizes))
+            )
 
     def reset(self, rng: np.random.Generator, true_model=None, initial_state=None) -> None:
         if self.needs_true_model and true_model is None:
@@ -67,20 +81,15 @@ class RandomAgent(Agent):
 
 
 class _StateFeedbackAgent(Agent):
-    """An agent that sees the state and plays value-iteration greedy actions,
-    solving each candidate's fully observable model on first use."""
+    """An agent that sees the state and plays the library's value-iteration
+    greedy actions by state."""
 
     needs_state = True
 
     def __init__(self, library: ModelLibrary):
         super().__init__(library)
-        self._solutions: dict = {}
-
-    def _greedy_for(self, k: int) -> np.ndarray:
-        if k not in self._solutions:
-            mdp = induced_mdp(self.library.models[k])
-            self._solutions[k] = value_iteration(mdp)
-        return self._solutions[k].greedy
+        # Solved here, where the agent is made; forked trial workers inherit it.
+        self.state_greedy = library.state_greedy
 
 
 class OracleViAgent(_StateFeedbackAgent):
@@ -91,7 +100,7 @@ class OracleViAgent(_StateFeedbackAgent):
 
     def reset(self, rng, true_model=None, initial_state=None):
         super().reset(rng, true_model, initial_state)
-        self._greedy = self._greedy_for(true_model)
+        self._greedy = self.state_greedy[true_model]
         self._state = initial_state
 
     def act(self, rng):
@@ -122,12 +131,6 @@ class InformedPerseusAgent(Agent):
         self._belief, _ = belief_update(self._model, self._belief, action, observation)
 
 
-def check_likelihood_floor(likelihood_floor: float) -> None:
-    """Raise ValueError unless the floor is finite and non-negative."""
-    if not (np.isfinite(likelihood_floor) and likelihood_floor >= 0.0):
-        raise ValueError(f"likelihood floor must be finite and non-negative, got {likelihood_floor}")
-
-
 class AtpoAgent(Agent):
     """Posterior mixture over the library's per-model greedy actions.
 
@@ -140,7 +143,6 @@ class AtpoAgent(Agent):
     name = "atpo"
 
     def __init__(self, library: ModelLibrary, greedy: bool = False, likelihood_floor: float = 0.0):
-        check_likelihood_floor(likelihood_floor)
         super().__init__(library)
         self.greedy = greedy
         self.likelihood_floor = likelihood_floor
@@ -187,15 +189,10 @@ class BopaAgent(_StateFeedbackAgent):
     """State-observing Bayesian mixture over per-model optimal actions."""
 
     name = "bopa"
+    needs_shared_states = True
 
     def __init__(self, library: ModelLibrary, greedy: bool = False):
         super().__init__(library)
-        sizes = {m.num_states for m in library.models}
-        if len(sizes) != 1:
-            raise CapabilityError(
-                "bopa needs one shared state space; library has sizes "
-                + ", ".join(str(s) for s in sorted(sizes))
-            )
         self.greedy = greedy
 
     def reset(self, rng, true_model=None, initial_state=None):
@@ -207,7 +204,7 @@ class BopaAgent(_StateFeedbackAgent):
     def act(self, rng):
         mix = np.zeros(self.library.num_actions)
         for k in np.flatnonzero(self.posterior > 0.0):
-            mix[self._greedy_for(k)[self._x]] += self.posterior[k]
+            mix[self.state_greedy[k][self._x]] += self.posterior[k]
         return atpo.draw(mix, rng, self.greedy)
 
     def observe(self, action, observation=None, state=None):
@@ -228,10 +225,19 @@ class BopaAgent(_StateFeedbackAgent):
         self._step += 1
 
 
-def check_agent_name(name: str) -> None:
-    """Raise ValueError unless `name` is one of AGENT_NAMES."""
-    if name not in AGENT_NAMES:
-        raise ValueError(f"unknown agent {name!r}; known agents: {', '.join(AGENT_NAMES)}")
+AGENTS = {
+    cls.name: cls
+    for cls in (AtpoAgent, OracleViAgent, InformedPerseusAgent, RandomPickerAgent, BopaAgent, RandomAgent)
+}
+AGENT_NAMES = tuple(AGENTS)
+
+
+def agent_class(name: str) -> type:
+    """The agent class called `name`; ValueError for an unknown name."""
+    try:
+        return AGENTS[name]
+    except KeyError:
+        raise ValueError(f"unknown agent {name!r}; known agents: {', '.join(AGENT_NAMES)}") from None
 
 
 def make_agent(
@@ -240,15 +246,9 @@ def make_agent(
     greedy: bool = False,
     likelihood_floor: float = 0.0,
 ) -> Agent:
-    check_agent_name(name)
-    if name == "atpo":
+    cls = agent_class(name)
+    if cls is AtpoAgent:
         return AtpoAgent(library, greedy=greedy, likelihood_floor=likelihood_floor)
-    if name == "vi":
-        return OracleViAgent(library)
-    if name == "perseus":
-        return InformedPerseusAgent(library)
-    if name == "random-picker":
-        return RandomPickerAgent(library)
-    if name == "bopa":
+    if cls is BopaAgent:
         return BopaAgent(library, greedy=greedy)
-    return RandomAgent(library)
+    return cls(library)

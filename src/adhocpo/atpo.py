@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
-from adhocpo.pomdp import ZeroLikelihood, belief_update, weighted_draw
+from adhocpo import solvers
+from adhocpo.pomdp import ZeroLikelihood, belief_update, induced_mdp, weighted_draw
 from adhocpo.solvers import loss_all, policy_action
 
 
@@ -90,6 +92,13 @@ class ModelLibrary:
     @property
     def max_abs_reward(self) -> float:
         return max(float(np.abs(m.reward).max()) for m in self.models)
+
+    @functools.cached_property
+    def state_greedy(self) -> list:
+        """Each model's value-iteration greedy action by state, on its fully observable
+        model: solved on first read and kept, so workers forked afterwards inherit it."""
+        # Read off the module so a tracer wrapping it sees these solves.
+        return [solvers.value_iteration(induced_mdp(m)).greedy for m in self.models]
 
 
 def posterior_entropy(p: np.ndarray) -> float:

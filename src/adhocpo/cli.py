@@ -22,17 +22,10 @@ import sys
 from pathlib import Path
 
 from adhocpo import domains
-from adhocpo.agents import AGENT_NAMES, CapabilityError, check_likelihood_floor, make_agent
+from adhocpo.agents import AGENT_NAMES, CapabilityError
 from adhocpo.domains import DOMAIN_NAMES, DomainBuild
-from adhocpo.harness import (
-    check_agent_names,
-    check_seed,
-    check_trials,
-    emit_reports,
-    prepare_library,
-    run_experiment,
-    run_library_scaling,
-)
+from adhocpo.domains.gridcommon import TooFewTasks
+from adhocpo.harness import SCALING_AGENTS, emit_reports, plan_experiment, prepare_library
 from adhocpo.modelio import FORMAT_TAG, dump_model, load_model, read_text
 from adhocpo.pomdp import validate as validate_model
 from adhocpo.solvers import PolicyCache, solve_many
@@ -120,39 +113,15 @@ def cmd_solve(args) -> int:
 def cmd_run(args) -> int:
     build = _resolve_build(args)
     requested = AGENT_NAMES if args.agent == "all" else tuple(args.agent.split(","))
-    # Refuse bad values before the library is solved, not after.
-    check_agent_names(requested)
-    check_trials(args.trials)
-    check_seed(args.seed)
-    if "atpo" in requested:
-        check_likelihood_floor(args.likelihood_floor)
-
-    cache = _cache(args)
-    library = prepare_library(build, cache=cache, progress=print)
-
-    names = []
-    for name in requested:
-        try:
-            make_agent(name, library, greedy=args.greedy, likelihood_floor=args.likelihood_floor)
-            names.append(name)
-        except CapabilityError as err:
-            if args.agent == "all":
-                print(f"skipping {name}: {err}")
-            else:
-                print(f"cannot run {name}: {err}", file=sys.stderr)
-                return 2
-
-    result = run_experiment(
-        library,
-        names,
-        horizon=build.horizon,
-        trials=args.trials,
-        base_seed=args.seed,
-        label=build.name,
-        greedy=args.greedy,
-        likelihood_floor=args.likelihood_floor,
-        progress=print,
+    # Refuse bad values and agents the models cannot serve before the
+    # library is solved, not after; `all` skips those agents instead.
+    skip = (lambda name, err: print(f"skipping {name}: {err}")) if args.agent == "all" else None
+    plan = plan_experiment(
+        requested, build.models, args.trials, args.seed, args.greedy, args.likelihood_floor, skip
     )
+
+    library = prepare_library(build, cache=_cache(args), progress=print)
+    result = plan.run(library, build.horizon, label=build.name, progress=print)
     out = Path(args.out) if args.out else Path("results") / build.name
     emit_reports(result, out, traces=args.traces)
     print(f"reports in {out}")
@@ -174,24 +143,18 @@ def cmd_scale(args) -> int:
     name, overrides = _requested(args)
     if not domains.takes(name, "tasks"):
         raise ValueError(f"domain {args.domain!r} has no task-library size to sweep")
-    check_trials(args.trials)
-    check_seed(args.seed)
-    build = domains.build(name, **{**overrides, "tasks": max(sizes)})
+    try:
+        build = domains.build(name, **{**overrides, "tasks": sizes[-1]})
+    except TooFewTasks as err:
+        raise ValueError(f"--sizes asks for a library of {sizes[-1]}, but the {err}") from None
+    plan = plan_experiment(SCALING_AGENTS, build.models, args.trials, args.seed)
 
-    cache = _cache(args)
-    library = prepare_library(build, cache=cache, progress=print)
+    library = prepare_library(build, cache=_cache(args), progress=print)
     # Task enumerations nest, so each smaller library is a prefix.
     libraries = {
         k: type(library)(library.models[:k], library.policies[:k]) for k in sizes
     }
-    results = run_library_scaling(
-        libraries,
-        horizon=build.horizon,
-        trials=args.trials,
-        base_seed=args.seed,
-        label=build.name,
-        progress=print,
-    )
+    results = plan.run_scaling(libraries, build.horizon, label=build.name, progress=print)
 
     out = Path(args.out) if args.out else Path("results") / f"{build.name}-scale"
     out.mkdir(parents=True, exist_ok=True)

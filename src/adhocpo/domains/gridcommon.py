@@ -106,6 +106,10 @@ def path_lengths(moves: np.ndarray) -> np.ndarray:
     return lengths
 
 
+class TooFewTasks(ValueError):
+    """A library asks for more tasks than its plan has connected goal pairs."""
+
+
 def canonical_tasks(grid: GridMap) -> list:
     """All connected goal pairs, farthest apart first, then by cell ids.
 

@@ -32,7 +32,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
     cells = size * size
     goal_pairs = gc.canonical_tasks(grid)[:tasks]
     if len(goal_pairs) < tasks:
-        raise ValueError(f"grid of size {size} supports {len(goal_pairs)} tasks")
+        raise gc.TooFewTasks(f"grid of size {size} supports {len(goal_pairs)} tasks")
 
     # Every non-absorbing state as its (agent, teammate) cells, in state
     # order: state pa * cells + pt.

@@ -39,7 +39,7 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
     f = grid.num_free
     goal_pairs = gc.canonical_tasks(grid)[:tasks]
     if len(goal_pairs) < tasks:
-        raise ValueError(f"map {map_name!r} supports {len(goal_pairs)} tasks")
+        raise gc.TooFewTasks(f"map {map_name!r} supports {len(goal_pairs)} tasks")
 
     # Every non-absorbing state as its (agent, teammate) cells, in state order;
     # state pa * (f - 1) + pt - (pt > pa) skips the pairs with pa == pt.

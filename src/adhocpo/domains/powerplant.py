@@ -42,9 +42,6 @@ NUM_ACTIONS = 6
 NUM_OBSERVATIONS = 6
 NULL_OBSERVATION = 0
 
-STEP_REWARD = -1.0
-COMPLETION_REWARD = 100.0
-
 
 # ROOM_MOVES[room][a]: where the robot's move action a leads from room; a
 # move indexed past the room's degree stays put.
@@ -119,12 +116,12 @@ def _build_task(
     absorbing = num_states - 1
 
     transition = [np.zeros((num_states, num_states)) for _ in range(NUM_ACTIONS)]
-    reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
+    reward = np.full((num_states, NUM_ACTIONS), gc.STEP_REWARD)
     reward[absorbing] = 0.0
 
     for x, (r, h, bits) in enumerate(triples):
         if not bits:
-            reward[x] = COMPLETION_REWARD
+            reward[x] = gc.COMPLETION_REWARD
             for a in range(NUM_ACTIONS):
                 transition[a][x, absorbing] = 1.0
             continue

@@ -9,7 +9,9 @@ therefore gives every agent the same sequence of (model, start) pairs.
 Trials share no state, so an experiment runs them in forked worker
 processes, one job per (agent, seed), through the fork pool the library
 solve uses (`forkpool.forked_map`); the results are those of the same
-trials run in this process.
+trials run in this process.  An experiment is planned first
+(`plan_experiment`) from the library's models alone, so its settings and
+agents are checked once, before any policy is solved.
 
 Scores follow the accumulated (undiscounted) reward over the horizon.
 Normalised scores put the random agent at 0 and the state-observing
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from adhocpo import atpo, pomdp
-from adhocpo.agents import Agent, check_agent_name, make_agent
+from adhocpo.agents import Agent, CapabilityError, agent_class, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary, posterior_entropy
 from adhocpo.domains import DomainBuild
 from adhocpo.forkpool import forked_map
@@ -87,6 +89,8 @@ class TrialResult:
 PHASES = ("act", "step", "observe", "diagnostics")
 # The acting steps at which summary.json reports posterior identification.
 IDENTIFICATION_STEPS = (5, 10, 20)
+# The roster of a library-size sweep.
+SCALING_AGENTS = ("atpo", "vi", "random")
 
 
 def run_trial(
@@ -226,26 +230,91 @@ def library_manifest(library: ModelLibrary) -> dict:
     return {"models": models, "solver_settings": sorted(settings)}
 
 
-def check_trials(trials: int) -> None:
-    """Raise ValueError unless there is at least one trial per agent."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial per agent, got {trials}")
+@dataclasses.dataclass(frozen=True)
+class ExperimentPlan:
+    """The agents, trial block and agent settings of one experiment, as
+    `plan_experiment` checked them: running a plan checks nothing again."""
+
+    agent_names: tuple
+    trials: int
+    base_seed: int
+    greedy: bool = False
+    likelihood_floor: float = 0.0
+
+    def run(self, library: ModelLibrary, horizon: int, label: str = "experiment",
+            progress: Progress = None) -> ExperimentResult:
+        """Same seed block for every agent, trials in forked workers.
+
+        The agents are made here first, so the library's value-iteration
+        tables are solved in this process, before the fork.  The trials, one
+        job per (agent, seed), go through `forkpool.forked_map`: the workers
+        get the library and the agents through the fork, and every worker is
+        joined before this returns, also after a failing trial or an
+        interrupt.  A trial depends only on its seed, so the results are the
+        ones a run in this process gives.  `progress` gets one line per agent.
+        """
+        made = [
+            make_agent(name, library, greedy=self.greedy, likelihood_floor=self.likelihood_floor)
+            for name in self.agent_names
+        ]
+        jobs = [(i, self.base_seed + t) for i in range(len(made)) for t in range(self.trials)]
+        agents = {}
+        with forked_map(lambda i, seed: run_trial(library, made[i], horizon, seed=seed), jobs) as runs:
+            for name in self.agent_names:
+                s = agents[name] = AgentSummary(name=name, trials=list(itertools.islice(runs, self.trials)))
+                if progress:
+                    progress(f"{label}: {name} mean {s.mean:.2f} (std {s.std:.2f})")
+        if "vi" in agents and "random" in agents:
+            lo, hi = agents["random"].mean, agents["vi"].mean
+            if hi > lo:
+                for s in agents.values():
+                    s.normalized = 100.0 * (s.mean - lo) / (hi - lo)
+        return ExperimentResult(
+            label=label,
+            horizon=horizon,
+            base_seed=self.base_seed,
+            num_trials=self.trials,
+            agents=agents,
+            manifest=library_manifest(library),
+        )
+
+    def run_scaling(self, libraries: dict, horizon: int, label: str, progress: Progress = None) -> dict:
+        """One experiment per library size, shared seed block."""
+        return {k: self.run(libraries[k], horizon, f"{label} K={k}", progress) for k in sorted(libraries)}
 
 
-def check_seed(base_seed: int) -> None:
-    """Raise ValueError on a negative base seed: numpy seeds no generator with one."""
-    if base_seed < 0:
-        raise ValueError(f"trial seed must be non-negative, got {base_seed}")
+def plan_experiment(agent_names, models, trials: int = 32, base_seed: int = 0, greedy: bool = False,
+                    likelihood_floor: float = 0.0, skip: Optional[Callable] = None) -> ExperimentPlan:
+    """Check an experiment against its library's models, which need no policy yet.
 
-
-def check_agent_names(names: tuple) -> None:
-    """Raise ValueError for an unknown agent name, then for one named twice:
-    reports keep one entry per name."""
-    for name in names:
-        check_agent_name(name)
+    In this order, ValueError for: an unknown agent, one named twice
+    (reports keep one entry per name), a trial count below 1, a negative
+    seed (numpy seeds no generator with one), and with atpo in the roster a
+    likelihood floor that is not finite and non-negative.  Then an agent
+    that cannot run on the models raises CapabilityError, or, given
+    `skip`, is handed to skip(name, error) and left out.
+    """
+    names = tuple(agent_names)
+    classes = [agent_class(name) for name in names]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"agent {name!r} is named more than once")
+    if trials < 1:
+        raise ValueError(f"need at least one trial per agent, got {trials}")
+    if base_seed < 0:
+        raise ValueError(f"trial seed must be non-negative, got {base_seed}")
+    if "atpo" in names and not (math.isfinite(likelihood_floor) and likelihood_floor >= 0.0):
+        raise ValueError(f"likelihood floor must be finite and non-negative, got {likelihood_floor}")
+    kept = []
+    for name, cls in zip(names, classes):
+        try:
+            cls.check_models(models)
+            kept.append(name)
+        except CapabilityError as err:
+            if skip is None:
+                raise
+            skip(name, err)
+    return ExperimentPlan(tuple(kept), trials, base_seed, greedy, likelihood_floor)
 
 
 def run_experiment(
@@ -259,49 +328,11 @@ def run_experiment(
     likelihood_floor: float = 0.0,
     progress: Progress = None,
 ) -> ExperimentResult:
-    """Same seed block for every agent, trials in forked workers.
-
-    An unknown or repeated agent name, a trial count below 1 or a negative
-    seed raises ValueError, and an agent that cannot run on the library
-    raises CapabilityError when it is made; every agent is made here
-    first, so either comes before any trial runs.  The trials, one job per
-    (agent, seed), go through `forkpool.forked_map`: the workers get the
-    library and the agents through the fork and call run_trial, and every
-    worker is joined before this returns, also after a failing trial or an
-    interrupt.  A trial depends only on its seed, so the results are the
-    ones a run in this process gives.  `progress` gets one line per agent,
-    in agent order.
-    """
-    check_trials(trials)
-    check_seed(base_seed)
-    names = tuple(agent_names)
-    check_agent_names(names)
-    made = [
-        make_agent(name, library, greedy=greedy, likelihood_floor=likelihood_floor)
-        for name in names
-    ]
-    jobs = [(i, base_seed + t) for i in range(len(made)) for t in range(trials)]
-    agents = {}
-    with forked_map(lambda i, seed: run_trial(library, made[i], horizon, seed=seed), jobs) as runs:
-        for name in names:
-            s = agents[name] = AgentSummary(name=name, trials=list(itertools.islice(runs, trials)))
-            if progress:
-                progress(f"{label}: {name} mean {s.mean:.2f} (std {s.std:.2f})")
-    if "vi" in agents and "random" in agents:
-        lo = agents["random"].mean
-        hi = agents["vi"].mean
-        span = hi - lo
-        if span > 0.0:
-            for s in agents.values():
-                s.normalized = 100.0 * (s.mean - lo) / span
-    return ExperimentResult(
-        label=label,
-        horizon=horizon,
-        base_seed=base_seed,
-        num_trials=trials,
-        agents=agents,
-        manifest=library_manifest(library),
-    )
+    """`plan_experiment` on the library's models, then `ExperimentPlan.run`:
+    a bad setting or an agent the library cannot serve raises before any
+    agent is made or any trial runs."""
+    plan = plan_experiment(agent_names, library.models, trials, base_seed, greedy, likelihood_floor)
+    return plan.run(library, horizon, label=label, progress=progress)
 
 
 @dataclasses.dataclass
@@ -362,23 +393,15 @@ def run_library_scaling(
     horizon: int,
     trials: int = 32,
     base_seed: int = 0,
-    agent_names=("atpo", "vi", "random"),
+    agent_names=SCALING_AGENTS,
     label: str = "scaling",
     progress: Progress = None,
 ) -> dict:
-    """One experiment per library size, shared seed block."""
-    results = {}
-    for size in sorted(libraries):
-        results[size] = run_experiment(
-            libraries[size],
-            agent_names,
-            horizon,
-            trials=trials,
-            base_seed=base_seed,
-            label=f"{label} K={size}",
-            progress=progress,
-        )
-    return results
+    """One experiment per library size, shared seed block; planned against
+    the models of every library."""
+    models = [m for library in libraries.values() for m in library.models]
+    plan = plan_experiment(agent_names, models, trials, base_seed)
+    return plan.run_scaling(libraries, horizon, label=label, progress=progress)
 
 
 def emit_reports(

@@ -112,11 +112,12 @@ class StateValueFunction:
 
 
 def bellman_q(mdp: TabularMmdp, values: np.ndarray) -> np.ndarray:
-    """One-step lookahead q(x, a) under the given state values."""
-    q = np.empty((mdp.num_states, mdp.num_actions))
+    """One-step lookahead q(x, a) under the given state values, as the transpose of an
+    action-major array, so a max over actions runs along whole rows of states."""
+    q = np.empty((mdp.num_actions, mdp.num_states))
     for a in range(mdp.num_actions):
-        q[:, a] = mdp.reward[:, a] + mdp.discount * (mdp.transition[a] @ values)
-    return q
+        q[a] = mdp.reward[:, a] + mdp.discount * (mdp.transition[a] @ values)
+    return q.T
 
 
 def value_iteration(

@@ -286,6 +286,8 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         (["scale", "--sizes", "1", "--tolerance", "nan"], "error: solver tolerance must be non-negative, got nan\n"),
         (["scale", "--sizes", "2,x"], "error: --sizes: 'x' is not an integer\n"),
         (["scale", "--sizes", "0,2"], "error: library sizes must be positive, got 0\n"),
+        (["scale", "--sizes", "1,40"],
+         "error: --sizes asks for a library of 40, but the grid of size 3 supports 36 tasks\n"),
         (["run", "--agent", "random,atpo,random"], "error: agent 'random' is named more than once\n"),
         # An unknown name is refused before a repeated one.
         (["run", "--agent", "foo"], unknown),
@@ -303,6 +305,26 @@ def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
         assert "policy for" not in captured.out
     assert not (tmp_path / "out").exists()
     assert not list((tmp_path / "cache").glob("*.policy"))
+
+
+def test_cli_refuses_or_skips_an_agent_the_models_cannot_serve_before_the_solve(tmp_path, capsys):
+    # power-plant's two tasks have 97 and 105 states, so bopa cannot run.
+    common = ["--beliefs", "50", "--trials", "1",
+              "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]
+    refusal = "bopa needs one shared state space; library has sizes 97, 105"
+    assert main(["run", "power-plant", "--agent", "bopa", *common]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refusal}\n"
+    assert captured.out == ""
+    assert not list((tmp_path / "cache").glob("*.policy"))
+    assert not (tmp_path / "out").exists()
+
+    assert main(["run", "power-plant", "--agent", "all", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first_solve = next(i for i, line in enumerate(lines) if line.startswith("policy for"))
+    assert lines.index(f"skipping bopa: {refusal}") < first_solve
+    report = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert list(report["agents"]) == [name for name in AGENT_NAMES if name != "bopa"]
 
 
 def test_cli_reports_a_path_it_cannot_use_without_a_traceback(tmp_path, capsys, desk_spec):

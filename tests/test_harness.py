@@ -595,6 +595,45 @@ def test_pool_trials_equal_trials_in_this_process(small_library, cpus, tmp_path,
         assert pooled.agents[name].normalized == here.agents[name].normalized
 
 
+def test_value_iteration_runs_once_per_library_and_never_in_a_worker(small_library, cpus, tmp_path, monkeypatch):
+    _, solved = small_library
+    roster = ("vi", "bopa", "random")
+    seeds = (0, 40, 80)
+    cpus(1)
+    reference = atpo.ModelLibrary(solved.models, solved.policies)
+    here = [run_experiment(reference, roster, horizon=12, trials=4, base_seed=seed) for seed in seeds]
+
+    solve = solvers.value_iteration
+    log = tmp_path / "vi.log"
+
+    def logged(mdp, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return solve(mdp, *args, **kwargs)
+
+    # Both names the tracer wraps, so a solve through either is counted.
+    monkeypatch.setattr(solvers, "value_iteration", logged)
+    monkeypatch.setattr(agents, "value_iteration", logged)
+    cpus(2)
+    lib = atpo.ModelLibrary(solved.models, solved.policies)
+    pooled = [run_experiment(lib, roster, horizon=12, trials=4, base_seed=seed) for seed in seeds]
+    assert not child_process_left()
+    # One solve per model, all in this process, none in a later block.
+    assert log.read_text().split() == [str(os.getpid())] * lib.size
+    for got, expected in zip(pooled, here):
+        for name in roster:
+            assert_same_trials(got.agents[name].trials, expected.agents[name].trials)
+
+    # vi plays each visited state's greedy action of a direct solve of the true model.
+    greedy = [solve(pomdp.induced_mdp(m)).greedy for m in lib.models]
+    for got, table in zip(lib.state_greedy, greedy):
+        assert np.array_equal(got, table)
+    for result in pooled:
+        for t in result.agents["vi"].trials:
+            visited = [t.initial_state, *t.states[:-1]]
+            assert t.actions == [int(greedy[t.model_index][x]) for x in visited]
+
+
 def test_one_cpu_or_one_job_creates_no_pool(small_library, cpus, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was created")
