@@ -13,8 +13,9 @@ fully informed oracles down to uniform noise:
 - random-picker: maintains the same beliefs but each step follows one
   surviving model chosen uniformly at random.
 - bopa: sees the state (not the observations); posterior from state
-  transitions, mixture of per-model value-iteration actions.  Requires
-  every candidate to share one state space.
+  transitions, mixture of per-model value-iteration actions, through
+  atpo's Bayes step and mixture.  Requires every candidate to share one
+  state space.
 - random: uniform over actions.
 
 Agents are driven per trial as reset / act / observe.  The harness
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from adhocpo import atpo
-from adhocpo.atpo import AllModelsPruned, ModelLibrary, PosteriorState
+from adhocpo.atpo import ModelLibrary, PosteriorState
 from adhocpo.pomdp import belief_update
 # value_iteration is not called here, but the benchmark's tracer wraps it
 # under this module's name.
@@ -202,25 +203,15 @@ class BopaAgent(_StateFeedbackAgent):
         self._step = 0
 
     def act(self, rng):
-        mix = np.zeros(self.library.num_actions)
-        for k in np.flatnonzero(self.posterior > 0.0):
-            mix[self.state_greedy[k][self._x]] += self.posterior[k]
+        actions = np.where(self.posterior > 0.0, [greedy[self._x] for greedy in self.state_greedy], -1)
+        mix = atpo.mixture_policy(actions, self.posterior, self.library.num_actions)
         return atpo.draw(mix, rng, self.greedy)
 
     def observe(self, action, observation=None, state=None):
         if state is None:
             raise CapabilityError(f"{self.name} must see the environment state")
-        evidence = np.array(
-            [
-                model.transition_row(self._x, action)[state]
-                for model in self.library.models
-            ]
-        )
-        weights = self.posterior * evidence
-        total = weights.sum()
-        if total <= 0.0:
-            raise AllModelsPruned(self._step, action, state)
-        self.posterior = weights / total
+        evidence = np.array([model.transition_row(self._x, action)[state] for model in self.library.models])
+        self.posterior = atpo.reweight(self.posterior, evidence, self._step, action, state)
         self._x = state
         self._step += 1
 

@@ -11,10 +11,13 @@ belief (-1 once pruned, the one record of which models are alive),
 computed once when the state is made.  The mixture policy the agent acts
 from and the random-picker baseline read that one array.
 
+Bayes' rule over the candidates (`reweight`) and their posterior mixture
+(`mixture_policy`) are also the bopa agent's, on its state transitions.
+
 The agent is never told which model is in play.  The loss rows the
 cumulative bound is checked on, against the true model, are computed
-after the trial from the greedy actions it recorded and the true
-model's belief re-filtered.
+after the trial (`loss_rows`) from the greedy actions it recorded and the
+true model's belief re-filtered by the agent's `filter_step`.
 """
 from __future__ import annotations
 
@@ -141,12 +144,12 @@ class PosteriorState:
         )
 
 
-def mixture_policy(library: ModelLibrary, state: PosteriorState) -> np.ndarray:
-    """Posterior-weighted mixture of per-model greedy actions."""
-    active = state.greedy >= 0
-    return np.bincount(
-        state.greedy[active], weights=state.posterior[active], minlength=library.num_actions
-    )
+def mixture_policy(greedy: np.ndarray, posterior: np.ndarray, num_actions: int) -> np.ndarray:
+    """Posterior-weighted mixture of per-model actions: entry a sums, in
+    model order from 0.0, the posterior of every model whose action is a.
+    A model with action -1 is left out."""
+    active = greedy >= 0
+    return np.bincount(greedy[active], weights=posterior[active], minlength=num_actions)
 
 
 def draw(mix: np.ndarray, rng: np.random.Generator, greedy: bool) -> int:
@@ -167,8 +170,25 @@ def act(
     Sampling is the default; greedy=True takes the mixture argmax instead
     (lowest action id on ties).  Returns (action, mixture weights).
     """
-    mix = mixture_policy(library, state)
+    mix = mixture_policy(state.greedy, state.posterior, library.num_actions)
     return draw(mix, rng, greedy), mix
+
+
+def reweight(posterior: np.ndarray, evidence: np.ndarray, step: int, action: int, observation: int):
+    """Bayes' rule over the candidates: the posterior times their evidence, normalised;
+    AllModelsPruned(step, action, observation) when no weight is left."""
+    weights = posterior * evidence
+    if (total := weights.sum()) <= 0.0:
+        raise AllModelsPruned(step, action, observation)
+    return weights / total
+
+
+def filter_step(model, belief: np.ndarray, action: int, observation: int) -> tuple[np.ndarray, float]:
+    """Bayes filter step: (new belief, likelihood), or (the same belief, 0.0) on zero likelihood."""
+    try:
+        return belief_update(model, belief, action, observation)
+    except ZeroLikelihood:
+        return belief, 0.0
 
 
 def update(
@@ -190,24 +210,14 @@ def update(
     evidence = np.zeros(library.size)
     beliefs = list(state.beliefs)
     active = state.greedy >= 0
-    for k in range(library.size):
-        if not active[k]:
-            continue
-        try:
-            beliefs[k], evidence[k] = belief_update(
-                library.models[k], state.beliefs[k], action, observation
-            )
-        except ZeroLikelihood:
-            if likelihood_floor > 0.0:
-                evidence[k] = likelihood_floor
-            else:
-                active[k] = False
-    weights = state.posterior * np.where(active, np.maximum(evidence, 0.0), 0.0)
-    total = weights.sum()
-    if total <= 0.0:
-        raise AllModelsPruned(state.step, action, observation)
+    for k in np.flatnonzero(active):
+        beliefs[k], evidence[k] = filter_step(library.models[k], state.beliefs[k], action, observation)
+        if evidence[k] == 0.0:
+            active[k] = likelihood_floor > 0.0
+            evidence[k] = likelihood_floor if active[k] else 0.0
+    alive_evidence = np.where(active, np.maximum(evidence, 0.0), 0.0)
     return PosteriorState(
-        posterior=weights / total,
+        posterior=reweight(state.posterior, alive_evidence, state.step, action, observation),
         beliefs=beliefs,
         greedy=_greedy_actions(library, beliefs, active),
         step=state.step + 1,
@@ -231,6 +241,21 @@ def policy_loss_row(
     """
     losses = loss_all(library.models[true_model], library.policies[true_model], belief)
     return np.where(greedy >= 0, losses[greedy], losses.max())
+
+
+def loss_rows(library: ModelLibrary, true_model: int, actions, observations, greedy_actions) -> np.ndarray:
+    """Each acting step's policy_loss_row at the true model's belief, re-filtered
+    from the trial: as in the agent, it advances only while the model is alive
+    (greedy action not -1) and holds on zero likelihood."""
+    model = library.models[true_model]
+    belief = model.initial_belief.copy()
+    rows = []
+    for t, (action, observation) in enumerate(zip(actions, observations)):
+        rows.append(policy_loss_row(library, true_model, belief, greedy_actions[t]))
+        # No row reads the belief after the last action.
+        if t + 1 < len(actions) and greedy_actions[t][true_model] >= 0:
+            belief, _ = filter_step(model, belief, action, observation)
+    return np.array(rows)
 
 
 @dataclasses.dataclass

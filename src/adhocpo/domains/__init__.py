@@ -198,12 +198,13 @@ def parse_domain_spec(text: str) -> tuple:
     """Parse a domain spec: `key value` lines, '#' comments allowed.
 
     The `domain` key is required and names a registry entry; the other
-    keys (the spec keys of SETTINGS) override that entry's defaults.
-    Returns (name, overrides), keyed by build() keyword.
+    keys (the spec keys of SETTINGS) override that entry's defaults.  A key
+    may appear once.  Returns (name, overrides), keyed by build() keyword.
     """
     keys = {key: (keyword, kind) for key, _, keyword, kind, _ in SETTINGS}
     name = None
     overrides = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,6 +213,8 @@ def parse_domain_spec(text: str) -> tuple:
         if len(parts) != 2:
             raise ValueError(f"domain spec line {lineno}: expected 'key value'")
         key, value = parts
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"domain spec line {lineno}: repeated key {key!r}, first on line {first_line[key]}")
         if key == "domain":
             name = value.strip()
         elif key in keys:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from adhocpo.csr import CsrTable
+from adhocpo.domains import gridcommon as gc
 from adhocpo.pomdp import TabularPomdp
 
 TOP, BOTTOM = 0, 1
@@ -49,9 +50,6 @@ NUM_FACTOR_STATES = 1728  # product of FACTOR_SIZES
 SERVED = NUM_FACTOR_STATES
 ABSORBING = NUM_FACTOR_STATES + 1
 NUM_STATES = NUM_FACTOR_STATES + 2
-
-STEP_REWARD = -1.0
-COMPLETION_REWARD = 100.0
 
 COOK_NAMES = ("pan-side", "window-side", "stationary", "erratic")
 
@@ -153,8 +151,8 @@ def _build_cook_model(name: str, discount: float, identity: CsrTable) -> Tabular
     rows = [[] for _ in range(NUM_ACTIONS)]
     cols = [[] for _ in range(NUM_ACTIONS)]
     vals = [[] for _ in range(NUM_ACTIONS)]
-    reward = np.full((NUM_STATES, NUM_ACTIONS), STEP_REWARD)
-    reward[SERVED] = COMPLETION_REWARD
+    reward = np.full((NUM_STATES, NUM_ACTIONS), gc.STEP_REWARD)
+    reward[SERVED] = gc.COMPLETION_REWARD
     reward[ABSORBING] = 0.0
 
     for x in range(NUM_FACTOR_STATES):

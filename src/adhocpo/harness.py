@@ -31,12 +31,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from adhocpo import atpo, pomdp
+from adhocpo import atpo
 from adhocpo.agents import Agent, CapabilityError, agent_class, make_agent
 from adhocpo.atpo import BoundReport, ModelLibrary, posterior_entropy
 from adhocpo.domains import DomainBuild
 from adhocpo.forkpool import forked_map
-from adhocpo.pomdp import ZeroLikelihood, sample_initial_state, simulate_step
+from adhocpo.pomdp import sample_initial_state, simulate_step
 # solve_with_cache is not called here, but the benchmark's tracer wraps it
 # under this module's name.
 from adhocpo.solvers import PolicyCache, solve_many, solve_with_cache  # noqa: F401
@@ -101,7 +101,8 @@ def run_trial(
     true_model: Optional[int] = None,
     initial_state: Optional[int] = None,
 ) -> TrialResult:
-    """One seeded episode; the full horizon is always played out."""
+    """One seeded episode; the full horizon is always played out.  An agent
+    that keeps a posterior also gets its loss rows (`atpo.loss_rows`) and bound."""
     env_seq, agent_seq = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(env_seq)
     agent_rng = np.random.default_rng(agent_seq)
@@ -144,7 +145,8 @@ def run_trial(
     if posteriors is not None and horizon >= 1:
         result.posteriors = np.array(posteriors)
         result.evidence = np.array(agent.evidence)
-        result.loss_rows = _loss_rows(library, k_star, result, agent.greedy_actions)
+        result.loss_rows = atpo.loss_rows(library, k_star, result.actions, result.observations,
+                                          agent.greedy_actions)
         result.bound = atpo.check_bound(
             result.loss_rows,
             result.posteriors[:-1],
@@ -156,25 +158,6 @@ def run_trial(
     result.wall_time = finished - started
     result.phase_s = dict(zip(PHASES, (acting, stepping, observing, finished - diagnosing)))
     return result
-
-
-def _loss_rows(library: ModelLibrary, true_model: int, trial: TrialResult, greedy_actions) -> np.ndarray:
-    """Each acting step's policy_loss_row at the true model's belief, which
-    is re-filtered from the trial and, as in the agent, advances only while
-    the model is alive (greedy action not -1) and holds on zero likelihood."""
-    model = library.models[true_model]
-    belief = model.initial_belief.copy()
-    rows = []
-    for t, (action, observation) in enumerate(zip(trial.actions, trial.observations)):
-        rows.append(atpo.policy_loss_row(library, true_model, belief, greedy_actions[t]))
-        # No row reads the belief after the last action.
-        if t + 1 < len(trial.actions) and greedy_actions[t][true_model] >= 0:
-            try:
-                # Read off the module so a tracer wrapping it sees this filter.
-                belief, _ = pomdp.belief_update(model, belief, action, observation)
-            except ZeroLikelihood:
-                pass
-    return np.array(rows)
 
 
 @dataclasses.dataclass

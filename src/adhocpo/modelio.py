@@ -229,10 +229,13 @@ def loads_model(text: str) -> TabularPomdp:
     if not 0.0 <= discount < 1.0:
         lines.fail(f"discount must lie in [0, 1), got {discount!r}")
 
-    def read_section(key: str, bounds: tuple):
-        """Entries of one section: integer indices below `bounds`, then a value."""
+    def read_section(key: str, bounds: tuple, sums: bool = True):
+        """Entries of one section: integer indices below `bounds`, then a value.
+        Repeated indices add up, as in a COO table, unless `sums` is False:
+        then a repeat is refused rather than silently replacing the earlier value."""
         count = _header_int(lines, key)
         rows = []
+        first_line = {}
         for _ in range(count):
             parts = lines.next().split()
             if len(parts) != len(bounds) + 1:
@@ -244,13 +247,15 @@ def loads_model(text: str) -> TabularPomdp:
                 lines.fail(f"bad {key} entry: {' '.join(parts)!r}")
             if not all(0 <= i < b for i, b in zip(index, bounds)):
                 lines.fail(f"{key} index out of range in entry {' '.join(parts)!r}")
+            if not sums and first_line.setdefault(index, lines.pos) != lines.pos:
+                lines.fail(f"repeated {key} entry {' '.join(parts[:-1])}, first on line {first_line[index]}")
             rows.append(index + (value,))
         return rows
 
     t_rows = read_section("T", (num_actions, n, n))
     o_rows = read_section("O", (num_actions, n, num_obs))
-    r_rows = read_section("R", (n, num_actions))
-    b_rows = read_section("b0", (n,))
+    r_rows = read_section("R", (n, num_actions), sums=False)
+    b_rows = read_section("b0", (n,), sums=False)
     if lines.next().strip() != "end":
         lines.fail("expected 'end'")
 

@@ -13,7 +13,7 @@ from adhocpo.agents import (
     RandomPickerAgent,
     make_agent,
 )
-from adhocpo.atpo import ModelLibrary
+from adhocpo.atpo import AllModelsPruned, ModelLibrary
 from adhocpo.pomdp import TabularPomdp, belief_update, induced_mdp
 from adhocpo.solvers import SolverSettings, perseus_solve, policy_action, value_iteration
 
@@ -187,6 +187,20 @@ def test_bopa_posterior_tracks_transitions(rng):
     # A jump is impossible for the stayer: it is pruned outright.
     agent.observe(0, state=2)
     assert agent.posterior == pytest.approx([0.0, 1.0])
+
+
+def test_bopa_raises_when_every_candidate_is_ruled_out(rng):
+    # Both candidates stay put, so a jump has transition probability 0 under each.
+    stay = np.eye(3)
+    obs = [np.full((3, 2), 0.5)] * 2
+    b0 = np.full(3, 1.0 / 3.0)
+    models = [TabularPomdp([stay, stay], obs, np.zeros((3, 2)), 0.9, b0, label=f"stay{k}") for k in range(2)]
+    agent = BopaAgent(tiny_library(models))
+    agent.reset(rng, initial_state=1)
+    agent.observe(1, state=1)
+    with pytest.raises(AllModelsPruned) as err:
+        agent.observe(0, state=2)
+    assert (err.value.step, err.value.action, err.value.observation) == (1, 0, 2)
 
 
 def test_atpo_diagnostics_shapes(rng):

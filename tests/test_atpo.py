@@ -178,7 +178,7 @@ def test_mixture_policy_weights():
     rng = np.random.default_rng(9)
     lib = _random_library(rng, size=3, num_states=3)
     s = PosteriorState.initial(lib)
-    mix = mixture_policy(lib, s)
+    mix = mixture_policy(s.greedy, s.posterior, lib.num_actions)
     assert mix.sum() == pytest.approx(1.0, abs=1e-12)
     acts = [policy_action(lib.policies[k], s.beliefs[k]) for k in range(3)]
     assert s.greedy.tolist() == acts
@@ -192,7 +192,7 @@ def test_act_sampling_frequencies_and_greedy():
     rng = np.random.default_rng(10)
     lib = _random_library(rng, size=3, num_states=3)
     s = PosteriorState.initial(lib)
-    mix = mixture_policy(lib, s)
+    mix = mixture_policy(s.greedy, s.posterior, lib.num_actions)
     counts = np.zeros(lib.num_actions)
     n = 5000
     for _ in range(n):
@@ -242,7 +242,7 @@ def test_loss_row_reads_each_models_greedy_action():
     manual = np.zeros(lib.num_actions)
     for k in (1, 2):
         manual[policy_action(lib.policies[k], s.beliefs[k])] += s.posterior[k]
-    assert np.array_equal(mixture_policy(lib, s), manual)
+    assert np.array_equal(mixture_policy(s.greedy, s.posterior, lib.num_actions), manual)
 
 
 def test_check_bound_hand_computed():

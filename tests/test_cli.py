@@ -50,6 +50,10 @@ def test_domain_spec_parser_errors():
         parse_domain_spec("domain gridworld\nsize tiny\n")
     with pytest.raises(ValueError, match="expected 'key value'"):
         parse_domain_spec("domain\n")
+    with pytest.raises(ValueError, match="^domain spec line 3: repeated key 'size', first on line 2$"):
+        parse_domain_spec("domain gridworld\nsize 3\nsize 4\ndomain isr\n")
+    with pytest.raises(ValueError, match="^domain spec line 4: repeated key 'domain', first on line 1$"):
+        parse_domain_spec("domain gridworld\nsize 3\n# a comment\ndomain isr\n")
 
 
 def test_cli_validate_domain(capsys, desk_spec):

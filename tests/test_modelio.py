@@ -129,6 +129,11 @@ def test_errors_carry_line_numbers(rng):
         (r_at + 1, "", "0 9 1.0", "R index out of range"),
         (b_at + 1, "", "-1 0.5", "b0 index out of range"),
     ]
+    # A repeated reward or initial-belief entry is refused, naming both lines.
+    for start, key in ((r_at, "R"), (b_at, "b0")):
+        index = lines[start + 1].split()[:-1]
+        message = f"repeated {key} entry {' '.join(index)}, first on line {start + 2}"
+        cases.append((start + 2, "", " ".join(index + ["-7.0"]), message))
     for i, prefix, line, message in cases:
         assert lines[i].startswith(prefix)
         broken = list(lines)
