@@ -14,10 +14,17 @@ The belief set is fixed for the whole solve, and so is everything a backup
 derives from a belief alone: per action, the reward term <b, R[:, a]>, the
 support of the propagated belief b T[a] and its values there.  A solve
 computes these once, when it starts, into one flat successor store that
-every stage reuses; the online lookahead builds the store of its one
-belief.  Its rows are the very arrays a backup would compute for itself,
-so the policy is the same, float for float, as one whose backups
-recompute them on every call.
+every stage reuses.  Its rows are the very arrays a backup would compute
+for itself, so the policy is the same, float for float, as one whose
+backups recompute them on every call.
+
+The online lookahead (`policy_q_all`, behind every loss row of a trial)
+is a route of its own.  It scores every action, so no bound could skip
+one, and it shares the work of one belief across the actions: it
+propagates the belief through every action, gathers the vectors and the
+observation rows once on the union of the actions' supports, and scores
+each action from those copies.  The backup keeps its per-action scan,
+with the bounds below.  The two routes' q differ in rounding only.
 
 A backup skips every action whose upper bound cannot reach the best q
 found so far.  With u = b T[a], top(x) = max_i alpha_i(x) and
@@ -296,7 +303,10 @@ def _lookahead(
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One-step lookahead q(b, a), with the first maximal action and its scores.
 
-    successors is the store of b alone.  Returns q, the first action of
+    The solver's route: point_backup scans the actions one at a time,
+    each on its own support, and may skip some by their bounds; the
+    online lookahead that scores them all is policy_q_all.  successors is
+    the store of b alone.  Returns q, the first action of
     maximal q, and that action's (n, |Z|) successor score matrix.
     Observations with zero likelihood contribute zero: their unnormalised
     successor is the zero vector, whose best alpha score is exactly 0.
@@ -331,13 +341,38 @@ def _lookahead(
 def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
     """One-step lookahead q(b, a) for every action under the policy's value.
 
-    It passes no bounds, so every action is scored.
+    The q of _lookahead without bounds, in one pass that shares the work
+    of the belief across the actions.  Each u_a = b T[a] is the model's own
+    propagation.  States outside the union support s of those rows add
+    exactly zero, so the vectors V, and each distinct dense observation
+    table, are gathered on s once, and action a scores
+    S_a = (V[:, s] * u_a[s]) @ O[a][s].  A CSR observation table keeps
+    `CsrTable.scores` on u_a's own support, as the backup calls it.  Then
+    q(b, a) = <b, R[:, a]> + discount * sum_z max_i S_a[i, z].  Only the
+    rounding differs from the backup's per-action supports; the tests
+    bound the difference at 1e-12 (1 + |q|).
     """
-    return _lookahead(model, policy.vectors, _successors(model, belief[None]))[0]
+    u = np.array([model.propagate(belief, a) for a in range(model.num_actions)])
+    support = u.any(axis=0).nonzero()[0]
+    vectors, weights = policy.vectors[:, support], u[:, support]
+    rows: dict = {}  # id of a dense observation table -> its rows on the support
+    product = np.empty((len(vectors), model.num_observations))  # each dense table's scores in turn
+    best = np.empty((model.num_actions, model.num_observations))  # max_i S[i, z] per action
+    for a, o in enumerate(model.observation):
+        if isinstance(o, CsrTable):
+            idx = u[a].nonzero()[0]
+            scores = o.scores(policy.vectors, idx, u[a, idx])
+        else:
+            if id(o) not in rows:
+                rows[id(o)] = o[support]
+            scores = np.matmul(vectors * weights[a], rows[id(o)], out=product)
+        scores.max(axis=0, out=best[a])
+    return belief @ model.reward + model.discount * best.sum(axis=1)
 
 
 def loss_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief) -> np.ndarray:
-    """Per-action regret against the lookahead value; >= 0, zero at the argmax."""
+    """Per-action regret against the lookahead value of policy_q_all; >= 0,
+    zero at the argmax."""
     q = policy_q_all(model, policy, belief)
     return q.max() - q
 
@@ -741,8 +776,9 @@ def solve_many(
     one line per model: a cache hit, or the vector count and solve
     seconds, noting an unusable entry that was replaced.  A belief set
     size or horizon below 1, a negative or NaN tolerance (which would
-    never stop a solve), or a negative seed is a ValueError, raised before
-    any cache access.
+    never stop a solve), a negative seed, or a stage cap below 1 (which
+    would return the one-vector floor policy unsolved) is a ValueError,
+    raised before any cache access.
     """
     if settings.belief_set_size < 1:
         raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
@@ -752,6 +788,8 @@ def solve_many(
         raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
     if settings.seed < 0:
         raise ValueError(f"solver seed must be non-negative, got {settings.seed}")
+    if settings.stage_cap < 1:
+        raise ValueError(f"solver stage cap must be at least 1, got {settings.stage_cap}")
     digests = model_digests(models)
     results: list = [None] * len(models)
     misses = []

@@ -212,6 +212,64 @@ def test_loss_nonnegative_with_zero_minimum(rng):
         assert loss_all(model, policy, b)[a] == pytest.approx(q.max() - q[a], abs=1e-12)
 
 
+def one_pass_models(rng):
+    """Seeded models with dense and CSR tables, an observation table per
+    action or one object shared by every action, and an observation z = 0
+    that never follows action 0 (nor any action, when the table is shared)."""
+    for csr in (False, True):
+        for shared in (False, True):
+            base = random_pomdp(rng, num_states=7, num_actions=3, num_observations=4, zeros=0.5)
+            unseen = np.insert(random_stochastic(rng, 7, 3, zeros=0.5), 0, 0.0, axis=1)
+            form = CsrTable.from_dense if csr else np.array
+            observation = [form(unseen)] * 3 if shared else [form(unseen)] + [
+                form(dense(o)) for o in base.observation[1:]
+            ]
+            with stored_as_given():
+                model = dataclasses.replace(
+                    base, transition=[form(dense(t)) for t in base.transition], observation=observation
+                )
+            assert is_csr(model.observation[1]) == is_csr(model.transition[0]) == csr
+            assert (model.observation[0] is model.observation[2]) == shared
+            yield model
+
+
+def test_one_pass_lookahead_equals_the_solvers_route(rng):
+    for model in one_pass_models(rng):
+        full = rng.random(model.num_states) + 0.1
+        # One belief whose actions reach every state, then narrow ones.
+        beliefs = [full / full.sum(), model.initial_belief, *np.eye(model.num_states)]
+        assert np.array([model.propagate(beliefs[0], a) for a in range(model.num_actions)]).any(axis=0).all()
+        for size in (1, 3, 9):  # one vector, fewer and more vectors than observations
+            vectors = rng.uniform(-5.0, 5.0, size=(size, model.num_states))
+            policy = AlphaVectorPolicy(vectors, np.zeros(size, dtype=int), model.discount)
+            for b in beliefs:
+                q = policy_q_all(model, policy, b)
+                reference = solvers._lookahead(model, vectors, solvers._successors(model, b[None]))[0]
+                assert (np.abs(q - reference) <= 1e-12 * (1.0 + np.abs(q))).all()
+                losses = loss_all(model, policy, b)
+                assert losses[q.argmax()] == 0.0 and (losses >= 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("gridworld", dict(size=4, tasks=2, belief_set_size=40)), ("pursuit-both", dict(belief_set_size=40))],
+)
+def test_backup_value_equals_the_one_pass_lookahead_on_bench_libraries(name, overrides):
+    # The benchmark checks each fresh library this way: point_backup (the
+    # solver's route) and policy_q_all (the loss rows' route) agree.
+    domain = build(name, **overrides)
+    rng = np.random.default_rng(7)
+    for model in domain.models[:2]:
+        assert is_csr(model.observation[0]) == (name == "pursuit-both")
+        policy = perseus_solve(model, domain.solver)
+        for b in collect_beliefs(model, 8, domain.solver.horizon, rng):
+            alpha, action = point_backup(model, b, policy.vectors)
+            q = policy_q_all(model, policy, b)
+            scale = max(1.0, abs(float(q.max())))
+            assert abs(float(alpha @ b) - q.max()) <= 1e-9 * scale
+            assert q.max() - q[action] <= 1e-9 * scale
+
+
 # -- point-based solving -----------------------------------------------------
 
 
@@ -992,6 +1050,23 @@ def test_solve_with_cache_digests_once_warm_and_cold(tmp_path, rng, monkeypatch)
     calls.clear()
     _, hit = solve_with_cache(model, s, cache)
     assert hit and len(calls) == 1
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_solve_many_refuses_a_stage_cap_below_1_before_any_cache_access(tmp_path, rng, cap):
+    # Such a cap would store the one-vector floor policy unsolved.
+    loads = []
+
+    class CountingCache(PolicyCache):
+        def load(self, digest, settings):
+            loads.append(digest)
+            return super().load(digest, settings)
+
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    settings = SolverSettings(belief_set_size=30, horizon=8, stage_cap=cap)
+    with pytest.raises(ValueError, match=f"^solver stage cap must be at least 1, got {cap}$"):
+        solve_many([model], settings, CountingCache(tmp_path))
+    assert loads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_settings_key_string_is_pinned():
