@@ -65,9 +65,10 @@ class CsrTable:
             0 <= rows.min() and rows.max() < num_rows and 0 <= cols.min() and cols.max() < num_cols
         ):
             raise ValueError(f"an entry lies outside the table's shape {tuple(shape)}")
-        order = np.lexsort((cols, rows))
+        cells = rows * num_cols + cols
+        order = np.argsort(cells, kind="stable")
         data, rows, cols = data[order], rows[order], cols[order]
-        first = np.flatnonzero(np.diff(rows * num_cols + cols, prepend=-1))
+        first = np.flatnonzero(np.diff(cells[order], prepend=-1))
         if len(first) < len(data):
             runs = np.diff(first, append=len(data))
             sums = data[first]

@@ -1,11 +1,12 @@
-"""The task skeleton and shared geometry of the grid domains, and the one shortest-path search.
+"""The task skeleton of every domain, the grid domains' geometry, and the one shortest-path search.
 
-The open gridworld, the map domains and pursuit share one task skeleton:
-five actions, a +100 completion that falls into an absorbing last state,
-a cost of 1 per live step, a start belief uniform over the live states,
-and one sensor table for every candidate.  `task_model` lays that out
-from a candidate's finished states and live transition entries, so each
-builder keeps only its state space and its live transitions.
+Every builder lays out its candidates with `task_model`: a +100
+completion that falls into an absorbing last state and a cost of 1 per
+live step.  Each builder keeps only its state space, its live
+transitions, its start belief and its per-action observation tables,
+whose count is the action count.  The gridworld, map and pursuit
+builders share five actions, a start belief uniform over the live
+states, and one sensor table for every action and every candidate.
 
 The open gridworld and the map domains play one task on a `GridMap`: the
 gridworld's plan is a square with every cell free, the maps are real floor
@@ -186,28 +187,30 @@ def uniform_start(num_states: int) -> np.ndarray:
     return b0
 
 
-def task_model(finished, live_entries, sensor, b0, discount: float, label: str) -> TabularPomdp:
+def task_model(finished, live_entries, observation, b0, discount: float, label: str) -> TabularPomdp:
     """One candidate of the task skeleton; the absorbing state is the last.
 
     `finished` lists the completing states, which pay COMPLETION_REWARD and
     fall into the absorbing state; it stays put and pays nothing, and every
-    other state pays STEP_REWARD.  `live_entries(a)` gives action a's
-    transition entries of the live states as lists of row, column and value
-    arrays, whose concatenations list each row's entries in the order its
-    duplicates are summed; it is called once per action, in order, before
-    this returns, so one action's entries are held at a time.  `sensor`
-    serves every action; a builder hands the first model's stored table,
-    dense or CSR, to the later candidates, so a library holds one sensor
-    table object.
+    other state pays STEP_REWARD.  `observation` lists the per-action
+    observation tables, and its length is the action count.
+    `live_entries(a)` gives action a's transition entries of the live
+    states as lists of row, column and value arrays, whose concatenations
+    list each row's entries in the order its duplicates are summed; it is
+    called once per action, in order, before this returns, so one action's
+    entries are held at a time.  A table listed for many actions, or handed
+    by a builder from the first model's stored tables to the later
+    candidates, stays one object.
     """
     num_states = len(b0)
+    num_actions = len(observation)
     absorbing = num_states - 1
-    reward = np.full((num_states, NUM_ACTIONS), STEP_REWARD)
+    reward = np.full((num_states, num_actions), STEP_REWARD)
     reward[absorbing] = 0.0
     reward[finished] = COMPLETION_REWARD
     fixed = np.append(finished, absorbing)
     transition = []
-    for a in range(NUM_ACTIONS):
+    for a in range(num_actions):
         rows, cols, vals = live_entries(a)
         transition.append(CsrTable.from_coo(
             np.concatenate([np.ones(len(fixed)), *vals]),
@@ -215,4 +218,4 @@ def task_model(finished, live_entries, sensor, b0, discount: float, label: str) 
             np.concatenate([np.full(len(fixed), absorbing), *cols]),
             (num_states, num_states),
         ))
-    return TabularPomdp(transition, [sensor] * NUM_ACTIONS, reward, discount, b0, label=label)
+    return TabularPomdp(transition, observation, reward, discount, b0, label=label)

@@ -64,7 +64,7 @@ def build_gridworld(size: int, tasks: int, epsilon: float, discount: float) -> l
             )
 
         label = f"gridworld{size}x{size} goals {goals[0]}+{goals[1]}"
-        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
+        models.append(gc.task_model(finished, live_entries, [obs] * gc.NUM_ACTIONS, b0, discount, label))
         obs = models[-1].observation[0]
 
     return models

@@ -71,7 +71,7 @@ def build_map_navigation(map_name: str, tasks: int, epsilon: float, discount: fl
 
         g_cells = tuple(grid.free_cells[g] for g in goals)
         label = f"map {map_name} goals {g_cells[0]}+{g_cells[1]}"
-        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
+        models.append(gc.task_model(finished, live_entries, [obs] * gc.NUM_ACTIONS, b0, discount, label))
         obs = models[-1].observation[0]
 
     return map_name, models

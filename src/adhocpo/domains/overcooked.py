@@ -15,7 +15,9 @@ kept even though play only visits part of it.  Hands and balconies hold
 nothing, an onion or a plate; the cook's hands can also hold the
 finished soup; the pot is empty, one onion, two onions (cooking) or
 cooked.  Observations are the identity (the kitchen is fully
-observable) and actions never fail.
+observable) and actions never fail.  `gridcommon.task_model` lays out
+the task skeleton: the served marker pays +100 and falls into the
+absorbing state, and every other step costs 1.
 
 Both agents choose among Up, Down, Noop and Act.  Within a step, moves
 resolve first, then the helper's Act, then the cook's Act, and finally
@@ -37,7 +39,6 @@ import numpy as np
 
 from adhocpo.csr import CsrTable
 from adhocpo.domains import gridcommon as gc
-from adhocpo.pomdp import TabularPomdp
 
 TOP, BOTTOM = 0, 1
 UP, DOWN, NOOP, ACT = range(4)
@@ -48,7 +49,6 @@ POT_COOKED = 3
 FACTOR_SIZES = (2, 2, 3, 4, 3, 3, 4)
 NUM_FACTOR_STATES = 1728  # product of FACTOR_SIZES
 SERVED = NUM_FACTOR_STATES
-ABSORBING = NUM_FACTOR_STATES + 1
 NUM_STATES = NUM_FACTOR_STATES + 2
 
 COOK_NAMES = ("pan-side", "window-side", "stationary", "erratic")
@@ -147,45 +147,23 @@ def cook_action_distribution(name: str, factors: tuple) -> dict:
     raise ValueError(f"unknown cook {name!r}")
 
 
-def _build_cook_model(name: str, discount: float, identity: CsrTable) -> TabularPomdp:
-    rows = [[] for _ in range(NUM_ACTIONS)]
-    cols = [[] for _ in range(NUM_ACTIONS)]
-    vals = [[] for _ in range(NUM_ACTIONS)]
-    reward = np.full((NUM_STATES, NUM_ACTIONS), gc.STEP_REWARD)
-    reward[SERVED] = gc.COMPLETION_REWARD
-    reward[ABSORBING] = 0.0
+def _build_cook_model(name: str, discount: float, identity: CsrTable):
+    # Every (state, factors, cook action, probability) of the cook's policy, in state order.
+    rows, factors, cooks, vals = zip(*(
+        (x, f, c, pc)
+        for x in range(NUM_FACTOR_STATES)
+        for f in [state_factors(x)]
+        for c, pc in cook_action_distribution(name, f).items()
+    ))
 
-    for x in range(NUM_FACTOR_STATES):
-        factors = state_factors(x)
-        cook = cook_action_distribution(name, factors)
-        for a in range(NUM_ACTIONS):
-            for c, pc in cook.items():
-                nxt = resolve(factors, a, c)
-                x2 = SERVED if nxt is None else state_id(nxt)
-                rows[a].append(x)
-                cols[a].append(x2)
-                vals[a].append(pc)
-    for a in range(NUM_ACTIONS):
-        rows[a] += [SERVED, ABSORBING]
-        cols[a] += [ABSORBING, ABSORBING]
-        vals[a] += [1.0, 1.0]
-
-    transition = [
-        CsrTable.from_coo(vals[a], rows[a], cols[a], (NUM_STATES, NUM_STATES))
-        for a in range(NUM_ACTIONS)
-    ]
+    def live_entries(a):
+        landings = (resolve(f, a, c) for f, c in zip(factors, cooks))
+        return [rows], [[SERVED if nxt is None else state_id(nxt) for nxt in landings]], [vals]
 
     b0 = np.zeros(NUM_STATES)
     b0[state_id((TOP, TOP, EMPTY, EMPTY, EMPTY, EMPTY, 0))] = 1.0
-
-    return TabularPomdp(
-        transition,
-        [identity] * NUM_ACTIONS,
-        reward,
-        discount,
-        b0,
-        label=f"overcooked {name} cook",
-    )
+    label = f"overcooked {name} cook"
+    return gc.task_model([SERVED], live_entries, [identity] * NUM_ACTIONS, b0, discount, label)
 
 
 def build_overcooked(discount: float) -> list:

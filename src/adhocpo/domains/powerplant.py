@@ -12,8 +12,11 @@ candidate tasks differ in what "finished" means and who can finish it:
 
 A state is (robot room, human room, unfinished set) plus a terminal
 absorbing state; once the unfinished set empties the state pays +100 and
-falls into the absorbing state.  The two tasks reach different state
-sets, so the candidate models deliberately do not share a state space.
+falls into the absorbing state, and every other step costs 1.
+`gridcommon.task_model` lays out those rewards and rows; this module
+gives the live transitions, the start state and the query tables.  The
+two tasks reach different state sets, so the candidate models
+deliberately do not share a state space.
 
 Actions: three indexed moves (the i-th lowest-numbered adjacent room;
 indexes past the room's degree stay put), hold, query-human-room and
@@ -28,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from adhocpo.domains import gridcommon as gc
-from adhocpo.pomdp import TabularPomdp
 
 NUM_ROOMS = 6
 ADJACENCY = {0: (2, 3, 4), 1: (2, 3), 2: (0, 1, 5), 3: (0, 1), 4: (0,), 5: (2,)}
@@ -103,44 +105,28 @@ def enumerate_states(targets: tuple, robot_finishes: bool) -> list:
     return sorted(seen, key=lambda s: (s[0], s[1], tuple(sorted(s[2]))))
 
 
-def _build_task(
-    task: str,
-    targets: tuple,
-    robot_finishes: bool,
-    epsilon: float,
-    discount: float,
-) -> TabularPomdp:
+def _build_task(task: str, targets: tuple, robot_finishes: bool, epsilon: float, discount: float):
     triples = enumerate_states(targets, robot_finishes)
     index = {s: i for i, s in enumerate(triples)}
     num_states = len(triples) + 1
-    absorbing = num_states - 1
+    finished = [x for x, (_, _, bits) in enumerate(triples) if not bits]
+    # The human's next-room row of every live state, made once for all actions.
+    live = [(x, r, bits, human_row(h, bits, epsilon)) for x, (r, h, bits) in enumerate(triples) if bits]
 
-    transition = [np.zeros((num_states, num_states)) for _ in range(NUM_ACTIONS)]
-    reward = np.full((num_states, NUM_ACTIONS), gc.STEP_REWARD)
-    reward[absorbing] = 0.0
-
-    for x, (r, h, bits) in enumerate(triples):
-        if not bits:
-            reward[x] = gc.COMPLETION_REWARD
-            for a in range(NUM_ACTIONS):
-                transition[a][x, absorbing] = 1.0
-            continue
-        hdist = human_row(h, bits, epsilon)
-        for a in range(NUM_ACTIONS):
+    def live_entries(a):
+        rows, cols, vals = [], [], []
+        for x, r, bits, hdist in live:
             if a <= MOVE_2 and ROOM_MOVES[r][a] != r:
                 rdist = {ROOM_MOVES[r][a]: 1.0 - epsilon, r: epsilon}
             else:
                 rdist = {r: 1.0}
             for r2, pr in rdist.items():
                 for h2, ph in hdist.items():
-                    bits2 = set(bits)
-                    bits2.discard(h2)
-                    if robot_finishes:
-                        bits2.discard(r2)
-                    x2 = index[(r2, h2, frozenset(bits2))]
-                    transition[a][x, x2] += pr * ph
-    for a in range(NUM_ACTIONS):
-        transition[a][absorbing, absorbing] = 1.0
+                    bits2 = bits - {h2, r2} if robot_finishes else bits - {h2}
+                    rows.append(x)
+                    cols.append(index[(r2, h2, bits2)])
+                    vals.append(pr * ph)
+        return [rows], [cols], [vals]
 
     # Observations depend only on the landing state and the query used.
     silent = np.zeros((num_states, NUM_OBSERVATIONS))
@@ -155,21 +141,13 @@ def _build_task(
             who[x, NULL_OBSERVATION] = epsilon
         left[x, 1 + len(bits)] = 1.0 - epsilon
         left[x, NULL_OBSERVATION] = epsilon
-    who[absorbing, NULL_OBSERVATION] = 1.0
-    left[absorbing, NULL_OBSERVATION] = 1.0
+    who[-1, NULL_OBSERVATION] = 1.0  # the absorbing state
+    left[-1, NULL_OBSERVATION] = 1.0
     observation = [silent, silent, silent, silent, who, left]
 
     b0 = np.zeros(num_states)
     b0[index[(ROBOT_START, HUMAN_START, frozenset(targets))]] = 1.0
-
-    return TabularPomdp(
-        transition,
-        observation,
-        reward,
-        discount,
-        b0,
-        label=f"power-plant {task}",
-    )
+    return gc.task_model(finished, live_entries, observation, b0, discount, f"power-plant {task}")
 
 
 def build_power_plant(epsilon: float, discount: float) -> list:

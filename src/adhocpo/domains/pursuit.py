@@ -167,7 +167,7 @@ def build_pursuit(size: int, variant: str, epsilon: float, discount: float) -> t
             )
 
         label = f"pursuit{size} {CONFIG_NAMES[CAPTURE_OFFSETS.index((cx, cy))]} {kind}"
-        models.append(gc.task_model(finished, live_entries, obs, b0, discount, label))
+        models.append(gc.task_model(finished, live_entries, [obs] * gc.NUM_ACTIONS, b0, discount, label))
         obs = models[-1].observation[0]
 
     return f"pursuit-{variant}", models

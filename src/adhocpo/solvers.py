@@ -503,6 +503,23 @@ def _stage_bounds(model: TabularPomdp, inputs: tuple, vectors: np.ndarray) -> np
     return rewards + model.discount * lookahead + margin
 
 
+def _check_settings(settings: SolverSettings) -> None:
+    """ValueError for a belief set size or horizon below 1, a negative or
+    NaN tolerance (which would never stop a solve), a negative seed, or a
+    stage cap below 1 (which would return the one-vector floor policy
+    unsolved)."""
+    if settings.belief_set_size < 1:
+        raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
+    if settings.horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
+    if not settings.tolerance >= 0.0:
+        raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
+    if settings.seed < 0:
+        raise ValueError(f"solver seed must be non-negative, got {settings.seed}")
+    if settings.stage_cap < 1:
+        raise ValueError(f"solver stage cap must be at least 1, got {settings.stage_cap}")
+
+
 def perseus_solve(
     model: TabularPomdp,
     settings: SolverSettings,
@@ -514,8 +531,10 @@ def perseus_solve(
     settings.tolerance, or at settings.stage_cap stages.  Stage values at
     the initial belief are recorded and are non-decreasing.  A given belief
     set must start with the model's initial belief, whose value the stage
-    values record; ValueError otherwise.
+    values record; ValueError otherwise, as for unusable settings
+    (`_check_settings`, the check `solve_many` makes).
     """
+    _check_settings(settings)
     rng = np.random.default_rng(settings.seed)
     if beliefs is None:
         beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, rng)
@@ -774,22 +793,11 @@ def solve_many(
     and never digest one.  Each solve seeds its own generator, so the
     policies are the ones a solve in this process gives.  `progress` gets
     one line per model: a cache hit, or the vector count and solve
-    seconds, noting an unusable entry that was replaced.  A belief set
-    size or horizon below 1, a negative or NaN tolerance (which would
-    never stop a solve), a negative seed, or a stage cap below 1 (which
-    would return the one-vector floor policy unsolved) is a ValueError,
-    raised before any cache access.
+    seconds, noting an unusable entry that was replaced.  Unusable
+    settings (`_check_settings`) are a ValueError, raised before any
+    digest or cache access.
     """
-    if settings.belief_set_size < 1:
-        raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
-    if settings.horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
-    if not settings.tolerance >= 0.0:
-        raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
-    if settings.seed < 0:
-        raise ValueError(f"solver seed must be non-negative, got {settings.seed}")
-    if settings.stage_cap < 1:
-        raise ValueError(f"solver stage cap must be at least 1, got {settings.stage_cap}")
+    _check_settings(settings)
     digests = model_digests(models)
     results: list = [None] * len(models)
     misses = []

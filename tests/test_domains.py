@@ -63,6 +63,37 @@ def test_build_bounds_noise_rate_and_discount():
         assert validate(b.models[0]) == []
 
 
+def test_every_domain_builds_each_model_through_the_task_skeleton(monkeypatch):
+    # One task_model call per model.  Each model's absorbing last state pays
+    # 0 and stays put, its finished states pay +100 and fall into it, and
+    # every other state pays -1, under every action.
+    task_model = gc.task_model
+    calls = []
+
+    def spy(finished, *args):
+        calls.append((finished, task_model(finished, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gc, "task_model", spy)
+    for name in DOMAIN_NAMES:
+        calls.clear()
+        models = build(name, **({"size": 3} if name.startswith("pursuit") else {})).models
+        assert [id(m) for _, m in calls] == [id(m) for m in models], name
+        for finished, m in calls:
+            absorbing = m.num_states - 1
+            pays = np.full(m.num_states, gc.STEP_REWARD)
+            pays[finished] = gc.COMPLETION_REWARD
+            pays[absorbing] = 0.0
+            assert len(finished) and absorbing not in finished, m.label
+            assert np.array_equal(m.reward, np.repeat(pays[:, None], m.num_actions, axis=1)), m.label
+            into_absorbing = np.zeros(m.num_states)
+            into_absorbing[absorbing] = 1.0
+            for t in m.transition:
+                column, sums = t @ into_absorbing, t @ np.ones(m.num_states)
+                assert np.all(column[finished] == 1.0) and column[absorbing] == 1.0, m.label
+                assert np.all(sums[finished] == 1.0) and sums[absorbing] == 1.0, m.label
+
+
 def test_gridworld_desk_build():
     b = build("gridworld", size=4, tasks=4, belief_set_size=100)
     assert b.size == 4
@@ -304,6 +335,10 @@ def test_power_plant_counts_and_validity():
     for m in b.models:
         assert (m.num_actions, m.num_observations) == (6, 6)
         assert validate(m) == []
+        # The three moves and hold share one silent table; every table is small enough to stay dense.
+        assert not any(map(is_csr, m.transition + m.observation))
+        assert len({id(o) for o in m.observation[: pp.HOLD + 1]}) == 1
+        assert len({id(o) for o in m.observation}) == 3
     assert b.solver.belief_set_size == 2500
 
 
@@ -356,6 +391,8 @@ def test_overcooked_counts_and_validity():
         assert (m.num_states, m.num_actions, m.num_observations) == (1730, 4, 1730)
         assert all(map(is_csr, m.transition + m.observation))
         assert validate(m) == []
+    # Every action of every cook reads the one CSR identity table.
+    assert len({id(o) for m in b.models for o in m.observation}) == 1
 
 
 def test_overcooked_act_rules():
@@ -385,8 +422,8 @@ def test_overcooked_helper_can_finish_a_dish():
         assert row.max() == 1.0  # deterministic chain
         total += m.reward[x, a]
         x = int(np.argmax(row))
-    # 15 live steps at -1, then the served marker pays +100.
-    assert x == oc.ABSORBING
+    # 15 live steps at -1, then the served marker pays +100 and falls into the absorbing state.
+    assert x == m.num_states - 1
     assert total == pytest.approx(-15.0 + 100.0)
 
 

@@ -200,6 +200,15 @@ PINNED_FILES = [
         "38e4e5f21ad96ab726148c7c6409b78f74bc8331bff0f9bfdc755c70818589ef",
         "25a70029504303d839a0cad9bd63aa05ce5eb7bc2263d40f0f2b61a45d526193",
     ]),
+    # Noise rates 0 and 1 leave explicit zeros among the power plant's summed entries.
+    (("power-plant", dict(epsilon=0.0)), [
+        "705739a8e03c4201925999a6acdb45e7bf50a952da9bfa1756ac5b9470043fc1",
+        "a059fdd305c3303796bd894e0bebf46a7790d8fece75c7094ee2cdd5ca0f0d15",
+    ]),
+    (("power-plant", dict(epsilon=1.0)), [
+        "081e733d6cdc6f427ad7421c1ae988c9d372b0eed3e8ade0a53173a6c36011b7",
+        "bb0667e6ed59f217bb260ebecf2929cc9fd27ff2d9f935c0904a3d1b6ddd285f",
+    ]),
     (("pursuit-both", dict(size=3)), [
         "4147f9a89768cc4ae2f32a985031511e2ba2d51a17b63fa0514a956a224e9755",
         "a2a46c4f38a95ad17040b48886778ecfbadfa558de4a4102d2738571f1a250a3",
@@ -215,6 +224,12 @@ PINNED_FILES = [
         "e50440bb445ce20f987262dfad95d1f7d9eccbe4669d970dcf0a2c3814d9a395",
         "64b3c6238d2894d72ec8c2d0dce4f6551610a01dd31d59d402a48e3b13d96417",
         "4edb4ea608793ea3cfbfdabcbcd1e024be68c73ceee1db1fa9c6d348bb373787",
+    ]),
+    (("overcooked", dict(discount=0.5)), [
+        "34193367ba9daf9177f8eb4d9453909481095eaaa7c42a62e867e78e623d4814",
+        "7ec356608ea9e14a48cd0c7e3652761a5f9ba498f4ef9876cfbabc133c76f5ea",
+        "36989b50869b3cc1a7603635c1738f0cbe330b5b3cb08d282ce85b08d88d22d9",
+        "cee0793fca5d2a7464f559c2be9aa1a0794af7c18c58247c68414f7e3587cb12",
     ]),
     (("isr", dict(map_name="test3x3", tasks=2)), [
         "e44776bde188cd5a7f189788c9268e57ca6689d31b808d1a0bda7f1d72e0328b",
@@ -546,7 +561,7 @@ def test_equal_digests_exactly_when_equal_texts(rng):
     digests = model_digests(models)
     # Nine models repeat another's text: pursuit-teammate's two, a shared
     # table's copy twice, the CSR twin, the dense -0.0 and two of the NaNs.
-    assert (len(models), len(set(texts))) == (69, 60)
+    assert (len(models), len(set(texts))) == (77, 68)
     # Equal digests exactly when equal texts: each text has one digest and each digest one text.
     assert len(set(zip(texts, digests))) == len(set(texts)) == len(set(digests))
 

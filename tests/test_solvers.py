@@ -1069,6 +1069,29 @@ def test_solve_many_refuses_a_stage_cap_below_1_before_any_cache_access(tmp_path
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("belief_set_size", 0, "belief set size must be at least 1, got 0"),
+    ("horizon", 0, "horizon must be at least 1, got 0"),
+    ("tolerance", -1.0, "solver tolerance must be non-negative, got -1.0"),
+    ("tolerance", float("nan"), "solver tolerance must be non-negative, got nan"),
+    ("seed", -1, "solver seed must be non-negative, got -1"),
+    ("stage_cap", 0, "solver stage cap must be at least 1, got 0"),
+    ("stage_cap", -3, "solver stage cap must be at least 1, got -3"),
+])
+def test_perseus_solve_refuses_what_solve_many_refuses(tmp_path, rng, field, value, message):
+    # Both entry points run one check, so a direct solve cannot return the
+    # floor policy, run a NaN tolerance to the cap, or fail inside numpy.
+    model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
+    settings = dataclasses.replace(SolverSettings(belief_set_size=30, horizon=8), **{field: value})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_many([model], settings, PolicyCache(tmp_path))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        perseus_solve(model, settings)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        perseus_solve(model, settings, model.initial_belief[None])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_settings_key_string_is_pinned():
     # The key names every field in order, each value as its default's type;
     # cache paths hash it, so these bytes must not move.
