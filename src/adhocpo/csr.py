@@ -145,6 +145,10 @@ class CsrTable:
         terms = self.data * dense[self.rows, self.indices]
         return np.bincount(self.rows, weights=terms, minlength=self.shape[0])
 
+    def rows_with(self, mask: np.ndarray) -> np.ndarray:
+        """The row of each stored entry where `mask`, shaped as `data`, is true, ascending."""
+        return self.rows[mask]
+
     def scores(self, vectors: np.ndarray, support: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """vectors @ (weights[:, None] * table[support]), shape (n, columns).
 

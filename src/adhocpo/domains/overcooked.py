@@ -52,14 +52,11 @@ SERVED = NUM_FACTOR_STATES
 NUM_STATES = NUM_FACTOR_STATES + 2
 
 COOK_NAMES = ("pan-side", "window-side", "stationary", "erratic")
+ORIGIN = (TOP, TOP, EMPTY, EMPTY, EMPTY, EMPTY, 0)
 
 
 def state_id(factors: tuple) -> int:
     return int(np.ravel_multi_index(factors, FACTOR_SIZES))
-
-
-def state_factors(x: int) -> tuple:
-    return tuple(int(v) for v in np.unravel_index(x, FACTOR_SIZES))
 
 
 def resolve(factors: tuple, helper_action: int, cook_action: int):
@@ -149,19 +146,22 @@ def cook_action_distribution(name: str, factors: tuple) -> dict:
 
 def _build_cook_model(name: str, discount: float, identity: CsrTable):
     # Every (state, factors, cook action, probability) of the cook's policy, in state order.
+    every = zip(*(v.tolist() for v in np.unravel_index(np.arange(NUM_FACTOR_STATES), FACTOR_SIZES)))
     rows, factors, cooks, vals = zip(*(
         (x, f, c, pc)
-        for x in range(NUM_FACTOR_STATES)
-        for f in [state_factors(x)]
+        for x, f in enumerate(every)
         for c, pc in cook_action_distribution(name, f).items()
     ))
 
     def live_entries(a):
-        landings = (resolve(f, a, c) for f, c in zip(factors, cooks))
-        return [rows], [[SERVED if nxt is None else state_id(nxt) for nxt in landings]], [vals]
+        landings = [resolve(f, a, c) for f, c in zip(factors, cooks)]
+        served = [nxt is None for nxt in landings]
+        # A served landing takes the origin's id, then SERVED.
+        ids = np.ravel_multi_index(np.array([nxt or ORIGIN for nxt in landings]).T, FACTOR_SIZES)
+        return [rows], [np.where(served, SERVED, ids)], [vals]
 
     b0 = np.zeros(NUM_STATES)
-    b0[state_id((TOP, TOP, EMPTY, EMPTY, EMPTY, EMPTY, 0))] = 1.0
+    b0[state_id(ORIGIN)] = 1.0
     label = f"overcooked {name} cook"
     return gc.task_model([SERVED], live_entries, [identity] * NUM_ACTIONS, b0, discount, label)
 

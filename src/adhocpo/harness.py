@@ -371,22 +371,6 @@ def entropy_by_step(trials) -> list:
     return [float(np.mean(c)) for c in columns]
 
 
-def run_library_scaling(
-    libraries: dict,
-    horizon: int,
-    trials: int = 32,
-    base_seed: int = 0,
-    agent_names=SCALING_AGENTS,
-    label: str = "scaling",
-    progress: Progress = None,
-) -> dict:
-    """One experiment per library size, shared seed block; planned against
-    the models of every library."""
-    models = [m for library in libraries.values() for m in library.models]
-    plan = plan_experiment(agent_names, models, trials, base_seed)
-    return plan.run_scaling(libraries, horizon, label=label, progress=progress)
-
-
 def emit_reports(
     result: ExperimentResult,
     out_dir,

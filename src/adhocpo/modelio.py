@@ -105,7 +105,7 @@ def _pieces(model: TabularPomdp):
 
 def _entry_count(table) -> int:
     """The number of entries `_entries` yields for one table."""
-    return table.nnz if isinstance(table, CsrTable) else int(np.count_nonzero(table))
+    return int(np.count_nonzero(table)) if isinstance(table, np.ndarray) else table.nnz
 
 
 def _entries(table):
@@ -126,7 +126,11 @@ def _entries(table):
         return
     csr = isinstance(table, CsrTable)
     # ends[x]: the number of entries before row x.
-    ends = table.indptr if csr else np.concatenate(([0], np.cumsum(np.count_nonzero(table, axis=1))))
+    if csr:
+        ends = table.indptr
+    else:
+        counts = np.count_nonzero(table, axis=1) if isinstance(table, np.ndarray) else table.row_nonzeros()
+        ends = np.concatenate(([0], np.cumsum(counts)))
     # Each block starts at the row that holds entry 0, _BLOCK, 2 _BLOCK, ...
     # (rows ascending; np.unique would import numpy.ma, 1.2 MB and 10 ms).
     starts = list(dict.fromkeys((np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK), side="right") - 1).tolist()))

@@ -9,9 +9,15 @@ each table is stored.  Builders and model files hand tables in any form
 (dense arrays, `CsrTable`s, or any SciPy sparse table, read through its
 `tocoo` without importing SciPy); each is stored as a canonical
 `csr.CsrTable` when fewer than half of its entries are nonzero and at
-least 2**15 of them are zero, as a dense array otherwise.  Both forms
-take `table @ x` and `x @ table`; the few other products branch on the
-form, and a CSR table sums in SciPy's order (see `csr`).
+least 2**15 of them are zero.  An observation table that is not sparse
+is stored as a `rowclass.RowClassTable`, its distinct rows and a row
+index, when the table is C-ordered and that form takes at least 2**15
+entries fewer than the dense array (the index counts one entry per
+row), and as a dense array otherwise.  Dense and CSR tables take
+`table @ x` and `x @ table`, and a CSR table sums in SciPy's order (see
+`csr`).  The other reads are methods that every non-dense form answers
+(`row`, `column`, `row_sums`, `weighted_row_sums`, `min`, a gather of
+rows), so a read branches only on dense or not.
 
 The zeros floor means CSR is chosen only when a dense product would read
 at least 256 KB of zeros.  Measured on a 2-core Xeon with two nonzeros
@@ -31,7 +37,24 @@ point-based solver's observation reads: without it every table of the
 nonzero), and one such model's 1500-belief solve took 18.1 s instead of
 7.3 s with SciPy's CSR.  So the transitions of the 4x4 gridworld (257
 states, under 1% nonzero) and of the larger domains are CSR, while small
-tables and dense sensor tables keep the dense arithmetic.
+tables keep the dense arithmetic.
+
+The row-class form is for the grid and map sensors: every state reads
+one of a few dozen distributions.  The registered tables it takes:
+
+    sensor          rows x 81   distinct   dense bytes   row-class bytes
+    gridworld 5x5     626          34         405,648        27,040
+    isr              1807          34       1,170,936        36,488
+    mit              2163          37       1,401,624        41,280
+    pentagon         2653          39       1,719,144        46,496
+    cit              4831          37       3,130,488        62,624
+
+`ntu` (241 rows) would save 16,283 entries and every desk-scale table
+fewer, so they stay dense; the pursuit and overcooked sensors and every
+epsilon-0 sensor are CSR.  Each read of a row-class table gives the
+floats the dense array gives, in the same order, so policies, digests
+and files do not depend on the form.  Transition tables never take it:
+their products mix rows, and BLAS rounds a row by its position.
 
 A CSR table derives its per-entry rows once, and its column order on the
 first column read, on the table object itself, so models that share a
@@ -47,15 +70,18 @@ import math
 import numpy as np
 
 from adhocpo.csr import CsrTable
+from adhocpo.rowclass import RowClassTable
 
 # A belief is a 1-D probability vector over states.
 Belief = np.ndarray
 
-Table = np.ndarray | CsrTable
+Table = np.ndarray | CsrTable | RowClassTable
 
 # A table is stored as CSR only when fewer than half of its entries are
-# nonzero and at least this many are zero (256 KB of float64 zeros).
-_CSR_MIN_ZEROS = 2**15
+# nonzero and at least this many are zero (256 KB of float64 zeros), and
+# an observation table in the row-class form only when that form takes at
+# least this many entries fewer than the dense table.
+_MIN_ENTRIES = 2**15
 
 _ATOL = 1e-9
 
@@ -80,27 +106,49 @@ class ZeroLikelihood(Exception):
 
 def _row(table: Table, x: int) -> np.ndarray:
     """Row x of a table as a new dense array."""
-    return table.row(x) if isinstance(table, CsrTable) else table[x].copy()
+    return table[x].copy() if isinstance(table, np.ndarray) else table.row(x)
 
 
-def _stored(table) -> Table:
+def _sparse(nonzeros: int, shape: tuple) -> bool:
+    """Whether a table of this shape and nonzero count is stored as CSR."""
+    zeros = math.prod(shape) - nonzeros
+    return nonzeros < zeros and zeros >= _MIN_ENTRIES
+
+
+def _saved(table: RowClassTable) -> int:
+    """Entries the dense table takes beyond its distinct rows and row index."""
+    return math.prod(table.shape) - table.data.size - table.index.size
+
+
+def _stored(table, rows_repeat: bool = False) -> Table:
     """One per-action table in the storage form its structure calls for.
 
     A SciPy sparse table is read through its `tocoo`, so its duplicate
-    entries are summed and its integers made float64.  An input already
-    in the form it is stored in, dense or CSR, is not copied.
+    entries are summed and its integers made float64.  `rows_repeat`,
+    which observation tables pass, lets a C-ordered table that is not
+    sparse take the row-class form.  An input already in the form it is
+    stored in is not copied.
     """
     if hasattr(table, "tocoo"):
         coo = table.tocoo()
         table = CsrTable.from_coo(coo.data, coo.row, coo.col, coo.shape)
+    if isinstance(table, RowClassTable):
+        if rows_repeat and _saved(table) >= _MIN_ENTRIES and not _sparse(table.nnz, table.shape):
+            return table
+        table = table.toarray()
     csr = isinstance(table, CsrTable)
     if not csr:
         table = np.asarray(table, dtype=float)
-    nonzeros = np.count_nonzero(table.data if csr else table)
-    zeros = math.prod(table.shape) - nonzeros
-    if nonzeros < zeros and zeros >= _CSR_MIN_ZEROS:
+    if _sparse(np.count_nonzero(table.data if csr else table), table.shape):
         return table if csr else CsrTable.from_dense(table)
-    return table.toarray() if csr else table
+    if csr:
+        table = table.toarray()
+    # Finding the distinct rows is skipped where even one would not save enough.
+    if rows_repeat and table.flags.c_contiguous and table.size - len(table) >= _MIN_ENTRIES:
+        factored = RowClassTable.from_dense(table)
+        if factored is not None and _saved(factored) >= _MIN_ENTRIES:
+            return factored
+    return table
 
 
 def _once_each(convert, tables) -> list:
@@ -125,9 +173,12 @@ class TabularPomdp:
     are read off the tables; a table, reward or belief of another shape is
     a ValueError.
 
-    Stored tables are read-only after construction: a CSR table keeps
-    arrays derived from its entries, which a table changed in place would
-    leave stale.  To change a table, make a new model, e.g. with
+    Each table is stored dense, as CSR or, for an observation table whose
+    rows repeat, as its distinct rows and a row index (see the module
+    docstring).  Stored tables are read-only after construction: a CSR
+    table keeps arrays derived from its entries, and a row-class table is
+    shared by every model handed it, so a change in place would leave
+    them stale.  To change a table, make a new model, e.g. with
     `dataclasses.replace`, which stores and checks the new tables as the
     constructor does.
     """
@@ -144,7 +195,7 @@ class TabularPomdp:
 
     def __post_init__(self):
         self.transition = _once_each(_stored, self.transition)
-        self.observation = _once_each(_stored, self.observation)
+        self.observation = _once_each(lambda table: _stored(table, rows_repeat=True), self.observation)
         self.reward = np.asarray(self.reward, dtype=float)
         self.discount = float(self.discount)
         self.initial_belief = np.asarray(self.initial_belief, dtype=float)
@@ -179,7 +230,7 @@ class TabularPomdp:
 
     def observation_column(self, a: int, z: int) -> np.ndarray:
         table = self.observation[a]
-        return table.column(z) if isinstance(table, CsrTable) else table[:, z].copy()
+        return table[:, z].copy() if isinstance(table, np.ndarray) else table.column(z)
 
     def propagate(self, belief: Belief, a: int) -> np.ndarray:
         """Predictive state distribution after action a: belief @ T[a]."""
@@ -206,7 +257,7 @@ def belief_update(
 
 def row_sums(table: Table) -> np.ndarray:
     """Per-row sums as a 1-D array, whatever the table's storage."""
-    return table.row_sums() if isinstance(table, CsrTable) else table.sum(axis=1)
+    return table.sum(axis=1) if isinstance(table, np.ndarray) else table.row_sums()
 
 
 def validate(model: TabularPomdp) -> list[str]:
@@ -216,17 +267,17 @@ def validate(model: TabularPomdp) -> list[str]:
     well formed.  Each entry names the offending table and row: a row that
     does not sum to one, or the first row with a negative or non-finite
     entry (a row with a NaN sums to NaN, which the sum check passes).
-    Tables are checked in their own storage, so a CSR table is never
-    densified.  Shapes need no check here: the constructor refuses a
+    Tables are checked in their own storage, so a CSR or row-class table
+    is never densified.  Shapes need no check here: the constructor refuses a
     mis-shaped table.
     """
     problems: list[str] = []
 
     def stochastic(name: str, table) -> None:
-        csr = isinstance(table, CsrTable)
-        values = table.data if csr else table
+        dense = isinstance(table, np.ndarray)
+        values = table if dense else table.data
         for what, bad in (("negative", values < -_ATOL), ("non-finite", ~np.isfinite(values))):
-            rows = table.rows[bad] if csr else np.flatnonzero(bad.any(axis=1))
+            rows = np.flatnonzero(bad.any(axis=1)) if dense else table.rows_with(bad)
             if rows.size:
                 problems.append(f"{name} row {int(rows[0])}: {what} entry")
         sums = row_sums(table)

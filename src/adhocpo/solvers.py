@@ -286,9 +286,11 @@ def _successor_scores(
     if isinstance(o, CsrTable):
         return o.scores(vectors, support, weights)
     if len(support) < model.num_states:
-        o = o[support]
         vectors = vectors[:, support]
-    return vectors @ (weights[:, None] * o)
+    # One gathered buffer, multiplied in place: the floats of weights[:, None] * o[support].
+    rows = o[support]
+    rows *= weights[:, None]
+    return vectors @ rows
 
 
 class _Bounds(NamedTuple):
@@ -344,8 +346,8 @@ def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief)
     The q of _lookahead without bounds, in one pass that shares the work
     of the belief across the actions.  Each u_a = b T[a] is the model's own
     propagation.  States outside the union support s of those rows add
-    exactly zero, so the vectors V, and each distinct dense observation
-    table, are gathered on s once, and action a scores
+    exactly zero, so the vectors V, and the rows of each distinct dense
+    or row-class observation table, are gathered on s once, and action a scores
     S_a = (V[:, s] * u_a[s]) @ O[a][s].  A CSR observation table keeps
     `CsrTable.scores` on u_a's own support, as the backup calls it.  Then
     q(b, a) = <b, R[:, a]> + discount * sum_z max_i S_a[i, z].  Only the
@@ -355,7 +357,7 @@ def policy_q_all(model: TabularPomdp, policy: AlphaVectorPolicy, belief: Belief)
     u = np.array([model.propagate(belief, a) for a in range(model.num_actions)])
     support = u.any(axis=0).nonzero()[0]
     vectors, weights = policy.vectors[:, support], u[:, support]
-    rows: dict = {}  # id of a dense observation table -> its rows on the support
+    rows: dict = {}  # id of a dense or row-class observation table -> its rows on the support
     product = np.empty((len(vectors), model.num_observations))  # each dense table's scores in turn
     best = np.empty((model.num_actions, model.num_observations))  # max_i S[i, z] per action
     for a, o in enumerate(model.observation):
@@ -464,7 +466,7 @@ def point_backup(
     _, a, scores = _lookahead(model, vectors, successors, bounds)
     picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
     o = model.observation[a]
-    back = o.weighted_row_sums(picked.T) if isinstance(o, CsrTable) else (o * picked.T).sum(axis=1)
+    back = (o * picked.T).sum(axis=1) if isinstance(o, np.ndarray) else o.weighted_row_sums(picked.T)
     alpha = model.reward[:, a] + model.discount * (model.transition[a] @ back)
     return alpha, a
 

@@ -40,7 +40,7 @@ def stored_as_given():
     that needs a CSR (or otherwise hand-made) twin of a model builds it
     here, and asserts the form the twin holds.  Shapes are still checked.
     """
-    return mock.patch.object(pomdp, "_stored", lambda table: table)
+    return mock.patch.object(pomdp, "_stored", lambda table, rows_repeat=False: table)
 
 
 def random_stochastic(rng, rows, cols, zeros=0.0):

@@ -32,10 +32,11 @@ from adhocpo.atpo import ModelLibrary, PosteriorState
 from adhocpo.cli import CACHE_ENV
 from adhocpo.domains import build
 from adhocpo.harness import (
+    SCALING_AGENTS,
     identification_summary,
+    plan_experiment,
     prepare_library,
     run_experiment,
-    run_library_scaling,
     run_trial,
 )
 from adhocpo.pomdp import TabularMmdp, TabularPomdp, induced_mdp, sample_initial_state, simulate_step
@@ -101,9 +102,8 @@ def scaling_results(grid_desk):
     domain, library = grid_desk
     started = time.perf_counter()
     libraries = {k: _prefix(library, k) for k in (2, 4, 8)}
-    results = run_library_scaling(
-        libraries, horizon=domain.horizon, trials=TRIALS, base_seed=BASE_SEED
-    )
+    plan = plan_experiment(SCALING_AGENTS, library.models, trials=TRIALS, base_seed=BASE_SEED)
+    results = plan.run_scaling(libraries, horizon=domain.horizon, label="scaling")
     ELAPSED["scaling_trials"] = time.perf_counter() - started
     return results
 

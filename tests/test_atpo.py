@@ -273,7 +273,15 @@ def test_check_bound_flags_violation():
     posteriors = np.array([[0.5, 0.5]])
     report = check_bound(loss_rows, posteriors, 1, r_max=0.0, discount=0.5)
     assert report.ceiling == pytest.approx(math.sqrt(2.0) * math.log(2.0))
-    assert not report.satisfied or report.mixture_total <= report.ceiling + 1e-6
+    assert report.satisfied  # mixture 0.5 under a ceiling of about 0.98
+
+    # A confident posterior on the true model shrinks the KL term, so a
+    # large loss on the other model puts the mixture over the ceiling.
+    report = check_bound(np.array([[10.0, 0.0]]), np.array([[0.05, 0.95]]), 1, r_max=0.0, discount=0.5)
+    assert report.mixture_total == pytest.approx(0.5)
+    assert report.ceiling == pytest.approx(math.sqrt(2.0) * math.log(1.0 / 0.95))
+    assert not report.satisfied
+    assert report.margin < 0
 
 
 def test_write_trace(tmp_path):

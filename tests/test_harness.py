@@ -23,8 +23,8 @@ from adhocpo.harness import (
     first_correct_step,
     identification_summary,
     prepare_library,
+    plan_experiment,
     run_experiment,
-    run_library_scaling,
     run_trial,
 )
 from adhocpo.pomdp import TabularPomdp
@@ -415,11 +415,12 @@ def test_emit_reports_files(tmp_path, small_library):
 def test_library_scaling_runs_each_size(small_library):
     _, lib = small_library
     sub = type(lib)(lib.models[:1], lib.policies[:1])
-    results = run_library_scaling({2: lib, 1: sub}, horizon=8, trials=2,
-                                  base_seed=0, agent_names=("atpo", "random"))
+    plan = plan_experiment(("atpo", "random"), lib.models, trials=2, base_seed=0)
+    results = plan.run_scaling({2: lib, 1: sub}, horizon=8, label="scaling")
     assert sorted(results) == [1, 2]
-    for res in results.values():
+    for k, res in results.items():
         assert set(res.agents) == {"atpo", "random"}
+        assert res.label == f"scaling K={k}" and res.num_trials == 2
 
 
 def test_prepare_library_cache_round_trip(tmp_path, small_library):

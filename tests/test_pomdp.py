@@ -1,10 +1,12 @@
 """Belief filtering against an exhaustive path-sum oracle, plus model checks."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from adhocpo import modelio
 from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
@@ -12,14 +14,15 @@ from adhocpo.pomdp import (
     ZeroLikelihood,
     belief_update,
     induced_mdp,
+    row_sums,
     _sample_row,
     sample_initial_state,
     simulate_step,
     validate,
     weighted_draw,
 )
-
-from adhocpo.solvers import point_backup
+from adhocpo.rowclass import RowClassTable
+from adhocpo.solvers import SolverSettings, collect_beliefs, perseus_solve, point_backup, policy_q_all
 
 from conftest import (
     bits_equal, dense, exhaustive_filter, is_canonical, is_csr, random_pomdp, random_stochastic, stored_as_given,
@@ -217,6 +220,133 @@ def test_desk_grid_library_tables_fit_in_two_megabytes():
             tables[id(t)] = t
     stored = sum(_csr_bytes(t) if is_csr(t) else t.nbytes for t in tables.values())
     assert stored < 2 * 2**20
+
+
+# Entries each registered sensor saves in the row-class form: X * Z
+# against R * Z distinct-row entries plus X index entries.
+ROW_CLASS_SAVINGS = {"gridworld": 47_326, "isr": 141_806, "mit": 170_043, "pentagon": 209_081, "cit": 383_483}
+
+
+def test_observation_tables_store_repeated_rows_once(tmp_path):
+    # The registered forms: the full-scale grid and map sensors keep their
+    # distinct rows; ntu (241 x 81) would save only 16,283 entries and the
+    # 4x4 desk grid's 20,817 entries cannot save 2**15, so both stay dense.
+    for name, saved in ROW_CLASS_SAVINGS.items():
+        models = build(name).models
+        sensor = models[0].observation[0]
+        assert isinstance(sensor, RowClassTable), name
+        assert sensor.shape[0] * sensor.shape[1] - sensor.data.size - sensor.index.size == saved
+        assert len(sensor.data) <= 39
+        # Handed on to the later candidates as stored, it stays one object.
+        assert {id(o) for m in models for o in m.observation} == {id(sensor)}
+    for name, settings, form in (
+        ("ntu", {}, np.ndarray),
+        ("gridworld", {"size": 4, "tasks": 2}, np.ndarray),
+        ("power-plant", {}, np.ndarray),
+        ("pursuit-task", {}, CsrTable),
+        ("overcooked", {}, CsrTable),
+        ("isr", {"epsilon": 0.0}, CsrTable),
+    ):
+        for m in build(name, **settings).models:
+            assert all(type(o) is form for o in m.observation), name
+
+    # The floor: 32772 x 2 with two distinct rows saves exactly 2**15
+    # entries; a third distinct row saves two fewer.
+    n = 32772
+    two = np.tile([[0.25, 0.75], [0.5, 0.5]], (n // 2, 1))
+    three = two.copy()
+    three[-1] = [0.125, 0.875]
+    identity = CsrTable.from_coo(np.ones(n), np.arange(n), np.arange(n), (n, n))
+    for obs, factored in ((two, True), (three, False)):
+        model = TabularPomdp([identity], [obs], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n))
+        assert isinstance(model.observation[0], RowClassTable) == factored
+        assert bits_equal(dense(model.observation[0]), obs)
+    # Only a C-ordered table is factored, and a transition table never is;
+    # a factored table handed in is kept as that very object.
+    m = 600
+    uniform = np.full((m, m), 1 / m)
+    model = TabularPomdp([uniform] * 2, [np.asfortranarray(uniform), uniform], np.zeros((m, 2)), 0.9, uniform[0])
+    assert [type(t) for t in model.transition + model.observation] == [np.ndarray] * 3 + [RowClassTable]
+    again = TabularPomdp([model.observation[1]] * 2, [model.observation[1]] * 2, np.zeros((m, 2)), 0.9, uniform[0])
+    assert type(again.transition[0]) is np.ndarray and again.observation[0] is model.observation[1]
+
+    # Every model of a library reads the one factored table, so a batch
+    # digests it once.
+    models = build("isr").models
+    seen = []
+    real = modelio._table_digest
+    with mock.patch.object(modelio, "_table_digest", lambda t: seen.append(id(t)) or real(t)):
+        digests = modelio.model_digests(models)
+    assert seen.count(id(models[0].observation[0])) == 1
+
+    # A loaded file stores each action's sensor copy factored, and the
+    # text and digest come back the same.
+    path = tmp_path / "isr.model"
+    modelio.dump_model(models[0], path)
+    loaded = modelio.load_model(path)
+    assert all(isinstance(o, RowClassTable) for o in loaded.observation)
+    assert len({id(o) for o in loaded.observation}) == loaded.num_actions
+    assert modelio.model_digest(loaded) == digests[0]
+    assert modelio.dumps_model(loaded) == path.read_text()
+
+
+def test_row_class_reads_match_the_dense_table_bit_for_bit(rng):
+    # Every read of a factored sensor gives the dense table's floats: the
+    # filter, the sampler, the validator, the digest and the solver.
+    model = build("isr").models[0]
+    sensor = model.observation[0]
+    table = dense(sensor)
+    with stored_as_given():
+        twin = dataclasses.replace(model, observation=[table] * model.num_actions)
+    assert type(twin.observation[0]) is np.ndarray
+    n, nz = table.shape
+    for x in range(0, n, 97):
+        assert bits_equal(model.observation_row(x, 2), twin.observation_row(x, 2))
+    for z in range(nz):
+        assert bits_equal(model.observation_column(1, z), twin.observation_column(1, z))
+    assert bits_equal(row_sums(sensor), table.sum(axis=1))
+    assert sensor.min() == table.min() and sensor.nnz == np.count_nonzero(table)
+    support = np.flatnonzero(rng.random(n) < 0.3)
+    assert bits_equal(sensor[support], table[support]) and bits_equal(sensor[5:900], table[5:900])
+    picked = rng.random((nz, n))
+    assert bits_equal(sensor.weighted_row_sums(picked.T), (table * picked.T).sum(axis=1))
+    assert modelio.dumps_model(model) == modelio.dumps_model(twin)
+    assert modelio.model_digest(model) == modelio.model_digest(twin)
+
+    settings = SolverSettings(belief_set_size=12, horizon=20, stage_cap=3)
+    ours, theirs = perseus_solve(model, settings), perseus_solve(twin, settings)
+    assert bits_equal(ours.vectors, theirs.vectors) and np.array_equal(ours.actions, theirs.actions)
+    assert ours.stage_values == theirs.stage_values
+    beliefs = collect_beliefs(model, 12, 20, np.random.default_rng(3))
+    assert bits_equal(beliefs, collect_beliefs(twin, 12, 20, np.random.default_rng(3)))
+    for b in beliefs:
+        assert bits_equal(policy_q_all(model, ours, b), policy_q_all(twin, ours, b))
+        alpha, a = point_backup(model, b, ours.vectors)
+        twin_alpha, twin_a = point_backup(twin, b, ours.vectors)
+        assert a == twin_a and bits_equal(alpha, twin_alpha)
+
+    # Rows are told apart by their bits: a row that differs from another
+    # only by a -0.0, or by a NaN's payload, is a row of its own, and
+    # validate names the same rows as for the dense table.
+    broken = table.copy()
+    broken[-2] = table[-1]  # the absorbing row's blank reading
+    broken[-1, 1] = -0.0
+    broken[8] = broken[7]
+    broken[7, 2] = np.nan
+    broken[8, 2] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    broken[5, 3] = -0.5
+    broken[9, 0] += 0.25
+    made = dataclasses.replace(model, observation=[broken] * model.num_actions)
+    stored = made.observation[0]
+    assert isinstance(stored, RowClassTable) and bits_equal(dense(stored), broken)
+    assert stored.index[-1] != stored.index[-2] and stored.index[7] != stored.index[8]
+    with stored_as_given():
+        broken_twin = dataclasses.replace(model, observation=[broken] * model.num_actions)
+    problems = validate(made)
+    assert problems == validate(broken_twin)
+    assert {"observation[0] row 5: negative entry", "observation[0] row 7: non-finite entry"} <= set(problems)
+    assert any(p.startswith("observation[0] row 9: sums to") for p in problems)
+    assert modelio.dumps_model(made) == modelio.dumps_model(broken_twin)
 
 
 def _csr_bytes(table) -> int:
