@@ -8,13 +8,14 @@ entry per row): row x is data[index[x]].
 
 Every read gives the floats the dense table gives, in the same order.
 A read of rows gathers them into a new dense array and does on it what
-the dense read does (`table[rows]`, `column`, `weighted_row_sums`).  A
-per-row reduction (`row_sums`) is made once per distinct row: numpy
-reduces each row of a C-ordered array by the same steps wherever the
-row sits, so the form holds only C-ordered float64 tables.  Products
-that mix rows, `table @ x` and `x @ table`, are refused: BLAS rounds a
-row by its position, so no product of the distinct rows could equal
-them.  A table is read-only once made.
+the dense read does (`table[rows]`, `weighted_row_sums`); `column` takes
+the class column, then one entry per row.  A per-row reduction
+(`row_sums`) is made once per distinct row: numpy reduces each row of a
+C-ordered array by the same steps wherever the row sits, so the form
+holds only C-ordered float64 tables.  Products that mix rows, `table @ x`
+and `x @ table`, are refused: BLAS rounds a row by its position, so no
+product of the distinct rows could equal them.  A table is read-only
+once made.
 """
 from __future__ import annotations
 
@@ -89,8 +90,8 @@ class RowClassTable:
         return self.data[self.index[x]].copy()
 
     def column(self, z: int) -> np.ndarray:
-        """Column z as a new dense array."""
-        return self.data[self.index, z]
+        """Column z as a new dense array: the class column first, then one gather."""
+        return self.data[:, z][self.index]
 
     def row_sums(self) -> np.ndarray:
         """table.sum(axis=1), one pairwise sum per distinct row."""

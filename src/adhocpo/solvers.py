@@ -790,10 +790,14 @@ def solve_many(
     returned policy's `source_digest`.  An entry that does not fit its
     model's states and actions is a miss.  When two or more models miss
     and this process may run on more than one CPU, the misses are solved
-    in forked workers with one BLAS thread each (`forkpool.forked_map`),
-    all joined before this returns; they get the models through the fork
-    and never digest one.  Each solve seeds its own generator, so the
-    policies are the ones a solve in this process gives.  `progress` gets
+    in workers started with `os.fork` (`forkpool.forked_map`): OpenBLAS is
+    set to one thread here just before the fork and set back after, so
+    each worker runs one BLAS thread.  Every worker is reaped before this
+    returns, and killed first after an error or a worker's death (a
+    RuntimeError naming its exit status).  The workers get the models
+    through the fork and never digest one; each policy comes back pickled.
+    Each solve seeds its own generator, so the policies are the ones a
+    solve in this process gives.  `progress` gets
     one line per model: a cache hit, or the vector count and solve
     seconds, noting an unusable entry that was replaced.  Unusable
     settings (`_check_settings`) are a ValueError, raised before any

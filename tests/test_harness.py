@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocpo import agents, atpo, forkpool, harness, modelio, pomdp, solvers
+from adhocpo import agents, atpo, harness, modelio, pomdp, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -640,7 +640,7 @@ def test_one_cpu_or_one_job_creates_no_pool(small_library, cpus, monkeypatch):
         raise AssertionError("a process pool was created")
 
     _, lib = small_library
-    monkeypatch.setattr(forkpool, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     cpus(1)
     assert len(run_experiment(lib, ["atpo", "random"], horizon=5, trials=3).agents) == 2
     cpus(2)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import forkpool, modelio, solvers
+from adhocpo import modelio, solvers
 from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
@@ -1024,7 +1024,7 @@ def test_one_miss_or_a_warm_cache_creates_no_pool(tmp_path, rng, monkeypatch):
         raise AssertionError("a process pool was created")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(forkpool, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     models = [random_pomdp(rng, num_states=4, num_actions=2, num_observations=3) for _ in range(2)]
     cache = PolicyCache(tmp_path)
     s = SolverSettings(belief_set_size=30, horizon=8, tolerance=0.01, seed=0)
