@@ -8,7 +8,6 @@ from adhocpo.pomdp import (
     Belief,
     TabularMmdp,
     TabularPomdp,
-    ZeroLikelihood,
     belief_update,
     induced_mdp,
     sample_initial_state,
@@ -20,7 +19,6 @@ __all__ = [
     "Belief",
     "TabularMmdp",
     "TabularPomdp",
-    "ZeroLikelihood",
     "belief_update",
     "induced_mdp",
     "sample_initial_state",

@@ -18,6 +18,11 @@ fully informed oracles down to uniform noise:
   state space.
 - random: uniform over actions.
 
+Every belief is tracked through `pomdp.belief_update`, which holds it on
+an observation of likelihood 0: atpo and random-picker then rule that
+candidate out, and perseus keeps its belief (the true model it tracks
+never gives its own observation likelihood 0).
+
 Agents are driven per trial as reset / act / observe.  The harness
 always offers the true model index, the state and the observation;
 `needs_state` and `needs_true_model` declare what an agent actually
@@ -114,7 +119,8 @@ class OracleViAgent(_StateFeedbackAgent):
 
 
 class InformedPerseusAgent(Agent):
-    """Runs the true model's point-based policy on its tracked belief."""
+    """Runs the true model's point-based policy on its tracked belief,
+    which holds on an observation of likelihood 0 (see the module docstring)."""
 
     name = "perseus"
     needs_true_model = True

@@ -14,10 +14,13 @@ from and the random-picker baseline read that one array.
 Bayes' rule over the candidates (`reweight`) and their posterior mixture
 (`mixture_policy`) are also the bopa agent's, on its state transitions.
 
+Every filter step is `pomdp.belief_update`, which holds a belief and
+reports likelihood 0.0 on an observation its model cannot produce.
+
 The agent is never told which model is in play.  The loss rows the
 cumulative bound is checked on, against the true model, are computed
 after the trial (`loss_rows`) from the greedy actions it recorded and the
-true model's belief re-filtered by the agent's `filter_step`.
+true model's belief re-filtered by the same `belief_update`.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from adhocpo import solvers
-from adhocpo.pomdp import ZeroLikelihood, belief_update, induced_mdp, weighted_draw
+from adhocpo.pomdp import belief_update, induced_mdp, weighted_draw
 from adhocpo.solvers import loss_all, policy_action
 
 
@@ -183,14 +186,6 @@ def reweight(posterior: np.ndarray, evidence: np.ndarray, step: int, action: int
     return weights / total
 
 
-def filter_step(model, belief: np.ndarray, action: int, observation: int) -> tuple[np.ndarray, float]:
-    """Bayes filter step: (new belief, likelihood), or (the same belief, 0.0) on zero likelihood."""
-    try:
-        return belief_update(model, belief, action, observation)
-    except ZeroLikelihood:
-        return belief, 0.0
-
-
 def update(
     library: ModelLibrary,
     state: PosteriorState,
@@ -211,13 +206,12 @@ def update(
     beliefs = list(state.beliefs)
     active = state.greedy >= 0
     for k in np.flatnonzero(active):
-        beliefs[k], evidence[k] = filter_step(library.models[k], state.beliefs[k], action, observation)
+        beliefs[k], evidence[k] = belief_update(library.models[k], state.beliefs[k], action, observation)
         if evidence[k] == 0.0:
             active[k] = likelihood_floor > 0.0
             evidence[k] = likelihood_floor if active[k] else 0.0
-    alive_evidence = np.where(active, np.maximum(evidence, 0.0), 0.0)
     return PosteriorState(
-        posterior=reweight(state.posterior, alive_evidence, state.step, action, observation),
+        posterior=reweight(state.posterior, evidence, state.step, action, observation),
         beliefs=beliefs,
         greedy=_greedy_actions(library, beliefs, active),
         step=state.step + 1,
@@ -254,7 +248,7 @@ def loss_rows(library: ModelLibrary, true_model: int, actions, observations, gre
         rows.append(policy_loss_row(library, true_model, belief, greedy_actions[t]))
         # No row reads the belief after the last action.
         if t + 1 < len(actions) and greedy_actions[t][true_model] >= 0:
-            belief, _ = filter_step(model, belief, action, observation)
+            belief, _ = belief_update(model, belief, action, observation)
     return np.array(rows)
 
 

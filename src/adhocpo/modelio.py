@@ -114,9 +114,9 @@ def _entries(table):
 
     Each block holds whole rows and about _BLOCK entries (a longer row is
     a block of its own); the initial belief is cut by index.  CSR tables
-    keep every stored entry, explicit zeros included; dense tables keep
-    their nonzeros.  The sort within a row is stable, so duplicates keep
-    their stored order.
+    keep every stored entry, explicit zeros included, in stored order:
+    every stored CSR table is canonical (`pomdp._stored`), so that is
+    row, then column order.  Dense tables keep their nonzeros.
     """
     if table.ndim == 1:
         idx = np.flatnonzero(table)
@@ -138,9 +138,7 @@ def _entries(table):
     for lo, hi in zip(starts, starts[1:] + [len(ends) - 1]):
         if csr:
             span = slice(ends[lo], ends[hi])
-            rows, cols, values = table.rows[span], table.indices[span], table.data[span]
-            order = np.lexsort((cols, rows))
-            yield rows[order], cols[order], values[order]
+            yield table.rows[span], table.indices[span], table.data[span]
         else:
             part = table[lo:hi]
             rows, cols = np.nonzero(part)

@@ -9,13 +9,15 @@ each table is stored.  Builders and model files hand tables in any form
 (dense arrays, `CsrTable`s, or any SciPy sparse table, read through its
 `tocoo` without importing SciPy); each is stored as a canonical
 `csr.CsrTable` when fewer than half of its entries are nonzero and at
-least 2**15 of them are zero.  An observation table that is not sparse
-is stored as a `rowclass.RowClassTable`, its distinct rows and a row
-index, when the table is C-ordered and that form takes at least 2**15
-entries fewer than the dense array (the index counts one entry per
-row), and as a dense array otherwise.  Dense and CSR tables take
-`table @ x` and `x @ table`, and a CSR table sums in SciPy's order (see
-`csr`).  The other reads are methods that every non-dense form answers
+least 2**15 of them are zero.  A hand-made `CsrTable` whose columns do
+not ascend strictly within a row is re-made through `CsrTable.from_coo`
+before that decision, so every stored CSR table is canonical.  An
+observation table that is not sparse is stored as a
+`rowclass.RowClassTable`, its distinct rows and a row index, when the
+table is C-ordered and that form takes at least 2**15 entries fewer than
+the dense array (the index counts one entry per row), and as a dense
+array otherwise.  Dense and CSR tables take `table @ x` and `x @ table`,
+and a CSR table sums in SciPy's order (see `csr`).  The other reads are methods that every non-dense form answers
 (`row`, `column`, `row_sums`, `weighted_row_sums`, `min`, a gather of
 rows), so a read branches only on dense or not.
 
@@ -61,6 +63,11 @@ first column read, on the table object itself, so models that share a
 table share them.  Stored tables are therefore read-only after
 construction.  A table handed in already in its stored form is kept as
 that very object, so one table handed to many models stays one object.
+
+`belief_update` is the one Bayes filter step.  An observation the model
+gives likelihood 0 is evidence, not a fault: the step returns the belief
+it was given and 0.0, and a caller that weighs candidates rules the model
+out.
 """
 from __future__ import annotations
 
@@ -86,24 +93,6 @@ _MIN_ENTRIES = 2**15
 _ATOL = 1e-9
 
 
-class ZeroLikelihood(Exception):
-    """The observation has probability zero under the model and belief."""
-
-    def __init__(self, label: str, action: int, observation: int):
-        self.label = label
-        self.action = action
-        self.observation = observation
-        super().__init__(
-            f"observation {observation} after action {action} has zero "
-            f"likelihood under model {label!r}"
-        )
-
-    def __reduce__(self):
-        # Pickle by the fields (args holds only the message), so the error
-        # comes back as itself from a pool worker.
-        return type(self), (self.label, self.action, self.observation)
-
-
 def _row(table: Table, x: int) -> np.ndarray:
     """Row x of a table as a new dense array."""
     return table[x].copy() if isinstance(table, np.ndarray) else table.row(x)
@@ -123,11 +112,13 @@ def _saved(table: RowClassTable) -> int:
 def _stored(table, rows_repeat: bool = False) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    A SciPy sparse table is read through its `tocoo`, so its duplicate
-    entries are summed and its integers made float64.  `rows_repeat`,
-    which observation tables pass, lets a C-ordered table that is not
-    sparse take the row-class form.  An input already in the form it is
-    stored in is not copied.
+    A SciPy sparse table is read through its `tocoo`, and a `CsrTable`
+    whose columns do not ascend strictly within each row through
+    `CsrTable.from_coo`, so every stored CSR table is canonical: its
+    duplicate entries are summed and its integers made float64.
+    `rows_repeat`, which observation tables pass, lets a C-ordered table
+    that is not sparse take the row-class form.  An input already in the
+    form it is stored in is not copied.
     """
     if hasattr(table, "tocoo"):
         coo = table.tocoo()
@@ -139,6 +130,11 @@ def _stored(table, rows_repeat: bool = False) -> Table:
     csr = isinstance(table, CsrTable)
     if not csr:
         table = np.asarray(table, dtype=float)
+    else:
+        # Canonical exactly when the cells, row-major, strictly ascend.
+        cells = table.rows * table.shape[1] + table.indices
+        if not (cells[1:] > cells[:-1]).all():
+            table = CsrTable.from_coo(table.data, table.rows, table.indices, table.shape)
     if _sparse(np.count_nonzero(table.data if csr else table), table.shape):
         return table if csr else CsrTable.from_dense(table)
     if csr:
@@ -243,15 +239,16 @@ def belief_update(
     """Exact Bayes filter step.
 
     Returns the posterior belief and the likelihood of the observation,
-    i.e. the normalising constant P(z | belief, action).  Raises
-    ZeroLikelihood when that constant is zero, which callers use to rule
-    the model out.
+    i.e. the normalising constant P(z | belief, action).  An observation
+    the model cannot produce (likelihood at most 0) is evidence, not a
+    fault: the step returns the belief it was given, that same object,
+    and 0.0, which rules the model out of a posterior over candidates.
     """
     predicted = model.propagate(belief, action)
     unnormalised = predicted * model.observation_column(action, observation)
     likelihood = float(unnormalised.sum())
     if likelihood <= 0.0:
-        raise ZeroLikelihood(model.label, action, observation)
+        return belief, 0.0
     return unnormalised / likelihood, likelihood
 
 

@@ -70,7 +70,6 @@ from adhocpo.pomdp import (
     Belief,
     TabularMmdp,
     TabularPomdp,
-    ZeroLikelihood,
     belief_update,
     row_sums,
     sample_initial_state,
@@ -422,10 +421,7 @@ def collect_beliefs(
         for _ in range(horizon):
             a = int(rng.integers(model.num_actions))
             x, z, _ = simulate_step(model, x, a, rng)
-            try:
-                b, _ = belief_update(model, b, a, z)
-            except ZeroLikelihood:  # pragma: no cover - simulating the same model
-                break
+            b, _ = belief_update(model, b, a, z)
             key = float(b @ weights)
             near = rows[bisect.bisect_left(keys, key - window):bisect.bisect_right(keys, key + window)]
             if not near or np.abs(out[near] - b).sum(axis=1).min() > DEDUP_ATOL:

@@ -133,6 +133,26 @@ def test_perseus_agent_follows_alpha_policy(rng):
         assert np.allclose(agent._belief, belief)
 
 
+def test_perseus_agent_holds_its_belief_on_an_impossible_observation(rng):
+    # The true model always emits 0.  Handed a 1, the agent keeps the very
+    # belief it had and plays on from it, as every filter does; a library
+    # of this one model under atpo rules it out instead.
+    model = signal_pomdp(rng, emit=0)
+    lib = tiny_library([model])
+    agent = InformedPerseusAgent(lib)
+    agent.reset(rng, true_model=0, initial_state=0)
+    a = agent.act(rng)
+    agent.observe(a, observation=0)
+    belief = agent._belief
+    agent.observe(a, observation=1)
+    assert agent._belief is belief
+    assert agent.act(rng) == policy_action(lib.policies[0], belief)
+    solo = AtpoAgent(lib)
+    solo.reset(rng, true_model=0, initial_state=0)
+    with pytest.raises(AllModelsPruned):
+        solo.observe(a, observation=1)
+
+
 def test_atpo_single_model_matches_informed(rng):
     model = random_pomdp(rng, num_states=5, num_actions=3, num_observations=4)
     lib = tiny_library([model])

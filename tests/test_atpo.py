@@ -19,6 +19,8 @@ from adhocpo.atpo import (
     update,
     write_trace,
 )
+from adhocpo.domains import build
+from adhocpo.harness import prepare_library, run_experiment
 from adhocpo.pomdp import sample_initial_state, simulate_step
 from adhocpo.solvers import AlphaVectorPolicy, loss_all, policy_action
 
@@ -308,3 +310,37 @@ def test_library_rejects_mismatched_action_spaces(rng):
     m2 = random_pomdp(rng, num_states=3, num_actions=3, num_observations=3)
     with pytest.raises(ValueError):
         ModelLibrary(models=[m1, m2], policies=[_dummy_policy(m1, rng), _dummy_policy(m2, rng)])
+
+
+def _mixture_log_loss_terms(trial, prior):
+    """(Σ_t -ln p_t, -ln Σ_k prior_k Π_t evidence[t, k], each candidate's
+    ln(1/prior_k) + Σ_t -ln evidence[t, k]) of one recorded trial, with
+    p_t = Σ_k posteriors[t, k] evidence[t, k]."""
+    p = (trial.posteriors[:-1] * trial.evidence).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_evidence = np.log(prior) + np.log(trial.evidence).sum(axis=0)
+    return float(-np.log(p).sum()), float(-np.logaddexp.reduce(log_evidence)), -log_evidence
+
+
+def test_mixture_log_loss_equals_the_bayes_mixture_on_every_trial():
+    # The posterior the agent records is the prior times the recorded
+    # evidence, normalised, so the mixture's log loss telescopes to the
+    # Bayes mixture's and is at most any candidate's log loss plus
+    # ln(1/prior).  The 3x3 grid keeps every candidate alive; on the
+    # noiseless 3x3 pursuit a candidate is ruled out mid-trial.  The floor
+    # run records floored evidence in place of zeros.
+    ruled_out_mid_trial = floored = 0
+    for name, overrides in (("gridworld", dict(size=3, tasks=2)), ("pursuit-task", dict(size=3, epsilon=0.0))):
+        domain = build(name, belief_set_size=60, horizon=30, **overrides)
+        library = prepare_library(domain)
+        for floor in (0.0, 1e-12):
+            result = run_experiment(library, ["atpo"], domain.horizon, trials=8, likelihood_floor=floor)
+            for trial in result.agents["atpo"].trials:
+                total, mixture, candidates = _mixture_log_loss_terms(trial, library.prior)
+                assert total == pytest.approx(mixture, rel=1e-12, abs=1e-12)
+                true_model = trial.model_index
+                assert total <= candidates[true_model] + 1e-12 * max(1.0, abs(candidates[true_model]))
+                first_zero = np.flatnonzero((trial.evidence == 0.0).any(axis=1))
+                ruled_out_mid_trial += bool(first_zero.size and first_zero[0] > 0)
+                floored += int((trial.evidence == floor).sum()) if floor else 0
+    assert ruled_out_mid_trial > 0 and floored > 0

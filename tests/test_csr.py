@@ -4,6 +4,7 @@ import pytest
 from scipy import sparse
 
 from adhocpo.csr import CsrTable
+from adhocpo.domains import build
 
 from conftest import bits_equal
 
@@ -64,3 +65,34 @@ def test_from_coo_keeps_a_single_negative_zero_and_refuses_stray_entries():
     for rows, cols in (([2], [0]), ([0], [3]), ([-1], [0])):
         with pytest.raises(ValueError, match="outside the table's shape"):
             CsrTable.from_coo([1.0], rows, cols, (2, 3))
+
+
+def _add_at_dense(table: CsrTable) -> np.ndarray:
+    """The dense table by np.add.at: each stored entry added into zeros in stored order."""
+    out = np.zeros(table.shape)
+    np.add.at(out, (table.rows, table.indices), table.data)
+    return out
+
+
+def test_toarray_adds_entries_in_stored_order_bit_for_bit():
+    # Hand-made tables in any order, with repeated cells, -0.0 and NaN, and
+    # the power plant's 12 transition tables, which its builder makes as
+    # CSR and the model stores dense.
+    rng = np.random.default_rng(5)
+    tables = []
+    for _ in range(50):
+        shape = num_rows, num_cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        lengths = rng.integers(0, 6, size=num_rows)
+        rows = np.repeat(np.arange(num_rows), lengths)
+        cols = rng.integers(0, num_cols, size=len(rows))
+        values = rng.standard_normal(len(rows))
+        values[rng.random(len(rows)) < 0.1] = -0.0
+        values[rng.random(len(rows)) < 0.05] = np.nan
+        tables.append(CsrTable(values, cols, np.concatenate(([0], np.cumsum(lengths))), shape))
+    plant = [t for m in build("power-plant").models for t in m.transition]
+    assert len({id(t) for t in plant}) == 12 and all(isinstance(t, np.ndarray) for t in plant)
+    tables += [CsrTable.from_dense(t) for t in plant]
+    for table in tables:
+        assert bits_equal(table.toarray(), _add_at_dense(table))
+    for table, dense in zip(tables[50:], plant):
+        assert bits_equal(table.toarray(), dense)

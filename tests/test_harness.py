@@ -30,7 +30,7 @@ from adhocpo.harness import (
 from adhocpo.pomdp import TabularPomdp
 from adhocpo.solvers import PolicyCache
 
-from conftest import child_process_left, dense, is_csr, random_pomdp, stored_as_given
+from conftest import bits_equal, child_process_left, dense, is_csr, random_pomdp, stored_as_given
 
 
 def test_trial_is_reproducible(small_library):
@@ -535,7 +535,6 @@ def test_errors_survive_a_pickle_round_trip():
     # back as itself, with its fields and its message.
     for error in (
         atpo.AllModelsPruned(3, 1, 2),
-        pomdp.ZeroLikelihood("grid", 1, 2),
         solvers.NonconvergenceBudget(10, 0.5, 1e-6),
     ):
         back = pickle.loads(pickle.dumps(error))
@@ -695,3 +694,35 @@ def test_trials_and_summary_carry_phase_times(small_library, tmp_path):
         assert list(totals) == list(harness.PHASES)
         for phase, seconds in totals.items():
             assert seconds == pytest.approx(sum(t.phase_s[phase] for t in summary.trials))
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("gridworld", dict(size=3, tasks=2)), ("pursuit-task", dict(size=3)), ("power-plant", {}),
+])
+def test_scaling_every_reward_by_a_power_of_two_scales_what_a_trial_returns_exactly(name, overrides):
+    # Every reward times c, and the solver tolerance with it, changes no
+    # float but by that factor: the solved vectors scale bit for bit, the
+    # actions, stage counts and ATPO trajectories stay, and the rewards and
+    # loss rows scale by exactly c.  Two models each, 8 ATPO trials a model.
+    domain = build(name, belief_set_size=60, horizon=20, **overrides)
+    models = domain.models[:2]
+
+    def solved(c):
+        scaled = [dataclasses.replace(m, reward=m.reward * c) for m in models]
+        settings = dataclasses.replace(domain.solver, tolerance=domain.solver.tolerance * c)
+        library = atpo.ModelLibrary(scaled, [solvers.perseus_solve(m, settings) for m in scaled])
+        agent = make_agent("atpo", library)
+        trials = [run_trial(library, agent, domain.horizon, seed, true_model=k) for k in range(2) for seed in range(8)]
+        return library.policies, trials
+
+    policies, trials = solved(1.0)
+    for c in (2.0, 0.5):
+        scaled_policies, scaled_trials = solved(c)
+        for p, q in zip(policies, scaled_policies, strict=True):
+            assert bits_equal(p.vectors * c, q.vectors)
+            assert np.array_equal(p.actions, q.actions) and [v * c for v in p.stage_values] == q.stage_values
+        for t, u in zip(trials, scaled_trials, strict=True):
+            assert (t.actions, t.observations, t.states) == (u.actions, u.observations, u.states)
+            assert bits_equal(t.posteriors, u.posteriors) and bits_equal(t.evidence, u.evidence)
+            assert [r * c for r in t.rewards] == u.rewards
+            assert bits_equal(t.loss_rows * c, u.loss_rows)

@@ -30,7 +30,7 @@ from adhocpo.modelio import (
 )
 from adhocpo.pomdp import TabularPomdp
 
-from conftest import dense, is_csr, random_pomdp, stored_as_given
+from conftest import dense, is_csr, random_pomdp, random_stochastic, stored_as_given
 
 
 def test_round_trip_is_byte_identical(rng):
@@ -79,6 +79,23 @@ def test_sparse_threshold_respected(rng):
         )
     assert all(map(is_csr, csr_twin.transition + csr_twin.observation))
     assert dumps_model(csr_twin) == text
+
+
+def test_hand_made_csr_model_round_trips_byte_for_byte(rng):
+    # A 200-state model whose one transition table is a CsrTable holding
+    # one cell twice: the model stores it canonical, so the text and the
+    # digest of the model and of its reloaded copy are the same.
+    n = 200
+    canonical = CsrTable.from_dense(random_stochastic(rng, n, n, zeros=0.99))
+    data = np.concatenate((canonical.data[:1] / 2, canonical.data[:1] / 2, canonical.data[1:]))
+    indices = np.concatenate((canonical.indices[:1], canonical.indices))
+    table = CsrTable(data, indices, canonical.indptr + np.r_[0, np.ones(n, dtype=np.intp)], (n, n))
+    model = TabularPomdp([table], [np.ones((n, 1))], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n))
+    assert is_csr(model.transition[0]) and model.transition[0].nnz == canonical.nnz
+    text = dumps_model(model)
+    loaded = loads_model(text)
+    assert dumps_model(loaded) == text
+    assert model_digest(loaded) == model_digest(model)
 
 
 def test_digest_tracks_content(rng):
@@ -171,15 +188,15 @@ def _holds(model, transition, observation) -> bool:
 
 
 def _hand_built_csr():
-    """CSR tables with unsorted column indices and explicit 0.0 and -0.0."""
+    """Canonical CSR tables, as every stored table is, with explicit 0.0 and -0.0."""
     def csr(data, cols, indptr, shape):
         return CsrTable(np.array(data), np.array(cols), np.array(indptr), shape)
 
     transition = [
-        csr([0.5, 0.0, 0.5, -0.0, 1.0], [2, 0, 1, 1, 0], [0, 3, 4, 5], (3, 3)),
+        csr([0.0, 0.5, 0.5, -0.0, 1.0], [0, 1, 2, 1, 0], [0, 3, 4, 5], (3, 3)),
         csr([1.0, 0.25, 0.75], [2, 1, 0], [0, 1, 2, 3], (3, 3)),
     ]
-    obs = csr([-0.0, 1.0, 0.3, 0.7, 1.0], [1, 0, 1, 0, 1], [0, 2, 4, 5], (3, 2))
+    obs = csr([1.0, -0.0, 0.7, 0.3, 1.0], [0, 1, 0, 1, 1], [0, 2, 4, 5], (3, 2))
     reward = np.array([[1.0, -0.0], [0.0, -2.5], [1e-300, 3.0]])
     with stored_as_given():
         model = TabularPomdp(
@@ -656,11 +673,10 @@ def _many_block_model():
         return table
 
     def csr():
-        # Three stored entries a row in unsorted column order, explicit 0.0
-        # and -0.0 among them, duplicate columns, an empty row and a row of
-        # explicit zeros.
-        cols = rng.integers(0, n, size=(n, 3))
-        cols[::11, 1] = cols[::11, 0]
+        # Three stored entries a row in ascending columns, as every stored
+        # table holds them, explicit 0.0 and -0.0 among them, an empty row
+        # and a row of explicit zeros.
+        cols = rng.integers(0, n // 3, size=(n, 3)) + np.arange(3) * (n // 3)
         data = rng.random((n, 3))
         data[::5, 2] = 0.0
         data[::7, 0] = -0.0

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adhocpo import modelio
+import adhocpo
+from adhocpo import modelio, pomdp
 from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularPomdp,
-    ZeroLikelihood,
     belief_update,
     induced_mdp,
     row_sums,
@@ -62,14 +62,33 @@ def test_belief_update_matches_path_sum_oracle():
         assert mass == pytest.approx(expected_mass, abs=1e-12)
 
 
-def test_belief_update_zero_likelihood_raises():
-    # Observation 1 is impossible everywhere under action 0.
+def test_belief_update_zero_likelihood_holds_belief():
+    # Observation 1 is impossible everywhere under action 0: the step hands
+    # back the very belief it was given, and likelihood 0.0.
     t = [np.eye(2)]
     o = [np.array([[1.0, 0.0], [1.0, 0.0]])]
     r = np.zeros((2, 1))
     model = TabularPomdp(t, o, r, 0.9, np.array([0.5, 0.5]))
-    with pytest.raises(ZeroLikelihood):
-        belief_update(model, model.initial_belief, 0, 1)
+    belief = model.initial_belief.copy()
+    held, likelihood = belief_update(model, belief, 0, 1)
+    assert held is belief and likelihood == 0.0
+    assert np.array_equal(belief, [0.5, 0.5])
+    # A belief whose support cannot reach observation 1 holds as well, while
+    # one that can moves on.
+    o = [np.array([[1.0, 0.0], [0.0, 1.0]])]
+    model = TabularPomdp(t, o, r, 0.9, np.array([0.5, 0.5]))
+    belief = np.array([1.0, 0.0])
+    held, likelihood = belief_update(model, belief, 0, 1)
+    assert held is belief and likelihood == 0.0
+    moved, likelihood = belief_update(model, model.initial_belief, 0, 1)
+    assert np.array_equal(moved, [0.0, 1.0]) and likelihood == 0.5
+
+
+def test_package_exports_are_the_pomdp_names():
+    # `tests/test_domains.py::test_exported_names_resolve` checks that each
+    # name resolves; each is also the very object of `adhocpo.pomdp`.
+    assert adhocpo.__all__ and all(getattr(adhocpo, name) is getattr(pomdp, name) for name in adhocpo.__all__)
+    assert not hasattr(adhocpo, "ZeroLikelihood") and not hasattr(pomdp, "ZeroLikelihood")
 
 
 def test_observation_likelihoods_sum_to_one(rng):
@@ -155,6 +174,35 @@ def test_constructor_stores_only_dense_arrays_and_csr_arrays(rng):
         assert np.array_equal(dense(model.transition[a]), whole if a == 6 else big)
         assert np.array_equal(dense(model.observation[a]), small)
     assert np.array_equal(shuffled.indices, kept)
+
+
+def test_hand_made_csr_tables_are_stored_canonical(rng):
+    # A CsrTable built straight from arrays may hold a row's columns out of
+    # order or one cell twice; it is re-stored through from_coo, which sums
+    # the repeats in stored order.  A canonical one stays the very object.
+    n = 200
+    big = random_stochastic(rng, n, n, zeros=0.99)
+    canonical = CsrTable.from_dense(big)
+    reversed_rows = np.lexsort((-canonical.indices, canonical.rows))
+    unsorted = CsrTable(canonical.data[reversed_rows], canonical.indices[reversed_rows], canonical.indptr, (n, n))
+    # Row 0's first entry split in two, the halves side by side.
+    half = canonical.data[0] / 2
+    data = np.concatenate(([half, canonical.data[0] - half], canonical.data[1:]))
+    indices = np.concatenate(([canonical.indices[0]], canonical.indices))
+    repeated = CsrTable(data, indices, canonical.indptr + np.r_[0, np.ones(n, dtype=np.intp)], (n, n))
+    assert not is_canonical(unsorted) and not is_canonical(repeated)
+    model = TabularPomdp([canonical, unsorted, repeated], [np.ones((n, 1))] * 3, np.zeros((n, 3)), 0.9,
+                         np.full(n, 1.0 / n))
+    assert model.transition[0] is canonical
+    for stored, given in zip(model.transition[1:], (unsorted, repeated)):
+        assert is_csr(stored) and is_canonical(stored) and stored is not given
+        assert bits_equal(stored.data, CsrTable.from_coo(given.data, given.rows, given.indices, (n, n)).data)
+    assert np.array_equal(model.transition[1].indices, canonical.indices)
+    assert bits_equal(model.transition[1].data, canonical.data)
+    assert model.transition[2].nnz == canonical.nnz
+    assert model.transition[2].data[0] == half + (canonical.data[0] - half)
+    # The inputs are left as they were.
+    assert np.array_equal(repeated.indices, indices) and bits_equal(repeated.data, data)
 
 
 def test_each_table_picks_its_own_storage(rng):
