@@ -18,10 +18,12 @@ fully informed oracles down to uniform noise:
   state space.
 - random: uniform over actions.
 
-Every belief is tracked through `pomdp.belief_update`, which holds it on
-an observation of likelihood 0: atpo and random-picker then rule that
-candidate out, and perseus keeps its belief (the true model it tracks
-never gives its own observation likelihood 0).
+Every posterior starts at the uniform `ModelLibrary.prior`, the trial's
+draw of the true model.  Every belief is tracked through
+`pomdp.belief_update`, which holds it on an observation of likelihood 0:
+atpo and random-picker then rule that candidate out, and perseus keeps its
+belief (the true model it tracks never gives its own observation
+likelihood 0).
 
 Agents are driven per trial as reset / act / observe.  The harness
 always offers the true model index, the state and the observation;

@@ -1,10 +1,11 @@
 """Online identification of which library model is in play.
 
 The agent tracks one belief per candidate model plus a posterior over the
-models themselves.  Each step the posterior is reweighted by how well each
-model predicted the last observation; models that assign it probability
-zero are ruled out permanently (an optional likelihood floor keeps them
-alive instead).
+models themselves, from the library's uniform prior, the distribution the
+trial draws the true model from.  Each step the posterior is reweighted by
+how well each model predicted the last observation; models that assign it
+probability zero are ruled out permanently (an optional likelihood floor
+keeps them alive instead).
 
 Every posterior state carries each model's greedy action at its current
 belief (-1 once pruned, the one record of which models are alive),
@@ -57,15 +58,16 @@ class AllModelsPruned(RuntimeError):
 
 @dataclasses.dataclass
 class ModelLibrary:
-    """Candidate models with their solved policies and a prior over them.
+    """Candidate models with their solved policies.
 
     All models must share action and observation spaces; state spaces may
-    differ (each model carries its own belief).
+    differ (each model carries its own belief).  `prior` is uniform, as
+    `harness.run_trial` draws the true model, and every posterior starts there.
     """
 
     models: list
     policies: list
-    prior: Optional[np.ndarray] = None
+    prior: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
         if not self.models:
@@ -76,12 +78,7 @@ class ModelLibrary:
         obs = {m.num_observations for m in self.models}
         if len(acts) != 1 or len(obs) != 1:
             raise ValueError("models must share action and observation spaces")
-        if self.prior is None:
-            self.prior = np.full(len(self.models), 1.0 / len(self.models))
-        else:
-            self.prior = np.asarray(self.prior, dtype=float)
-            if self.prior.shape != (len(self.models),) or abs(self.prior.sum() - 1.0) > 1e-9:
-                raise ValueError("prior must be a distribution over the models")
+        self.prior = np.full(len(self.models), 1.0 / len(self.models))
 
     @property
     def size(self) -> int:
@@ -143,7 +140,7 @@ class PosteriorState:
         return cls(
             posterior=library.prior.copy(),
             beliefs=beliefs,
-            greedy=_greedy_actions(library, beliefs, library.prior > 0.0),
+            greedy=_greedy_actions(library, beliefs, np.ones(library.size, dtype=bool)),
         )
 
 

@@ -6,6 +6,8 @@ streams, the environment stream picks the real model and start state,
 and the loop runs act / step / observe for the full horizon (absorbing
 states simply idle).  Running several agents with the same seed range
 therefore gives every agent the same sequence of (model, start) pairs.
+The real model is drawn uniformly: `ModelLibrary.prior`, every agent's
+starting posterior, is that one distribution.
 Trials share no state, so an experiment runs them in forked worker
 processes, one job per (agent, seed), through the fork pool the library
 solve uses (`forkpool.forked_map`); the results are those of the same

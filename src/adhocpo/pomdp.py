@@ -5,9 +5,8 @@ observation matrices, and a state-action reward table.  A model is made
 one way, `TabularPomdp(transition, observation, reward, discount,
 initial_belief, label)`, and that constructor checks every shape, reads
 the state, action and observation counts off the tables, and decides how
-each table is stored.  Builders and model files hand tables in any form
-(dense arrays, `CsrTable`s, or any SciPy sparse table, read through its
-`tocoo` without importing SciPy); each is stored as a canonical
+each table is stored.  Builders and model files hand tables in as dense
+arrays, `CsrTable`s or `RowClassTable`s; each is stored as a canonical
 `csr.CsrTable` when fewer than half of its entries are nonzero and at
 least 2**15 of them are zero.  A hand-made `CsrTable` whose columns do
 not ascend strictly within a row is re-made through `CsrTable.from_coo`
@@ -112,17 +111,15 @@ def _saved(table: RowClassTable) -> int:
 def _stored(table, rows_repeat: bool = False) -> Table:
     """One per-action table in the storage form its structure calls for.
 
-    A SciPy sparse table is read through its `tocoo`, and a `CsrTable`
-    whose columns do not ascend strictly within each row through
-    `CsrTable.from_coo`, so every stored CSR table is canonical: its
-    duplicate entries are summed and its integers made float64.
+    A `CsrTable` whose columns do not ascend strictly within each row is
+    re-made through `CsrTable.from_coo`, so every stored CSR table is
+    canonical: its duplicate entries are summed.  Any other table but a
+    `RowClassTable` is read by `np.asarray(table, dtype=float)`, which
+    refuses a SciPy sparse table with a ValueError.
     `rows_repeat`, which observation tables pass, lets a C-ordered table
     that is not sparse take the row-class form.  An input already in the
     form it is stored in is not copied.
     """
-    if hasattr(table, "tocoo"):
-        coo = table.tocoo()
-        table = CsrTable.from_coo(coo.data, coo.row, coo.col, coo.shape)
     if isinstance(table, RowClassTable):
         if rows_repeat and _saved(table) >= _MIN_ENTRIES and not _sparse(table.nnz, table.shape):
             return table

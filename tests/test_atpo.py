@@ -69,6 +69,21 @@ def joint_oracle(lib, history):
     return weights / weights.sum(), beliefs
 
 
+def test_library_prior_is_uniform_and_not_a_parameter():
+    # The trial draws the true model uniformly; the library's prior, every
+    # agent's starting posterior, is that same distribution.
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 3, 7):
+        lib = _random_library(rng, size=size)
+        assert lib.prior.dtype == np.float64
+        assert np.array_equal(lib.prior, np.full(size, 1.0 / size))
+        start = PosteriorState.initial(lib)
+        assert np.array_equal(start.posterior, lib.prior) and start.posterior is not lib.prior
+        assert (start.greedy >= 0).all()
+    with pytest.raises(TypeError, match="prior"):
+        ModelLibrary(lib.models, lib.policies, prior=[1.0] + [0.0] * (lib.size - 1))
+
+
 def test_posterior_matches_joint_enumeration_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -15,6 +15,7 @@ from scipy import sparse
 
 import adhocpo
 from adhocpo import domains
+from adhocpo.csr import CsrTable
 from adhocpo.domains import DOMAIN_NAMES, REGISTRY, build
 from adhocpo.domains import gridcommon as gc
 from adhocpo.domains import gridworld as gw
@@ -561,9 +562,10 @@ def _reference_gridworld_tables(size, goals, epsilon):
                     rows.append(x), cols.append(pa * cells + pt2), vals.append(epsilon)
         rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
         # SciPy's own CSR is the reference for the sort and the duplicate sums.
-        per_action.append(sparse.csr_array(sparse.coo_array(
+        ref = sparse.csr_array(sparse.coo_array(
             (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
-        )))
+        ))
+        per_action.append(CsrTable(ref.data, ref.indices, ref.indptr, ref.shape))
     return per_action, reward
 
 
@@ -723,9 +725,10 @@ def _reference_pursuit_tables(size, config, kind, epsilon):
                         rows.append(x), cols.append(nxt), vals.append(p_agent / 5.0)
         rows.append(absorbing), cols.append(absorbing), vals.append(1.0)
         # SciPy's own CSR is the reference for the sort and the duplicate sums.
-        per_action.append(sparse.csr_array(sparse.coo_array(
+        ref = sparse.csr_array(sparse.coo_array(
             (np.array(vals), (np.array(rows), np.array(cols))), shape=(num_states, num_states)
-        )))
+        ))
+        per_action.append(CsrTable(ref.data, ref.indices, ref.indptr, ref.shape))
     return per_action, reward
 
 

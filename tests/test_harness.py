@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -124,22 +125,24 @@ def test_seeded_trial_on_csr_tables_is_pinned():
     assert digest.hexdigest() == "91665b417cfd39d29917e685278cf4750e936cdc9428cc3b39e3371419365611"
 
 
-def per_step_loss_rows(lib, trial, likelihood_floor=0.0):
-    """(loss rows, acting posteriors) as an agent told the true model would
-    record them while acting: on its own belief of that model, each step."""
+def per_step_loss_rows(lib, trial, likelihood_floor=0.0, state=None):
+    """(loss rows, acting posteriors, greedy actions) as an agent told the
+    true model would record them while acting, from `state` (the initial
+    posterior state by default): on its own belief of that model, each step."""
     k = trial.model_index
-    state = atpo.PosteriorState.initial(lib)
-    rows, posteriors = [], []
+    state = atpo.PosteriorState.initial(lib) if state is None else state
+    rows, posteriors, greedy = [], [], []
     for a, z in zip(trial.actions, trial.observations):
         losses = solvers.loss_all(lib.models[k], lib.policies[k], state.beliefs[k])
         rows.append(np.where(state.greedy >= 0, losses[state.greedy], losses.max()))
         posteriors.append(state.posterior)
+        greedy.append(state.greedy)
         state = atpo.update(lib, state, a, z, likelihood_floor)
-    return np.array(rows), np.array(posteriors)
+    return np.array(rows), np.array(posteriors), greedy
 
 
 def assert_deferred_rows_match(lib, trial, likelihood_floor=0.0):
-    rows, posteriors = per_step_loss_rows(lib, trial, likelihood_floor)
+    rows, posteriors, _ = per_step_loss_rows(lib, trial, likelihood_floor)
     assert np.array_equal(trial.loss_rows, rows)
     assert np.array_equal(trial.posteriors[:-1], posteriors)
 
@@ -220,13 +223,22 @@ def test_deferred_loss_rows_cover_pruned_and_floored_models():
         assert (t.evidence[:, 0] == floor).any()
         assert_deferred_rows_match(lib, t, floor)
         assert_bound_matches_reference(lib, t)
-    # A true model the prior rules out keeps its initial belief, as it
-    # does in the agent's posterior state.
-    ruled_out = atpo.ModelLibrary(models, lib.policies, prior=[0.0, 1.0])
-    t = run_trial(ruled_out, make_agent("atpo", ruled_out), horizon=10, seed=0, true_model=0)
-    assert_deferred_rows_match(ruled_out, t)
-    assert math.isinf(t.bound.kl_total)
-    assert_bound_matches_reference(ruled_out, t)
+    # A true model pruned from step 0 keeps its initial belief in the loss
+    # rows, as it does in a posterior state that holds it pruned, and its
+    # KL term is infinite.
+    t = run_trial(lib, make_agent("atpo", lib), horizon=10, seed=0, true_model=0)
+    pruned = atpo.PosteriorState.initial(lib)
+    pruned.posterior, pruned.greedy[0] = np.array([0.0, 1.0]), -1
+    rows, posteriors, greedy = per_step_loss_rows(lib, t, state=pruned)
+    assert all(g[0] == -1 for g in greedy) and not posteriors[:, 0].any()
+    held = dataclasses.replace(t, loss_rows=atpo.loss_rows(lib, 0, t.actions, t.observations, greedy),
+                               posteriors=np.vstack([posteriors, [[0.0, 1.0]]]))
+    assert np.array_equal(held.loss_rows, rows)
+    b0 = models[0].initial_belief
+    assert np.array_equal(held.loss_rows, [atpo.policy_loss_row(lib, 0, b0, g) for g in greedy])
+    held.bound = atpo.check_bound(held.loss_rows, posteriors, 0, lib.max_abs_reward, models[0].discount)
+    assert math.isinf(held.bound.kl_total)
+    assert_bound_matches_reference(lib, held)
 
 
 def test_traced_benchmark_wraps_names_that_exist(monkeypatch, small_library):
@@ -391,12 +403,15 @@ def test_emit_reports_files(tmp_path, small_library):
     for term, values in terms.items():
         expected = [getattr(b, term) for b in bounds]
         assert values == [v if math.isfinite(v) else None for v in expected], term
-    # A true model the prior rules out has an infinite KL term and margin,
-    # written as null.
-    ruled_out = type(lib)(lib.models, lib.policies, prior=[0.0, 1.0])
-    res = run_experiment(ruled_out, ["atpo"], horizon=5, trials=4, base_seed=0)
-    terms = emit_reports(res, tmp_path / "ruled-out")["agents"]["atpo"]["bound_terms"]
+    # A true model with no posterior mass (its posterior underflowed to
+    # 0.0) has an infinite KL term and margin, written as null.
+    res = run_experiment(lib, ["atpo"], horizon=5, trials=4, base_seed=0)
     hidden = [t.model_index == 0 for t in res.agents["atpo"].trials]
+    for t in itertools.compress(res.agents["atpo"].trials, hidden):
+        posteriors = t.posteriors[:-1].copy()
+        posteriors[:, 0] = 0.0
+        t.bound = atpo.check_bound(t.loss_rows, posteriors, 0, lib.max_abs_reward, lib.models[0].discount)
+    terms = emit_reports(res, tmp_path / "ruled-out")["agents"]["atpo"]["bound_terms"]
     assert any(hidden) and not all(hidden)
     assert [v is None for v in terms["kl_total"]] == hidden
     assert [v is None for v in terms["margin"]] == hidden
@@ -726,3 +741,132 @@ def test_scaling_every_reward_by_a_power_of_two_scales_what_a_trial_returns_exac
             assert bits_equal(t.posteriors, u.posteriors) and bits_equal(t.evidence, u.evidence)
             assert [r * c for r in t.rewards] == u.rewards
             assert bits_equal(t.loss_rows * c, u.loss_rows)
+
+
+# Two hand-written candidates over states 0 and 1 and the absorbing state 2,
+# with 2 actions and 2 observations: per candidate the transition and
+# observation tables by action, the reward, the start belief and the alpha
+# vectors with their actions.  The absorbing state pays 0 and keeps itself.
+ABSORBING = 2
+EXACT_CANDIDATES = [
+    dict(
+        transition=[[[0.6, 0.2, 0.2], [0.3, 0.5, 0.2], [0.0, 0.0, 1.0]],
+                    [[0.1, 0.8, 0.1], [0.0, 0.6, 0.4], [0.0, 0.0, 1.0]]],
+        observation=[[[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
+                     [[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]],
+        reward=[[3.0, 0.5], [0.0, 2.0], [0.0, 0.0]],
+        b0=[0.7, 0.3, 0.0],
+        vectors=[[4.0, 1.0, 0.1], [1.0, 3.0, 0.2]],
+        actions=[0, 1],
+    ),
+    dict(
+        transition=[[[0.2, 0.5, 0.3], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                    [[0.7, 0.3, 0.0], [0.1, 0.3, 0.6], [0.0, 0.0, 1.0]]],
+        observation=[[[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]],
+                     [[0.3, 0.7], [0.85, 0.15], [0.5, 0.5]]],
+        reward=[[0.0, 2.5], [1.5, -1.0], [0.0, 0.0]],
+        b0=[0.4, 0.6, 0.0],
+        vectors=[[0.5, 2.5, 0.3], [4.0, 0.5, 0.1]],
+        actions=[0, 1],
+    ),
+]
+
+
+def _clear_best(values, actions):
+    """The action of the largest value; its lead over every value of
+    another action must be clear, so rounding cannot pick otherwise."""
+    best = max(range(len(values)), key=values.__getitem__)
+    rivals = [v for v, a in zip(values, actions) if a != actions[best]]
+    assert not rivals or values[best] - max(rivals) > 1e-6
+    return actions[best]
+
+
+def _vi_greedy(c, discount, sweeps=2000):
+    """The value-iteration greedy action of each live state, by per-element sweeps."""
+    n, num_actions = len(c["reward"]), len(c["transition"])
+
+    def q(s, a, v):
+        return c["reward"][s][a] + discount * sum(c["transition"][a][s][t] * v[t] for t in range(n))
+
+    v = [0.0] * n
+    for _ in range(sweeps):
+        v = [max(q(s, a, v) for a in range(num_actions)) for s in range(n)]
+    return [_clear_best([q(s, a, v) for a in range(num_actions)], range(num_actions))
+            for s in range(ABSORBING)]
+
+
+def expected_returns(candidates, horizon, discount):
+    """{agent: (mean, variance)} of the undiscounted return of a trial, by
+    enumerating every branch: the true candidate (uniform), the start state,
+    then per step the action, the next state and the observation.  A branch
+    ends at the horizon or in the absorbing state, which pays 0 from then on.
+    atpo's mixture comes from a joint filter, per candidate the
+    unnormalised P(state, observations | actions), and its vectors."""
+    vi = [_vi_greedy(c, discount) for c in candidates]
+
+    def action_probs(agent, k, s, joint):
+        if agent == "random":
+            return [0.5, 0.5]
+        if agent == "vi":
+            return [float(vi[k][s] == a) for a in range(2)]
+        masses = [sum(p) for p in joint]
+        mix = [0.0, 0.0]
+        for c, p, mass in zip(candidates, joint, masses):
+            if mass > 0.0:
+                belief = [x / mass for x in p]
+                values = [sum(w * b for w, b in zip(vector, belief)) for vector in c["vectors"]]
+                mix[_clear_best(values, c["actions"])] += mass / sum(masses)
+        return mix
+
+    def walk(agent, k, s, step, total, weight, joint, moments):
+        if step == horizon or s == ABSORBING:
+            moments[0] += weight * total
+            moments[1] += weight * total * total
+            return
+        true = candidates[k]
+        for a, pa in enumerate(action_probs(agent, k, s, joint)):
+            for s2, pt in enumerate(true["transition"][a][s]):
+                for z, pz in enumerate(true["observation"][a][s2]):
+                    if pa * pt * pz == 0.0:
+                        continue
+                    advanced = [
+                        [sum(p[x] * c["transition"][a][x][y] for x in range(len(p))) * c["observation"][a][y][z]
+                         for y in range(len(p))]
+                        for c, p in zip(candidates, joint)
+                    ]
+                    walk(agent, k, s2, step + 1, total + true["reward"][s][a], weight * pa * pt * pz, advanced,
+                         moments)
+
+    out = {}
+    for agent in ("random", "vi", "atpo"):
+        moments = [0.0, 0.0]
+        for k, c in enumerate(candidates):
+            for s, p0 in enumerate(c["b0"]):
+                if p0 > 0.0:
+                    walk(agent, k, s, 0, 0.0, p0 / len(candidates), [list(d["b0"]) for d in candidates], moments)
+        out[agent] = (moments[0], moments[1] - moments[0] ** 2)
+    return out
+
+
+def test_seeded_means_match_the_enumerated_expected_returns():
+    # What a trial returns, checked against its exact expectation: the
+    # horizon, the reward at the state acted in, the uniform draw of the
+    # true model and atpo's sampled mixture all show in the means.
+    horizon, discount, trials = 4, 0.95, 1500
+    models = [
+        TabularPomdp(c["transition"], c["observation"], c["reward"], discount, c["b0"], label=f"exact{k}")
+        for k, c in enumerate(EXACT_CANDIDATES)
+    ]
+    policies = [
+        solvers.AlphaVectorPolicy(vectors=np.array(c["vectors"]), actions=np.array(c["actions"]), discount=discount)
+        for c in EXACT_CANDIDATES
+    ]
+    library = atpo.ModelLibrary(models, policies)
+    expected = expected_returns(EXACT_CANDIDATES, horizon, discount)
+    result = run_experiment(library, tuple(expected), horizon=horizon, trials=trials, base_seed=0)
+    # Per agent: (seeded mean, expectation, distance in standard errors).
+    off = {
+        name: (result.agents[name].mean, mean, (result.agents[name].mean - mean) / math.sqrt(variance / trials))
+        for name, (mean, variance) in expected.items()
+    }
+    assert all(abs(z) <= 4.0 for _, _, z in off.values()), off

@@ -136,44 +136,48 @@ def test_dense_and_sparse_storage_agree(rng):
 
 
 def test_constructor_stores_only_dense_arrays_and_csr_arrays(rng):
-    # Whatever form a table is handed in, SciPy's included, it is stored as
-    # an ndarray or a float64 CsrTable in canonical form.
+    # Whatever form a table is handed in, it is stored as an ndarray or a
+    # float64 CsrTable in canonical form.
     n = 600
     big = random_stochastic(rng, n, n, zeros=0.995)
     small = random_stochastic(rng, n, 4)
-    # A COO table with every entry split in two: duplicates are summed.
-    rows, cols = np.nonzero(big)
-    halves = sparse.coo_array(
-        (np.tile(big[rows, cols] / 2, 2), (np.tile(rows, 2), np.tile(cols, 2))), shape=(n, n)
-    )
+    canonical = CsrTable.from_dense(big)
+    # A CSR table with every entry split in two: duplicates are summed.
+    halves = CsrTable(np.repeat(canonical.data / 2, 2), np.repeat(canonical.indices, 2), 2 * canonical.indptr,
+                      (n, n))
     # A CSR table with each row's column indices reversed, and a CSR table
-    # of integers: both are re-stored, and the input is left as it was.
-    canonical = sparse.csr_array(big)
-    order = np.lexsort((-canonical.indices, np.repeat(np.arange(n), np.diff(canonical.indptr))))
-    shuffled = sparse.csr_array((canonical.data[order], canonical.indices[order], canonical.indptr), shape=(n, n))
-    assert not shuffled.has_canonical_format
+    # of integers: both are stored canonical and float64, and the input
+    # is left as it was.
+    order = np.lexsort((-canonical.indices, canonical.rows))
+    shuffled = CsrTable(canonical.data[order], canonical.indices[order], canonical.indptr, (n, n))
+    assert not is_canonical(shuffled) and not is_canonical(halves)
     kept = shuffled.indices.copy()
     whole = np.zeros((n, n))
+    rows, cols = np.nonzero(big)
     whole[rows, cols] = 3.0
-    forms = [
-        big, sparse.csr_matrix(big), sparse.coo_matrix(big), sparse.coo_array(big), halves,
-        shuffled, sparse.csr_array(whole.astype(int)),
-    ]
+    forms = [big, canonical, halves, shuffled, CsrTable(np.full(canonical.nnz, 3), canonical.indices,
+                                                        canonical.indptr, (n, n))]
     model = TabularPomdp(
         forms,
-        [small, sparse.csr_matrix(small), sparse.coo_array(small), small, small, small, small],
-        np.zeros((n, 7)),
+        [small, CsrTable.from_dense(small), small, small, small],
+        np.zeros((n, 5)),
         0.9,
         np.full(n, 1.0 / n),
     )
-    assert [type(t) for t in model.transition] == [CsrTable] * 7
-    assert [type(o) for o in model.observation] == [np.ndarray] * 7
+    assert [type(t) for t in model.transition] == [CsrTable] * 5
+    assert [type(o) for o in model.observation] == [np.ndarray] * 5
     for table in model.transition:
         assert table.data.dtype == np.float64 and is_canonical(table)
-    for a in range(7):
-        assert np.array_equal(dense(model.transition[a]), whole if a == 6 else big)
+    for a in range(5):
+        assert np.array_equal(dense(model.transition[a]), whole if a == 4 else big)
         assert np.array_equal(dense(model.observation[a]), small)
     assert np.array_equal(shuffled.indices, kept)
+    # SciPy's sparse tables are not a form the constructor reads: numpy
+    # refuses to make a float array of one.
+    for form in (sparse.csr_array, sparse.coo_matrix):
+        for transition, observation in ((form(big), small), (big, form(small))):
+            with pytest.raises(ValueError):
+                TabularPomdp([transition], [observation], np.zeros((n, 1)), 0.9, np.full(n, 1.0 / n))
 
 
 def test_hand_made_csr_tables_are_stored_canonical(rng):
@@ -576,9 +580,9 @@ def test_induced_mdp_shares_tables(rng):
 
 
 def test_replace_stores_any_table_form_by_the_rule(rng):
-    # A COO transition or a csr_matrix observation handed to
-    # dataclasses.replace is stored as the constructor stores it, so the
-    # model plays and backs up exactly like the original.
+    # A CSR transition or observation handed to dataclasses.replace is
+    # stored as the constructor stores it, so the model plays and backs up
+    # exactly like the original.
     small = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3, zeros=0.3)
     n = 600
     large = TabularPomdp(
@@ -590,8 +594,8 @@ def test_replace_stores_any_table_form_by_the_rule(rng):
     )
     for model in (small, large):
         twins = [
-            dataclasses.replace(model, transition=[sparse.coo_array(dense(t)) for t in model.transition]),
-            dataclasses.replace(model, observation=[sparse.csr_matrix(dense(o)) for o in model.observation]),
+            dataclasses.replace(model, transition=[CsrTable.from_dense(dense(t)) for t in model.transition]),
+            dataclasses.replace(model, observation=[CsrTable.from_dense(dense(o)) for o in model.observation]),
         ]
         for twin in twins:
             for stored, original in zip(twin.transition + twin.observation, model.transition + model.observation):

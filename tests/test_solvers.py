@@ -11,7 +11,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from adhocpo import modelio, solvers
 from adhocpo.csr import CsrTable
@@ -362,31 +361,6 @@ def test_perseus_sparse_dense_storage_agree(rng):
     assert np.allclose(
         policy_q_all(dense_model, pd, b), policy_q_all(sparse_model, ps, b), atol=1e-8
     )
-
-
-def test_csr_matrix_tables_solve_like_csr_arrays(rng):
-    # 600 states and 64 observations, both about 90% zeros or more: every
-    # table has over 2**15 zeros, so both tables of each action are CSR.
-    n = 600
-    transition = [random_stochastic(rng, n, n, zeros=0.995) for _ in range(2)]
-    observation = [random_stochastic(rng, n, 64, zeros=0.9) for _ in range(2)]
-    reward = rng.uniform(-1.0, 1.0, size=(n, 2))
-
-    def model(form):
-        return TabularPomdp(
-            [form(t) for t in transition],
-            [form(o) for o in observation],
-            reward,
-            0.9,
-            np.full(n, 1.0 / n),
-        )
-
-    from_matrix, from_array = model(sparse.csr_matrix), model(sparse.csr_array)
-    assert all(type(t) is CsrTable for t in from_matrix.transition + from_matrix.observation)
-    s = SolverSettings(belief_set_size=30, horizon=5, tolerance=0.1, seed=4)
-    pm, pa = perseus_solve(from_matrix, s), perseus_solve(from_array, s)
-    assert np.array_equal(pm.vectors, pa.vectors)
-    assert np.array_equal(pm.actions, pa.actions)
 
 
 def test_point_backup_improves_value(rng):
