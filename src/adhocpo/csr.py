@@ -11,9 +11,9 @@ SciPy's own product adds them, so every float equals SciPy's:
   its transposed product do;
 - `row_sums` is `np.add.reduceat` over the non-empty rows, the call
   SciPy's `sum(axis=1)` makes;
-- `weighted_row_sums` and `scores` sum the entries of SciPy's COO
-  product one after another in stored order, as its COO sum and
-  `coo_matmat_dense` do;
+- `scores`, and `pomdp.back_project` on a CSR table, sum the entries of
+  SciPy's COO product one after another in stored order, as its COO sum
+  and `coo_matmat_dense` do;
 - `from_coo` sorts triples stably by row, then column, and sums the
   duplicates of one cell one after another, as SciPy's `tocsr` does;
 - `toarray` adds each cell's entries into 0.0 in stored order, in one
@@ -142,11 +142,6 @@ class CsrTable:
         if filled.size:
             out[filled] = np.add.reduceat(self.data, self.indptr[filled])
         return out
-
-    def weighted_row_sums(self, dense: np.ndarray) -> np.ndarray:
-        """(table * dense).sum(axis=1) for a dense array of the table's shape."""
-        terms = self.data * dense[self.rows, self.indices]
-        return np.bincount(self.rows, weights=terms, minlength=self.shape[0])
 
     def rows_with(self, mask: np.ndarray) -> np.ndarray:
         """The row of each stored entry where `mask`, shaped as `data`, is true, ascending."""

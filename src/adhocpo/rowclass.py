@@ -8,8 +8,9 @@ entry per row): row x is data[index[x]].
 
 Every read gives the floats the dense table gives, in the same order.
 A read of rows gathers them into a new dense array and does on it what
-the dense read does (`table[rows]`, `weighted_row_sums`); `column` takes
-the class column, then one entry per row.  A per-row reduction
+the dense read does (`table[rows]`, and `pomdp.back_project`, which
+gathers one block of rows at a time); `column` takes the class column,
+then one entry per row.  A per-row reduction
 (`row_sums`) is made once per distinct row: numpy reduces each row of a
 C-ordered array by the same steps wherever the row sits, so the form
 holds only C-ordered float64 tables.  Products that mix rows, `table @ x`
@@ -96,12 +97,6 @@ class RowClassTable:
     def row_sums(self) -> np.ndarray:
         """table.sum(axis=1), one pairwise sum per distinct row."""
         return self.data.sum(axis=1)[self.index]
-
-    def weighted_row_sums(self, dense: np.ndarray) -> np.ndarray:
-        """(table * dense).sum(axis=1), multiplied in place in one gathered buffer."""
-        product = self.toarray()
-        product *= dense
-        return product.sum(axis=1)
 
     def rows_with(self, mask: np.ndarray) -> np.ndarray:
         """The rows, ascending, holding an entry where `mask`, shaped as `data`, is true."""

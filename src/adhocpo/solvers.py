@@ -70,6 +70,7 @@ from adhocpo.pomdp import (
     Belief,
     TabularMmdp,
     TabularPomdp,
+    back_project,
     belief_update,
     row_sums,
     sample_initial_state,
@@ -455,14 +456,15 @@ def point_backup(
     this call would build, so the result is the same either way.  bounds,
     which only a solve passes, lets the lookahead skip every action whose
     upper bound cannot reach the best q; the action and the vector are still
-    the ones a scan of every action gives (see _lookahead).
+    the ones a scan of every action gives (see _lookahead).  The vector
+    back-projects, per observation z, the vector that scored best for it:
+    `pomdp.back_project` reads those picks block by block, so no backup
+    makes the (|Z|, |X|) matrix of picked vectors.
     """
     if successors is None:
         successors = _successors(model, belief[None])
     _, a, scores = _lookahead(model, vectors, successors, bounds)
-    picked = vectors[scores.argmax(axis=0)]  # (|Z|, |X|)
-    o = model.observation[a]
-    back = (o * picked.T).sum(axis=1) if isinstance(o, np.ndarray) else o.weighted_row_sums(picked.T)
+    back = back_project(model.observation[a], vectors, scores.argmax(axis=0))
     alpha = model.reward[:, a] + model.discount * (model.transition[a] @ back)
     return alpha, a
 

@@ -5,6 +5,7 @@ from scipy import sparse
 
 from adhocpo.csr import CsrTable
 from adhocpo.domains import build
+from adhocpo.pomdp import back_project
 
 from conftest import bits_equal
 
@@ -42,8 +43,10 @@ def test_kernels_match_scipy_bit_for_bit(seed):
     assert bits_equal(y @ table, y @ ref)
     # Row sums in both of SciPy's orders: reduceat, and its COO sum.
     assert bits_equal(table.row_sums(), ref.sum(axis=1))
-    dense = rng.standard_normal((num_cols, num_rows))
-    assert bits_equal(table.weighted_row_sums(dense.T), (ref * dense.T).sum(axis=1))
+    # The back-projection: SciPy's COO sum of the entries' products.
+    picked_from = rng.standard_normal((int(rng.integers(1, 9)), num_rows))
+    picks = rng.integers(0, len(picked_from), size=num_cols)
+    assert bits_equal(back_project(table, picked_from, picks), (ref * picked_from[picks].T).sum(axis=1))
 
     vectors = rng.standard_normal((int(rng.integers(1, 9)), num_rows))
     for support in (np.flatnonzero(rng.random(num_rows) < 0.6), np.arange(num_rows)):

@@ -795,36 +795,54 @@ def _vi_greedy(c, discount, sweeps=2000):
             for s in range(ABSORBING)]
 
 
+def _first_best(mix):
+    """The mixture's argmax, lowest action on an exact tie; any other
+    lead must be clear, so rounding cannot pick otherwise."""
+    best = max(range(len(mix)), key=lambda a: (mix[a], -a))
+    assert all(a == best or mix[a] == mix[best] or mix[best] - mix[a] > 1e-9 for a in range(len(mix)))
+    return best
+
+
 def expected_returns(candidates, horizon, discount):
     """{agent: (mean, variance)} of the undiscounted return of a trial, by
     enumerating every branch: the true candidate (uniform), the start state,
     then per step the action, the next state and the observation.  A branch
     ends at the horizon or in the absorbing state, which pays 0 from then on.
-    atpo's mixture comes from a joint filter, per candidate the
-    unnormalised P(state, observations | actions), and its vectors."""
+    Each agent's action law is taken from the branch alone: per candidate
+    the unnormalised P(state, observations | actions), a joint filter that
+    the atpo agents and random-picker read through the candidates' vectors,
+    and the product of the transitions seen, bopa's evidence."""
     vi = [_vi_greedy(c, discount) for c in candidates]
 
-    def action_probs(agent, k, s, joint):
+    def action_probs(agent, k, s, joint, moves):
         if agent == "random":
             return [0.5, 0.5]
         if agent == "vi":
             return [float(vi[k][s] == a) for a in range(2)]
+        if agent == "bopa":
+            mix = [0.0, 0.0]
+            for j, move in enumerate(moves):
+                mix[vi[j][s]] += move / sum(moves)
+            return mix
         masses = [sum(p) for p in joint]
+        alive = [(c, p, mass) for c, p, mass in zip(candidates, joint, masses) if mass > 0.0]
         mix = [0.0, 0.0]
-        for c, p, mass in zip(candidates, joint, masses):
-            if mass > 0.0:
-                belief = [x / mass for x in p]
-                values = [sum(w * b for w, b in zip(vector, belief)) for vector in c["vectors"]]
-                mix[_clear_best(values, c["actions"])] += mass / sum(masses)
+        for c, p, mass in alive:
+            belief = [x / mass for x in p]
+            values = [sum(w * b for w, b in zip(vector, belief)) for vector in c["vectors"]]
+            share = 1.0 / len(alive) if agent == "random-picker" else mass / sum(masses)
+            mix[_clear_best(values, c["actions"])] += share
+        if agent == "atpo --greedy":
+            return [float(a == _first_best(mix)) for a in range(2)]
         return mix
 
-    def walk(agent, k, s, step, total, weight, joint, moments):
+    def walk(agent, k, s, step, total, weight, joint, moves, moments):
         if step == horizon or s == ABSORBING:
             moments[0] += weight * total
             moments[1] += weight * total * total
             return
         true = candidates[k]
-        for a, pa in enumerate(action_probs(agent, k, s, joint)):
+        for a, pa in enumerate(action_probs(agent, k, s, joint, moves)):
             for s2, pt in enumerate(true["transition"][a][s]):
                 for z, pz in enumerate(true["observation"][a][s2]):
                     if pa * pt * pz == 0.0:
@@ -834,16 +852,18 @@ def expected_returns(candidates, horizon, discount):
                          for y in range(len(p))]
                         for c, p in zip(candidates, joint)
                     ]
+                    moved = [move * c["transition"][a][s][s2] for c, move in zip(candidates, moves)]
                     walk(agent, k, s2, step + 1, total + true["reward"][s][a], weight * pa * pt * pz, advanced,
-                         moments)
+                         moved, moments)
 
     out = {}
-    for agent in ("random", "vi", "atpo"):
+    for agent in ("random", "vi", "atpo", "random-picker", "bopa", "atpo --greedy"):
         moments = [0.0, 0.0]
         for k, c in enumerate(candidates):
             for s, p0 in enumerate(c["b0"]):
                 if p0 > 0.0:
-                    walk(agent, k, s, 0, 0.0, p0 / len(candidates), [list(d["b0"]) for d in candidates], moments)
+                    walk(agent, k, s, 0, 0.0, p0 / len(candidates), [list(d["b0"]) for d in candidates],
+                         [1.0] * len(candidates), moments)
         out[agent] = (moments[0], moments[1] - moments[0] ** 2)
     return out
 
@@ -851,7 +871,7 @@ def expected_returns(candidates, horizon, discount):
 def test_seeded_means_match_the_enumerated_expected_returns():
     # What a trial returns, checked against its exact expectation: the
     # horizon, the reward at the state acted in, the uniform draw of the
-    # true model and atpo's sampled mixture all show in the means.
+    # true model and each agent's action law all show in the means.
     horizon, discount, trials = 4, 0.95, 1500
     models = [
         TabularPomdp(c["transition"], c["observation"], c["reward"], discount, c["b0"], label=f"exact{k}")
@@ -863,10 +883,15 @@ def test_seeded_means_match_the_enumerated_expected_returns():
     ]
     library = atpo.ModelLibrary(models, policies)
     expected = expected_returns(EXACT_CANDIDATES, horizon, discount)
-    result = run_experiment(library, tuple(expected), horizon=horizon, trials=trials, base_seed=0)
+    sampled = run_experiment(
+        library, ("random", "vi", "atpo", "random-picker", "bopa"), horizon=horizon, trials=trials, base_seed=0
+    )
+    argmax = run_experiment(library, ("atpo",), horizon=horizon, trials=trials, base_seed=0, greedy=True)
+    means = {name: agent.mean for name, agent in sampled.agents.items()}
+    means["atpo --greedy"] = argmax.agents["atpo"].mean
     # Per agent: (seeded mean, expectation, distance in standard errors).
     off = {
-        name: (result.agents[name].mean, mean, (result.agents[name].mean - mean) / math.sqrt(variance / trials))
+        name: (means[name], mean, (means[name] - mean) / math.sqrt(variance / trials))
         for name, (mean, variance) in expected.items()
     }
     assert all(abs(z) <= 4.0 for _, _, z in off.values()), off

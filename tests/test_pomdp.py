@@ -12,6 +12,7 @@ from adhocpo.csr import CsrTable
 from adhocpo.domains import build
 from adhocpo.pomdp import (
     TabularPomdp,
+    back_project,
     belief_update,
     induced_mdp,
     row_sums,
@@ -342,6 +343,47 @@ def test_observation_tables_store_repeated_rows_once(tmp_path):
     assert modelio.dumps_model(loaded) == path.read_text()
 
 
+@pytest.mark.parametrize(
+    "name, overrides, form",
+    [
+        ("gridworld", {"size": 4}, np.ndarray),
+        ("ntu", {}, np.ndarray),
+        ("gridworld", {}, RowClassTable),
+        ("isr", {}, RowClassTable),
+        ("cit", {}, RowClassTable),
+        ("pursuit-both", {}, CsrTable),
+        ("overcooked", {}, CsrTable),
+    ],
+)
+def test_back_projection_matches_the_whole_product_bit_for_bit(rng, name, overrides, form):
+    # back[x] = sum_z O[x, z] * vectors[picks[z], x], made block by block,
+    # gives the floats of the whole (|X|, |Z|) product summed by rows; a
+    # CSR sensor sums its entries in stored order, as SciPy's COO sum does.
+    sensor = build(name, **overrides).models[0].observation[0]
+    assert type(sensor) is form
+    if form is CsrTable:
+        table = sparse.csr_array((sensor.data, sensor.indices, sensor.indptr), shape=sensor.shape)
+    else:
+        table = dense(sensor)
+    for count in (15, 100, 400):
+        vectors = rng.standard_normal((count, sensor.shape[0]))
+        picks = rng.integers(0, count, size=sensor.shape[1])
+        want = (table * vectors[picks].T).sum(axis=1)
+        assert bits_equal(back_project(sensor, vectors, picks), want)
+        if form is RowClassTable:
+            # The dense form of a table of many blocks.
+            assert bits_equal(back_project(dense(sensor), vectors, picks), want)
+
+
+def test_back_projection_blocks_cover_every_row(rng):
+    # A last block of one row, and rows wider than a block.
+    for shape in ((809, 81), (3, 40000)):
+        table = rng.random(shape)
+        vectors = rng.standard_normal((7, shape[0]))
+        picks = rng.integers(0, 7, size=shape[1])
+        assert bits_equal(back_project(table, vectors, picks), (table * vectors[picks].T).sum(axis=1))
+
+
 def test_row_class_reads_match_the_dense_table_bit_for_bit(rng):
     # Every read of a factored sensor gives the dense table's floats: the
     # filter, the sampler, the validator, the digest and the solver.
@@ -360,8 +402,9 @@ def test_row_class_reads_match_the_dense_table_bit_for_bit(rng):
     assert sensor.min() == table.min() and sensor.nnz == np.count_nonzero(table)
     support = np.flatnonzero(rng.random(n) < 0.3)
     assert bits_equal(sensor[support], table[support]) and bits_equal(sensor[5:900], table[5:900])
-    picked = rng.random((nz, n))
-    assert bits_equal(sensor.weighted_row_sums(picked.T), (table * picked.T).sum(axis=1))
+    vectors = rng.random((20, n))
+    picks = rng.integers(0, 20, size=nz)
+    assert bits_equal(back_project(sensor, vectors, picks), (table * vectors[picks].T).sum(axis=1))
     assert modelio.dumps_model(model) == modelio.dumps_model(twin)
     assert modelio.model_digest(model) == modelio.model_digest(twin)
 

@@ -8,6 +8,7 @@ against a scalar triple-sum reimplementation.
 import dataclasses
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,29 @@ def test_point_backup_takes_the_first_of_tied_actions(rng):
         bounds = solvers._Bounds(q + [1.0, 1.0, 2.0], [0])
         bounded = point_backup(model, b, policy.vectors, None, bounds)
         assert np.array_equal(bounded[0], alpha) and bounded[1] == act
+
+
+@pytest.mark.parametrize("name, count", [("isr", 15), ("overcooked", 64)])
+def test_a_backup_holds_less_than_one_observation_sized_array(rng, name, count):
+    # The back-projection reads the picked vectors block by block: no
+    # (|Z|, |X|) picked matrix, and no dense product of a row-class or CSR
+    # sensor.  Building either would take one (|X|, |Z|) float64 array.
+    # The belief is the last one collected, whose support is small: the
+    # lookahead gathers the sensor's rows on the whole support, so at a
+    # spread belief such as isr's b0 that gather alone is near the bound.
+    build_ = build(name)
+    model = build_.models[0]
+    belief = collect_beliefs(model, 6, build_.horizon, np.random.default_rng(1))[-1]
+    assert np.count_nonzero(belief) < model.num_states // 4
+    vectors = rng.standard_normal((count, model.num_states))
+    point_backup(model, belief, vectors)  # derives the tables' cached arrays
+    tracemalloc.start()
+    try:
+        point_backup(model, belief, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * model.num_states * model.num_observations
 
 
 def _csr_transition_model(rng, n=600):
