@@ -6,9 +6,10 @@ randomised backup scheme: gather a reachable belief set by simulating
 uniform-random actions, then per stage back up beliefs in random order,
 skipping any belief already improved by a vector added earlier in the
 stage.  Keeping the best previous vector whenever a backup fails to improve
-a point makes the stage values monotone.  The cache misses of a library are
-solved in parallel, one forked worker per usable CPU (solve_many, through
-the fork pool of `forkpool.forked_map` that an experiment's trials share).
+a point keeps the stage values monotone, to within 1e-12 and rounding.  The
+cache misses of a library are solved in parallel, one forked worker per
+usable CPU (solve_many, through the fork pool of `forkpool.forked_map`
+that an experiment's trials share).
 
 The belief set is fixed for the whole solve, and so is everything a backup
 derives from a belief alone: per action, the reward term <b, R[:, a]>, the
@@ -44,7 +45,7 @@ action's q is below that best, so the backup returns the first maximal
 action and the same alpha vector as a scan of every action, float for
 float.  A solve whose model has a negative transition or observation
 entry (validate accepts them down to -1e-9), or whose belief set has one,
-runs the full scan.
+hands every backup +inf bounds, so the same scan scores every action.
 """
 from __future__ import annotations
 
@@ -192,11 +193,12 @@ class SolverSettings:
 class AlphaVectorPolicy:
     """A set of alpha vectors, each tagged with its one-step action.
 
-    stage_values records the lower-bound value at the initial belief after
-    every solver stage; it is non-decreasing by construction and is kept as
-    convergence evidence.  lookahead_counts is (evaluated, skipped): the
-    lookahead actions the solve that made the policy scored and skipped.
-    It is kept in memory only, so a policy read from a file has None.
+    stage_values records policy_value at the initial belief from the floor
+    start and after every stage, as convergence evidence; a stage may lower
+    it by up to 1e-12 (the skip margin) and rounding.  lookahead_counts is
+    (evaluated, skipped): the lookahead actions the solve that made the
+    policy scored and skipped.  It is kept in memory only, so a policy read
+    from a file has None.
     """
 
     vectors: np.ndarray  # (n, |X|)
@@ -305,31 +307,28 @@ def _lookahead(
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One-step lookahead q(b, a), with the first maximal action and its scores.
 
-    The solver's route: point_backup scans the actions one at a time,
-    each on its own support, and may skip some by their bounds; the
-    online lookahead that scores them all is policy_q_all.  successors is
-    the store of b alone.  Returns q, the first action of
-    maximal q, and that action's (n, |Z|) successor score matrix.
-    Observations with zero likelihood contribute zero: their unnormalised
-    successor is the zero vector, whose best alpha score is exactly 0.
-    Only the best action's scores are kept: holding every action's at once
-    made the allocator return and re-fault the heap at each backup of a
-    large vector set (millions of page faults per desk solve).
+    The solver's route, one scan: point_backup scores the actions one at a
+    time, each on its own support (the online route that scores them all
+    at once is policy_q_all).  successors is the store of b alone.  Returns
+    q, the first action of maximal q, and that action's (n, |Z|) successor
+    scores; only those are kept, since holding every action's made the
+    allocator re-fault the heap at each backup of a large vector set.  An
+    observation of zero likelihood adds exactly 0 (a zero successor).
 
-    Without bounds every action is scored in order.  With them the actions
-    are visited by descending bound, and the scan stops at the first one
-    whose bound (margin included) is below the best q so far; every action
-    after it is bounded lower still.  Those actions keep q = nan and are
-    added to bounds.skipped.  Every maximal action has a bound at or above
-    its q, so each is scored, and ties go to the lowest action as in the
-    full scan.
+    The scan visits the actions by descending bound, stably, and stops at
+    the first whose bound is below the best q so far; the rest, bounded
+    lower still, keep q = nan and count in bounds.skipped.  A maximal
+    action's bound is at or above its q, so every one is scored and ties go
+    to the lowest.  bounds None means +inf for every action: the order is
+    0..|A|-1 and the stop never fires, so every action is scored.
     """
+    if bounds is None:
+        bounds = _Bounds(np.full(model.num_actions, np.inf), [0])
     q = np.full(model.num_actions, np.nan)
-    order = range(model.num_actions) if bounds is None else np.argsort(-bounds.upper, kind="stable")
     rewards, offsets = successors.rewards[0].tolist(), successors.offsets
     best = -1
-    for k, a in enumerate(order):
-        if bounds is not None and k and bounds.upper[a] < q[best]:
+    for k, a in enumerate(np.argsort(-bounds.upper, kind="stable")):
+        if k and bounds.upper[a] < q[best]:
             bounds.skipped[0] += model.num_actions - k
             break
         lo, hi = offsets[a], offsets[a + 1]
@@ -528,8 +527,9 @@ def perseus_solve(
     """Point-based solve to the requested stage-improvement tolerance.
 
     Stops when the largest value improvement across the belief set falls to
-    settings.tolerance, or at settings.stage_cap stages.  Stage values at
-    the initial belief are recorded and are non-decreasing.  A given belief
+    settings.tolerance, or at settings.stage_cap stages.  Each stage's
+    value at b0 is policy_value's product on that stage's vectors, so the
+    last is the policy's value at b0 on every BLAS kernel.  A given belief
     set must start with the model's initial belief, whose value the stage
     values record; ValueError otherwise, as for unusable settings
     (`_check_settings`, the check `solve_many` makes).
@@ -546,6 +546,7 @@ def perseus_solve(
     m = len(beliefs)
     successors = _successors(model, beliefs)
     inputs = _bound_inputs(model, beliefs, successors)
+    upper = np.full((m, model.num_actions), np.inf)  # every action scored while inputs is None
     skipped = [0]
     backups = 0
     floor = float(model.reward.min()) / (1.0 - model.discount)
@@ -553,7 +554,7 @@ def perseus_solve(
     actions = np.zeros(1, dtype=int)
     values = beliefs @ vectors[0]
 
-    stage_values = [float(values[0])]
+    stage_values = [float((vectors @ model.initial_belief).max())]  # policy_value's product
     stage_improvements = []
     for _ in range(settings.stage_cap):
         if inputs is not None:
@@ -566,8 +567,7 @@ def perseus_solve(
         for i in rng.permutation(m):
             if values[i] >= prev_values[i] - _EPS:
                 continue
-            bounds = None if inputs is None else _Bounds(upper[i], skipped)
-            alpha, act = point_backup(model, beliefs[i], vectors, successors.belief(i), bounds)
+            alpha, act = point_backup(model, beliefs[i], vectors, successors.belief(i), _Bounds(upper[i], skipped))
             backups += 1
             if float(alpha @ beliefs[i]) >= prev_values[i] - _EPS:
                 new_vectors.append(alpha)
@@ -586,7 +586,7 @@ def perseus_solve(
         vectors = np.array(new_vectors)
         actions = np.array(new_actions, dtype=int)
         improvement = float((values - prev_values).max())
-        stage_values.append(float(values[0]))
+        stage_values.append(float((vectors @ model.initial_belief).max()))
         stage_improvements.append(improvement)
         if improvement <= settings.tolerance:
             break

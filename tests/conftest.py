@@ -1,5 +1,7 @@
 """Shared helpers: random model generators, table reads, a storage seam,
-exhaustive-filter oracles and a child process guard."""
+exhaustive-filter oracles, a child process guard, and the OpenBLAS kernel
+named in the report header."""
+import ctypes
 import itertools
 import os
 from unittest import mock
@@ -10,6 +12,58 @@ import pytest
 from adhocpo import pomdp
 from adhocpo.csr import CsrTable
 from adhocpo.pomdp import TabularPomdp
+
+
+# (config, core name) queries of an OpenBLAS build, tried in this order as
+# `forkpool._THREAD_CALLS` tries the thread calls.
+_CORE_CALLS = [
+    (f"{prefix}_get_config{suffix}", f"{prefix}_get_corename{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+def openblas_cores() -> list[tuple[str, str]]:
+    """(config string, core name) of every loaded OpenBLAS that can name its kernel.
+
+    A DYNAMIC_ARCH build picks its kernel by CPU, or as OPENBLAS_CORETYPE
+    forces it, and float results can differ by kernel in the last bits.
+    Empty where no such library is loaded or /proc/self/maps is missing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        names = next((pair for pair in _CORE_CALLS if all(hasattr(lib, n) for n in pair)), None)
+        if names is not None:
+            config, core = (getattr(lib, name) for name in names)
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            found.append((" ".join(config().decode().split()), core().decode()))
+    return found
+
+
+def _kernel_lines() -> list[str]:
+    cores = openblas_cores()
+    if not cores:
+        return ["openblas: no loaded OpenBLAS names its kernel"]
+    return [f"openblas: {text}; core {core}" for text, core in cores]
+
+
+def pytest_report_header(config):
+    """Name the BLAS kernel: bit-for-bit results hold for one kernel only."""
+    return _kernel_lines()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """-q hides the header, so a quiet run names the kernel at its end."""
+    if config.get_verbosity() < 0:
+        for line in _kernel_lines():
+            terminalreporter.write_line(line)
 
 
 def dense(table):

@@ -743,10 +743,13 @@ def test_scaling_every_reward_by_a_power_of_two_scales_what_a_trial_returns_exac
             assert bits_equal(t.loss_rows * c, u.loss_rows)
 
 
-# Two hand-written candidates over states 0 and 1 and the absorbing state 2,
-# with 2 actions and 2 observations: per candidate the transition and
+# Three hand-written candidates over states 0 and 1 and the absorbing state
+# 2, with 2 actions and 2 observations: per candidate the transition and
 # observation tables by action, the reward, the start belief and the alpha
 # vectors with their actions.  The absorbing state pays 0 and keeps itself.
+# The third candidate starts in state 1, which keeps itself and, under
+# action 0, never shows observation 1: a trial of another candidate that
+# shows 1 after action 0 prunes it.
 ABSORBING = 2
 EXACT_CANDIDATES = [
     dict(
@@ -767,6 +770,16 @@ EXACT_CANDIDATES = [
         reward=[[0.0, 2.5], [1.5, -1.0], [0.0, 0.0]],
         b0=[0.4, 0.6, 0.0],
         vectors=[[0.5, 2.5, 0.3], [4.0, 0.5, 0.1]],
+        actions=[0, 1],
+    ),
+    dict(
+        transition=[[[0.3, 0.5, 0.2], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                    [[0.6, 0.3, 0.1], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+        observation=[[[0.8, 0.2], [1.0, 0.0], [0.5, 0.5]],
+                     [[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]]],
+        reward=[[2.0, 1.0], [2.0, 0.0], [0.0, 0.0]],
+        b0=[0.0, 1.0, 0.0],
+        vectors=[[1.0, 1.0, 0.0], [3.0, 0.5, 0.1]],
         actions=[0, 1],
     ),
 ]
@@ -803,15 +816,26 @@ def _first_best(mix):
     return best
 
 
-def expected_returns(candidates, horizon, discount):
-    """{agent: (mean, variance)} of the undiscounted return of a trial, by
+def trial_statistics(trial):
+    """The undiscounted return of a trial, and over the steps it acts from a
+    live state, its plays of action 1 and its changes of action."""
+    before = [trial.initial_state, *trial.states[:-1]]
+    live = [a for a, x in zip(trial.actions, before) if x != ABSORBING]
+    return trial.total_return, live.count(1), sum(a != b for a, b in zip(live, live[1:]))
+
+
+def expected_statistics(candidates, horizon, discount):
+    """{agent: [(mean, variance) of each of trial_statistics]}, by
     enumerating every branch: the true candidate (uniform), the start state,
     then per step the action, the next state and the observation.  A branch
-    ends at the horizon or in the absorbing state, which pays 0 from then on.
-    Each agent's action law is taken from the branch alone: per candidate
-    the unnormalised P(state, observations | actions), a joint filter that
-    the atpo agents and random-picker read through the candidates' vectors,
-    and the product of the transitions seen, bopa's evidence."""
+    ends at the horizon or in the absorbing state, which pays 0 from then on
+    and takes no action the statistics count.  Each agent's action law is
+    taken from the branch alone: per candidate the unnormalised P(state,
+    observations | actions), a joint filter that the atpo agents and
+    random-picker read through the candidates' vectors, and the product of
+    the transitions seen, bopa's evidence.  A candidate whose joint filter
+    has lost all mass is pruned: the atpo agents give it no weight and
+    random-picker draws among the others."""
     vi = [_vi_greedy(c, discount) for c in candidates]
 
     def action_probs(agent, k, s, joint, moves):
@@ -836,10 +860,10 @@ def expected_returns(candidates, horizon, discount):
             return [float(a == _first_best(mix)) for a in range(2)]
         return mix
 
-    def walk(agent, k, s, step, total, weight, joint, moves, moments):
+    def walk(agent, k, s, step, stats, weight, joint, moves, moments):
         if step == horizon or s == ABSORBING:
-            moments[0] += weight * total
-            moments[1] += weight * total * total
+            for i, x in enumerate(stats[:3]):
+                moments[i] += (weight * x, weight * x * x)
             return
         true = candidates[k]
         for a, pa in enumerate(action_probs(agent, k, s, joint, moves)):
@@ -853,25 +877,28 @@ def expected_returns(candidates, horizon, discount):
                         for c, p in zip(candidates, joint)
                     ]
                     moved = [move * c["transition"][a][s][s2] for c, move in zip(candidates, moves)]
-                    walk(agent, k, s2, step + 1, total + true["reward"][s][a], weight * pa * pt * pz, advanced,
-                         moved, moments)
+                    total, ones, changes, last = stats
+                    stats2 = (total + true["reward"][s][a], ones + (a == 1), changes + (last not in (None, a)), a)
+                    walk(agent, k, s2, step + 1, stats2, weight * pa * pt * pz, advanced, moved, moments)
 
     out = {}
     for agent in ("random", "vi", "atpo", "random-picker", "bopa", "atpo --greedy"):
-        moments = [0.0, 0.0]
+        moments = np.zeros((3, 2))
         for k, c in enumerate(candidates):
             for s, p0 in enumerate(c["b0"]):
                 if p0 > 0.0:
-                    walk(agent, k, s, 0, 0.0, p0 / len(candidates), [list(d["b0"]) for d in candidates],
-                         [1.0] * len(candidates), moments)
-        out[agent] = (moments[0], moments[1] - moments[0] ** 2)
+                    walk(agent, k, s, 0, (0.0, 0, 0, None), p0 / len(candidates),
+                         [list(d["b0"]) for d in candidates], [1.0] * len(candidates), moments)
+        out[agent] = [(mean, square - mean ** 2) for mean, square in moments]
     return out
 
 
 def test_seeded_means_match_the_enumerated_expected_returns():
     # What a trial returns, checked against its exact expectation: the
     # horizon, the reward at the state acted in, the uniform draw of the
-    # true model and each agent's action law all show in the means.
+    # true model, each agent's action law and its pruning of the third
+    # candidate all show in the means of the return, of the plays of action
+    # 1 and of the changes of action.
     horizon, discount, trials = 4, 0.95, 1500
     models = [
         TabularPomdp(c["transition"], c["observation"], c["reward"], discount, c["b0"], label=f"exact{k}")
@@ -882,16 +909,16 @@ def test_seeded_means_match_the_enumerated_expected_returns():
         for c in EXACT_CANDIDATES
     ]
     library = atpo.ModelLibrary(models, policies)
-    expected = expected_returns(EXACT_CANDIDATES, horizon, discount)
+    expected = expected_statistics(EXACT_CANDIDATES, horizon, discount)
     sampled = run_experiment(
         library, ("random", "vi", "atpo", "random-picker", "bopa"), horizon=horizon, trials=trials, base_seed=0
     )
     argmax = run_experiment(library, ("atpo",), horizon=horizon, trials=trials, base_seed=0, greedy=True)
-    means = {name: agent.mean for name, agent in sampled.agents.items()}
-    means["atpo --greedy"] = argmax.agents["atpo"].mean
-    # Per agent: (seeded mean, expectation, distance in standard errors).
-    off = {
-        name: (means[name], mean, (means[name] - mean) / math.sqrt(variance / trials))
-        for name, (mean, variance) in expected.items()
-    }
-    assert all(abs(z) <= 4.0 for _, _, z in off.values()), off
+    runs = {name: agent.trials for name, agent in sampled.agents.items()}
+    runs["atpo --greedy"] = argmax.agents["atpo"].trials
+    # Per agent and statistic: (seeded mean, expectation, distance in standard errors).
+    off = {}
+    for name, moments in expected.items():
+        seen = np.mean([trial_statistics(t) for t in runs[name]], axis=0)
+        off[name] = [(m, mean, (m - mean) / math.sqrt(variance / trials)) for m, (mean, variance) in zip(seen, moments)]
+    assert all(abs(z) <= 4.0 for rows in off.values() for _, _, z in rows), off

@@ -6,13 +6,18 @@ fully observable reductions where the optimum is known; the lookahead q
 against a scalar triple-sum reimplementation.
 """
 import dataclasses
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adhocpo
 from adhocpo import modelio, solvers
 from adhocpo.csr import CsrTable
 from adhocpo.domains import build
@@ -46,7 +51,7 @@ from adhocpo.solvers import (
     value_iteration,
 )
 
-from conftest import dense, is_csr, random_pomdp, random_stochastic, stored_as_given
+from conftest import dense, is_csr, openblas_cores, random_pomdp, random_stochastic, stored_as_given
 
 
 def random_mmdp(rng, num_states=5, num_actions=3, discount=0.9):
@@ -633,6 +638,60 @@ def test_a_given_belief_set_must_start_at_the_initial_belief(rng):
         perseus_solve(model, settings, np.vstack([model.initial_belief, corners])[:, :3])
     policy = perseus_solve(model, settings, np.vstack([model.initial_belief, corners]))
     assert policy.stage_values[-1] == policy_value(policy, model.initial_belief)
+
+
+_B0_SCRIPT = """
+import json
+import numpy as np
+from conftest import openblas_cores, random_pomdp
+from adhocpo.solvers import SolverSettings, perseus_solve, policy_value
+
+same = []
+for seed in (12345, 0, 1, 2, 3):
+    model = random_pomdp(np.random.default_rng(seed), num_states=4, num_actions=2, num_observations=3)
+    beliefs = np.vstack([model.initial_belief, np.eye(4)])
+    policy = perseus_solve(model, SolverSettings(belief_set_size=10, horizon=5, seed=0), beliefs)
+    same.append(policy.stage_values[-1] == policy_value(policy, model.initial_belief))
+print(json.dumps({"cores": [core for _, core in openblas_cores()], "same": same}))
+"""
+
+# The core names an OpenBLAS reports when OPENBLAS_CORETYPE forces each
+# kernel.  A build without a Zen kernel set of its own runs Zen on the
+# Haswell kernels and names it so (numpy 2.4's bundled OpenBLAS does).
+_FORCED_CORES = {"Haswell": {"Haswell"}, "Zen": {"Zen", "Haswell"}}
+
+
+def test_the_last_stage_value_is_the_policy_value_under_other_blas_kernels():
+    # The stage values and policy_value must read b0 through one product:
+    # two BLAS calls can sum in another order on another kernel, and under
+    # Haswell and Zen a stage value read off the upkeep `beliefs @ alpha`
+    # was one ulp from `vectors @ b0`.  Each kernel runs in a child process,
+    # which must report the forced core, so a run where the force did not
+    # take effect fails rather than checking the default kernel again.
+    if not openblas_cores():  # found through /proc/self/maps, so /proc/cpuinfo is there too
+        pytest.skip("no loaded OpenBLAS names its kernel")
+    if "avx2" not in Path("/proc/cpuinfo").read_text().split():
+        pytest.skip("the Haswell and Zen kernels need AVX2")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adhocpo.__file__).parents[1]), str(Path(__file__).parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    runs = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", _B0_SCRIPT],
+            env={**env, "OPENBLAS_CORETYPE": kernel},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for kernel in _FORCED_CORES
+    }
+    outputs = {kernel: run.communicate(timeout=120) for kernel, run in runs.items()}  # reap both first
+    for kernel, (out, err) in outputs.items():
+        assert runs[kernel].returncode == 0, err
+        report = json.loads(out)
+        assert report["cores"] and set(report["cores"]) <= _FORCED_CORES[kernel], (kernel, report["cores"])
+        assert all(report["same"]), (kernel, report["same"])
 
 
 def _scanned_beliefs(model, size, horizon, rng, dedup_atol=1e-9, stagnation_limit=50):
