@@ -166,18 +166,33 @@ def value_iteration(
 # Alpha-vector policies
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SolverSettings:
+    """How a policy is solved.  Making one, `dataclasses.replace` too, raises
+    ValueError for a belief set size, horizon or stage cap below 1 (a cap of 0
+    returns the floor policy unsolved), a negative or NaN tolerance (which never
+    stops a solve) or a negative seed, and TypeError for a float in an int field."""
+
     belief_set_size: int = 5000
     horizon: int = 50
     tolerance: float = 0.01
     seed: int = 0
     stage_cap: int = 500
 
+    def __post_init__(self):
+        if operator.index(self.belief_set_size) < 1:
+            raise ValueError(f"belief set size must be at least 1, got {self.belief_set_size}")
+        if operator.index(self.horizon) < 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"solver tolerance must be non-negative, got {self.tolerance}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"solver seed must be non-negative, got {self.seed}")
+        if operator.index(self.stage_cap) < 1:
+            raise ValueError(f"solver stage cap must be at least 1, got {self.stage_cap}")
+
     def key_string(self) -> str:
-        """`name=value` per field, in field order, as the type of the field's
-        default: tolerance 0 reads `tolerance=0.0`, and an int field given a
-        float (2.5, or 2.0) is a TypeError, as it is to the solver."""
+        """`name=value` per field in order, as its default's type: tolerance 0 reads `tolerance=0.0`."""
         write = {int: operator.index, float: float}
         return ",".join(
             f"{f.name}={write[type(f.default)](getattr(self, f.name))!r}" for f in dataclasses.fields(self)
@@ -185,8 +200,13 @@ class SolverSettings:
 
     @classmethod
     def from_key_string(cls, text: str) -> "SolverSettings":
+        """The settings whose `key_string()` is exactly `text`; an unknown, repeated or
+        missing key, an unusable value or another spelling is a ValueError or KeyError."""
         values = dict(part.split("=", 1) for part in text.split(","))
-        return cls(**{f.name: type(f.default)(values[f.name]) for f in dataclasses.fields(cls)})
+        settings = cls(**{f.name: type(f.default)(values[f.name]) for f in dataclasses.fields(cls)})
+        if settings.key_string() != text:
+            raise ValueError(f"not as key_string writes it: {text!r}")
+        return settings
 
 
 @dataclasses.dataclass
@@ -502,23 +522,6 @@ def _stage_bounds(model: TabularPomdp, inputs: tuple, vectors: np.ndarray) -> np
     return rewards + model.discount * lookahead + margin
 
 
-def _check_settings(settings: SolverSettings) -> None:
-    """ValueError for a belief set size or horizon below 1, a negative or
-    NaN tolerance (which would never stop a solve), a negative seed, or a
-    stage cap below 1 (which would return the one-vector floor policy
-    unsolved)."""
-    if settings.belief_set_size < 1:
-        raise ValueError(f"belief set size must be at least 1, got {settings.belief_set_size}")
-    if settings.horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {settings.horizon}")
-    if not settings.tolerance >= 0.0:
-        raise ValueError(f"solver tolerance must be non-negative, got {settings.tolerance}")
-    if settings.seed < 0:
-        raise ValueError(f"solver seed must be non-negative, got {settings.seed}")
-    if settings.stage_cap < 1:
-        raise ValueError(f"solver stage cap must be at least 1, got {settings.stage_cap}")
-
-
 def perseus_solve(
     model: TabularPomdp,
     settings: SolverSettings,
@@ -531,10 +534,9 @@ def perseus_solve(
     value at b0 is policy_value's product on that stage's vectors, so the
     last is the policy's value at b0 on every BLAS kernel.  A given belief
     set must start with the model's initial belief, whose value the stage
-    values record; ValueError otherwise, as for unusable settings
-    (`_check_settings`, the check `solve_many` makes).
+    values record; ValueError otherwise.  Settings are checked when they are
+    made (`SolverSettings`).
     """
-    _check_settings(settings)
     rng = np.random.default_rng(settings.seed)
     if beliefs is None:
         beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, rng)
@@ -797,11 +799,9 @@ def solve_many(
     Each solve seeds its own generator, so the policies are the ones a
     solve in this process gives.  `progress` gets
     one line per model: a cache hit, or the vector count and solve
-    seconds, noting an unusable entry that was replaced.  Unusable
-    settings (`_check_settings`) are a ValueError, raised before any
-    digest or cache access.
+    seconds, noting an unusable entry that was replaced.  Settings are
+    checked when they are made (`SolverSettings`), before any cache access.
     """
-    _check_settings(settings)
     digests = model_digests(models)
     results: list = [None] * len(models)
     misses = []

@@ -267,6 +267,24 @@ def test_cli_solve_rejects_an_empty_belief_set(tmp_path, capsys, monkeypatch):
     assert loads == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--beliefs", "0"], "belief set size must be at least 1, got 0"),
+    (["--solver-seed", "-3"], "solver seed must be non-negative, got -3"),
+])
+def test_cli_validate_and_export_refuse_a_bad_solver_flag_while_they_build(tmp_path, capsys, flags, message):
+    # As every subcommand refuses --epsilon 2: nothing is printed or written.
+    path = tmp_path / "one.model"
+    dump_model(build("gridworld", size=2, tasks=1).models[0], path)
+    for argv in (
+        ["validate", "gridworld", "--size", "3", "--tasks", "1"],
+        ["validate", str(path)],
+        ["export", "gridworld", "--size", "3", "--tasks", "1", "--out", str(tmp_path / "out")],
+    ):
+        assert main([*argv, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_and_scale_refuse_empty_trial_blocks_and_bad_likelihood_floors(
     tmp_path, capsys, desk_spec
 ):
@@ -392,8 +410,14 @@ def test_resolve_models_reads_model_file_overrides(tmp_path):
         return _resolve_models(parser.parse_args(["solve", str(path), *flags]))[1]
 
     assert settings() == SolverSettings(belief_set_size=500, horizon=50)
-    zeros = ["--beliefs", "0", "--horizon", "0", "--tolerance", "0", "--solver-seed", "0"]
-    assert settings(*zeros) == SolverSettings(belief_set_size=0, horizon=0, tolerance=0.0, seed=0)
+    # Zero is read, not dropped: usable for the tolerance and the seed, refused for the counts.
+    assert settings("--tolerance", "0", "--solver-seed", "0") == SolverSettings(
+        belief_set_size=500, horizon=50, tolerance=0.0, seed=0
+    )
+    with pytest.raises(ValueError, match="^belief set size must be at least 1, got 0$"):
+        settings("--beliefs", "0")
+    with pytest.raises(ValueError, match="^horizon must be at least 1, got 0$"):
+        settings("--horizon", "0")
     assert settings("--tolerance", "0.5", "--solver-seed", "7") == SolverSettings(
         belief_set_size=500, horizon=50, tolerance=0.5, seed=7
     )

@@ -159,14 +159,42 @@ def test_workers_run_one_blas_thread_and_the_count_is_restored():
     assert not child_process_left()
 
 
-def test_the_pool_and_an_isr_build_load_no_multiprocessing_or_numpy_ma():
-    # The pool forks with os.fork and pipes, so a solve and an experiment
-    # on two CPUs load neither multiprocessing nor concurrent.futures, and
-    # a full-scale map build and digest leave numpy.ma (1.2 MB) unloaded.
+def _run_child(script, timeout):
+    """Run `script` in a new interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(adhocpo.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
     )
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_a_map_of_more_jobs_than_the_job_pipe_holds_completes():
+    # 20,000 job indices are 160 KB, more than a 64 KB pipe holds.  Written
+    # at once, the parent would block on the job pipe while every worker
+    # blocks on a result pipe that nobody reads; the window of jobs
+    # submitted ahead of the result read keeps the pipe from filling.
+    script = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from adhocpo import forkpool
+
+with forkpool.forked_map(lambda i: (i, bytes(1000)), [(i,) for i in range(20_000)]) as results:
+    got = [i for i, data in results if data == bytes(1000)]
+assert got == list(range(20_000)), len(got)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+    run = _run_child(script, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "no child left\n"
+
+
+def test_the_pool_and_an_isr_build_load_no_multiprocessing_or_numpy_ma():
+    # The pool forks with os.fork and pipes, so a solve and an experiment
+    # on two CPUs load neither multiprocessing nor concurrent.futures, and
+    # a full-scale map build and digest leave numpy.ma (1.2 MB) unloaded.
     script = """
 import os
 import sys
@@ -184,6 +212,6 @@ assert len(modelio.model_digest(isr.models[0])) > 0
 names = ("multiprocessing", "concurrent.futures", "numpy.ma")
 print(sorted(m for m in sys.modules for n in names if m == n or m.startswith(n + ".")))
 """
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    run = _run_child(script, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]", f"loaded: {run.stdout.strip()}"

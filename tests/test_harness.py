@@ -1,5 +1,4 @@
 """Trial reproducibility, experiment summaries, report files and the library solve."""
-import ctypes
 import dataclasses
 import hashlib
 import importlib
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocpo import agents, atpo, harness, modelio, pomdp, solvers
+from adhocpo import agents, atpo, forkpool, harness, modelio, pomdp, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
@@ -458,22 +457,6 @@ def test_prepare_library_cache_round_trip(tmp_path, small_library):
         assert np.array_equal(p1.vectors, p2.vectors)
 
 
-def _blas_threads():
-    """Thread count of the OpenBLAS loaded in this process; None without one."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return int(getter())
-    return None
-
-
 @pytest.fixture
 def pool_library(monkeypatch):
     """A 2-model 3x3 grid whose misses go to a pool of two workers on any machine."""
@@ -488,7 +471,9 @@ def test_prepare_library_pool_matches_sequential_solves(tmp_path, pool_library, 
 
     def logged(model, settings):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {_blas_threads()}\n")
+            # The most threads of any OpenBLAS loaded; 1 where none is.
+            threads = max((get() for get, _ in forkpool._openblas_thread_calls()), default=1)
+            fh.write(f"{os.getpid()} {threads}\n")
         return solve(model, settings)
 
     monkeypatch.setattr(solvers, "perseus_solve", logged)
@@ -500,7 +485,7 @@ def test_prepare_library_pool_matches_sequential_solves(tmp_path, pool_library, 
     assert len(solves) == 2
     for pid, blas in solves:
         assert int(pid) != os.getpid()  # solved in a worker
-        assert blas in ("1", "None")  # one BLAS thread, where OpenBLAS is loaded
+        assert blas == "1"  # one BLAS thread
     for model, policy in zip(domain.models, library.policies):
         expected = solve(model, domain.solver)  # this process, default BLAS threads
         assert np.array_equal(policy.vectors, expected.vectors)
@@ -832,11 +817,17 @@ def expected_statistics(candidates, horizon, discount):
     and takes no action the statistics count.  Each agent's action law is
     taken from the branch alone: per candidate the unnormalised P(state,
     observations | actions), a joint filter that the atpo agents and
-    random-picker read through the candidates' vectors, and the product of
-    the transitions seen, bopa's evidence.  A candidate whose joint filter
-    has lost all mass is pruned: the atpo agents give it no weight and
-    random-picker draws among the others."""
+    random-picker read through the candidates' vectors, perseus through the
+    true candidate's alone, and the product of the transitions seen, bopa's
+    evidence.  A candidate whose joint filter has lost all mass is pruned:
+    the atpo agents give it no weight and random-picker draws among the
+    others."""
     vi = [_vi_greedy(c, discount) for c in candidates]
+
+    def greedy(c, p, mass):
+        belief = [x / mass for x in p]
+        values = [sum(w * b for w, b in zip(vector, belief)) for vector in c["vectors"]]
+        return _clear_best(values, c["actions"])
 
     def action_probs(agent, k, s, joint, moves):
         if agent == "random":
@@ -848,14 +839,14 @@ def expected_statistics(candidates, horizon, discount):
             for j, move in enumerate(moves):
                 mix[vi[j][s]] += move / sum(moves)
             return mix
+        if agent == "perseus":
+            return [float(greedy(candidates[k], joint[k], sum(joint[k])) == a) for a in range(2)]
         masses = [sum(p) for p in joint]
         alive = [(c, p, mass) for c, p, mass in zip(candidates, joint, masses) if mass > 0.0]
         mix = [0.0, 0.0]
         for c, p, mass in alive:
-            belief = [x / mass for x in p]
-            values = [sum(w * b for w, b in zip(vector, belief)) for vector in c["vectors"]]
             share = 1.0 / len(alive) if agent == "random-picker" else mass / sum(masses)
-            mix[_clear_best(values, c["actions"])] += share
+            mix[greedy(c, p, mass)] += share
         if agent == "atpo --greedy":
             return [float(a == _first_best(mix)) for a in range(2)]
         return mix
@@ -882,7 +873,7 @@ def expected_statistics(candidates, horizon, discount):
                     walk(agent, k, s2, step + 1, stats2, weight * pa * pt * pz, advanced, moved, moments)
 
     out = {}
-    for agent in ("random", "vi", "atpo", "random-picker", "bopa", "atpo --greedy"):
+    for agent in ("random", "vi", "atpo", "random-picker", "bopa", "perseus", "atpo --greedy"):
         moments = np.zeros((3, 2))
         for k, c in enumerate(candidates):
             for s, p0 in enumerate(c["b0"]):
@@ -911,7 +902,8 @@ def test_seeded_means_match_the_enumerated_expected_returns():
     library = atpo.ModelLibrary(models, policies)
     expected = expected_statistics(EXACT_CANDIDATES, horizon, discount)
     sampled = run_experiment(
-        library, ("random", "vi", "atpo", "random-picker", "bopa"), horizon=horizon, trials=trials, base_seed=0
+        library, ("random", "vi", "atpo", "random-picker", "bopa", "perseus"),
+        horizon=horizon, trials=trials, base_seed=0,
     )
     argmax = run_experiment(library, ("atpo",), horizon=horizon, trials=trials, base_seed=0, greedy=True)
     runs = {name: agent.trials for name, agent in sampled.agents.items()}

@@ -331,6 +331,100 @@ def test_perseus_matches_vi_on_observable_reduction():
             assert policy_value(policy, corner) == pytest.approx(svf.values[x], abs=0.1)
 
 
+def _thinned_envelope(vectors, eps):
+    """Rows of `vectors`, as lines p -> v[0] p + v[1] (1 - p) over p = b(x0)
+    in [0, 1], whose max is within eps below the max of all the rows.
+
+    It walks the upper envelope from p = 0, each step to the steepest of the
+    lines that overtake the current one first, then thins it: from each
+    kept line i it keeps next the last envelope line j whose crossing with
+    i lies at most eps below the lines between them.  The envelope minus
+    max(line i, line j) is convex on each side of that crossing and 0 at
+    the ends, so it peaks there.
+    """
+    at0, slope = vectors[:, 1], vectors[:, 0] - vectors[:, 1]
+    walk = [np.lexsort((-slope, -at0))[0]]
+    while len(steeper := np.flatnonzero(slope > slope[walk[-1]])):
+        i = walk[-1]
+        cross = (at0[i] - at0[steeper]) / (slope[steeper] - slope[i])
+        if cross.min() >= 1.0:
+            break
+        first = steeper[cross == cross.min()]
+        walk.append(first[np.argmax(slope[first])])
+    a, s = at0[walk], slope[walk]
+    t = np.arange(len(walk))[:, None]
+    kept = [0]
+    while (i := kept[-1]) < len(walk) - 1:
+        j = np.arange(i + 1, len(walk))
+        x = (a[i] - a[j]) / (s[j] - s[i])
+        between = np.where((t > i) & (t < j), a[:, None] + s[:, None] * x, -np.inf)
+        kept.append(j[between.max(axis=0) - (a[i] + s[i] * x) <= eps].max())
+    return vectors[np.asarray(walk)[kept]]
+
+
+def _exact_two_state_values(model, horizon, eps):
+    """The alpha vectors of V_horizon by exact value iteration from V_0 = 0
+    (Sondik 1971; Monahan, Mgmt. Sci. 1982) on a 2-state model, pruned after
+    every cross-sum over an observation (incremental pruning; Cassandra,
+    Littman & Zhang, UAI 1997) and over the actions.  With 2 states a
+    vector is a line in b(x0), so a prune is `_thinned_envelope`, which
+    needs no LP.  Each prune lowers the value by at most eps, so the result
+    is below the exact V_horizon by at most (|Z| + 1) eps / (1 - discount).
+    """
+    transition = [dense(t) for t in model.transition]
+    observation = [dense(o) for o in model.observation]
+    vectors = np.zeros((1, 2))
+    for _ in range(horizon):
+        per_action = []
+        for a in range(model.num_actions):
+            acc = model.reward[None, :, a]
+            for z in range(model.num_observations):
+                g = model.discount * (vectors * observation[a][:, z]) @ transition[a].T
+                acc = _thinned_envelope((acc[:, None] + g[None]).reshape(-1, 2), eps)
+            per_action.append(acc)
+        vectors = _thinned_envelope(np.concatenate(per_action), eps)
+    return vectors
+
+
+def _tiger(discount):
+    """The tiger problem (Kaelbling, Littman & Cassandra, AIJ 1998): the
+    tiger is behind the left door (state 0) or the right one.  Listening
+    (action 0) costs 1 and hears the tiger's side with probability 0.85;
+    opening the tiger's door pays -100 and the other +10, then the tiger is
+    placed anew, uniformly, and the observation tells nothing."""
+    listen = np.array([[0.85, 0.15], [0.15, 0.85]])
+    half = np.full((2, 2), 0.5)
+    reward = np.array([[-1.0, -100.0, 10.0], [-1.0, 10.0, -100.0]])
+    return TabularPomdp([np.eye(2), half, half], [listen, half, half], reward, discount, np.full(2, 0.5), label="tiger")
+
+
+def test_perseus_stays_below_and_near_exact_value_iteration_on_two_state_models():
+    # Every Perseus vector is some policy's value, so at every collected
+    # belief it is at most V*, which is within bracket = discount^H
+    # max|R| / (1 - discount) of V_H.  At discount 0.75, H = 37 makes the
+    # bracket below 0.01.  The prune slack is the oracle's own error bound.
+    # Perseus reaches a fixed point of its point-based backup, which may sit
+    # below V* (on random model 2 by 3.3e-3 at b0 and 4.7e-2 at another of
+    # its beliefs), so the bar at b0 is 0.01, the default solver tolerance.
+    discount, horizon, eps = 0.75, 37, 1e-6
+    models = [_tiger(discount)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 4), rng.integers(2, 4)
+        models.append(random_pomdp(rng, 2, *map(int, sizes), discount=discount, label=f"random model {seed}"))
+    settings = SolverSettings(belief_set_size=200, horizon=50, tolerance=1e-4, seed=0)
+    for model in models:
+        exact = _exact_two_state_values(model, horizon, eps)
+        bracket = discount**horizon * np.abs(model.reward).max() / (1.0 - discount)
+        slack = (model.num_observations + 1) * eps / (1.0 - discount)
+        beliefs = collect_beliefs(model, settings.belief_set_size, settings.horizon, np.random.default_rng(0))
+        policy = perseus_solve(model, settings, beliefs)
+        perseus = (policy.vectors @ beliefs.T).max(axis=0)
+        v_h = (exact @ beliefs.T).max(axis=0)
+        assert (perseus <= v_h + bracket + slack).all(), (model.label, (perseus - v_h).max())
+        assert v_h[0] - perseus[0] <= 0.01, (model.label, v_h[0] - perseus[0])
+
+
 def test_perseus_stage_values_monotone(rng):
     model = random_pomdp(rng, num_states=5, num_actions=3, num_observations=3, discount=0.9)
     policy = perseus_solve(model, SolverSettings(belief_set_size=80, horizon=15, tolerance=0.01, seed=3))
@@ -881,6 +975,12 @@ CORRUPT_HEADERS = [
     (4, "discount ", "discount zero"),
     (5, "settings ", "settings belief_set_size=30,horizon=x,tolerance=0.01,seed=0,stage_cap=500"),
     (5, "settings ", "settings belief_set_size=30"),
+    # Only the exact text key_string() writes is read.
+    (5, "settings ", "settings belief_set_size=30,horizon=8,tolerance=0.01,seed=0,stage_cap=0"),
+    (5, "settings ", "settings belief_set_size=30,horizon=8,tolerance=0.01,seed=0,stage_cap=500,junk=3"),
+    (5, "settings ", "settings belief_set_size=30,horizon=8,tolerance=0.01,seed=0,seed=7,stage_cap=500"),
+    (5, "settings ", "settings belief_set_size=30,horizon=050,tolerance=0.01,seed=0,stage_cap=500"),
+    (5, "settings ", "settings belief_set_size=30,horizon=8,tolerance=1e-2,seed=0,stage_cap=500"),
     (6, "beliefs ", "beliefs many"),
     (7, "stagevalues ", "stagevalues nope"),
     (8, "improvements ", "improvements 0.5 x"),
@@ -1120,9 +1220,9 @@ def test_solve_many_refuses_a_stage_cap_below_1_before_any_cache_access(tmp_path
             return super().load(digest, settings)
 
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    settings = SolverSettings(belief_set_size=30, horizon=8, stage_cap=cap)
+    cache = CountingCache(tmp_path)
     with pytest.raises(ValueError, match=f"^solver stage cap must be at least 1, got {cap}$"):
-        solve_many([model], settings, CountingCache(tmp_path))
+        solve_many([model], SolverSettings(belief_set_size=30, horizon=8, stage_cap=cap), cache)
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
@@ -1136,16 +1236,18 @@ def test_solve_many_refuses_a_stage_cap_below_1_before_any_cache_access(tmp_path
     ("stage_cap", -3, "solver stage cap must be at least 1, got -3"),
 ])
 def test_perseus_solve_refuses_what_solve_many_refuses(tmp_path, rng, field, value, message):
-    # Both entry points run one check, so a direct solve cannot return the
-    # floor policy, run a NaN tolerance to the cap, or fail inside numpy.
+    # Unusable settings cannot be made, by construction, by
+    # dataclasses.replace or by assignment, so no solve can return the floor
+    # policy, run a NaN tolerance to the cap, or fail inside numpy.
     model = random_pomdp(rng, num_states=4, num_actions=2, num_observations=3)
-    settings = dataclasses.replace(SolverSettings(belief_set_size=30, horizon=8), **{field: value})
+    usable, cache = SolverSettings(belief_set_size=30, horizon=8), PolicyCache(tmp_path)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        solve_many([model], settings, PolicyCache(tmp_path))
+        solve_many([model], SolverSettings(**{"belief_set_size": 30, "horizon": 8, field: value}), cache)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        perseus_solve(model, settings)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        perseus_solve(model, settings, model.initial_belief[None])
+        perseus_solve(model, dataclasses.replace(usable, **{field: value}), model.initial_belief[None])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(usable, field, value)
+    assert usable == SolverSettings(belief_set_size=30, horizon=8)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1162,7 +1264,7 @@ def test_settings_key_string_is_pinned():
     assert numpy_ints.key_string() == "belief_set_size=30,horizon=8,tolerance=0.01,seed=3,stage_cap=500"
     for s in (default, bench, integer_tolerance, numpy_ints, SolverSettings(tolerance=1e-4)):
         assert SolverSettings.from_key_string(s.key_string()) == s
-    # An int field the solver would refuse keys nothing, not the entry of its integer part.
+    # An int field given a float cannot be made, so it keys nothing, not the entry of its integer part.
     for count in (2.5, 2.0):
         with pytest.raises(TypeError):
-            SolverSettings(belief_set_size=count).key_string()
+            SolverSettings(belief_set_size=count)
