@@ -33,11 +33,12 @@ from adhocpo.solvers import PolicyCache, solve_many
 CACHE_ENV = "ADHOCPO_CACHE"
 DEFAULT_CACHE = Path.home() / ".cache" / "adhocpo"
 
-def _add_domain_arguments(parser: argparse.ArgumentParser, model_file_ok: bool = False):
-    what = "domain name or domain spec file"
-    if model_file_ok:
-        what += " or model file"
+def _add_domain_arguments(parser: argparse.ArgumentParser, model_files: bool = False):
+    """The domain argument and its override flags; `model_files` says whether
+    the command also takes a model file, for the help text and for `_build`."""
+    what = "domain name or domain spec file" + (" or model file" if model_files else "")
     parser.add_argument("domain", help=f"{what} (domains: {', '.join(DOMAIN_NAMES)})")
+    parser.set_defaults(model_files=model_files)
     group = parser.add_argument_group("domain overrides")
     for _, flag, keyword, kind, help_text in domains.SETTINGS:
         metavar = flag[2:].upper().replace("-", "_")
@@ -70,23 +71,19 @@ def _requested(args) -> tuple:
     return name, {**overrides, **_overrides(args)}
 
 
-def _resolve_build(args) -> DomainBuild:
-    name, overrides = _requested(args)
-    return domains.build(name, **overrides)
-
-
-def _resolve_models(args):
-    """(models, settings, label) from a model file or a domain."""
+def _build(args) -> DomainBuild:
+    """The build the domain argument names; where the command takes model files,
+    a model file is a one-model build, by default with 500 beliefs and horizon 50."""
     candidate = Path(args.domain)
-    if candidate.is_file() and _is_model_file(candidate):
+    if args.model_files and _is_model_file(candidate):
         model = load_model(candidate)
         overrides = {"belief_set_size": 500, "horizon": 50, **_overrides(args)}
         settings = domains.pop_solver_settings(overrides)
         if overrides:
             raise ValueError(f"a model file does not take {', '.join(map(repr, overrides))}")
-        return [model], settings, model.label or candidate.stem
-    build = _resolve_build(args)
-    return build.models, build.solver, build.name
+        return DomainBuild(model.label or candidate.stem, [model], settings)
+    name, overrides = _requested(args)
+    return domains.build(name, **overrides)
 
 
 def _cache(args) -> PolicyCache:
@@ -94,24 +91,23 @@ def _cache(args) -> PolicyCache:
 
 
 def cmd_solve(args) -> int:
-    models, settings, label = _resolve_models(args)
-    if _is_model_file(Path(args.domain)):
-        # A model file is outside input: refuse what `validate` rejects
-        # before anything is solved or cached.
-        problems = validate_model(models[0])
-        if problems:
+    build = _build(args)
+    # Refuse what `validate` rejects before anything is solved or cached.
+    for model in build.models:
+        if problems := validate_model(model):
             raise ValueError(f"{args.domain}: {problems[0]}")
     cache = _cache(args)
-    print(f"{label}: {len(models)} model(s), cache {cache.root}")
-    for model, (policy, cached) in zip(models, solve_many(models, settings, cache=cache, progress=print)):
+    print(f"{build.name}: {build.size} model(s), cache {cache.root}")
+    solved = solve_many(build.models, build.solver, cache=cache, progress=print)
+    for model, (policy, cached) in zip(build.models, solved):
         origin = "cached" if cached else "solved"
-        path = cache.path(policy.source_digest, settings)
+        path = cache.path(policy.source_digest, build.solver)
         print(f"  {model.label}: {origin} -> {path.name}")
     return 0
 
 
 def cmd_run(args) -> int:
-    build = _resolve_build(args)
+    build = _build(args)
     requested = AGENT_NAMES if args.agent == "all" else tuple(args.agent.split(","))
     # Refuse bad values and agents the models cannot serve before the
     # library is solved, not after; `all` skips those agents instead.
@@ -177,7 +173,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_export(args) -> int:
-    build = _resolve_build(args)
+    build = _build(args)
     out = Path(args.out) if args.out else Path("exported-models") / build.name
     out.mkdir(parents=True, exist_ok=True)
     for i, model in enumerate(build.models):
@@ -188,9 +184,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    models, _, label = _resolve_models(args)
+    build = _build(args)
     bad = 0
-    for model in models:
+    for model in build.models:
         issues = validate_model(model)
         if issues:
             bad += 1
@@ -199,7 +195,7 @@ def cmd_validate(args) -> int:
                 print(f"  {issue}")
         else:
             print(f"{model.label}: ok")
-    print(f"{label}: {len(models) - bad}/{len(models)} models valid")
+    print(f"{build.name}: {build.size - bad}/{build.size} models valid")
     return 1 if bad else 0
 
 
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve models into the policy cache")
-    _add_domain_arguments(p_solve, model_file_ok=True)
+    _add_domain_arguments(p_solve, model_files=True)
     p_solve.add_argument("--cache-dir", default=None, help="policy cache directory")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -246,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.set_defaults(func=cmd_export)
 
     p_validate = sub.add_parser("validate", help="check model structure")
-    _add_domain_arguments(p_validate, model_file_ok=True)
+    _add_domain_arguments(p_validate, model_files=True)
     p_validate.set_defaults(func=cmd_validate)
 
     return parser

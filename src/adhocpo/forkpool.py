@@ -52,12 +52,24 @@ _AHEAD_PER_WORKER = 8
 _WORD = 8
 
 
-# (get, set) thread count calls, by the names OpenBLAS builds export.
-_THREAD_CALLS = [
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas")
-    for suffix in ("64_", "")
-]
+def _openblas_functions(first: str, second: str) -> list[tuple]:
+    """The functions `first` and `second` of every loaded OpenBLAS that exports both,
+    by the first of the names `{prefix}_{name}{suffix}` its build uses.  Empty when
+    /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    spellings = [(f"{p}_{first}{s}", f"{p}_{second}{s}") for p in ("scipy_openblas", "openblas")
+                 for s in ("64_", "")]
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        names = next((pair for pair in spellings if all(hasattr(lib, n) for n in pair)), None)
+        if names is not None:
+            found.append(tuple(getattr(lib, name) for name in names))
+    return found
 
 
 def _openblas_thread_calls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -66,17 +78,10 @@ def _openblas_thread_calls() -> list[tuple[Callable[[], int], Callable[[int], No
     The library is already loaded, so the thread variables in the
     environment have no effect; its own calls are made through ctypes.
     """
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    calls = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        names = next((pair for pair in _THREAD_CALLS if all(hasattr(lib, n) for n in pair)), None)
-        if names is not None:
-            get, put = (getattr(lib, name) for name in names)
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            calls.append((get, put))
+    calls = _openblas_functions("get_num_threads", "set_num_threads")
+    for get, put in calls:
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
     return calls
 
 

@@ -5,11 +5,13 @@ performance ceiling in experiments.  The point-based solver follows the
 randomised backup scheme: gather a reachable belief set by simulating
 uniform-random actions, then per stage back up beliefs in random order,
 skipping any belief already improved by a vector added earlier in the
-stage.  Keeping the best previous vector whenever a backup fails to improve
-a point keeps the stage values monotone, to within 1e-12 and rounding.  The
-cache misses of a library are solved in parallel, one forked worker per
-usable CPU (solve_many, through the fork pool of `forkpool.forked_map`
-that an experiment's trials share).
+stage.  A solve grows the one policy it returns: each stage replaces its
+vectors and records `policy_value` at b0 as that stage's value.  Keeping
+the best previous vector whenever a backup fails to improve a point keeps
+the stage values monotone, to within 1e-12 and rounding.  The cache misses
+of a library are solved in parallel, one forked worker per usable CPU
+(solve_many, through the fork pool of `forkpool.forked_map` that an
+experiment's trials share).
 
 The belief set is fixed for the whole solve, and so is everything a backup
 derives from a belief alone: per action, the reward term <b, R[:, a]>, the
@@ -213,12 +215,12 @@ class SolverSettings:
 class AlphaVectorPolicy:
     """A set of alpha vectors, each tagged with its one-step action.
 
-    stage_values records policy_value at the initial belief from the floor
-    start and after every stage, as convergence evidence; a stage may lower
-    it by up to 1e-12 (the skip margin) and rounding.  lookahead_counts is
-    (evaluated, skipped): the lookahead actions the solve that made the
-    policy scored and skipped.  It is kept in memory only, so a policy read
-    from a file has None.
+    stage_values[k] is policy_value at the initial belief of the policy
+    after stage k (0 is the floor start), as convergence evidence; a stage
+    may lower it by up to 1e-12 (the skip margin) and rounding.
+    lookahead_counts is (evaluated, skipped): the lookahead actions the
+    solve that made the policy scored and skipped.  It is kept in memory
+    only, so a policy read from a file has None.
     """
 
     vectors: np.ndarray  # (n, |X|)
@@ -530,12 +532,12 @@ def perseus_solve(
     """Point-based solve to the requested stage-improvement tolerance.
 
     Stops when the largest value improvement across the belief set falls to
-    settings.tolerance, or at settings.stage_cap stages.  Each stage's
-    value at b0 is policy_value's product on that stage's vectors, so the
-    last is the policy's value at b0 on every BLAS kernel.  A given belief
-    set must start with the model's initial belief, whose value the stage
-    values record; ValueError otherwise.  Settings are checked when they are
-    made (`SolverSettings`).
+    settings.tolerance, or at settings.stage_cap stages.  The solve makes
+    one policy at the floor stage and each stage replaces its vectors and
+    actions, so every stage value is policy_value at b0 of the policy as
+    that stage left it.  A given belief set must start with the model's
+    initial belief; ValueError otherwise.  Settings are checked when they
+    are made (`SolverSettings`).
     """
     rng = np.random.default_rng(settings.seed)
     if beliefs is None:
@@ -552,19 +554,18 @@ def perseus_solve(
     skipped = [0]
     backups = 0
     floor = float(model.reward.min()) / (1.0 - model.discount)
-    vectors = np.full((1, model.num_states), floor)
-    actions = np.zeros(1, dtype=int)
-    values = beliefs @ vectors[0]
-
-    stage_values = [float((vectors @ model.initial_belief).max())]  # policy_value's product
-    stage_improvements = []
+    policy = AlphaVectorPolicy(
+        np.full((1, model.num_states), floor), np.zeros(1, dtype=int), model.discount,
+        label=model.label, settings=settings, belief_count=m,
+    )
+    values = beliefs @ policy.vectors[0]
+    policy.stage_values.append(policy_value(policy, model.initial_belief))
     for _ in range(settings.stage_cap):
+        vectors, actions = policy.vectors, policy.actions
         if inputs is not None:
             upper = _stage_bounds(model, inputs, vectors)
         prev_values = values
-        new_vectors: list = []
-        new_actions: list = []
-        copied: set = set()
+        new_vectors, new_actions, copied = [], [], set()
         values = np.full(m, -math.inf)
         for i in rng.permutation(m):
             if values[i] >= prev_values[i] - _EPS:
@@ -578,31 +579,21 @@ def perseus_solve(
             else:
                 # Keep the best existing vector at this point so stage
                 # values never decrease.
-                scores = vectors @ beliefs[i]
-                j = int(scores.argmax())
+                j = int((vectors @ beliefs[i]).argmax())
                 if j not in copied:
                     copied.add(j)
                     new_vectors.append(vectors[j])
                     new_actions.append(int(actions[j]))
                 values = np.maximum(values, beliefs @ vectors[j])
-        vectors = np.array(new_vectors)
-        actions = np.array(new_actions, dtype=int)
+        policy.vectors = np.array(new_vectors)
+        policy.actions = np.array(new_actions, dtype=int)
         improvement = float((values - prev_values).max())
-        stage_values.append(float((vectors @ model.initial_belief).max()))
-        stage_improvements.append(improvement)
+        policy.stage_values.append(policy_value(policy, model.initial_belief))
+        policy.stage_improvements.append(improvement)
         if improvement <= settings.tolerance:
             break
-    return AlphaVectorPolicy(
-        vectors=vectors,
-        actions=actions,
-        discount=model.discount,
-        label=model.label,
-        settings=settings,
-        stage_values=stage_values,
-        stage_improvements=stage_improvements,
-        belief_count=m,
-        lookahead_counts=(backups * model.num_actions - skipped[0], skipped[0]),
-    )
+    policy.lookahead_counts = (backups * model.num_actions - skipped[0], skipped[0])
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +635,11 @@ def loads_policy(data: bytes) -> AlphaVectorPolicy:
     """Read a policy file made by dumps_policy; every fault names its line.
 
     A header line is whole only with its newline, so a file cut inside
-    the header fails on the first line it lacks.  A block of the wrong
-    length, or with a coefficient that is not finite, fails on line 9.
-    The arrays are copies in native byte order.
+    the header fails on the first line it lacks.  A value no solve writes
+    is refused on its line: a discount outside [0, 1), a negative belief
+    count, or a stage value or improvement that is not finite.  A block of
+    the wrong length, or with a coefficient that is not finite, fails on
+    line 9.  The arrays are copies in native byte order.
     """
     lines, start = [], 0
     while len(lines) < 9 and (end := data.find(b"\n", start)) >= 0:
@@ -667,31 +660,34 @@ def loads_policy(data: bytes) -> AlphaVectorPolicy:
             raise PolicyFormatError(f"line {i + 1}: expected {key!r}")
         return text[len(key) + 1:]
 
-    def parsed(i, convert, text):
+    def parsed(i, convert, text, valid=lambda value: True):
         try:
-            return convert(text)
+            value = convert(text)
+            if not valid(value):
+                raise ValueError(text)
+            return value
         except (ValueError, KeyError):
             raise PolicyFormatError(f"line {i + 1}: bad value {text!r}") from None
 
     def floats(text):
         return [float(v) for v in text.split()]
 
-    def shape(text):
-        n, width = (int(v) for v in text.split())
-        if n < 0 or width < 0:
-            raise ValueError(text)
-        return n, width
+    def finite(values):
+        return all(map(math.isfinite, values))
+
+    def ints(text):
+        return [int(v) for v in text.split()]
 
     keys = "label model discount settings beliefs stagevalues improvements vectors".split()
     label, digest, discount, key, belief_count, sv, imp, head = (
         field(i, k) for i, k in enumerate(keys, start=1)
     )
-    discount = parsed(3, float, discount)
+    discount = parsed(3, float, discount, lambda d: 0.0 <= d < 1.0)
     settings = None if key == "-" else parsed(4, SolverSettings.from_key_string, key)
-    belief_count = parsed(5, int, belief_count)
-    stage_values = parsed(6, floats, sv)
-    stage_improvements = parsed(7, floats, imp)
-    n, width = parsed(8, shape, head)
+    belief_count = parsed(5, int, belief_count, lambda n: n >= 0)
+    stage_values = parsed(6, floats, sv, finite)
+    stage_improvements = parsed(7, floats, imp, finite)
+    n, width = parsed(8, ints, head, lambda shape: len(shape) == 2 and min(shape) >= 0)
     if n == 0:
         raise PolicyFormatError("line 9: a policy needs at least one alpha vector")
     if len(block) != 8 * n * (1 + width):

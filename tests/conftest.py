@@ -11,16 +11,8 @@ import pytest
 
 from adhocpo import pomdp
 from adhocpo.csr import CsrTable
+from adhocpo.forkpool import _openblas_functions
 from adhocpo.pomdp import TabularPomdp
-
-
-# (config, core name) queries of an OpenBLAS build, tried in this order as
-# `forkpool._THREAD_CALLS` tries the thread calls.
-_CORE_CALLS = [
-    (f"{prefix}_get_config{suffix}", f"{prefix}_get_corename{suffix}")
-    for prefix in ("scipy_openblas", "openblas")
-    for suffix in ("64_", "")
-]
 
 
 def openblas_cores() -> list[tuple[str, str]]:
@@ -30,20 +22,11 @@ def openblas_cores() -> list[tuple[str, str]]:
     forces it, and float results can differ by kernel in the last bits.
     Empty where no such library is loaded or /proc/self/maps is missing.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return []
     found = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        names = next((pair for pair in _CORE_CALLS if all(hasattr(lib, n) for n in pair)), None)
-        if names is not None:
-            config, core = (getattr(lib, name) for name in names)
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            core.argtypes, core.restype = [], ctypes.c_char_p
-            found.append((" ".join(config().decode().split()), core().decode()))
+    for config, core in _openblas_functions("get_config", "get_corename"):
+        for call in (config, core):
+            call.argtypes, call.restype = [], ctypes.c_char_p
+        found.append((" ".join(config().decode().split()), core().decode()))
     return found
 
 

@@ -13,7 +13,7 @@ import pytest
 import adhocpo
 from adhocpo import cli, domains, modelio, solvers
 from adhocpo.agents import AGENT_NAMES
-from adhocpo.cli import _resolve_models, build_parser, main
+from adhocpo.cli import _build, build_parser, main
 from adhocpo.domains import DOMAIN_NAMES, build, parse_domain_spec, takes
 from adhocpo.modelio import dump_model, load_model
 from adhocpo.pomdp import TabularPomdp
@@ -136,6 +136,30 @@ def test_cli_solve_refuses_a_model_file_that_validate_rejects(tmp_path, capsys):
         assert captured.err == f"error: {path}: transition[0] row 0: {problem}\n"
         assert captured.out == ""
         assert not list(cache.glob("*.policy"))
+
+
+def test_cli_solve_refuses_a_built_model_that_validate_rejects(tmp_path, capsys, monkeypatch):
+    # Every model is checked, whatever its source: here the last model of a
+    # registered domain's build has a transition row that sums to 3.
+    build_domain = domains.build
+
+    def broken_build(name, **overrides):
+        built = build_domain(name, **overrides)
+        model = built.models[-1]
+        transition = [dense(t) for t in model.transition]
+        transition[0][0] *= 3.0
+        built.models[-1] = TabularPomdp(
+            transition, model.observation, model.reward, model.discount, model.initial_belief, label=model.label
+        )
+        return built
+
+    monkeypatch.setattr(domains, "build", broken_build)
+    cache = tmp_path / "cache"
+    assert main(["solve", "gridworld", "--size", "2", "--tasks", "2", "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: gridworld: transition[0] row 0: sums to 3\n"
+    assert captured.out == ""
+    assert not cache.exists()
 
 
 def test_cli_refuses_a_model_file_without_actions(tmp_path, capsys):
@@ -407,7 +431,7 @@ def test_resolve_models_reads_model_file_overrides(tmp_path):
     parser = build_parser()
 
     def settings(*flags):
-        return _resolve_models(parser.parse_args(["solve", str(path), *flags]))[1]
+        return _build(parser.parse_args(["solve", str(path), *flags])).solver
 
     assert settings() == SolverSettings(belief_set_size=500, horizon=50)
     # Zero is read, not dropped: usable for the tolerance and the seed, refused for the counts.

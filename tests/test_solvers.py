@@ -406,7 +406,14 @@ def test_perseus_stays_below_and_near_exact_value_iteration_on_two_state_models(
     # Perseus reaches a fixed point of its point-based backup, which may sit
     # below V* (on random model 2 by 3.3e-3 at b0 and 4.7e-2 at another of
     # its beliefs), so the bar at b0 is 0.01, the default solver tolerance.
-    discount, horizon, eps = 0.75, 37, 1e-6
+    # Two classic bounds bracket V* as well.  QMDP (Littman, Cassandra &
+    # Kaelbling, ICML 1995), max_a <b, Q[:, a]> with Q the optimal q of the
+    # fully observable model, is at least V*; value iteration to a step of
+    # tol leaves Q within discount * tol / (1 - discount) of it.  The blind
+    # policy value (Hauskrecht, JAIR 2000), max_a <b, alpha_a> with alpha_a
+    # = (I - discount T_a)^-1 R[:, a] the value of always taking a, is at
+    # most V*.  On random model 1 both meet V*, which V_H is 5.2e-5 below.
+    discount, horizon, eps, tol = 0.75, 37, 1e-6, 1e-10
     models = [_tiger(discount)]
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -423,6 +430,16 @@ def test_perseus_stays_below_and_near_exact_value_iteration_on_two_state_models(
         v_h = (exact @ beliefs.T).max(axis=0)
         assert (perseus <= v_h + bracket + slack).all(), (model.label, (perseus - v_h).max())
         assert v_h[0] - perseus[0] <= 0.01, (model.label, v_h[0] - perseus[0])
+        mdp = induced_mdp(model)
+        qmdp = (beliefs @ solvers.bellman_q(mdp, value_iteration(mdp, tolerance=tol).values)).max(axis=1)
+        vi_error = discount * tol / (1.0 - discount)
+        assert (qmdp >= v_h - bracket - vi_error).all(), (model.label, (v_h - qmdp).max())
+        alphas = np.array([
+            np.linalg.solve(np.eye(2) - discount * dense(t), model.reward[:, a])
+            for a, t in enumerate(model.transition)
+        ])
+        blind = (beliefs @ alphas.T).max(axis=1)
+        assert (blind <= v_h + bracket + slack).all(), (model.label, (blind - v_h).max())
 
 
 def test_perseus_stage_values_monotone(rng):
@@ -973,6 +990,12 @@ def test_truncated_cache_entry_is_resolved_then_hits(tmp_path, rng):
 CORRUPT_HEADERS = [
     # (line number, header line prefix, corrupt replacement)
     (4, "discount ", "discount zero"),
+    # Values that parse but that no solve writes.
+    (4, "discount ", "discount 1.5"),
+    (4, "discount ", "discount nan"),
+    (6, "beliefs ", "beliefs -5"),
+    (7, "stagevalues ", "stagevalues 1.0 nan"),
+    (8, "improvements ", "improvements inf 3.0 4.0"),
     (5, "settings ", "settings belief_set_size=30,horizon=x,tolerance=0.01,seed=0,stage_cap=500"),
     (5, "settings ", "settings belief_set_size=30"),
     # Only the exact text key_string() writes is read.
