@@ -146,10 +146,13 @@ def cmd_scale(args) -> int:
     plan = plan_experiment(SCALING_AGENTS, build.models, args.trials, args.seed)
 
     library = prepare_library(build, cache=_cache(args), progress=print)
-    # Task enumerations nest, so each smaller library is a prefix.
-    libraries = {
-        k: type(library)(library.models[:k], library.policies[:k]) for k in sizes
-    }
+    # Task enumerations nest, so each smaller library is a prefix, and so are
+    # its value-iteration tables: each model is solved once, here, before
+    # any agent is made.
+    libraries = {}
+    for k in sizes:
+        prefix = libraries[k] = type(library)(library.models[:k], library.policies[:k])
+        prefix.state_greedy = library.state_greedy[:k]
     results = plan.run_scaling(libraries, build.horizon, label=build.name, progress=print)
 
     out = Path(args.out) if args.out else Path("results") / f"{build.name}-scale"

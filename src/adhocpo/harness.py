@@ -21,6 +21,7 @@ value-iteration agent at 100.
 """
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import itertools
@@ -66,10 +67,13 @@ class TrialResult:
     seed: int
     model_index: int
     initial_state: int
-    actions: list
-    observations: list
-    rewards: list
-    states: list
+    # The per-step series, packed: no object per step for the garbage
+    # collector to traverse, and one bytes block when pickled.  `list(...)`
+    # or `.tolist()` gives lists.
+    actions: array.array  # "i"
+    observations: array.array  # "i"
+    rewards: array.array  # "d"
+    states: array.array  # "i", the state after each step
     posteriors: Optional[np.ndarray] = None  # (T + 1, K): the prior, then after each step
     evidence: Optional[np.ndarray] = None  # (T, K)
     loss_rows: Optional[np.ndarray] = None  # (T, K)
@@ -103,8 +107,10 @@ def run_trial(
     true_model: Optional[int] = None,
     initial_state: Optional[int] = None,
 ) -> TrialResult:
-    """One seeded episode; the full horizon is always played out.  An agent
-    that keeps a posterior also gets its loss rows (`atpo.loss_rows`) and bound."""
+    """One seeded episode; the full horizon is always played out.  The step
+    loop appends each action, observation, reward and next state to the
+    result's typed arrays.  An agent that keeps a posterior also gets its
+    loss rows (`atpo.loss_rows`) and bound."""
     env_seq, agent_seq = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(env_seq)
     agent_rng = np.random.default_rng(agent_seq)
@@ -122,10 +128,10 @@ def run_trial(
         seed=seed,
         model_index=k_star,
         initial_state=x,
-        actions=[],
-        observations=[],
-        rewards=[],
-        states=[],
+        actions=array.array("i"),
+        observations=array.array("i"),
+        rewards=array.array("d"),
+        states=array.array("i"),
     )
     for _ in range(horizon):
         t0 = clock()
@@ -360,6 +366,42 @@ def first_correct_step(trial: TrialResult) -> Optional[int]:
     return None
 
 
+def settle_split(trial: TrialResult) -> tuple[Optional[int], float, float]:
+    """Where a tracked trial's mixture loss falls: (settle step, loss before, loss after).
+
+    The settle step is the first acting step from which the posterior's
+    argmax is the real model at every step to the end, None if the last
+    step misses.  The loss at step t is the mixture's, loss_rows[t] weighted
+    by the acting posterior; it is summed over the steps before the settle
+    step and over the steps from it on (all of it before when None)."""
+    acting = trial.posteriors[:-1]
+    misses = np.flatnonzero(acting.argmax(axis=1) != trial.model_index)
+    cut = int(misses[-1]) + 1 if misses.size else 0
+    losses = (trial.loss_rows * acting).sum(axis=1)
+    return (cut if cut < len(acting) else None), float(losses[:cut].sum()), float(losses[cut:].sum())
+
+
+def settle_summary(trials) -> dict:
+    """settle_split of tracked trials by real model: the trial count, how many
+    settled, their median settle step (None if none did) and the mean loss
+    before and after, keyed by model index as text for summary.json."""
+    by_model: dict = {}
+    for t in trials:
+        by_model.setdefault(t.model_index, []).append(settle_split(t))
+    out = {}
+    for k in sorted(by_model):
+        steps, before, after = zip(*by_model[k])
+        settled = [s for s in steps if s is not None]
+        out[str(k)] = {
+            "trials": len(steps),
+            "settled": len(settled),
+            "median_settle_step": float(statistics.median(settled)) if settled else None,
+            "mean_loss_before": statistics.fmean(before),
+            "mean_loss_after": statistics.fmean(after),
+        }
+    return out
+
+
 def entropy_by_step(trials) -> list:
     """Mean posterior entropy after each step, over trials that tracked it."""
     columns: list = []
@@ -430,6 +472,7 @@ def emit_reports(
                 term: [v if math.isfinite(v := getattr(t.bound, term)) else None for t in tracked]
                 for term in ("mixture_total", "comparator_total", "kl_total", "slack", "margin")
             }
+            entry["settle"] = settle_summary(tracked)
             entry["mean_entropy_by_step"] = entropy_by_step(tracked)
         entry["phase_s"] = {
             phase: sum(t.phase_s.get(phase, 0.0) for t in summary.trials) for phase in PHASES

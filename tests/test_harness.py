@@ -1,5 +1,7 @@
 """Trial reproducibility, experiment summaries, report files and the library solve."""
+import array
 import dataclasses
+import gc
 import hashlib
 import importlib
 import itertools
@@ -14,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocpo import agents, atpo, forkpool, harness, modelio, pomdp, solvers
+from adhocpo import agents, atpo, cli, forkpool, harness, modelio, pomdp, solvers
 from adhocpo.agents import make_agent
 from adhocpo.domains import build
 from adhocpo.harness import (
+    AgentSummary,
+    ExperimentResult,
     TrialResult,
     emit_reports,
     first_correct_step,
@@ -102,7 +106,7 @@ def test_seeded_trajectories_are_pinned(small_library):
     res = run_experiment(lib, tuple(PINNED_TRAJECTORIES), horizon=8, trials=3, base_seed=40)
     for name, expected in PINNED_TRAJECTORIES.items():
         got = [
-            (t.seed, t.model_index, t.actions, t.observations, t.total_return)
+            (t.seed, t.model_index, list(t.actions), list(t.observations), t.total_return)
             for t in res.agents[name].trials
         ]
         assert got == expected, name
@@ -379,6 +383,67 @@ def test_identification_summary_math():
             actions=[], observations=[], rewards=[], states=[])], step=1)
 
 
+# Two candidates over five acting steps, every posterior and loss a dyadic
+# rational, so each mixture loss and its sums are exact.  Acting steps
+# 0 and 2 put the argmax on model 0 (step 0 by the tie), steps 1, 3 and 4
+# on model 1; the last row follows the last action.
+SETTLE_POSTERIORS = [[0.5, 0.5], [0.25, 0.75], [0.75, 0.25], [0.125, 0.875], [0.0625, 0.9375], [0.0, 1.0]]
+SETTLE_LOSS_ROWS = [[1.0, 2.0], [4.0, 0.5], [2.0, 8.0], [0.5, 0.25], [3.0, 1.0]]
+# The mixture loss by step: 1.5, 1.375, 3.5, 0.28125, 1.125.
+
+
+def settle_trial(model_index, posteriors=SETTLE_POSTERIORS):
+    steps = len(SETTLE_LOSS_ROWS)
+    posteriors, loss_rows = np.array(posteriors), np.array(SETTLE_LOSS_ROWS)
+    return TrialResult(
+        "atpo", seed=model_index, model_index=model_index, initial_state=0,
+        actions=array.array("i", [0] * steps), observations=array.array("i", [0] * steps),
+        rewards=array.array("d", [0.0] * steps), states=array.array("i", [0] * steps),
+        posteriors=posteriors, evidence=np.ones((steps, 2)), loss_rows=loss_rows,
+        bound=atpo.check_bound(loss_rows, posteriors[:-1], model_index, r_max=1.0, discount=0.5),
+    )
+
+
+def test_settle_split_divides_the_mixture_loss_at_the_step_the_posterior_settles(tmp_path, small_library):
+    # Model 1 is the argmax from step 3 on; model 0 is not at the last step,
+    # so a trial of model 0 never settles and all of its loss is before.
+    # A trial whose argmax is model 1 throughout settles at step 0.
+    settles = settle_trial(1)
+    never = settle_trial(0)
+    at_once = settle_trial(1, [[0.25, 0.75]] * 5 + [[0.0, 1.0]])
+    assert harness.settle_split(settles) == (3, 6.375, 1.40625)
+    assert harness.settle_split(never) == (None, 7.78125, 0.0)
+    assert harness.settle_split(at_once) == (0, 0.0, 11.4375)
+    for t in (settles, never, at_once):
+        _, before, after = harness.settle_split(t)
+        assert before + after == t.bound.mixture_total
+
+    summary = AgentSummary("atpo", [settles, never, at_once])
+    result = ExperimentResult("settle", horizon=5, base_seed=0, num_trials=3, agents={"atpo": summary})
+    report = emit_reports(result, tmp_path / "hand")
+    assert json.loads((tmp_path / "hand" / "summary.json").read_text()) == report
+    assert report["agents"]["atpo"]["settle"] == {
+        "0": {"trials": 1, "settled": 0, "median_settle_step": None,
+              "mean_loss_before": 7.78125, "mean_loss_after": 0.0},
+        "1": {"trials": 2, "settled": 2, "median_settle_step": 1.5,
+              "mean_loss_before": 3.1875, "mean_loss_after": 6.421875},
+    }
+
+    # On real trials the split adds up to the bound's mixture total.
+    _, lib = small_library
+    res = run_experiment(lib, ["atpo", "random"], horizon=30, trials=6, base_seed=3)
+    trials = res.agents["atpo"].trials
+    for t in trials:
+        settle, before, after = harness.settle_split(t)
+        assert settle is None or 0 <= settle < t.horizon
+        total = t.bound.mixture_total
+        assert abs(before + after - total) <= 1e-12 * (1.0 + abs(total))
+    entry = emit_reports(res, tmp_path / "run")["agents"]
+    assert "settle" not in entry["random"]
+    assert sum(e["trials"] for e in entry["atpo"]["settle"].values()) == len(trials)
+    assert set(entry["atpo"]["settle"]) == {str(k) for k in {t.model_index for t in trials}}
+
+
 def test_emit_reports_files(tmp_path, small_library):
     domain, lib = small_library
     res = run_experiment(lib, ["atpo", "vi", "random"], horizon=10, trials=3,
@@ -631,7 +696,60 @@ def test_value_iteration_runs_once_per_library_and_never_in_a_worker(small_libra
     for result in pooled:
         for t in result.agents["vi"].trials:
             visited = [t.initial_state, *t.states[:-1]]
-            assert t.actions == [int(greedy[t.model_index][x]) for x in visited]
+            assert list(t.actions) == [int(greedy[t.model_index][x]) for x in visited]
+
+
+def test_scale_solves_value_iteration_once_per_model_in_this_process(cpus, tmp_path, monkeypatch):
+    # Each prefix library takes its slice of the largest library's tables,
+    # and the table it writes is the one of prefixes solved on their own.
+    domain = build("gridworld", size=3, tasks=2, belief_set_size=40, horizon=10)
+    cpus(1)
+    solved = prepare_library(domain, cache=PolicyCache(tmp_path / "cache"))
+    plan = plan_experiment(harness.SCALING_AGENTS, domain.models, trials=3)
+    separate = {k: atpo.ModelLibrary(solved.models[:k], solved.policies[:k]) for k in (1, 2)}
+    expected = plan.run_scaling(separate, domain.horizon, label=domain.name)
+
+    solve = solvers.value_iteration
+    log = tmp_path / "vi.log"
+
+    def logged(mdp, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return solve(mdp, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "value_iteration", logged)
+    monkeypatch.setattr(agents, "value_iteration", logged)
+    cpus(2)
+    assert cli.main(["scale", "gridworld", "--size", "3", "--beliefs", "40", "--horizon", "10", "--trials", "3",
+                     "--sizes", "1,2", "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]) == 0
+    assert not child_process_left()
+    assert log.read_text().split() == [str(os.getpid())] * domain.size
+    rows = (tmp_path / "out" / "scale.csv").read_text().splitlines()
+    assert rows[1:] == [
+        f"{k},{name},{s.mean!r},{s.std!r},{'' if s.normalized is None else repr(s.normalized)}"
+        for k in (1, 2) for name, s in expected[k].agents.items()
+    ]
+
+
+def test_trial_series_are_packed_arrays_in_the_pool_and_in_this_process(small_library, cpus):
+    # Each per-step series is a typed array whose one referent is its type:
+    # the collector finds no object per step behind it.  It comes back from a
+    # pool worker as the same array, and the return sums it as a list would.
+    _, lib = small_library
+    kwargs = dict(horizon=12, trials=3, base_seed=5)
+    cpus(1)
+    here = run_experiment(lib, agents.AGENT_NAMES, **kwargs)
+    cpus(2)
+    pooled = run_experiment(lib, agents.AGENT_NAMES, **kwargs)
+    assert not child_process_left()
+    for name in agents.AGENT_NAMES:
+        assert_same_trials(pooled.agents[name].trials, here.agents[name].trials)
+        for t in pooled.agents[name].trials + here.agents[name].trials:
+            for field, typecode in (("actions", "i"), ("observations", "i"), ("states", "i"), ("rewards", "d")):
+                series = getattr(t, field)
+                assert type(series) is array.array and series.typecode == typecode, field
+                assert len(series) == 12 and gc.get_referents(series) == [array.array], field
+            assert bits_equal(t.total_return, float(sum(list(t.rewards))))
 
 
 def test_one_cpu_or_one_job_creates_no_pool(small_library, cpus, monkeypatch):
@@ -724,7 +842,7 @@ def test_scaling_every_reward_by_a_power_of_two_scales_what_a_trial_returns_exac
         for t, u in zip(trials, scaled_trials, strict=True):
             assert (t.actions, t.observations, t.states) == (u.actions, u.observations, u.states)
             assert bits_equal(t.posteriors, u.posteriors) and bits_equal(t.evidence, u.evidence)
-            assert [r * c for r in t.rewards] == u.rewards
+            assert [r * c for r in t.rewards] == list(u.rewards)
             assert bits_equal(t.loss_rows * c, u.loss_rows)
 
 
