@@ -403,16 +403,13 @@ def settle_summary(trials) -> dict:
 
 
 def entropy_by_step(trials) -> list:
-    """Mean posterior entropy after each step, over trials that tracked it."""
-    columns: list = []
-    for t in trials:
-        if t.posteriors is None:
-            continue
-        for i, posterior in enumerate(t.posteriors[1:]):
-            if i == len(columns):
-                columns.append([])
-            columns[i].append(posterior_entropy(posterior))
-    return [float(np.mean(c)) for c in columns]
+    """Mean posterior entropy after each step, over the trials that tracked it
+    and were still running, in trial order; one step's entropies at a time."""
+    tracked = [t.posteriors for t in trials if t.posteriors is not None]
+    steps = max((len(p) - 1 for p in tracked), default=0)
+    return [
+        float(np.mean([posterior_entropy(p[i + 1]) for p in tracked if len(p) > i + 1])) for i in range(steps)
+    ]
 
 
 def emit_reports(

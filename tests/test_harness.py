@@ -11,6 +11,7 @@ import os
 import pickle
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +490,74 @@ def test_emit_reports_files(tmp_path, small_library):
 
     traces = sorted(p.name for p in (tmp_path / "traces").glob("*.csv"))
     assert traces == ["atpo-000.csv", "atpo-001.csv", "atpo-002.csv"]
+
+
+def entropy_trial(posteriors):
+    """A trial carrying only a posterior history (None: untracked)."""
+    steps = 1 if posteriors is None else len(posteriors) - 1
+    series = array.array("i", [0] * steps)
+    return TrialResult("atpo", seed=0, model_index=0, initial_state=0, actions=series,
+                       observations=series, rewards=array.array("d", [0.0] * steps),
+                       states=series, posteriors=posteriors)
+
+
+def trial_major_entropy_by_step(trials) -> list:
+    """The trial-major loop entropy_by_step replaced: every step's column is
+    filled before any mean is taken."""
+    columns: list = []
+    for t in trials:
+        if t.posteriors is None:
+            continue
+        for i, posterior in enumerate(t.posteriors[1:]):
+            if i == len(columns):
+                columns.append([])
+            columns[i].append(atpo.posterior_entropy(posterior))
+    return [float(np.mean(c)) for c in columns]
+
+
+def test_entropy_by_step_equals_the_trial_major_loop_bit_for_bit():
+    # Ragged sets: horizons 1 to 60, 1 to 9 candidates, untracked trials
+    # mixed in, and posteriors with zero entries (whole rows of them too).
+    rng = np.random.default_rng(48)
+    ragged = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 10))
+        trials = []
+        for _ in range(int(rng.integers(1, 12))):
+            if rng.random() < 0.25:
+                trials.append(entropy_trial(None))
+                continue
+            posteriors = rng.dirichlet(np.ones(k), size=int(rng.integers(1, 61)) + 1)
+            posteriors[rng.random(posteriors.shape) < 0.3] = 0.0
+            trials.append(entropy_trial(posteriors))
+        expected = trial_major_entropy_by_step(trials)
+        got = harness.entropy_by_step(trials)
+        assert len(got) == len(expected) and all(type(v) is float for v in got)
+        assert bits_equal(got, expected)
+        ragged += len({len(t.posteriors) for t in trials if t.posteriors is not None}) > 1
+    assert ragged > 100
+    assert harness.entropy_by_step([entropy_trial(None)]) == []
+
+
+def test_entropy_by_step_holds_one_step_of_entropies_at_a_time():
+    # 300 tracked 50-step trials, the ATPO check experiment of the benchmark's
+    # cold solve.  Holding every (trial, step) entropy as a float takes about
+    # 0.48 MB here; one step's column at a time about 0.02 MB.
+    rng = np.random.default_rng(0)
+    trials = [entropy_trial(rng.dirichlet(np.ones(2), size=51)) for _ in range(300)]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        means = harness.entropy_by_step(trials)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(means) == 50
+    assert peak < 0.1e6, peak
 
 
 def test_library_scaling_runs_each_size(small_library):
